@@ -64,7 +64,7 @@ let max_rss_kb () =
    and opens a new one, the shape of a proxy at a fixed concurrency.
    Every 8th op also probes a live key so lookups are in the loop. *)
 let churn_scenario ~window ~ops =
-  let module T = Lb.Conn_table in
+  let module T = Engine.Conn_table in
   let payload = "conn" (* shared: the table's own cost is what's measured *) in
   let fast () =
     let t = T.create ~dummy:"" ~capacity:window () in
@@ -123,7 +123,7 @@ let churn_scenario ~window ~ops =
    side table stores the two ints unboxed; the retired Hashtbl boxed a
    pair per bind. *)
 let sock_owner_scenario ~window ~ops =
-  let module D = Lb.Conn_table.Dense in
+  let module D = Engine.Conn_table.Dense in
   let fast () =
     let d = D.create ~capacity:window () in
     for k = 1 to window do

@@ -1,7 +1,12 @@
-(** Struct-of-arrays connection table.
+(** Struct-of-arrays int-keyed table for per-connection state.
+
+    It lives in the engine so every layer can use it: [Lb.Device] keys
+    connection callbacks by connection id, [Lb.Worker] its connections
+    by fd, and [Kernel.Epoll] its subscriptions and pending readiness
+    by fd.
 
     At multi-million-connection scale the per-connection [Hashtbl]s
-    that used to back {!Device} and {!Worker} dominate the heap: every
+    that used to back [Device] and [Worker] dominate the heap: every
     entry costs a bucket cons, a boxed key and (for the device) a
     two-field record, and churning a million connections per second
     feeds the minor GC a steady stream of garbage.  This table keeps

@@ -144,7 +144,11 @@ let run_until t ~limit =
     | Some time when time <= limit -> if not (step t) then continue := false
     | _ -> continue := false
   done;
-  if t.clock < limit then t.clock <- limit
+  (* After a [stop], events up to [limit] may still be pending: the
+     clock must not pass them. *)
+  match peek_time t with
+  | Some time when time <= limit -> ()
+  | _ -> if t.clock < limit then t.clock <- limit
 
 let stop t = t.stopping <- true
 let events_fired t = t.fired

@@ -18,7 +18,9 @@
     heap top before comparing against [limit], so it can no longer
     fire an event beyond [limit] when tombstones head the queue (the
     wheel never had that failure mode, and the differential suite
-    requires agreement). *)
+    requires agreement).  Like the wheel, [run_until] cut short by
+    [stop] leaves the clock at the last fired event while events up
+    to the limit remain. *)
 
 type t
 

@@ -6,12 +6,13 @@
    The wheel reproduces the retired binary heap's exact (time, seq)
    firing order — the golden-trace conformance harness depends on it,
    and test/test_engine.ml proves it differentially against
-   [Ref_heap] — while making [cancel] O(1) (the action closure is
-   dropped immediately, where the heap leaked it until drain) and
-   [pending_count] O(1) (a live counter, where the heap scanned every
-   slot including tombstones). *)
+   [Ref_heap] — while making [cancel] O(1) (the entry is unlinked and
+   its closure dropped at once, where the heap leaked it until drain)
+   and [pending_count] O(1).  A handle is the wheel's integer entry
+   handle, so scheduling, cancelling and firing allocate nothing
+   beyond the caller's closure. *)
 
-type handle = Wheel.entry
+type handle = int
 
 type t = {
   wheel : Wheel.t;
@@ -35,6 +36,7 @@ let create () =
 let now t = t.clock
 let shard_id t = t.shard
 let set_shard t id = t.shard <- id
+let null_handle = -1
 
 let schedule t ~at action =
   if at < t.clock then
@@ -49,22 +51,24 @@ let schedule_after t ~delay action =
   schedule t ~at:(Sim_time.add t.clock delay) action
 
 let cancel t ev = Wheel.cancel t.wheel ev
-let is_pending _t ev = Wheel.is_live ev
+let is_pending t ev = Wheel.is_live t.wheel ev
 let pending_count t = Wheel.live_count t.wheel
-let occupancy t = Wheel.stored_count t.wheel
 
-let fire t time action =
+let fire t i =
+  let time = Wheel.time t.wheel i in
+  let action = Wheel.take t.wheel i in
   t.clock <- time;
   Trace.set_now time;
   t.fired <- t.fired + 1;
   action ()
 
 let step t =
-  match Wheel.next_before t.wheel ~limit:max_int with
-  | None -> false
-  | Some (time, _seq, action) ->
-    fire t time action;
+  let i = Wheel.next_before t.wheel ~limit:max_int in
+  if i < 0 then false
+  else begin
+    fire t i;
     true
+  end
 
 let run t =
   t.stopping <- false;
@@ -72,15 +76,22 @@ let run t =
     ()
   done
 
+let rec run_slice t ~limit =
+  if not t.stopping then begin
+    let i = Wheel.next_before t.wheel ~limit in
+    if i >= 0 then begin
+      fire t i;
+      run_slice t ~limit
+    end
+  end
+
 let run_until t ~limit =
   t.stopping <- false;
-  let continue = ref true in
-  while !continue && not t.stopping do
-    match Wheel.next_before t.wheel ~limit with
-    | None -> continue := false
-    | Some (time, _seq, action) -> fire t time action
-  done;
-  if t.clock < limit then begin
+  run_slice t ~limit;
+  (* After a [stop], events up to [limit] may still be pending: the
+     clock must not pass them. *)
+  if t.clock < limit && ((not t.stopping) || Wheel.earliest t.wheel > limit)
+  then begin
     t.clock <- limit;
     Trace.set_now limit
   end

@@ -7,15 +7,27 @@
 
     The queue behind this interface is the hierarchical timing wheel
     of {!Wheel}: amortised O(1) schedule and extraction, O(1) {!cancel}
-    that drops the action closure immediately, and O(1)
-    {!pending_count}.  The retired binary-heap engine survives as
-    {!Ref_heap} for differential tests and the scheduler benchmarks. *)
+    that frees the event's storage and drops its action closure
+    immediately, and O(1) {!pending_count}.  Past the wheel's
+    high-water mark, scheduling, firing and cancelling allocate
+    nothing beyond the caller's closure.  The retired binary-heap
+    engine survives as {!Ref_heap} for differential tests and the
+    scheduler benchmarks. *)
 
 type t
 
 type handle
 (** Names a scheduled event so it can be cancelled (e.g. an epoll_wait
-    timeout that is preempted by an I/O event). *)
+    timeout that is preempted by an I/O event).  An immediate integer —
+    the wheel's storage index plus that index's generation — so holding
+    one allocates nothing.  Storage indices are recycled, but a handle
+    whose event fired or was cancelled is stale for good: [cancel] and
+    [is_pending] on it never touch the event that now occupies the
+    index. *)
+
+val null_handle : handle
+(** A handle that names no event: never pending; cancelling it is a
+    no-op.  A placeholder for mutable fields. *)
 
 val create : unit -> t
 
@@ -40,20 +52,16 @@ val schedule_after : t -> delay:Sim_time.t -> (unit -> unit) -> handle
     @raise Invalid_argument if [delay] is negative. *)
 
 val cancel : t -> handle -> unit
-(** Cancel a pending event in O(1), releasing its action closure
-    immediately.  Cancelling an already-fired or already-cancelled
-    event is a no-op. *)
+(** Cancel a pending event in O(1), freeing its storage and releasing
+    its action closure immediately — nothing is left behind to sweep.
+    Cancelling an already-fired or already-cancelled event is a
+    no-op. *)
 
 val is_pending : t -> handle -> bool
 
 val pending_count : t -> int
-(** Number of live (not cancelled, not fired) events — O(1). *)
-
-val occupancy : t -> int
-(** Physical queue entries held, including cancelled entries whose
-    slot has not been reclaimed yet; compaction keeps this bounded by
-    [2 * pending_count + O(1)].  Exposed for the cancellation-leak
-    regression tests. *)
+(** Number of live (not cancelled, not fired) events — O(1).  The
+    wheel's storage is bounded by the high-water mark of this count. *)
 
 val step : t -> bool
 (** Fire the earliest pending event.  Returns [false] when the queue is
@@ -64,7 +72,10 @@ val run : t -> unit
 
 val run_until : t -> limit:Sim_time.t -> unit
 (** Run events with timestamp [<= limit], then advance the clock to
-    [limit].  Events scheduled beyond [limit] stay pending. *)
+    [limit].  Events scheduled beyond [limit] stay pending.  When a
+    {!stop} cuts the run short while events [<= limit] remain, the
+    clock stays at the last fired event, so it never passes a pending
+    event. *)
 
 val stop : t -> unit
 (** Request that [run] / [run_until] return after the current event. *)

@@ -1,16 +1,25 @@
-type kind = Accept_ready | Readable
+module Conn_table = Engine.Conn_table
 
-type event = { fd : int; kind : kind; units : int }
+type kind = Accept_ready | Readable
 
 type sub = Shared_listen of Socket.t | Dedicated_listen of Socket.t | Conn
 
 type t = {
   owner : int;
   mutable wakeup : unit -> unit;
-  subs : (int, sub) Hashtbl.t;
-  mutable shared_order : (int * Socket.t) list; (* registration order *)
-  pending : (int, kind * int) Hashtbl.t; (* pushed readiness: fd -> units *)
-  order : int Queue.t; (* FIFO of fds with pushed readiness *)
+  (* fd + 1 -> subscription (the table's keys must be positive); the
+     entry's [aux] field holds the fd's pushed, undelivered units, so
+     readiness dies with the subscription. *)
+  subs : sub Conn_table.t;
+  mutable shared : (int * Socket.t) array; (* registration order *)
+  (* FIFO ring of fds with pushed readiness; power-of-two capacity. *)
+  mutable ring : int array;
+  mutable ring_head : int;
+  mutable ring_len : int;
+  (* Events of the most recent [wait]. *)
+  mutable ev_fd : int array;
+  mutable ev_kind : kind array;
+  mutable ev_units : int array;
   mutable scan_cost : int;
 }
 
@@ -18,133 +27,176 @@ let create ~worker_id =
   {
     owner = worker_id;
     wakeup = (fun () -> ());
-    subs = Hashtbl.create 64;
-    shared_order = [];
-    pending = Hashtbl.create 64;
-    order = Queue.create ();
+    subs = Conn_table.create ~dummy:Conn ~capacity:128 ();
+    shared = [||];
+    ring = Array.make 8 0;
+    ring_head = 0;
+    ring_len = 0;
+    ev_fd = [||];
+    ev_kind = [||];
+    ev_units = [||];
     scan_cost = 0;
   }
 
 let worker_id t = t.owner
 let set_wakeup t f = t.wakeup <- f
+let find t fd = if fd < 0 then -1 else Conn_table.find_slot t.subs (fd + 1)
+
+let subscribe t ~fd sub ~what =
+  if fd < 0 then invalid_arg (what ^ ": negative fd");
+  if find t fd >= 0 then invalid_arg (what ^ ": duplicate fd");
+  Conn_table.add t.subs ~key:(fd + 1) ~aux:0 sub
 
 let add_listening t ~fd ~socket ~shared =
-  if Hashtbl.mem t.subs fd then invalid_arg "Epoll.add_listening: duplicate fd";
   if shared then begin
-    Hashtbl.replace t.subs fd (Shared_listen socket);
-    t.shared_order <- t.shared_order @ [ (fd, socket) ]
+    subscribe t ~fd (Shared_listen socket) ~what:"Epoll.add_listening";
+    t.shared <- Array.append t.shared [| (fd, socket) |]
   end
-  else Hashtbl.replace t.subs fd (Dedicated_listen socket)
+  else subscribe t ~fd (Dedicated_listen socket) ~what:"Epoll.add_listening"
+
+let remove_conn t ~fd = if fd >= 0 then ignore (Conn_table.remove t.subs (fd + 1))
 
 let remove_listening t ~fd =
-  Hashtbl.remove t.subs fd;
-  Hashtbl.remove t.pending fd;
-  t.shared_order <- List.filter (fun (f, _) -> f <> fd) t.shared_order
+  remove_conn t ~fd;
+  t.shared <- Array.of_list (List.filter (fun (f, _) -> f <> fd) (Array.to_list t.shared))
 
-let add_conn t ~fd =
-  if Hashtbl.mem t.subs fd then invalid_arg "Epoll.add_conn: duplicate fd";
-  Hashtbl.replace t.subs fd Conn
+let add_conn t ~fd = subscribe t ~fd Conn ~what:"Epoll.add_conn"
 
-let remove_conn t ~fd =
-  Hashtbl.remove t.subs fd;
-  Hashtbl.remove t.pending fd
+let count_subs t p =
+  Conn_table.fold t.subs ~init:0 ~f:(fun acc ~key:_ ~slot ->
+      if p (Conn_table.payload t.subs slot) then acc + 1 else acc)
 
-let conn_count t =
-  Hashtbl.fold (fun _ s acc -> match s with Conn -> acc + 1 | _ -> acc) t.subs 0
+let conn_count t = count_subs t (function Conn -> true | _ -> false)
 
 let listening_count t =
-  Hashtbl.fold
-    (fun _ s acc ->
-      match s with Shared_listen _ | Dedicated_listen _ -> acc + 1 | Conn -> acc)
-    t.subs 0
+  count_subs t (function Shared_listen _ | Dedicated_listen _ -> true | Conn -> false)
 
-let push t fd kind units =
-  match Hashtbl.find_opt t.pending fd with
-  | Some (_, current) -> Hashtbl.replace t.pending fd (kind, current + units)
-  | None ->
-    Hashtbl.replace t.pending fd (kind, units);
-    Queue.push fd t.order
+let ring_push t fd =
+  let cap = Array.length t.ring in
+  if t.ring_len = cap then begin
+    let ring = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      ring.(i) <- t.ring.((t.ring_head + i) land (cap - 1))
+    done;
+    t.ring <- ring;
+    t.ring_head <- 0
+  end;
+  t.ring.((t.ring_head + t.ring_len) land (Array.length t.ring - 1)) <- fd;
+  t.ring_len <- t.ring_len + 1
+
+let ring_pop t =
+  let fd = t.ring.(t.ring_head) in
+  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
+  t.ring_len <- t.ring_len - 1;
+  fd
+
+(* Accumulate readiness; an fd joins the FIFO only when it had none. *)
+let push t slot fd units =
+  let n = Conn_table.aux t.subs slot in
+  if n = 0 then ring_push t fd;
+  Conn_table.set_aux t.subs slot (n + units)
 
 let notify_readable t ~fd ~units =
   if units < 0 then invalid_arg "Epoll.notify_readable: negative units";
-  match Hashtbl.find_opt t.subs fd with
-  | Some Conn when units > 0 ->
-    push t fd Readable units;
-    t.wakeup ()
-  | _ -> ()
+  let slot = find t fd in
+  if slot >= 0 && units > 0 then
+    match Conn_table.payload t.subs slot with
+    | Conn ->
+      push t slot fd units;
+      t.wakeup ()
+    | Shared_listen _ | Dedicated_listen _ -> ()
 
 let notify_accept_ready t ~fd =
-  match Hashtbl.find_opt t.subs fd with
-  | Some (Dedicated_listen _) ->
-    push t fd Accept_ready 1;
-    t.wakeup ()
-  | _ -> ()
+  let slot = find t fd in
+  if slot >= 0 then
+    match Conn_table.payload t.subs slot with
+    | Dedicated_listen _ ->
+      push t slot fd 1;
+      t.wakeup ()
+    | Shared_listen _ | Conn -> ()
 
 let poke t = t.wakeup ()
 
-let wait_poll t ~max_events =
-  if max_events <= 0 then invalid_arg "Epoll.wait_poll: max_events must be positive";
-  let events = ref [] in
+let record t i fd kind units =
+  t.ev_fd.(i) <- fd;
+  t.ev_kind.(i) <- kind;
+  t.ev_units.(i) <- units
+
+let wait t ~max_events =
+  if max_events <= 0 then invalid_arg "Epoll.wait: max_events must be positive";
+  if Array.length t.ev_fd < max_events then begin
+    t.ev_fd <- Array.make max_events 0;
+    t.ev_kind <- Array.make max_events Readable;
+    t.ev_units <- Array.make max_events 0
+  end;
   let count = ref 0 in
-  (* Pushed readiness first, FIFO over fds.  A stale queue entry
-     (readiness removed by close) is skipped. *)
-  let rec drain () =
-    if !count < max_events && not (Queue.is_empty t.order) then begin
-      let fd = Queue.pop t.order in
-      (match Hashtbl.find_opt t.pending fd with
-      | Some (Accept_ready, n) when n > 0 ->
+  (* Pushed readiness first, FIFO over fds.  A stale ring entry (its
+     readiness already delivered, or removed with its subscription) is
+     skipped; an fd removed and re-added delivers at its oldest
+     surviving ring position. *)
+  while !count < max_events && t.ring_len > 0 do
+    let fd = ring_pop t in
+    let slot = find t fd in
+    if slot >= 0 then begin
+      let n = Conn_table.aux t.subs slot in
+      if n > 0 then begin
         (* Readiness is coalesced like real epoll: one event carrying
-           the number of queued connections. *)
-        Hashtbl.remove t.pending fd;
-        events := { fd; kind = Accept_ready; units = n } :: !events;
+           the number of queued connections or request units. *)
+        Conn_table.set_aux t.subs slot 0;
+        let kind =
+          match Conn_table.payload t.subs slot with
+          | Conn -> Readable
+          | Shared_listen _ | Dedicated_listen _ -> Accept_ready
+        in
+        record t !count fd kind n;
         incr count
-      | Some (Readable, n) when n > 0 ->
-        Hashtbl.remove t.pending fd;
-        events := { fd; kind = Readable; units = n } :: !events;
-        incr count
-      | _ -> ());
-      drain ()
+      end
     end
-  in
-  drain ();
+  done;
   (* Level-triggered scan over shared listening sockets. *)
-  let scanned = ref 0 in
-  List.iter
-    (fun (fd, sock) ->
-      incr scanned;
-      let backlog = Socket.backlog_len sock in
-      if !count < max_events && backlog > 0 then begin
-        events := { fd; kind = Accept_ready; units = backlog } :: !events;
-        incr count
-      end)
-    t.shared_order;
-  t.scan_cost <- !scanned;
-  let delivered = List.rev !events in
-  (match delivered with
-  | [] -> ()
-  | _ :: _ ->
-    if Trace.enabled () then
-      Trace.emit
-        (Trace.Epoll_dispatch
-           {
-             worker = t.owner;
-             events =
-               List.map
-                 (fun e ->
-                   let kind =
-                     match e.kind with
-                     | Accept_ready -> Trace.Accept_io
-                     | Readable -> Trace.Read_io
-                   in
-                   (e.fd, kind, e.units))
-                 delivered;
-           }));
-  delivered
+  for i = 0 to Array.length t.shared - 1 do
+    let fd, sock = t.shared.(i) in
+    let backlog = Socket.backlog_len sock in
+    if !count < max_events && backlog > 0 then begin
+      record t !count fd Accept_ready backlog;
+      incr count
+    end
+  done;
+  t.scan_cost <- Array.length t.shared;
+  let n = !count in
+  if n > 0 && Trace.enabled () then
+    Trace.emit
+      (Trace.Epoll_dispatch
+         {
+           worker = t.owner;
+           events =
+             List.init n (fun i ->
+                 let kind =
+                   match t.ev_kind.(i) with
+                   | Accept_ready -> Trace.Accept_io
+                   | Readable -> Trace.Read_io
+                 in
+                 (t.ev_fd.(i), kind, t.ev_units.(i)));
+         });
+  n
+
+let event_fd t i = t.ev_fd.(i)
+let event_kind t i = t.ev_kind.(i)
+let event_units t i = t.ev_units.(i)
+
+let listen_socket t ~fd =
+  let slot = find t fd in
+  if slot < 0 then raise Not_found;
+  match Conn_table.payload t.subs slot with
+  | Shared_listen s | Dedicated_listen s -> s
+  | Conn -> raise Not_found
 
 let last_scan_cost t = t.scan_cost
 
-let pending_units t = Hashtbl.fold (fun _ (_, n) acc -> acc + n) t.pending 0
+let pending_units t =
+  Conn_table.fold t.subs ~init:0 ~f:(fun acc ~key:_ ~slot ->
+      acc + Conn_table.aux t.subs slot)
 
 let clear_pending t =
-  Hashtbl.reset t.pending;
-  Queue.clear t.order
+  Conn_table.iter t.subs (fun ~key:_ ~slot -> Conn_table.set_aux t.subs slot 0);
+  t.ring_len <- 0

@@ -5,7 +5,7 @@
 
     - {b Shared} sockets (epoll-exclusive modes) are level-triggered:
       readiness is the accept-queue depth, re-checked by scanning every
-      shared subscription at each [wait_poll].  This scan is the
+      shared subscription at each [wait].  This scan is the
       O(#ports) connection-dispatch overhead of §6.2 Case 1.
     - {b Dedicated} sockets (reuseport/Hermes) are push-mode: the
       kernel dispatcher calls {!notify_accept_ready} on the owner's
@@ -13,23 +13,24 @@
       scan happens.
 
     Connection fds are push-mode with drain semantics: data arrivals
-    accumulate via {!notify_readable}; a [wait_poll] hands the fd over
+    accumulate via {!notify_readable}; a [wait] hands the fd over
     with the number of pending request units and the handler drains
     them all — the behaviour that lets a slow drain hang a worker
     (Appendix C, exception case 1).
 
-    Blocking is the {e worker's} concern: [wait_poll] never blocks;
-    when it returns no events the worker parks itself and is resumed by
-    a wait-queue wakeup (shared socket), a {!poke}, or its epoll
-    timeout. *)
+    Blocking is the {e worker's} concern: [wait] never blocks; when it
+    returns no events the worker parks itself and is resumed by a
+    wait-queue wakeup (shared socket), a {!poke}, or its epoll
+    timeout.
+
+    The per-event path hashes nothing polymorphically and allocates
+    nothing: one [Engine.Conn_table] keyed by fd holds each
+    subscription together with its pushed, undelivered units, an int
+    ring keeps the FIFO order of fds with pushed readiness, and
+    {!wait} writes its events into a buffer owned by the instance.
+    File descriptors are non-negative ints (0 included). *)
 
 type kind = Accept_ready | Readable
-
-type event = { fd : int; kind : kind; units : int }
-(** [units]: for [Readable], pending request units handed to the
-    handler; for [Accept_ready], the number of connections known to be
-    waiting in the accept queue (the handler drains up to that many —
-    nginx's multi_accept behaviour). *)
 
 type t
 
@@ -45,16 +46,19 @@ val add_listening : t -> fd:int -> socket:Socket.t -> shared:bool -> unit
 (** Register a listening socket (EPOLL_CTL_ADD).  [shared = true]
     subscriptions are found by the level-triggered scan; dedicated ones
     rely on {!notify_accept_ready}.  @raise Invalid_argument on a
-    duplicate fd. *)
+    duplicate or negative fd. *)
 
 val remove_listening : t -> fd:int -> unit
 
 val add_conn : t -> fd:int -> unit
 (** Register an accepted connection fd.
-    @raise Invalid_argument on duplicate fd. *)
+    @raise Invalid_argument on a duplicate or negative fd. *)
 
 val remove_conn : t -> fd:int -> unit
-(** EPOLL_CTL_DEL + close: discards any pending readiness. *)
+(** EPOLL_CTL_DEL + close: discards any pending readiness.  The fd's
+    place in the FIFO goes stale: if the fd is registered again and
+    becomes ready before the next {!wait} reaches that place, its
+    readiness is delivered there. *)
 
 val conn_count : t -> int
 val listening_count : t -> int
@@ -71,12 +75,29 @@ val notify_accept_ready : t -> fd:int -> unit
 val poke : t -> unit
 (** Fire the wakeup callback without marking anything ready. *)
 
-val wait_poll : t -> max_events:int -> event list
+val wait : t -> max_events:int -> int
 (** Non-blocking poll: pushed events in arrival order (FIFO over fds),
-    then the shared-listening scan, at most [max_events] in total. *)
+    then the shared-listening scan, at most [max_events] in total.
+    Returns the number of events [n]; event [i < n] is read with
+    {!event_fd}, {!event_kind} and {!event_units} until the next
+    [wait]. *)
+
+val event_fd : t -> int -> int
+
+val event_kind : t -> int -> kind
+
+val event_units : t -> int -> int
+(** For [Readable], pending request units handed to the handler; for
+    [Accept_ready], the number of connections known to be waiting in
+    the accept queue (the handler drains up to that many — nginx's
+    multi_accept behaviour). *)
+
+val listen_socket : t -> fd:int -> Socket.t
+(** The socket behind a listening subscription.
+    @raise Not_found if [fd] is not a registered listening fd. *)
 
 val last_scan_cost : t -> int
-(** Shared subscriptions examined by the most recent [wait_poll] — the
+(** Shared subscriptions examined by the most recent [wait] — the
     worker charges virtual CPU for the scan. *)
 
 val pending_units : t -> int

@@ -36,17 +36,12 @@ let deliver t req ~now =
     true
   end
 
-let take t n =
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else
-      match Queue.take_opt t.inbox with
-      | None -> List.rev acc
-      | Some req ->
-        t.inflight <- t.inflight - 1;
-        go (n - 1) (req :: acc)
-  in
-  go (max 0 n) []
+let queued t = Queue.length t.inbox
+
+let pop t =
+  let req = Queue.take t.inbox in
+  t.inflight <- t.inflight - 1;
+  req
 
 let is_open t = t.state = Established
 

@@ -34,9 +34,12 @@ val deliver : t -> Request.t -> now:Engine.Sim_time.t -> bool
 (** Append a request (stamping its arrival time) if the connection is
     still established; returns whether it was taken. *)
 
-val take : t -> int -> Request.t list
-(** Pop up to [n] requests from the inbox (the epoll handler's
-    drain). *)
+val queued : t -> int
+(** Requests waiting in the inbox. *)
+
+val pop : t -> Request.t
+(** Pop the oldest request from the inbox (one step of the epoll
+    handler's drain).  @raise Queue.Empty if the inbox is empty. *)
 
 val is_open : t -> bool
 val pp : Format.formatter -> t -> unit

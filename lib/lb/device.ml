@@ -1,5 +1,6 @@
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
+module Conn_table = Engine.Conn_table
 
 type mode =
   | Exclusive
@@ -100,7 +101,7 @@ type t = {
      attribution: connection arrivals and CPU consumed *)
   tenant_conns : int array;
   tenant_cpu : Sim_time.t array;
-  tenant_index_of_id : (int, int) Hashtbl.t;
+  tenant_slots : unit Conn_table.t;  (* tenant id + 1 -> index, in aux *)
   quarantined : bool array;
   vip : Netsim.Addr.ip;
   mutable probe_loss : bool;  (* injected probe-loss burst in progress *)
@@ -131,8 +132,12 @@ let alloc_fd t () =
    below degrades to a no-op, as before. *)
 let meta_slot t conn = Conn_table.find_slot t.metas conn.Conn.id
 
+(* Index into [tenant_arr], or -1 (synthetic carriers have id -1). *)
 let tenant_index t tenant_id =
-  Hashtbl.find_opt t.tenant_index_of_id tenant_id
+  if tenant_id < 0 then -1
+  else
+    let slot = Conn_table.find_slot t.tenant_slots (tenant_id + 1) in
+    if slot < 0 then -1 else Conn_table.aux t.tenant_slots slot
 
 (* Splice handoff: once the worker has accepted, install the
    connection into the sockmap so subsequent payload bypasses it.
@@ -165,9 +170,8 @@ let splice_teardown t ~conn ~reason =
         Trace.emit (Trace.Splice_teardown { conn; worker; key; reason }))
 
 let handle_established t conn =
-  (match tenant_index t conn.Conn.tenant_id with
-  | Some i -> t.tenant_conns.(i) <- t.tenant_conns.(i) + 1
-  | None -> ());
+  let i = tenant_index t conn.Conn.tenant_id in
+  if i >= 0 then t.tenant_conns.(i) <- t.tenant_conns.(i) + 1;
   let slot = meta_slot t conn in
   if slot >= 0 then begin
     Stats.Histogram.record t.estab_lat
@@ -184,9 +188,8 @@ let handle_request_done t conn req =
       (float_of_int
          (Sim_time.sub (Sim.now t.sim) req.Request.arrival + Cost.client_rtt));
     t.completed_count <- t.completed_count + 1;
-    (match tenant_index t conn.Conn.tenant_id with
-    | Some i -> t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) req.Request.cost
-    | None -> ());
+    let i = tenant_index t conn.Conn.tenant_id in
+    if i >= 0 then t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) req.Request.cost;
     let slot = meta_slot t conn in
     if slot >= 0 then (Conn_table.payload t.metas slot).request_done conn req
   end
@@ -296,21 +299,27 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
       sampling_prev = Array.make workers 0;
       tenant_conns = Array.make (Array.length tenants) 0;
       tenant_cpu = Array.make (Array.length tenants) 0;
-      tenant_index_of_id =
-        (let h = Hashtbl.create (Array.length tenants) in
-         Array.iteri (fun i (tn : Netsim.Tenant.t) -> Hashtbl.replace h tn.id i) tenants;
-         h);
+      tenant_slots =
+        (let tbl = Conn_table.create ~dummy:() ~capacity:(2 * Array.length tenants) () in
+         Array.iteri
+           (fun i (tn : Netsim.Tenant.t) ->
+             if tn.id < 0 then invalid_arg "Device.create: negative tenant id";
+             Conn_table.add tbl ~key:(tn.id + 1) ~aux:i ())
+           tenants;
+         tbl);
       quarantined = Array.make (Array.length tenants) false;
       vip = Netsim.Addr.ip_of_string "10.200.0.1";
       probe_loss = false;
     }
   in
+  (* Full-arity closures: a partial application would go through
+     caml_curry on every call. *)
   let callbacks =
     {
-      Worker.on_established = handle_established t;
-      on_request_done = handle_request_done t;
-      on_conn_closed = handle_closed t;
-      on_conn_reset = handle_reset t;
+      Worker.on_established = (fun conn -> handle_established t conn);
+      on_request_done = (fun conn req -> handle_request_done t conn req);
+      on_conn_closed = (fun conn -> handle_closed t conn);
+      on_conn_reset = (fun conn -> handle_reset t conn);
     }
   in
   t.workers_arr <-
@@ -439,9 +448,8 @@ let splice_request_done t conn req ~kernel_time =
       (float_of_int
          (Sim_time.sub (Sim.now t.sim) req.Request.arrival + Cost.client_rtt));
     t.completed_count <- t.completed_count + 1;
-    (match tenant_index t conn.Conn.tenant_id with
-    | Some i -> t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) kernel_time
-    | None -> ());
+    let i = tenant_index t conn.Conn.tenant_id in
+    if i >= 0 then t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) kernel_time;
     conn.Conn.requests_done <- conn.Conn.requests_done + 1;
     let slot = meta_slot t conn in
     if slot >= 0 then (Conn_table.payload t.metas slot).request_done conn req

@@ -72,7 +72,10 @@ val create :
     per port in the shared modes — the failed mitigation §7 discusses
     (different "last added" worker per port).  [splice_slots] (default
     4096) and [splice_copy] (default 0) configure the sockmap size and
-    selective-copy budget in [Splice] mode (see {!Splice.create}). *)
+    selective-copy budget in [Splice] mode (see {!Splice.create}).
+    Tenant ids must be non-negative: negative ids mark synthetic
+    fault-injection carriers.
+    @raise Invalid_argument on a negative tenant id. *)
 
 val start : t -> unit
 val sim : t -> Engine.Sim.t

@@ -26,7 +26,7 @@ let make ~id ~op ~size ~cost ~tenant_id =
 let close_marker ~id ~tenant_id =
   { id; kind = Close; size = 0; cost = Cost.close_cost; tenant_id; arrival = 0 }
 
-let is_close t = t.kind = Close
+let is_close t = match t.kind with Close -> true | Work _ -> false
 
 let op_name = function
   | Plain_proxy -> "plain"

@@ -2,6 +2,8 @@
    program, and the userspace bookkeeping that must stay in sync with
    both.  See splice.mli for the protocol. *)
 
+module Conn_table = Engine.Conn_table
+
 type stats = {
   mutable attaches : int;
   mutable collisions : int;

@@ -1,5 +1,6 @@
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
+module Conn_table = Engine.Conn_table
 
 type config = {
   max_events : int;
@@ -45,12 +46,22 @@ type stats = {
   mutable spliced_redirects : int;
 }
 
-type state =
-  | Init
-  | Blocked of { timeout : Sim.handle; wait_started : Sim_time.t }
-  | Waking
-  | Running
-  | Crashed
+type state = Init | Blocked | Waking | Running | Crashed
+
+(* The event loop's continuation: what the worker's one pending resume
+   event does when it fires.  Everything else the continuation needs
+   lives in worker fields (the epoll batch cursor, the accept or
+   connection in progress, the requests left), so a charge schedules
+   a preallocated closure instead of building a chain of them. *)
+type phase =
+  | After_sched_wait  (* the loop-entry scheduler pass is paid: poll *)
+  | After_poll  (* the poll is paid: handle the batch *)
+  | After_accept  (* an accept is paid: establish it, accept the next *)
+  | After_close  (* a close marker is paid: close, next event *)
+  | After_request  (* a request is paid: complete it, next request *)
+  | After_sched_loop  (* the loop-end scheduler pass is paid: loop again *)
+  | After_wake  (* the wakeup latency elapsed: loop again *)
+  | After_timeout  (* epoll_wait timed out *)
 
 type t = {
   worker_id : int;
@@ -60,10 +71,13 @@ type t = {
   alloc_fd : unit -> int;
   callbacks : callbacks;
   hermes : Hermes.Runtime.t option;
-  listen_socks : (int, Kernel.Socket.t) Hashtbl.t;
+  hooks : Hermes.Metrics.t option;  (* this worker's Fig. 9 hooks *)
+  sched_at_end : bool;  (* Hermes schedules at loop end, not entry *)
   conn_table : Conn.t Conn_table.t; (* fd -> conn, SoA storage *)
   worker_stats : stats;
   mutable state : state;
+  mutable timeout : Sim.handle;  (* the epoll_wait timeout while Blocked *)
+  mutable wait_started : Sim_time.t;
   mutable synthetic_seq : int;  (* adopt_conn / fault-carrier conn ids *)
   mutable fault_conn : Conn.t option;  (* carrier for injected stalls *)
   mutable epoch : int;  (* invalidates in-flight continuations on crash *)
@@ -74,58 +88,35 @@ type t = {
   mutable cur_start : Sim_time.t;
   mutable cur_end : Sim_time.t;
   mutable busy_outstanding : int;  (* our net contribution to the WST busy cell *)
+  (* Continuation state. *)
+  mutable phase : phase;
+  mutable woken : bool;
+  mutable batch_started : Sim_time.t;
+  mutable ev_next : int;  (* cursor into the epoll instance's events *)
+  mutable ev_count : int;
+  mutable accept_fd : int;
+  mutable accept_left : int;
+  mutable accepted_conn : Kernel.Socket.pending_conn;
+  mutable conn : Conn.t;
+  mutable req : Request.t;
+  mutable reqs_left : int;
+  mutable resume : unit -> unit;  (* resumes the loop iff still this epoch *)
 }
+
+let null_tuple = { Netsim.Addr.src_ip = 0; src_port = 0; dst_ip = 0; dst_port = 0 }
 
 (* Free table slots hold this placeholder instead of a dead
    connection's record, so closed conns (and their inbox contents) are
-   collectable immediately. *)
+   collectable immediately; the continuation fields hold the
+   placeholders below between uses for the same reason. *)
 let dummy_conn =
-  Conn.make ~id:0 ~fd:0
-    ~tuple:{ Netsim.Addr.src_ip = 0; src_port = 0; dst_ip = 0; dst_port = 0 }
-    ~tenant_id:(-1) ~worker_id:(-1) ~established:0
+  Conn.make ~id:0 ~fd:0 ~tuple:null_tuple ~tenant_id:(-1) ~worker_id:(-1)
+    ~established:0
 
-let create ~sim ~id ~config ~alloc_fd ~callbacks ?hermes () =
-  let ep = Kernel.Epoll.create ~worker_id:id in
-  let t =
-    {
-      worker_id = id;
-      sim;
-      cfg = config;
-      ep;
-      alloc_fd;
-      callbacks;
-      hermes;
-      listen_socks = Hashtbl.create 16;
-      conn_table = Conn_table.create ~dummy:dummy_conn ~capacity:1024 ();
-      (* Per-worker band of a billion-based id space: ids stay unique
-         within a device and depend only on (worker, adoption order),
-         never on cross-worker or cross-device interleaving — the
-         sharded cluster's trace-determinism argument needs that. *)
-      synthetic_seq = 1_000_000_000 + (id * 1_000_000);
-      worker_stats =
-        {
-          events_per_wait = Stats.Histogram.create ();
-          batch_processing = Stats.Histogram.create ();
-          blocking = Stats.Histogram.create ();
-          loop_entries = 0;
-          accepted = 0;
-          completed = 0;
-          closed = 0;
-          resets = 0;
-          pool_rejects = 0;
-          spurious_wakeups = 0;
-          spliced_redirects = 0;
-        };
-      state = Init;
-      fault_conn = None;
-      epoch = 0;
-      cpu_committed = 0;
-      cur_start = 0;
-      cur_end = 0;
-      busy_outstanding = 0;
-    }
-  in
-  t
+let dummy_pending =
+  { Kernel.Socket.seq = 0; tuple = null_tuple; flow_hash = 0; tenant_id = -1; syn_time = 0 }
+
+let dummy_req = Request.make ~id:0 ~op:Request.Plain_proxy ~size:0 ~cost:0 ~tenant_id:(-1)
 
 let id t = t.worker_id
 let epoll t = t.ep
@@ -149,52 +140,45 @@ let conns t =
   Conn_table.fold t.conn_table ~init:[] ~f:(fun acc ~key:_ ~slot ->
       Conn_table.payload t.conn_table slot :: acc)
   |> List.sort (fun (a : Conn.t) b -> compare a.Conn.fd b.Conn.fd)
-let is_blocked t = match t.state with Blocked _ -> true | _ -> false
+let is_blocked t = t.state = Blocked
 let is_crashed t = t.state = Crashed
 
-let hooks t = Option.map (fun rt -> Hermes.Runtime.hooks rt t.worker_id) t.hermes
-
 let avail_update t =
-  match hooks t with
+  match t.hooks with
   | Some h -> Hermes.Metrics.avail_update h ~now:(Sim.now t.sim)
   | None -> ()
 
 let busy_add t n =
   if n <> 0 then begin
     t.busy_outstanding <- t.busy_outstanding + n;
-    match hooks t with
+    match t.hooks with
     | Some h -> Hermes.Metrics.busy_count h n
     | None -> ()
   end
 
 let conn_add t n =
-  match hooks t with Some h -> Hermes.Metrics.conn_count h n | None -> ()
+  match t.hooks with Some h -> Hermes.Metrics.conn_count h n | None -> ()
 
-(* Charge [cost] of CPU to this core, then continue; the continuation
-   dies silently if the worker crashed or restarted in the interim. *)
-let charge t cost k =
+(* Charge [cost] of CPU to this core, then continue with [phase]; the
+   resume dies silently if the worker crashed or restarted in the
+   interim. *)
+let charge t cost phase =
   (* The previous interval necessarily lies in the past: its
      continuation is what led to this call. *)
   t.cpu_committed <- t.cpu_committed + (t.cur_end - t.cur_start);
   let now = Sim.now t.sim in
   t.cur_start <- now;
   t.cur_end <- Sim_time.add now cost;
-  let epoch = t.epoch in
-  ignore
-    (Sim.schedule_after t.sim ~delay:cost (fun () ->
-         if t.epoch = epoch && t.state <> Crashed then k ()))
+  t.phase <- phase;
+  ignore (Sim.schedule_after t.sim ~delay:cost t.resume)
 
-let listen_shared t ~socket =
+let listen t ~socket ~shared =
   let fd = t.alloc_fd () in
-  Kernel.Epoll.add_listening t.ep ~fd ~socket ~shared:true;
-  Hashtbl.replace t.listen_socks fd socket;
+  Kernel.Epoll.add_listening t.ep ~fd ~socket ~shared;
   fd
 
-let listen_dedicated t ~socket =
-  let fd = t.alloc_fd () in
-  Kernel.Epoll.add_listening t.ep ~fd ~socket ~shared:false;
-  Hashtbl.replace t.listen_socks fd socket;
-  fd
+let listen_shared t ~socket = listen t ~socket ~shared:true
+let listen_dedicated t ~socket = listen t ~socket ~shared:false
 
 let do_close t conn final_state =
   Kernel.Epoll.remove_conn t.ep ~fd:conn.Conn.fd;
@@ -218,194 +202,290 @@ let do_close t conn final_state =
     t.callbacks.on_conn_reset conn
   | Conn.Established -> assert false
 
-let crash t =
-  (match t.state with
-  | Blocked { timeout; _ } -> Sim.cancel t.sim timeout
-  | Init | Waking | Running | Crashed -> ());
-  t.state <- Crashed;
-  t.epoch <- t.epoch + 1;
-  (* A dead process stops consuming CPU mid-charge. *)
-  let now = Sim.now t.sim in
-  if t.cur_end > now then t.cur_end <- max t.cur_start now
+let run_scheduler t rt phase =
+  let result =
+    Hermes.Runtime.schedule_and_sync rt ~worker:t.worker_id ~now:(Sim.now t.sim)
+  in
+  let cost =
+    Cost.cycles_to_time
+      (result.Hermes.Scheduler.cycles + Hermes.Runtime.syscall_cost_cycles)
+  in
+  charge t cost phase
 
-let run_scheduler t k =
-  match t.hermes with
-  | None -> k ()
-  | Some rt ->
-    let result =
-      Hermes.Runtime.schedule_and_sync rt ~worker:t.worker_id ~now:(Sim.now t.sim)
+(* Handle a connection the accept charge just paid for. *)
+let establish t (pending : Kernel.Socket.pending_conn) =
+  if Conn_table.length t.conn_table >= t.cfg.conn_capacity then begin
+    (* Connection pool exhausted: reject with RST. *)
+    t.worker_stats.pool_rejects <- t.worker_stats.pool_rejects + 1;
+    let conn =
+      Conn.make ~id:pending.seq ~fd:(-1) ~tuple:pending.tuple
+        ~tenant_id:pending.tenant_id ~worker_id:t.worker_id
+        ~established:(Sim.now t.sim)
     in
-    let cost =
-      Cost.cycles_to_time
-        (result.Hermes.Scheduler.cycles + Hermes.Runtime.syscall_cost_cycles)
+    conn.Conn.state <- Conn.Reset;
+    t.callbacks.on_conn_reset conn
+  end
+  else begin
+    let conn_fd = t.alloc_fd () in
+    let conn =
+      Conn.make ~id:pending.seq ~fd:conn_fd ~tuple:pending.tuple
+        ~tenant_id:pending.tenant_id ~worker_id:t.worker_id
+        ~established:(Sim.now t.sim)
     in
-    charge t cost k
+    Conn_table.add t.conn_table ~key:conn_fd ~aux:0 conn;
+    Kernel.Epoll.add_conn t.ep ~fd:conn_fd;
+    conn_add t 1;
+    t.worker_stats.accepted <- t.worker_stats.accepted + 1;
+    if Trace.enabled () then
+      Trace.emit (Trace.Accept { worker = t.worker_id; conn = conn.Conn.id });
+    t.callbacks.on_established conn
+  end
 
 let rec loop_enter t ~woken =
   match t.state with
   | Crashed -> ()
-  | Init | Blocked _ | Waking | Running ->
+  | Init | Blocked | Waking | Running -> (
     t.state <- Running;
     t.worker_stats.loop_entries <- t.worker_stats.loop_entries + 1;
     avail_update t;
-    let schedule_first =
-      match t.hermes with
-      | Some rt -> not (Hermes.Runtime.config rt).Hermes.Config.schedule_at_loop_end
-      | None -> false
-    in
-    if schedule_first then run_scheduler t (fun () -> do_wait t ~woken)
-    else do_wait t ~woken
+    match t.hermes with
+    | Some rt when not t.sched_at_end ->
+      t.woken <- woken;
+      run_scheduler t rt After_sched_wait
+    | Some _ | None -> do_wait t ~woken)
 
 and do_wait t ~woken =
-  let wait_started = Sim.now t.sim in
-  let events = Kernel.Epoll.wait_poll t.ep ~max_events:t.cfg.max_events in
-  match events with
-  | [] ->
+  let n = Kernel.Epoll.wait t.ep ~max_events:t.cfg.max_events in
+  if n = 0 then begin
     if woken then
       t.worker_stats.spurious_wakeups <- t.worker_stats.spurious_wakeups + 1;
-    let timeout =
-      Sim.schedule_after t.sim ~delay:t.cfg.epoll_timeout (fun () ->
-          Stats.Histogram.record t.worker_stats.blocking
-            (Sim_time.to_sec_f t.cfg.epoll_timeout *. 1e9);
-          Stats.Histogram.record t.worker_stats.events_per_wait 0.0;
-          t.state <- Running;
-          end_of_loop t)
-    in
-    t.state <- Blocked { timeout; wait_started }
-  | _ :: _ ->
+    t.wait_started <- Sim.now t.sim;
+    t.phase <- After_timeout;
+    t.timeout <- Sim.schedule_after t.sim ~delay:t.cfg.epoll_timeout t.resume;
+    t.state <- Blocked
+  end
+  else begin
     if not woken then Stats.Histogram.record t.worker_stats.blocking 0.0;
-    let total_units =
-      List.fold_left (fun acc (e : Kernel.Epoll.event) -> acc + e.units) 0 events
-    in
-    Stats.Histogram.record t.worker_stats.events_per_wait (float_of_int total_units);
-    busy_add t total_units;
+    let total_units = ref 0 in
+    for i = 0 to n - 1 do
+      total_units := !total_units + Kernel.Epoll.event_units t.ep i
+    done;
+    Stats.Histogram.record t.worker_stats.events_per_wait (float_of_int !total_units);
+    busy_add t !total_units;
     let scan = Kernel.Epoll.last_scan_cost t.ep in
     let poll_cost =
       Sim_time.add Cost.poll_base (scan * Cost.poll_per_shared_listen)
     in
-    charge t poll_cost (fun () ->
-        let batch_started = Sim.now t.sim in
-        process_events t events (fun () ->
-            let elapsed = Sim_time.sub (Sim.now t.sim) batch_started in
-            Stats.Histogram.record t.worker_stats.batch_processing
-              (float_of_int elapsed);
-            end_of_loop t))
+    t.ev_next <- 0;
+    t.ev_count <- n;
+    charge t poll_cost After_poll
+  end
 
 and end_of_loop t =
-  let schedule_last =
-    match t.hermes with
-    | Some rt -> (Hermes.Runtime.config rt).Hermes.Config.schedule_at_loop_end
-    | None -> false
-  in
-  if schedule_last then run_scheduler t (fun () -> loop_enter t ~woken:false)
-  else loop_enter t ~woken:false
+  match t.hermes with
+  | Some rt when t.sched_at_end -> run_scheduler t rt After_sched_loop
+  | Some _ | None -> loop_enter t ~woken:false
 
-and process_events t events k =
-  match events with
-  | [] -> k ()
-  | (ev : Kernel.Epoll.event) :: rest -> (
-    match ev.kind with
-    | Kernel.Epoll.Accept_ready -> handle_accept t ev.fd ev.units rest k
-    | Kernel.Epoll.Readable -> handle_readable t ev.fd ev.units rest k)
+(* The next event of the batch, or the batch's end. *)
+and next_event t =
+  if t.ev_next = t.ev_count then begin
+    let elapsed = Sim_time.sub (Sim.now t.sim) t.batch_started in
+    Stats.Histogram.record t.worker_stats.batch_processing (float_of_int elapsed);
+    end_of_loop t
+  end
+  else begin
+    let i = t.ev_next in
+    t.ev_next <- i + 1;
+    let fd = Kernel.Epoll.event_fd t.ep i in
+    let units = Kernel.Epoll.event_units t.ep i in
+    match Kernel.Epoll.event_kind t.ep i with
+    | Kernel.Epoll.Accept_ready ->
+      t.accept_fd <- fd;
+      accept_next t units
+    | Kernel.Epoll.Readable -> read_conn t fd units
+  end
 
 (* Drain up to [units] pending connections (multi-accept).  A shared
    queue may have been emptied by another worker in the meantime. *)
-and handle_accept t fd units rest k =
-  if units <= 0 then process_events t rest k
+and accept_next t units =
+  if units <= 0 then next_event t
   else
-    let sock = Hashtbl.find t.listen_socks fd in
+    let sock = Kernel.Epoll.listen_socket t.ep ~fd:t.accept_fd in
     match Kernel.Socket.accept sock with
     | None ->
       t.worker_stats.spurious_wakeups <- t.worker_stats.spurious_wakeups + 1;
       busy_add t (-units);
-      process_events t rest k
+      next_event t
     | Some pending ->
-      charge t Cost.accept_cost (fun () ->
-          (if Conn_table.length t.conn_table >= t.cfg.conn_capacity then begin
-             (* Connection pool exhausted: reject with RST. *)
-             t.worker_stats.pool_rejects <- t.worker_stats.pool_rejects + 1;
-             let conn =
-               Conn.make ~id:pending.Kernel.Socket.seq ~fd:(-1)
-                 ~tuple:pending.Kernel.Socket.tuple
-                 ~tenant_id:pending.Kernel.Socket.tenant_id ~worker_id:t.worker_id
-                 ~established:(Sim.now t.sim)
-             in
-             conn.Conn.state <- Conn.Reset;
-             t.callbacks.on_conn_reset conn
-           end
-           else begin
-             let conn_fd = t.alloc_fd () in
-             let conn =
-               Conn.make ~id:pending.Kernel.Socket.seq ~fd:conn_fd
-                 ~tuple:pending.Kernel.Socket.tuple
-                 ~tenant_id:pending.Kernel.Socket.tenant_id ~worker_id:t.worker_id
-                 ~established:(Sim.now t.sim)
-             in
-             Conn_table.add t.conn_table ~key:conn_fd ~aux:0 conn;
-             Kernel.Epoll.add_conn t.ep ~fd:conn_fd;
-             conn_add t 1;
-             t.worker_stats.accepted <- t.worker_stats.accepted + 1;
-             if Trace.enabled () then
-               Trace.emit
-                 (Trace.Accept { worker = t.worker_id; conn = conn.Conn.id });
-             t.callbacks.on_established conn
-           end);
-          busy_add t (-1);
-          handle_accept t fd (units - 1) rest k)
+      t.accepted_conn <- pending;
+      t.accept_left <- units - 1;
+      charge t Cost.accept_cost After_accept
 
-and handle_readable t fd units rest k =
+and read_conn t fd units =
   let slot = Conn_table.find_slot t.conn_table fd in
   if slot < 0 then begin
     (* Data raced a close; discard the announced units. *)
     busy_add t (-units);
-    process_events t rest k
+    next_event t
   end
   else begin
     let conn = Conn_table.payload t.conn_table slot in
-    let reqs = Conn.take conn units in
-    let missing = units - List.length reqs in
+    let n = max 0 (min units (Conn.queued conn)) in
+    let missing = units - n in
     if missing > 0 then busy_add t (-missing);
-    process_requests t conn reqs (fun () -> process_events t rest k)
+    t.conn <- conn;
+    t.reqs_left <- n;
+    next_request t
   end
 
-and process_requests t conn reqs k =
-  match reqs with
-  | [] -> k ()
-  | req :: rest ->
-    if not (Conn.is_open conn) then begin
-      (* Connection was reset mid-batch; drop the remainder. *)
-      busy_add t (-List.length reqs);
-      k ()
-    end
-    else if Request.is_close req then
-      charge t Cost.close_cost (fun () ->
-          do_close t conn Conn.Closed;
-          busy_add t (-1);
-          (* Anything after a close marker is discarded. *)
-          busy_add t (-List.length rest);
-          k ())
+and next_request t =
+  if t.reqs_left = 0 then begin
+    t.conn <- dummy_conn;
+    next_event t
+  end
+  else if not (Conn.is_open t.conn) then begin
+    (* Connection was reset mid-batch; drop the remainder. *)
+    busy_add t (-t.reqs_left);
+    t.reqs_left <- 0;
+    t.conn <- dummy_conn;
+    next_event t
+  end
+  else begin
+    let req = Conn.pop t.conn in
+    t.reqs_left <- t.reqs_left - 1;
+    if Request.is_close req then charge t Cost.close_cost After_close
     else if t.cfg.crash_on req then
       (* the poison request of section 7: the handler core-dumps *)
       crash t
-    else
-      charge t req.Request.cost (fun () ->
-          conn.Conn.requests_done <- conn.Conn.requests_done + 1;
-          t.worker_stats.completed <- t.worker_stats.completed + 1;
-          busy_add t (-1);
-          t.callbacks.on_request_done conn req;
-          process_requests t conn rest k)
+    else begin
+      t.req <- req;
+      charge t req.Request.cost After_request
+    end
+  end
+
+and resume t =
+  match t.phase with
+  | After_sched_wait -> do_wait t ~woken:t.woken
+  | After_poll ->
+    t.batch_started <- Sim.now t.sim;
+    next_event t
+  | After_accept ->
+    let pending = t.accepted_conn in
+    t.accepted_conn <- dummy_pending;
+    establish t pending;
+    busy_add t (-1);
+    accept_next t t.accept_left
+  | After_close ->
+    do_close t t.conn Conn.Closed;
+    busy_add t (-1);
+    (* Anything after a close marker is discarded. *)
+    busy_add t (-t.reqs_left);
+    t.reqs_left <- 0;
+    t.conn <- dummy_conn;
+    next_event t
+  | After_request ->
+    let conn = t.conn and req = t.req in
+    t.req <- dummy_req;
+    conn.Conn.requests_done <- conn.Conn.requests_done + 1;
+    t.worker_stats.completed <- t.worker_stats.completed + 1;
+    busy_add t (-1);
+    t.callbacks.on_request_done conn req;
+    next_request t
+  | After_sched_loop -> loop_enter t ~woken:false
+  | After_wake -> loop_enter t ~woken:true
+  | After_timeout ->
+    Stats.Histogram.record t.worker_stats.blocking
+      (Sim_time.to_sec_f t.cfg.epoll_timeout *. 1e9);
+    Stats.Histogram.record t.worker_stats.events_per_wait 0.0;
+    t.state <- Running;
+    end_of_loop t
+
+(* Bind a fresh resume closure to the current epoch: one allocation per
+   epoch, none per charge.  Resumes scheduled under an older epoch
+   still fire (the event set does not change) but do nothing. *)
+and arm t =
+  let epoch = t.epoch in
+  t.resume <- (fun () -> if t.epoch = epoch && t.state <> Crashed then resume t)
+
+and crash t =
+  if t.state = Blocked then Sim.cancel t.sim t.timeout;
+  t.state <- Crashed;
+  t.epoch <- t.epoch + 1;
+  arm t;
+  (* A dead process stops consuming CPU mid-charge. *)
+  let now = Sim.now t.sim in
+  if t.cur_end > now then t.cur_end <- max t.cur_start now
+
+let create ~sim ~id ~config ~alloc_fd ~callbacks ?hermes () =
+  let t =
+    {
+      worker_id = id;
+      sim;
+      cfg = config;
+      ep = Kernel.Epoll.create ~worker_id:id;
+      alloc_fd;
+      callbacks;
+      hermes;
+      hooks = Option.map (fun rt -> Hermes.Runtime.hooks rt id) hermes;
+      sched_at_end =
+        (match hermes with
+        | Some rt -> (Hermes.Runtime.config rt).Hermes.Config.schedule_at_loop_end
+        | None -> false);
+      conn_table = Conn_table.create ~dummy:dummy_conn ~capacity:1024 ();
+      (* Per-worker band of a billion-based id space: ids stay unique
+         within a device and depend only on (worker, adoption order),
+         never on cross-worker or cross-device interleaving — the
+         sharded cluster's trace-determinism argument needs that. *)
+      synthetic_seq = 1_000_000_000 + (id * 1_000_000);
+      worker_stats =
+        {
+          events_per_wait = Stats.Histogram.create ();
+          batch_processing = Stats.Histogram.create ();
+          blocking = Stats.Histogram.create ();
+          loop_entries = 0;
+          accepted = 0;
+          completed = 0;
+          closed = 0;
+          resets = 0;
+          pool_rejects = 0;
+          spurious_wakeups = 0;
+          spliced_redirects = 0;
+        };
+      state = Init;
+      timeout = Sim.null_handle;
+      wait_started = 0;
+      fault_conn = None;
+      epoch = 0;
+      cpu_committed = 0;
+      cur_start = 0;
+      cur_end = 0;
+      busy_outstanding = 0;
+      phase = After_wake;
+      woken = false;
+      batch_started = 0;
+      ev_next = 0;
+      ev_count = 0;
+      accept_fd = -1;
+      accept_left = 0;
+      accepted_conn = dummy_pending;
+      conn = dummy_conn;
+      req = dummy_req;
+      reqs_left = 0;
+      resume = ignore;
+    }
+  in
+  arm t;
+  t
 
 let try_wake t =
   match t.state with
-  | Blocked { timeout; wait_started } ->
-    Sim.cancel t.sim timeout;
-    let blocked_for = Sim_time.sub (Sim.now t.sim) wait_started in
+  | Blocked ->
+    Sim.cancel t.sim t.timeout;
+    let blocked_for = Sim_time.sub (Sim.now t.sim) t.wait_started in
     Stats.Histogram.record t.worker_stats.blocking (float_of_int blocked_for);
     t.state <- Waking;
-    let epoch = t.epoch in
-    ignore
-      (Sim.schedule_after t.sim ~delay:Cost.wake_latency (fun () ->
-           if t.epoch = epoch && t.state <> Crashed then loop_enter t ~woken:true));
+    t.phase <- After_wake;
+    ignore (Sim.schedule_after t.sim ~delay:Cost.wake_latency t.resume);
     true
   | Init | Waking | Running | Crashed -> false
 
@@ -416,7 +496,7 @@ let start t =
        worker through the epoll wakeup hook. *)
     Kernel.Epoll.set_wakeup t.ep (fun () -> ignore (try_wake t));
     loop_enter t ~woken:false
-  | Blocked _ | Waking | Running | Crashed -> ()
+  | Blocked | Waking | Running | Crashed -> ()
 
 let reset_synthetic_ids () = ()
 

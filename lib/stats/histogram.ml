@@ -5,16 +5,23 @@ type t = {
   linear_buckets : int;
   max_recordable : float;
   mutable n : int;
-  mutable sum : float;
-  (* Running mean and centred second moment (Welford): the naive
-     sum-of-squares formula cancels catastrophically once samples reach
-     ~1e8 (ns timestamps), reporting 0 or NaN stddev for tight
-     distributions around a large mean. *)
-  mutable mean_acc : float;
-  mutable m2 : float;
-  mutable minimum : float;
-  mutable maximum : float;
+  (* Sum, running mean, centred second moment, minimum and maximum, in
+     one flat float array so [record] updates them unboxed: as mutable
+     float fields of this mixed record each update would box a fresh
+     float and pay a write barrier.  The mean and second moment are
+     Welford's: the naive sum-of-squares formula cancels
+     catastrophically once samples reach ~1e8 (ns timestamps),
+     reporting 0 or NaN stddev for tight distributions around a large
+     mean. *)
+  acc : float array;
 }
+
+let sum_ = 0
+let mean_ = 1
+let m2_ = 2
+let min_ = 3
+let max_ = 4
+let fresh_acc () = [| 0.0; 0.0; 0.0; infinity; neg_infinity |]
 
 (* Layout: [linear_buckets] unit-width buckets for [0, linear_limit),
    then log buckets above.  Index of value v >= linear_limit is
@@ -39,21 +46,8 @@ let create ?(significant_digits = 2) ?(max_value = 1e12) () =
     linear_buckets;
     max_recordable = max_value;
     n = 0;
-    sum = 0.0;
-    mean_acc = 0.0;
-    m2 = 0.0;
-    minimum = infinity;
-    maximum = neg_infinity;
+    acc = fresh_acc ();
   }
-
-let index_of t v =
-  if v < t.linear_limit then int_of_float v
-  else
-    let i =
-      t.linear_buckets
-      + int_of_float (t.bucket_scale *. log (v /. t.linear_limit))
-    in
-    min i (Array.length t.buckets - 1)
 
 let value_of t i =
   (* Representative value of bucket i: exact for unit-width linear
@@ -69,24 +63,36 @@ let record_n t v n =
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
     let v' = if v > t.max_recordable then t.max_recordable else v in
-    let i = index_of t v' in
+    (* The bucket index, computed in place: passing [v'] to a helper
+       would box it. *)
+    let i =
+      if v' < t.linear_limit then int_of_float v'
+      else
+        let i =
+          t.linear_buckets
+          + int_of_float (t.bucket_scale *. log (v' /. t.linear_limit))
+        in
+        let top = Array.length t.buckets - 1 in
+        if i < top then i else top
+    in
     t.buckets.(i) <- t.buckets.(i) + n;
     t.n <- t.n + n;
     let fn = float_of_int n in
-    t.sum <- t.sum +. (v *. fn);
-    let delta = v -. t.mean_acc in
-    t.mean_acc <- t.mean_acc +. (delta *. fn /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (v -. t.mean_acc) *. fn);
-    if v < t.minimum then t.minimum <- v;
-    if v > t.maximum then t.maximum <- v
+    let a = t.acc in
+    a.(sum_) <- a.(sum_) +. (v *. fn);
+    let delta = v -. a.(mean_) in
+    a.(mean_) <- a.(mean_) +. (delta *. fn /. float_of_int t.n);
+    a.(m2_) <- a.(m2_) +. (delta *. (v -. a.(mean_)) *. fn);
+    if v < a.(min_) then a.(min_) <- v;
+    if v > a.(max_) then a.(max_) <- v
   end
 
 let record t v = record_n t v 1
 let count t = t.n
-let total t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-let min_value t = if t.n = 0 then 0.0 else t.minimum
-let max_value t = if t.n = 0 then 0.0 else t.maximum
+let total t = t.acc.(sum_)
+let mean t = if t.n = 0 then 0.0 else t.acc.(sum_) /. float_of_int t.n
+let min_value t = if t.n = 0 then 0.0 else t.acc.(min_)
+let max_value t = if t.n = 0 then 0.0 else t.acc.(max_)
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: p in 0..100";
@@ -97,7 +103,7 @@ let percentile t p =
       if r < 1 then 1 else r
     in
     let acc = ref 0 in
-    let result = ref t.maximum in
+    let result = ref t.acc.(max_) in
     (try
        for i = 0 to Array.length t.buckets - 1 do
          acc := !acc + t.buckets.(i);
@@ -108,13 +114,13 @@ let percentile t p =
        done
      with Exit -> ());
     (* Never report beyond the observed maximum. *)
-    if !result > t.maximum then t.maximum else !result
+    if !result > t.acc.(max_) then t.acc.(max_) else !result
   end
 
 let stddev t =
   if t.n < 2 then 0.0
   else
-    let var = t.m2 /. float_of_int t.n in
+    let var = t.acc.(m2_) /. float_of_int t.n in
     if var <= 0.0 then 0.0 else sqrt var
 
 let bucket_count t = Array.length t.buckets
@@ -132,26 +138,23 @@ let merge_into ~src ~dst =
   then invalid_arg "Histogram.merge_into: layout mismatch";
   Array.iteri (fun i c -> dst.buckets.(i) <- dst.buckets.(i) + c) src.buckets;
   (* Chan et al. parallel combine for the centred moments. *)
+  let s = src.acc and d = dst.acc in
   if src.n > 0 then begin
     let na = float_of_int dst.n and nb = float_of_int src.n in
     let total = na +. nb in
-    let delta = src.mean_acc -. dst.mean_acc in
-    dst.m2 <- dst.m2 +. src.m2 +. (delta *. delta *. na *. nb /. total);
-    dst.mean_acc <- dst.mean_acc +. (delta *. nb /. total)
+    let delta = s.(mean_) -. d.(mean_) in
+    d.(m2_) <- d.(m2_) +. s.(m2_) +. (delta *. delta *. na *. nb /. total);
+    d.(mean_) <- d.(mean_) +. (delta *. nb /. total)
   end;
   dst.n <- dst.n + src.n;
-  dst.sum <- dst.sum +. src.sum;
-  if src.minimum < dst.minimum then dst.minimum <- src.minimum;
-  if src.maximum > dst.maximum then dst.maximum <- src.maximum
+  d.(sum_) <- d.(sum_) +. s.(sum_);
+  if s.(min_) < d.(min_) then d.(min_) <- s.(min_);
+  if s.(max_) > d.(max_) then d.(max_) <- s.(max_)
 
 let reset t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.n <- 0;
-  t.sum <- 0.0;
-  t.mean_acc <- 0.0;
-  t.m2 <- 0.0;
-  t.minimum <- infinity;
-  t.maximum <- neg_infinity
+  Array.blit (fresh_acc ()) 0 t.acc 0 (Array.length t.acc)
 
 let cdf_points t =
   if t.n = 0 then []

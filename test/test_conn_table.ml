@@ -9,7 +9,7 @@
    free (dead connections must not pin closures), and deterministic
    iteration. *)
 
-module T = Lb.Conn_table
+module T = Engine.Conn_table
 
 (* ------------------------------------------------------------------ *)
 (* Differential vs the Hashtbl reference                                *)

@@ -264,85 +264,30 @@ let test_per_outcome_cycles_jit () = check_mixed_stats "jit" (run_mixed ~jit:tru
 (* ------------------------------------------------------------------ *)
 (* Allocation gates (quarantined)                                       *)
 
-let alloc_rounds = 1_000
-
-(* Tolerance: the Gc.minor_words probes themselves box a float or two;
-   anything the measured loop allocates per iteration would show up as
-   >= alloc_rounds words. *)
-let alloc_slack = 256.0
-
-let minor_words_of f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
-let calibrated () =
-  match Sys.backend_type with
-  | Sys.Native ->
-    (* known-zero-alloc loop; instrumented runtimes report otherwise *)
-    let arr = Array.make 64 1 in
-    let sink = ref 0 in
-    let d =
-      minor_words_of (fun () ->
-          for _ = 1 to alloc_rounds do
-            for i = 0 to 63 do
-              sink := !sink + Array.unsafe_get arr i
-            done
-          done)
-    in
-    ignore !sink;
-    d < alloc_slack
-  | _ -> false
-
-let skip_note () =
-  print_endline "  [skipped: non-native backend or instrumented runtime]"
-
 let test_scheduler_pass_zero_alloc () =
-  if not (calibrated ()) then skip_note ()
-  else begin
-    let case = (List.init 64 (fun i -> (i * 4, i, i * 2)), 0, 0.5, 100) in
-    let config, wst, now = build_case case in
-    let s = Hermes.Scheduler.make_scratch () in
-    Hermes.Scheduler.run s ~config ~wst ~now;
-    (* warm *)
-    let d =
-      minor_words_of (fun () ->
-          for _ = 1 to alloc_rounds do
-            Hermes.Scheduler.run s ~config ~wst ~now
-          done)
-    in
-    if not (d < alloc_slack) then
-      Alcotest.failf "scheduler pass allocated %.0f minor words over %d runs" d
-        alloc_rounds
-  end
+  let case = (List.init 64 (fun i -> (i * 4, i, i * 2)), 0, 0.5, 100) in
+  let config, wst, now = build_case case in
+  let s = Hermes.Scheduler.make_scratch () in
+  Hermes.Scheduler.run s ~config ~wst ~now;
+  (* warm *)
+  Alloc_gate.check "scheduler pass" (fun _ -> Hermes.Scheduler.run s ~config ~wst ~now)
 
 let test_jit_select_zero_alloc () =
-  if not (calibrated ()) then skip_note ()
-  else begin
-    let g, socks = fresh_group 4 in
-    for slot = 0 to 3 do
-      Kernel.Reuseport.bind g ~slot ~socket:socks.(slot)
-    done;
-    let sa = Kernel.Ebpf_maps.Sockarray.create ~name:"td_alloc_socks" ~size:4 in
-    for i = 0 to 3 do
-      Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
-    done;
-    (match Kernel.Reuseport.attach ~jit:true g ~name:"alloc" (mixed_prog sa) with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e));
-    ignore (Kernel.Reuseport.select g ~flow_hash:1);
-    (* warm *)
-    let d =
-      minor_words_of (fun () ->
-          for i = 1 to alloc_rounds do
-            (* rotate through select / drop / fallback outcomes *)
-            ignore (Kernel.Reuseport.select g ~flow_hash:(i land 3))
-          done)
-    in
-    if not (d < alloc_slack) then
-      Alcotest.failf "JIT select allocated %.0f minor words over %d runs" d
-        alloc_rounds
-  end
+  let g, socks = fresh_group 4 in
+  for slot = 0 to 3 do
+    Kernel.Reuseport.bind g ~slot ~socket:socks.(slot)
+  done;
+  let sa = Kernel.Ebpf_maps.Sockarray.create ~name:"td_alloc_socks" ~size:4 in
+  for i = 0 to 3 do
+    Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
+  done;
+  (match Kernel.Reuseport.attach ~jit:true g ~name:"alloc" (mixed_prog sa) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e));
+  ignore (Kernel.Reuseport.select g ~flow_hash:1);
+  (* warm; rotate through select / drop / fallback outcomes *)
+  Alloc_gate.check "JIT select" (fun i ->
+      ignore (Kernel.Reuseport.select g ~flow_hash:(i land 3)))
 
 let () =
   Alcotest.run "dispatch"

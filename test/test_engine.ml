@@ -317,6 +317,60 @@ let test_sim_stop () =
   Engine.Sim.run sim;
   check Alcotest.int "stopped early" 3 !count
 
+(* [run_until] cut short by [stop] must leave the clock at the last
+   fired event while events up to the limit remain: advancing it to
+   the limit rejected schedules in between and made the next run fire
+   the remaining events with the clock going backwards.  Both engines
+   must agree. *)
+module Stop_regression (S : sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule : t -> at:int -> (unit -> unit) -> handle
+  val pending_count : t -> int
+  val run_until : t -> limit:int -> unit
+  val stop : t -> unit
+end) =
+struct
+  let run () =
+    let sim = S.create () in
+    let fired = ref [] in
+    let backwards = ref false in
+    for i = 1 to 10 do
+      ignore
+        (S.schedule sim ~at:i (fun () ->
+             (match !fired with
+             | last :: _ when S.now sim < last -> backwards := true
+             | _ -> ());
+             fired := S.now sim :: !fired;
+             if i = 3 then S.stop sim))
+    done;
+    S.run_until sim ~limit:100;
+    check Alcotest.int "stopped at the third event" 3 (S.now sim);
+    check Alcotest.int "seven left" 7 (S.pending_count sim);
+    ignore (S.schedule sim ~at:50 (fun () -> fired := S.now sim :: !fired));
+    S.run_until sim ~limit:100;
+    check Alcotest.(list int) "all fire in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 50 ]
+      (List.rev !fired);
+    check Alcotest.bool "clock never went backwards" false !backwards;
+    check Alcotest.int "clock at limit once drained" 100 (S.now sim);
+    (* A stop from the last event at or before the limit still lets
+       the clock reach the limit. *)
+    ignore (S.schedule sim ~at:150 (fun () -> S.stop sim));
+    ignore (S.schedule sim ~at:300 (fun () -> ()));
+    S.run_until sim ~limit:200;
+    check Alcotest.int "nothing left before the limit" 200 (S.now sim)
+end
+
+module Wheel_stop = Stop_regression (Engine.Sim)
+module Heap_stop = Stop_regression (Engine.Ref_heap)
+
+let test_sim_stop_run_until () =
+  Wheel_stop.run ();
+  Heap_stop.run ()
+
 let test_sim_pending_count () =
   let sim = Engine.Sim.create () in
   let h1 = Engine.Sim.schedule sim ~at:10 (fun () -> ()) in
@@ -394,9 +448,10 @@ let test_wheel_far_future_spill () =
   check Alcotest.int "clock at last event" (far + 5) (Engine.Sim.now sim)
 
 let test_wheel_churn_bounded () =
-  (* Cancellation churn must neither distort [pending_count] nor let
-     tombstones accumulate: compaction keeps physical occupancy within
-     a small constant once everything is cancelled. *)
+  (* Cancellation churn must neither distort [pending_count] nor grow
+     storage: a cancel frees its entry at once, so the wheel's store
+     stays at the high-water mark of one round (2001 live entries)
+     however many rounds run. *)
   let sim = Engine.Sim.create () in
   let live_fired = ref 0 in
   for round = 1 to 50 do
@@ -409,9 +464,53 @@ let test_wheel_churn_bounded () =
     check Alcotest.int "pending counts only live" 1 (Engine.Sim.pending_count sim);
     Engine.Sim.run_until sim ~limit:(Engine.Sim.now sim + 20);
     check Alcotest.int "live event fired" round !live_fired;
-    check Alcotest.int "none left pending" 0 (Engine.Sim.pending_count sim);
-    check Alcotest.bool "occupancy bounded" true (Engine.Sim.occupancy sim <= 128)
+    check Alcotest.int "none left pending" 0 (Engine.Sim.pending_count sim)
+  done;
+  let w = Engine.Wheel.create () in
+  let seq = ref 0 in
+  for round = 1 to 50 do
+    let handles =
+      Array.init 2001 (fun i ->
+          incr seq;
+          Engine.Wheel.add w ~time:((round * 10_000) + i) ~seq:!seq (fun () -> ()))
+    in
+    Array.iter (Engine.Wheel.cancel w) handles;
+    check Alcotest.int "wheel empty" 0 (Engine.Wheel.live_count w);
+    check Alcotest.bool "store bounded by the high-water mark" true
+      (Engine.Wheel.capacity w <= 4096)
   done
+
+(* Steady-state allocation gates: past the store's high-water mark,
+   scheduling, firing and cancelling allocate nothing beyond the
+   caller's closure (preallocated here).  64 far-off events keep the
+   wheel several levels deep, so firing exercises cascades and the
+   single-entry jump. *)
+let steady_sim () =
+  let sim = Engine.Sim.create () in
+  for i = 1 to 64 do
+    ignore (Engine.Sim.schedule_after sim ~delay:(Engine.Sim_time.ms (50 + i)) ignore)
+  done;
+  sim
+
+let test_schedule_fire_zero_alloc () =
+  let sim = steady_sim () in
+  let round i =
+    ignore (Engine.Sim.schedule_after sim ~delay:(i * 7919 mod 50_000_000) ignore);
+    ignore (Engine.Sim.step sim)
+  in
+  for i = 1 to Alloc_gate.rounds do
+    round i
+  done;
+  Alloc_gate.check "schedule + fire" round
+
+let test_schedule_cancel_zero_alloc () =
+  let sim = steady_sim () in
+  let round i =
+    Engine.Sim.cancel sim
+      (Engine.Sim.schedule_after sim ~delay:(i * 7919 mod 50_000_000) ignore)
+  in
+  round 0;
+  Alloc_gate.check "schedule + cancel" round
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the wheel against the retired binary heap             *)
@@ -419,16 +518,24 @@ let test_wheel_churn_bounded () =
 type dop =
   | DSched of int * int (* at (relative to now), fanout selector *)
   | DCancel of int (* index into the handles issued so far *)
+  | DPending of int (* is_pending on a handle issued so far *)
+  | DStop of int (* an event at (relative to now) that calls stop *)
   | DUntil of int (* run_until target *)
 
 let dop_print = function
   | DSched (at, f) -> Printf.sprintf "DSched(%d,%d)" at f
   | DCancel i -> Printf.sprintf "DCancel %d" i
+  | DPending i -> Printf.sprintf "DPending %d" i
+  | DStop at -> Printf.sprintf "DStop %d" at
   | DUntil l -> Printf.sprintf "DUntil %d" l
 
 (* Interpret a program against either engine, producing a full
    observation: every firing (time, id, depth), every run_until
-   checkpoint (now, pending_count), plus the final totals. *)
+   checkpoint (now, pending_count), every [is_pending] answer, plus
+   the final totals.  [DCancel] and [DPending] pick from every handle
+   issued so far, most of them long fired or cancelled: the wheel
+   recycles storage indices, so a stale handle must neither cancel
+   nor report the event that now holds its index. *)
 module Replay (S : sig
   type t
   type handle
@@ -437,8 +544,10 @@ module Replay (S : sig
   val now : t -> int
   val schedule : t -> at:int -> (unit -> unit) -> handle
   val cancel : t -> handle -> unit
+  val is_pending : t -> handle -> bool
   val pending_count : t -> int
   val run_until : t -> limit:int -> unit
+  val stop : t -> unit
   val events_fired : t -> int
 end) =
 struct
@@ -448,6 +557,7 @@ struct
     let handles = ref [] in
     let n_handles = ref 0 in
     let next_id = ref 0 in
+    let nth i = List.nth !handles (i mod !n_handles) in
     List.iter
       (fun op ->
         match op with
@@ -465,9 +575,18 @@ struct
           let h = S.schedule sim ~at (action (fanout mod 4)) in
           handles := h :: !handles;
           incr n_handles
-        | DCancel i ->
+        | DCancel i -> if !n_handles > 0 then S.cancel sim (nth i)
+        | DPending i ->
           if !n_handles > 0 then
-            S.cancel sim (List.nth !handles (i mod !n_handles))
+            log := (S.now sim, -2, Bool.to_int (S.is_pending sim (nth i))) :: !log
+        | DStop at ->
+          let h =
+            S.schedule sim ~at:(S.now sim + at) (fun () ->
+                log := (S.now sim, -3, 0) :: !log;
+                S.stop sim)
+          in
+          handles := h :: !handles;
+          incr n_handles
         | DUntil lim ->
           let lim = max lim (S.now sim) in
           S.run_until sim ~limit:lim;
@@ -488,6 +607,8 @@ let prop_wheel_matches_heap =
            [
              (5, map2 (fun a f -> DSched (a, f)) (int_bound 2000) (int_bound 7));
              (2, map (fun i -> DCancel i) (int_bound 100));
+             (2, map (fun i -> DPending i) (int_bound 100));
+             (1, map (fun a -> DStop a) (int_bound 2000));
              (2, map (fun l -> DUntil l) (int_bound 3000));
            ]))
   in
@@ -801,6 +922,7 @@ let () =
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "recursive scheduling" `Quick test_sim_recursive_scheduling;
           Alcotest.test_case "stop" `Quick test_sim_stop;
+          Alcotest.test_case "run_until after stop" `Quick test_sim_stop_run_until;
           Alcotest.test_case "pending count" `Quick test_sim_pending_count;
           QCheck_alcotest.to_alcotest prop_sim_monotone;
         ] );
@@ -812,6 +934,10 @@ let () =
           Alcotest.test_case "run_until cancelled head" `Quick
             test_wheel_run_until_cancelled_head;
           Alcotest.test_case "far-future spill" `Quick test_wheel_far_future_spill;
+          Alcotest.test_case "schedule + fire allocates nothing" `Quick
+            test_schedule_fire_zero_alloc;
+          Alcotest.test_case "schedule + cancel allocates nothing" `Quick
+            test_schedule_cancel_zero_alloc;
           Alcotest.test_case "cancellation churn bounded" `Quick
             test_wheel_churn_bounded;
           QCheck_alcotest.to_alcotest prop_wheel_matches_heap;

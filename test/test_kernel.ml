@@ -286,24 +286,31 @@ let test_socket_unique_ids () =
 (* ------------------------------------------------------------------ *)
 (* Epoll                                                                *)
 
+(* The events of one [Epoll.wait], as (fd, kind, units) triples. *)
+let poll ep ~max_events =
+  List.init (Kernel.Epoll.wait ep ~max_events) (fun i ->
+      ( Kernel.Epoll.event_fd ep i,
+        Kernel.Epoll.event_kind ep i,
+        Kernel.Epoll.event_units ep i ))
+
 let test_epoll_conn_readiness () =
   let ep = Kernel.Epoll.create ~worker_id:0 in
   Kernel.Epoll.add_conn ep ~fd:5;
   Kernel.Epoll.notify_readable ep ~fd:5 ~units:2;
   Kernel.Epoll.notify_readable ep ~fd:5 ~units:1;
-  (match Kernel.Epoll.wait_poll ep ~max_events:16 with
-  | [ ev ] ->
-    check Alcotest.int "fd" 5 ev.Kernel.Epoll.fd;
-    check Alcotest.int "units coalesced" 3 ev.Kernel.Epoll.units;
-    check Alcotest.bool "readable" true (ev.Kernel.Epoll.kind = Kernel.Epoll.Readable)
+  (match poll ep ~max_events:16 with
+  | [ (fd, kind, units) ] ->
+    check Alcotest.int "fd" 5 fd;
+    check Alcotest.int "units coalesced" 3 units;
+    check Alcotest.bool "readable" true (kind = Kernel.Epoll.Readable)
   | evs -> Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length evs)));
   check Alcotest.(list Alcotest.reject) "drained" []
-    (List.map (fun _ -> ()) (Kernel.Epoll.wait_poll ep ~max_events:16))
+    (List.map (fun _ -> ()) (poll ep ~max_events:16))
 
 let test_epoll_unknown_fd_ignored () =
   let ep = Kernel.Epoll.create ~worker_id:0 in
   Kernel.Epoll.notify_readable ep ~fd:99 ~units:1;
-  check Alcotest.int "nothing" 0 (List.length (Kernel.Epoll.wait_poll ep ~max_events:4))
+  check Alcotest.int "nothing" 0 (List.length (poll ep ~max_events:4))
 
 let test_epoll_wakeup_callback () =
   let ep = Kernel.Epoll.create ~worker_id:0 in
@@ -320,10 +327,10 @@ let test_epoll_dedicated_accept () =
   Kernel.Epoll.add_listening ep ~fd:3 ~socket:sock ~shared:false;
   Kernel.Epoll.notify_accept_ready ep ~fd:3;
   Kernel.Epoll.notify_accept_ready ep ~fd:3;
-  (match Kernel.Epoll.wait_poll ep ~max_events:4 with
-  | [ ev ] ->
-    check Alcotest.bool "accept kind" true (ev.Kernel.Epoll.kind = Kernel.Epoll.Accept_ready);
-    check Alcotest.int "coalesced" 2 ev.Kernel.Epoll.units
+  (match poll ep ~max_events:4 with
+  | [ (_, kind, units) ] ->
+    check Alcotest.bool "accept kind" true (kind = Kernel.Epoll.Accept_ready);
+    check Alcotest.int "coalesced" 2 units
   | _ -> Alcotest.fail "expected one accept event");
   (* dedicated sockets are not scanned *)
   check Alcotest.int "no scan" 0 (Kernel.Epoll.last_scan_cost ep)
@@ -335,10 +342,10 @@ let test_epoll_shared_scan () =
   Kernel.Epoll.add_listening ep ~fd:1 ~socket:s1 ~shared:true;
   Kernel.Epoll.add_listening ep ~fd:2 ~socket:s2 ~shared:true;
   ignore (Kernel.Socket.push s2 (pending 9));
-  (match Kernel.Epoll.wait_poll ep ~max_events:4 with
-  | [ ev ] ->
-    check Alcotest.int "ready fd" 2 ev.Kernel.Epoll.fd;
-    check Alcotest.int "units = backlog" 1 ev.Kernel.Epoll.units
+  (match poll ep ~max_events:4 with
+  | [ (fd, _, units) ] ->
+    check Alcotest.int "ready fd" 2 fd;
+    check Alcotest.int "units = backlog" 1 units
   | evs -> Alcotest.fail (Printf.sprintf "expected 1, got %d" (List.length evs)));
   check Alcotest.int "scanned both" 2 (Kernel.Epoll.last_scan_cost ep)
 
@@ -348,9 +355,9 @@ let test_epoll_max_events () =
     Kernel.Epoll.add_conn ep ~fd;
     Kernel.Epoll.notify_readable ep ~fd ~units:1
   done;
-  let first = Kernel.Epoll.wait_poll ep ~max_events:4 in
+  let first = poll ep ~max_events:4 in
   check Alcotest.int "capped" 4 (List.length first);
-  let rest = Kernel.Epoll.wait_poll ep ~max_events:100 in
+  let rest = poll ep ~max_events:100 in
   check Alcotest.int "remainder" 6 (List.length rest)
 
 let test_epoll_close_discards () =
@@ -359,7 +366,7 @@ let test_epoll_close_discards () =
   Kernel.Epoll.notify_readable ep ~fd:7 ~units:3;
   Kernel.Epoll.remove_conn ep ~fd:7;
   check Alcotest.int "no events after close" 0
-    (List.length (Kernel.Epoll.wait_poll ep ~max_events:4));
+    (List.length (poll ep ~max_events:4));
   check Alcotest.int "pending cleared" 0 (Kernel.Epoll.pending_units ep)
 
 let test_epoll_duplicate_fd () =
@@ -367,6 +374,28 @@ let test_epoll_duplicate_fd () =
   Kernel.Epoll.add_conn ep ~fd:7;
   Alcotest.check_raises "dup" (Invalid_argument "Epoll.add_conn: duplicate fd")
     (fun () -> Kernel.Epoll.add_conn ep ~fd:7)
+
+(* The per-event readiness path hashes and allocates nothing: register,
+   notify, poll and close a connection fd at steady state, beside 64
+   long-lived ones. *)
+let test_epoll_zero_alloc () =
+  let ep = Kernel.Epoll.create ~worker_id:0 in
+  for fd = 1 to 64 do
+    Kernel.Epoll.add_conn ep ~fd
+  done;
+  let round i =
+    let fd = 100 + (i land 63) in
+    Kernel.Epoll.add_conn ep ~fd;
+    Kernel.Epoll.notify_readable ep ~fd ~units:1;
+    Kernel.Epoll.notify_readable ep ~fd:(1 + (i land 63)) ~units:2;
+    if i land 3 = 0 then ignore (Kernel.Epoll.wait ep ~max_events:64);
+    Kernel.Epoll.notify_readable ep ~fd ~units:1;
+    Kernel.Epoll.remove_conn ep ~fd
+  in
+  for i = 1 to Alloc_gate.rounds do
+    round i
+  done;
+  Alloc_gate.check "epoll notify + remove" round
 
 let test_epoll_counts () =
   let ep = Kernel.Epoll.create ~worker_id:0 in
@@ -691,6 +720,7 @@ let () =
           Alcotest.test_case "close discards" `Quick test_epoll_close_discards;
           Alcotest.test_case "duplicate fd" `Quick test_epoll_duplicate_fd;
           Alcotest.test_case "counts" `Quick test_epoll_counts;
+          Alcotest.test_case "readiness allocates nothing" `Quick test_epoll_zero_alloc;
         ] );
       ( "ebpf_maps",
         [

@@ -220,9 +220,9 @@ let test_conn_lifecycle () =
   check Alcotest.bool "delivered" true (Lb.Conn.deliver conn req ~now:(ms 7));
   check Alcotest.int "arrival stamped" (ms 7) req.Lb.Request.arrival;
   check Alcotest.int "inflight" 1 conn.Lb.Conn.inflight;
-  (match Lb.Conn.take conn 5 with
-  | [ r ] -> check Alcotest.int "same request" 1 r.Lb.Request.id
-  | _ -> Alcotest.fail "expected one request");
+  check Alcotest.int "one queued" 1 (Lb.Conn.queued conn);
+  check Alcotest.int "same request" 1 (Lb.Conn.pop conn).Lb.Request.id;
+  check Alcotest.int "inbox drained" 0 (Lb.Conn.queued conn);
   check Alcotest.int "inflight drained" 0 conn.Lb.Conn.inflight;
   conn.Lb.Conn.state <- Lb.Conn.Closed;
   check Alcotest.bool "closed rejects" false (Lb.Conn.deliver conn req ~now:(ms 8))
@@ -636,6 +636,66 @@ let test_worker_cpu_accounting () =
   (* at least the 10ms request, plus overheads, across all workers *)
   check Alcotest.bool "cpu counted" true (busy >= ms 10 && busy < ms 20)
 
+(* A resume pending at a crash must die silently even when the worker
+   restarts before it falls due.  The restarted worker is handed a
+   20 ms request at once, so the stale resume falls due while that
+   request is being charged: run, it would finish the old request or
+   close the connection the restart already reset, or advance the new
+   request's continuation early. *)
+let test_worker_crash_mid_charge () =
+  let run_to_crash ~until_ =
+    let device, sim = make_device Lb.Device.Reuseport in
+    let conn_ref = ref None and done_n = ref 0 in
+    Lb.Device.connect device ~tenant:0
+      ~events:
+        (simple_events
+           ~on_established:(fun c -> conn_ref := Some c)
+           ~on_done:(fun _ _ -> incr done_n)
+           ());
+    Engine.Sim.run_until sim ~limit:(ms 1);
+    let conn = Option.get !conn_ref in
+    let wid = conn.Lb.Conn.worker_id in
+    let w = Lb.Device.worker device wid in
+    ignore
+      (Lb.Device.send device conn
+         (Lb.Request.make ~id:1 ~op:Lb.Request.Plain_proxy ~size:1 ~cost:(ms 10)
+            ~tenant_id:0));
+    Lb.Device.close_conn device conn;
+    while not (until_ conn !done_n) do
+      ignore (Engine.Sim.step sim)
+    done;
+    Lb.Device.crash_worker device wid;
+    Lb.Device.recover_worker device wid;
+    let crashed_at = Engine.Sim.now sim in
+    let before = (Lb.Worker.stats w).Lb.Worker.completed in
+    let fresh = Lb.Worker.adopt_conn w ~tenant_id:0 in
+    ignore
+      (Lb.Worker.deliver w fresh
+         (Lb.Request.make ~id:2 ~op:Lb.Request.Plain_proxy ~size:1 ~cost:(ms 20)
+            ~tenant_id:0));
+    Engine.Sim.run_until sim ~limit:(crashed_at + ms 19);
+    check Alcotest.int "nothing completes early" before
+      (Lb.Worker.stats w).Lb.Worker.completed;
+    Engine.Sim.run_until sim ~limit:(ms 60);
+    check Alcotest.int "the new request completes once" (before + 1)
+      (Lb.Worker.stats w).Lb.Worker.completed;
+    (device, Lb.Worker.stats w, !done_n)
+  in
+  (* The request charge is pending once the request left the inbox. *)
+  let device, st, done_n =
+    run_to_crash ~until_:(fun conn _ -> conn.Lb.Conn.inflight = 1)
+  in
+  check Alcotest.int "old request never completes" 0 done_n;
+  check Alcotest.int "device completed only the new one" 1 (Lb.Device.completed device);
+  check Alcotest.int "reset once" 1 st.Lb.Worker.resets;
+  check Alcotest.int "not closed" 0 st.Lb.Worker.closed;
+  (* The close charge is pending once the request completed. *)
+  let device, st, done_n = run_to_crash ~until_:(fun _ n -> n = 1) in
+  check Alcotest.int "one completion" 1 done_n;
+  check Alcotest.int "reset once after close charge" 1 st.Lb.Worker.resets;
+  check Alcotest.int "no double close" 0 st.Lb.Worker.closed;
+  check Alcotest.int "device resets" 1 (Lb.Device.conns_reset device)
+
 let () =
   Alcotest.run "lb"
     [
@@ -700,5 +760,6 @@ let () =
           Alcotest.test_case "probe quarantined single fire" `Quick
             test_device_probe_quarantined_single_fire;
           Alcotest.test_case "cpu accounting" `Quick test_worker_cpu_accounting;
+          Alcotest.test_case "crash mid-charge" `Quick test_worker_crash_mid_charge;
         ] );
     ]

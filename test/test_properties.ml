@@ -55,14 +55,14 @@ let prop_epoll_model =
             if Hashtbl.mem registered fd then
               Hashtbl.replace pending fd (model_pending fd + units)
           | Poll max_events ->
-            let events = Kernel.Epoll.wait_poll ep ~max_events in
-            if List.length events > max_events then ok := false;
-            List.iter
-              (fun (ev : Kernel.Epoll.event) ->
-                (* each delivery must match the model's pending units *)
-                if model_pending ev.fd <> ev.units then ok := false;
-                Hashtbl.remove pending ev.fd)
-              events)
+            let n = Kernel.Epoll.wait ep ~max_events in
+            if n > max_events then ok := false;
+            for i = 0 to n - 1 do
+              let fd = Kernel.Epoll.event_fd ep i in
+              (* each delivery must match the model's pending units *)
+              if model_pending fd <> Kernel.Epoll.event_units ep i then ok := false;
+              Hashtbl.remove pending fd
+            done)
         ops;
       (* total undelivered units agree at the end *)
       let model_total = Hashtbl.fold (fun _ u acc -> acc + u) pending 0 in

@@ -302,6 +302,15 @@ let test_table_cells () =
   check Alcotest.string "hundreds" "123.4" (Stats.Table.cell_f 123.41);
   check Alcotest.string "pct" "12.30%" (Stats.Table.cell_pct 0.123)
 
+(* [record] keeps its accumulators unboxed: recording an already boxed
+   value allocates nothing.  The values sit in options because a float
+   array stores them unboxed and reading one out would box it. *)
+let test_hist_record_zero_alloc () =
+  let h = Stats.Histogram.create () in
+  let values = Array.init 64 (fun i -> Some (float_of_int (i * i * 997))) in
+  Alloc_gate.check "Histogram.record" (fun i ->
+      Stats.Histogram.record h (Option.get values.(i land 63)))
+
 let () =
   Alcotest.run "stats"
     [
@@ -322,6 +331,7 @@ let () =
           Alcotest.test_case "merge layout mismatch" `Quick
             test_hist_merge_layout_mismatch;
           Alcotest.test_case "merge combines moments" `Quick test_hist_merge_moments;
+          Alcotest.test_case "record allocates nothing" `Quick test_hist_record_zero_alloc;
           QCheck_alcotest.to_alcotest prop_hist_percentile_bounded;
         ] );
       ( "summary",
