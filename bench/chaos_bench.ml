@@ -6,28 +6,18 @@
    injection at 500 ms, 600 ms duration, inside a fixed 2 s horizon)
    against a fresh seeded device per mode, with the invariant monitors
    attached.  Everything is virtual time, so the numbers are
-   deterministic for a given seed — the committed BENCH_CHAOS.json
-   baseline gates both the invariant verdicts (no violations may
-   appear) and the p99, with slack only for deliberate upstream
+   deterministic for a given seed — the committed chaos rows of
+   bench/baseline.json gate both the invariant verdicts (no violations
+   may appear) and the p99, with slack only for deliberate upstream
    changes, not for machine noise (there is none).
 
    The quick mode trims the mode sweep to the paper's three compared
-   policies plus splice; scenario timing is identical in both modes so
-   CI results stay comparable against the committed full baseline. *)
+   policies plus splice; scenario timing is identical in both modes, so
+   every row is a "full" row and quick runs compare against the same
+   committed numbers as full ones.  A row is named fault/mode. *)
 
 module ST = Engine.Sim_time
 module Plan = Faults.Plan
-
-type result = {
-  fault : string;
-  mode : string;
-  p50_ms : float;
-  p99_ms : float;
-  completed : int;
-  drops : int;
-  resets : int;
-  violations : int;
-}
 
 let horizon = ST.sec 2
 let at = ST.ms 500
@@ -90,7 +80,7 @@ let modes ~quick =
       else None)
     Hermes.Config.Mode.all
 
-let run_all ~quick () =
+let run ~quick =
   List.concat_map
     (fun (fault, plan) ->
       List.map
@@ -104,114 +94,26 @@ let run_all ~quick () =
             }
           in
           let o = Faults.Chaos.run ~plan config in
-          {
-            fault;
-            mode = mode_label;
-            p50_ms = o.Faults.Chaos.p50_ms;
-            p99_ms = o.Faults.Chaos.p99_ms;
-            completed = o.Faults.Chaos.completed;
-            drops = o.Faults.Chaos.drops;
-            resets = o.Faults.Chaos.resets;
-            violations =
-              List.length o.Faults.Chaos.monitor.Faults.Monitor.violations;
-          })
+          Harness.Row.v ~family:"chaos" ~name:(fault ^ "/" ^ mode_label)
+            ~size:"full"
+            [
+              ("p50_ms", o.Faults.Chaos.p50_ms);
+              ("p99_ms", o.Faults.Chaos.p99_ms);
+              ("completed", float_of_int o.Faults.Chaos.completed);
+              ("drops", float_of_int o.Faults.Chaos.drops);
+              ("resets", float_of_int o.Faults.Chaos.resets);
+              ( "violations",
+                float_of_int
+                  (List.length o.Faults.Chaos.monitor.Faults.Monitor.violations)
+              );
+            ])
         (modes ~quick))
     classes
 
-let print_table results =
-  print_string "\n=== Chaos bench: p99 per fault class and mode ===\n";
-  Printf.printf "%-16s %-14s %8s %9s %10s %6s %7s %5s\n" "fault" "mode"
-    "p50 ms" "p99 ms" "completed" "drops" "resets" "viol";
-  List.iter
-    (fun r ->
-      Printf.printf "%-16s %-14s %8.2f %9.2f %10d %6d %7d %5d\n" r.fault
-        r.mode r.p50_ms r.p99_ms r.completed r.drops r.resets r.violations)
-    results
+(* No invariant violation, and the p99 within 1.5x the committed one
+   plus 0.5 ms.  Virtual time is deterministic; the slack only absorbs
+   deliberate workload or scheduler changes upstream. *)
+let gates _ =
+  Harness.Gate.[ v "violations" Zero; v "p99_ms" (Ceiling (1.5, 0.5)) ]
 
-(* JSON: flat scenario list keyed by (fault, mode). *)
-
-let entry_key ~fault ~mode =
-  Printf.sprintf "{\"fault\":\"%s\",\"mode\":\"%s\"" fault mode
-
-let render_entry r =
-  Printf.sprintf
-    "%s,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"completed\":%d,\"drops\":%d,\"resets\":%d,\"violations\":%d}"
-    (entry_key ~fault:r.fault ~mode:r.mode)
-    r.p50_ms r.p99_ms r.completed r.drops r.resets r.violations
-
-let write_json ~file results =
-  let oc = open_out file in
-  output_string oc "{\"schema\":\"hermes-chaos-bench/1\",\"scenarios\":[";
-  output_string oc (String.concat "," (List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "chaos bench: wrote %s\n" file
-
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go from
-
-let scan_number json ~field from =
-  match find_sub json ("\"" ^ field ^ "\":") from with
-  | None -> None
-  | Some j ->
-    let k = j + String.length field + 3 in
-    let e = ref k in
-    let len = String.length json in
-    while
-      !e < len
-      &&
-      match json.[!e] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr e
-    done;
-    float_of_string_opt (String.sub json k (!e - k))
-
-let baseline_entry json ~fault ~mode =
-  match find_sub json (entry_key ~fault ~mode) 0 with
-  | None -> None
-  | Some i -> (
-    match (scan_number json ~field:"p99_ms" i, scan_number json ~field:"violations" i) with
-    | Some p99, Some viol -> Some (p99, int_of_float viol)
-    | _ -> None)
-
-let check ~baseline results =
-  match (try Some (read_file baseline) with Sys_error _ -> None) with
-  | None ->
-    Printf.eprintf "chaos bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        if r.violations > 0 then begin
-          Printf.eprintf "chaos bench REGRESSION: %s under %s: %d invariant violations\n"
-            r.fault r.mode r.violations;
-          ok := false
-        end;
-        match baseline_entry json ~fault:r.fault ~mode:r.mode with
-        | None ->
-          Printf.eprintf "chaos bench: no baseline entry for %s/%s\n" r.fault
-            r.mode;
-          ok := false
-        | Some (base_p99, _) ->
-          (* Virtual time is deterministic; the 1.5x slack only absorbs
-             deliberate workload or scheduler changes upstream. *)
-          if r.p99_ms > (1.5 *. base_p99) +. 0.5 then begin
-            Printf.eprintf
-              "chaos bench REGRESSION: %s under %s: p99 %.2f ms > 1.5 * baseline %.2f ms\n"
-              r.fault r.mode r.p99_ms base_p99;
-            ok := false
-          end)
-      results;
-    if !ok then print_string "chaos bench: regression gate passed\n";
-    !ok
+let family = Harness.Family.v "chaos" run ~gates

@@ -1,7 +1,7 @@
 (* Sharded-cluster scaling harness: wall-clock of the same cluster
    program (a devices x workers x connections grid) under the
    sequential engine (~shards:1, no domain ever spawned) and under
-   2/4/8 worker domains.
+   2/4/8 worker domains.  A row is named scenario/shards=N.
 
    Two gates, split by what they may depend on:
 
@@ -13,30 +13,20 @@
      drift semantics).
    - Wall-clock: the shards=4 speedup over sequential must stay within
      0.5x of the committed baseline's speedup, and only when the
-     machine shape matches (the baseline records its core count; on a
-     different machine the speedup gate is skipped, the behaviour gate
-     never is).  On the 1-core container that produced BENCH_PR6.json
-     the honest "speedup" is below 1 — domains add coordination cost
-     and there is no parallel hardware to pay for it — so the gate is
-     pinning overhead, not a 2x win. *)
+     machine shape matches (every row records the core count it ran
+     on; on a different machine the speedup gate is skipped, the
+     behaviour gate never is).  On the 1-core container that produced
+     the committed rows the honest "speedup" is below 1 — domains add
+     coordination cost and there is no parallel hardware to pay for
+     it — so the gate is pinning overhead, not a 2x win. *)
 
 module ST = Engine.Sim_time
-
-type result = {
-  scenario : string;
-  devices : int;
-  workers : int;
-  conns : int;
-  shards : int;
-  wall_s : float;
-  completed : int;
-}
 
 let seed = 1234
 
 (* Quick mode trims the grid (fewer scenarios and shard counts), not
-   the per-scenario workload — completed counts must stay comparable
-   against the committed full baseline. *)
+   the per-scenario workload, so every row is a "full" row: completed
+   counts stay comparable against the committed full baseline. *)
 let scenarios ~quick =
   [ ("d4w2", 4, 2, 2000); ("d8w4", 8, 4, 4000) ]
   @ if quick then [] else [ ("d16w4", 16, 4, 8000); ("d100w2", 100, 2, 20000) ]
@@ -91,178 +81,57 @@ let run_one ~devices ~workers ~conns ~shards =
       let wall = Unix.gettimeofday () -. t0 in
       (wall, Cluster.Lb_cluster.completed cluster))
 
-let run_all ~quick () =
+(* Across the rows of one run (or of the baseline): each row's speedup
+   over its scenario's sequential (shards=1) row, and how far its
+   completed count drifts from that row's. *)
+let derive rows =
+  let open Harness.Row in
+  List.map
+    (fun r ->
+      let scenario = List.hd (String.split_on_char '/' r.name) in
+      let seq = List.find_opt (fun s -> s.name = scenario ^ "/shards=1") rows in
+      let vs_seq m f =
+        match (Option.bind seq (fun s -> get s m), get r m) with
+        | Some s, Some x -> f s x
+        | _ -> []
+      in
+      {
+        r with
+        metrics =
+          r.metrics
+          @ vs_seq "wall_s" (fun s x ->
+                if x > 0. then [ ("speedup", s /. x) ] else [])
+          @ vs_seq "completed" (fun s x -> [ ("shard_drift", x -. s) ]);
+      })
+    rows
+
+let run ~quick =
   List.concat_map
     (fun (scenario, devices, workers, conns) ->
       List.map
         (fun shards ->
           let wall_s, completed = run_one ~devices ~workers ~conns ~shards in
-          { scenario; devices; workers; conns; shards; wall_s; completed })
+          Harness.Row.v ~family:"cluster"
+            ~name:(Printf.sprintf "%s/shards=%d" scenario shards)
+            ~size:"full"
+            [
+              ("shards", float_of_int shards);
+              ("devices", float_of_int devices);
+              ("workers", float_of_int workers);
+              ("conns", float_of_int conns);
+              ("wall_s", wall_s);
+              ("completed", float_of_int completed);
+              ("cores", float_of_int (Domain.recommended_domain_count ()));
+            ])
         (shard_counts ~quick))
     (scenarios ~quick)
 
-let seq_wall results scenario =
-  List.find_map
-    (fun r ->
-      if r.scenario = scenario && r.shards = 1 then Some r.wall_s else None)
-    results
+let gates (r : Harness.Row.t) =
+  let open Harness.Gate in
+  [ v "completed" Exact; v "shard_drift" Zero ]
+  @
+  if Harness.Row.get r "shards" = Some 4.0 then
+    [ v ~same_cores:true "speedup" (Rel_floor 0.5) ]
+  else []
 
-let print_table results =
-  print_string "\n=== Cluster bench: wall-clock vs shard count ===\n";
-  Printf.printf "(%d cores available)\n" (Domain.recommended_domain_count ());
-  Printf.printf "%-8s %8s %8s %7s %7s %9s %10s %8s\n" "scenario" "devices"
-    "workers" "conns" "shards" "wall s" "completed" "speedup";
-  List.iter
-    (fun r ->
-      let speedup =
-        match seq_wall results r.scenario with
-        | Some w1 when r.wall_s > 0. -> w1 /. r.wall_s
-        | _ -> nan
-      in
-      Printf.printf "%-8s %8d %8d %7d %7d %9.3f %10d %8.2f\n" r.scenario
-        r.devices r.workers r.conns r.shards r.wall_s r.completed speedup)
-    results
-
-(* JSON: flat entry list keyed by (scenario, shards), plus the machine
-   core count the wall numbers were taken on. *)
-
-let entry_key ~scenario ~shards =
-  Printf.sprintf "{\"scenario\":\"%s\",\"shards\":%d" scenario shards
-
-let render_entry r =
-  Printf.sprintf
-    "%s,\"devices\":%d,\"workers\":%d,\"conns\":%d,\"wall_s\":%.4f,\"completed\":%d}"
-    (entry_key ~scenario:r.scenario ~shards:r.shards)
-    r.devices r.workers r.conns r.wall_s r.completed
-
-let write_json ~file results =
-  let oc = open_out file in
-  Printf.fprintf oc "{\"schema\":\"hermes-cluster-bench/1\",\"cores\":%d,"
-    (Domain.recommended_domain_count ());
-  output_string oc "\"scenarios\":[";
-  output_string oc (String.concat "," (List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "cluster bench: wrote %s\n" file
-
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go from
-
-let scan_number json ~field from =
-  match find_sub json ("\"" ^ field ^ "\":") from with
-  | None -> None
-  | Some j ->
-    let k = j + String.length field + 3 in
-    let e = ref k in
-    let len = String.length json in
-    while
-      !e < len
-      &&
-      match json.[!e] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr e
-    done;
-    float_of_string_opt (String.sub json k (!e - k))
-
-let baseline_entry json ~scenario ~shards =
-  match find_sub json (entry_key ~scenario ~shards) 0 with
-  | None -> None
-  | Some i -> (
-    match
-      (scan_number json ~field:"wall_s" i, scan_number json ~field:"completed" i)
-    with
-    | Some w, Some c -> Some (w, int_of_float c)
-    | _ -> None)
-
-let check ~baseline results =
-  match (try Some (read_file baseline) with Sys_error _ -> None) with
-  | None ->
-    Printf.eprintf "cluster bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    (* Behaviour gate: completed is shard-count independent and must
-       match the committed baseline exactly. *)
-    List.iter
-      (fun r ->
-        let seq_completed =
-          List.find_map
-            (fun r' ->
-              if r'.scenario = r.scenario && r'.shards = 1 then
-                Some r'.completed
-              else None)
-            results
-        in
-        (match seq_completed with
-        | Some c when c <> r.completed ->
-          Printf.eprintf
-            "cluster bench REGRESSION: %s shards=%d completed %d <> \
-             sequential %d (shard count leaked into behaviour)\n"
-            r.scenario r.shards r.completed c;
-          ok := false
-        | _ -> ());
-        match baseline_entry json ~scenario:r.scenario ~shards:r.shards with
-        | None ->
-          Printf.eprintf "cluster bench: no baseline entry for %s/shards=%d\n"
-            r.scenario r.shards;
-          ok := false
-        | Some (_, base_completed) ->
-          if r.completed <> base_completed then begin
-            Printf.eprintf
-              "cluster bench REGRESSION: %s shards=%d completed %d <> \
-               baseline %d\n"
-              r.scenario r.shards r.completed base_completed;
-            ok := false
-          end)
-      results;
-    (* Wall gate: only against a baseline from the same machine shape,
-       and only as a ratio — absolute wall-clock is machine property. *)
-    let cores = Domain.recommended_domain_count () in
-    let base_cores =
-      Option.map int_of_float (scan_number json ~field:"cores" 0)
-    in
-    if base_cores <> Some cores then
-      Printf.printf
-        "cluster bench: baseline cores=%s, machine cores=%d; skipping the \
-         speedup gate (behaviour gate still applies)\n"
-        (match base_cores with Some c -> string_of_int c | None -> "?")
-        cores
-    else
-      List.iter
-        (fun (scenario, _, _, _) ->
-          let wall shards =
-            List.find_map
-              (fun r ->
-                if r.scenario = scenario && r.shards = shards then
-                  Some r.wall_s
-                else None)
-              results
-          in
-          let base_wall shards =
-            Option.map fst (baseline_entry json ~scenario ~shards)
-          in
-          match (wall 1, wall 4, base_wall 1, base_wall 4) with
-          | Some w1, Some w4, Some b1, Some b4
-            when w4 > 0. && b4 > 0. && b1 > 0. ->
-            let speedup = w1 /. w4 and base = b1 /. b4 in
-            if speedup < 0.5 *. base then begin
-              Printf.eprintf
-                "cluster bench REGRESSION: %s shards=4 speedup %.2fx < 0.5 * \
-                 baseline %.2fx\n"
-                scenario speedup base;
-              ok := false
-            end
-          | _ -> ())
-        (scenarios ~quick:false);
-    if !ok then print_string "cluster bench: regression gate passed\n";
-    !ok
+let family = Harness.Family.v "cluster" run ~gates ~derive

@@ -1,5 +1,5 @@
-(* Connection-plane benchmark: the per-connection costs PR 8 drove to
-   zero allocation, plus the multi-million-connection soak its memory
+(* Connection-plane benchmark: the per-connection costs that run with
+   zero allocation, plus the multi-million-connection soak the memory
    gate rides on.
 
    - [conn_open_close]: steady open/close churn through the SoA
@@ -10,8 +10,8 @@
      dense int side table ([Conn_table.Dense]) vs a Hashtbl mapping to
      boxed pairs.  Same zero-allocation requirement.
    - [trace_binary]: encoding one fixed event stream through the
-     binary trace sink vs the JSONL sink (informational speedup; the
-     formats differ so there is no shared checksum beyond the count).
+     binary trace sink vs the JSONL sink (the formats differ, so the
+     shared checksum is only the record count).
    - [device_soak]: a full Reuseport device accepting, serving and
      closing 2M connections (10x one worker's default
      [conn_capacity]) in a steady stream, with sampling enabled.  The
@@ -19,24 +19,15 @@
      it against the committed baseline, which is what catches a
      reintroduced per-connection or per-sample leak. *)
 
-type result = {
-  name : string;
-  size : string; (* "full" or "quick" — only same-size entries compare *)
-  fast_ns : float; (* ns/op, new path *)
-  base_ns : float; (* ns/op, retired baseline; -1 = n/a *)
-  speedup : float; (* base/fast; -1 = n/a *)
-  fast_words : float; (* minor words/op on the fast path; -1 = n/a *)
-  rss_kb : int; (* process VmHWM after the scenario; -1 = n/a *)
-  checksum : int;
-}
-
+(* Local to each family on purpose: the timed loops call it per op, and
+   only a same-module definition gets inlined there. *)
 let mix i = (i * 0x61C88647) lxor (i lsr 7)
 
 (* VmHWM from /proc/self/status: the peak resident set over the whole
-   process lifetime, in kB.  -1 where procfs is unavailable. *)
+   process lifetime, in kB.  None where procfs is unavailable. *)
 let max_rss_kb () =
   match open_in "/proc/self/status" with
-  | exception Sys_error _ -> -1
+  | exception Sys_error _ -> None
   | ic ->
     let rec go acc =
       match input_line ic with
@@ -48,12 +39,11 @@ let max_rss_kb () =
             |> String.trim
             |> String.split_on_char ' '
             |> (function v :: _ -> int_of_string_opt v | [] -> None)
-            |> Option.value ~default:acc
           else acc
         in
         go acc
     in
-    let r = go (-1) in
+    let r = go None in
     close_in ic;
     r
 
@@ -194,7 +184,7 @@ let trace_records n =
       in
       { Trace.seq = i; time = i * 1000; event })
 
-let trace_scenario ~ops ~size ~reps =
+let trace_scenario ~ops =
   let records = trace_records ops in
   let encode_with make_sink () =
     let path = Filename.temp_file "conn_bench" ".trace" in
@@ -206,28 +196,7 @@ let trace_scenario ~ops ~size ~reps =
     Sys.remove path;
     ops
   in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9 /. float_of_int ops
-  in
-  let fast_ns = time_best (encode_with Trace.Binary.sink) in
-  let base_ns = time_best (encode_with Trace.jsonl_sink) in
-  {
-    name = "trace_binary";
-    size;
-    fast_ns;
-    base_ns;
-    speedup = base_ns /. fast_ns;
-    fast_words = -1.0 (* the encoder's scratch reuse is not a GC gate *);
-    rss_kb = -1;
-    checksum = ops;
-  }
+  (encode_with Trace.Binary.sink, encode_with Trace.jsonl_sink)
 
 (* ------------------------------------------------------------------ *)
 (* Device soak                                                          *)
@@ -291,130 +260,37 @@ let soak_scenario ~conns_total ~size =
     failwith
       (Printf.sprintf "conn bench soak: only %d/%d connections completed"
          completed conns_total);
-  {
-    name = "device_soak";
-    size;
-    fast_ns = dt *. 1e9 /. float_of_int conns_total;
-    base_ns = -1.0;
-    speedup = -1.0;
-    fast_words = -1.0;
-    rss_kb = max_rss_kb ();
-    checksum = completed;
-  }
+  Harness.Row.v ~family:"conn" ~name:"device_soak" ~size
+    ([ ("fast_ns", dt *. 1e9 /. float_of_int conns_total) ]
+    @ Option.to_list
+        (Option.map (fun kb -> ("rss_kb", float_of_int kb)) (max_rss_kb ()))
+    @ [ ("checksum", float_of_int completed) ])
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ~quick () =
-  let size = if quick then "quick" else "full" in
+let run ~quick =
+  let size = Harness.Row.size ~quick in
   let reps = if quick then 5 else 3 in
   let churn_ops = if quick then 200_000 else 2_000_000 in
   let window = if quick then 16_384 else 131_072 in
   let trace_ops = if quick then 50_000 else 500_000 in
   let soak_conns = if quick then 200_000 else 2_000_000 in
+  let pair = Harness.paired ~family:"conn" ~size ~reps in
   let churn =
     let fast, base, words = churn_scenario ~window ~ops:churn_ops in
-    Dispatch_bench.run_pair ~reps ~name:"conn_open_close" ~size ~ops:churn_ops
-      ~fast ~base ~words ()
+    pair ~name:"conn_open_close" ~ops:churn_ops ~words fast base
   in
   let owner =
     let fast, base, words = sock_owner_scenario ~window ~ops:churn_ops in
-    Dispatch_bench.run_pair ~reps ~name:"sock_owner" ~size ~ops:churn_ops ~fast
-      ~base ~words ()
-  in
-  let of_pair (r : Dispatch_bench.result) =
-    {
-      name = r.Dispatch_bench.name;
-      size = r.Dispatch_bench.size;
-      fast_ns = r.Dispatch_bench.fast_ns;
-      base_ns = r.Dispatch_bench.base_ns;
-      speedup = r.Dispatch_bench.speedup;
-      fast_words = r.Dispatch_bench.fast_words;
-      rss_kb = -1;
-      checksum = r.Dispatch_bench.checksum;
-    }
+    pair ~name:"sock_owner" ~ops:churn_ops ~words fast base
   in
   [
-    of_pair churn;
-    of_pair owner;
-    trace_scenario ~ops:trace_ops ~size ~reps;
+    churn;
+    owner;
+    (let fast, base = trace_scenario ~ops:trace_ops in
+     pair ~name:"trace_binary" ~ops:trace_ops fast base);
     soak_scenario ~conns_total:soak_conns ~size;
   ]
-
-let print_table results =
-  print_string "\n=== Connection-plane benchmarks ===\n";
-  let table =
-    Stats.Table.create
-      ~header:
-        [ "scenario"; "fast ns/op"; "base ns/op"; "speedup"; "minor w/op"; "maxRSS MB" ]
-  in
-  List.iter
-    (fun r ->
-      Stats.Table.add_row table
-        [
-          r.name;
-          Printf.sprintf "%.1f" r.fast_ns;
-          (if r.base_ns < 0.0 then "n/a" else Printf.sprintf "%.1f" r.base_ns);
-          (if r.speedup < 0.0 then "n/a" else Printf.sprintf "%.2fx" r.speedup);
-          (if r.fast_words < 0.0 then "n/a"
-           else Printf.sprintf "%.3f" r.fast_words);
-          (if r.rss_kb < 0 then "n/a"
-           else Printf.sprintf "%.1f" (float_of_int r.rss_kb /. 1024.0));
-        ])
-    results;
-  Stats.Table.print table
-
-(* ------------------------------------------------------------------ *)
-(* JSON + regression gate (Sched_bench format family)                   *)
-
-let entry_key = Sched_bench.entry_key
-
-let render_entry r =
-  Printf.sprintf
-    "{%s,\"fast_ns\":%.2f,\"base_ns\":%.2f,\"speedup\":%.3f,\"fast_words\":%.3f,\"rss_kb\":%d,\"checksum\":%d}"
-    (entry_key ~name:r.name ~size:r.size)
-    r.fast_ns r.base_ns r.speedup r.fast_words r.rss_kb r.checksum
-
-let write_json ~file results =
-  let kept =
-    List.filter
-      (fun e ->
-        not
-          (List.exists
-             (fun r ->
-               Sched_bench.find_sub e (entry_key ~name:r.name ~size:r.size) 0
-               <> None)
-             results))
-      (Sched_bench.file_entries file)
-  in
-  let oc = open_out file in
-  output_string oc "{\"schema\":\"hermes-conn-bench/1\",\"scenarios\":[";
-  output_string oc (String.concat "," (kept @ List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "conn bench: wrote %s\n" file
-
-(* Numeric field of the matching baseline entry. *)
-let baseline_field json ~name ~size ~field =
-  match Sched_bench.find_sub json (entry_key ~name ~size) 0 with
-  | None -> None
-  | Some i -> (
-    let tag = Printf.sprintf "\"%s\":" field in
-    match Sched_bench.find_sub json tag i with
-    | None -> None
-    | Some j ->
-      let k = j + String.length tag in
-      let e = ref k in
-      let len = String.length json in
-      while
-        !e < len
-        &&
-        match json.[!e] with
-        | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr e
-      done;
-      float_of_string_opt (String.sub json k (!e - k)))
 
 (* The gate:
    - every paired row keeps >= 75% of the committed same-size baseline
@@ -427,66 +303,15 @@ let baseline_field json ~name ~size ~field =
      words per op (when the runtime supports the measurement);
    - [device_soak]'s max-RSS stays <= 1.5x the committed baseline —
      the multi-million-connection memory ceiling. *)
-let speedup_floor = function
-  | "conn_open_close" -> 1.3
-  | "sock_owner" -> 3.0
-  | "trace_binary" -> 4.0
-  | _ -> 0.0
+let gates (r : Harness.Row.t) =
+  let open Harness.Gate in
+  v "speedup" (Rel_floor 0.75)
+  ::
+  (match r.name with
+  | "conn_open_close" -> [ v "speedup" (Floor 1.3); v "fast_words" Zero ]
+  | "sock_owner" -> [ v "speedup" (Floor 3.0); v "fast_words" Zero ]
+  | "trace_binary" -> [ v "speedup" (Floor 4.0) ]
+  | "device_soak" -> [ v "rss_kb" (Ceiling (1.5, 0.0)) ]
+  | _ -> [])
 
-let check ~baseline results =
-  match
-    (try Some (Sched_bench.read_file baseline) with Sys_error _ -> None)
-  with
-  | None ->
-    Printf.eprintf "conn bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        let field f = baseline_field json ~name:r.name ~size:r.size ~field:f in
-        if field "speedup" = None then begin
-          Printf.eprintf "conn bench: no %s baseline entry for %s\n" r.size
-            r.name;
-          ok := false
-        end;
-        (match field "speedup" with
-        | Some base when r.speedup >= 0.0 && base >= 0.0 ->
-          if r.speedup < 0.75 *. base then begin
-            Printf.eprintf
-              "conn bench REGRESSION: %s (%s) speedup %.2fx < 0.75 * baseline \
-               %.2fx\n"
-              r.name r.size r.speedup base;
-            ok := false
-          end
-        | _ -> ());
-        (let floor = speedup_floor r.name in
-         if r.speedup >= 0.0 && r.speedup < floor then begin
-           Printf.eprintf
-             "conn bench REGRESSION: %s speedup %.2fx < %.2fx floor\n" r.name
-             r.speedup floor;
-           ok := false
-         end);
-        (match r.name with
-        | "conn_open_close" | "sock_owner" ->
-          if r.fast_words > 0.0 then begin
-            Printf.eprintf
-              "conn bench REGRESSION: %s allocates %.3f minor words/op (want \
-               0)\n"
-              r.name r.fast_words;
-            ok := false
-          end
-        | _ -> ());
-        match (r.name, field "rss_kb") with
-        | "device_soak", Some base_rss when base_rss > 0.0 && r.rss_kb >= 0 ->
-          if float_of_int r.rss_kb > 1.5 *. base_rss then begin
-            Printf.eprintf
-              "conn bench REGRESSION: %s max-RSS %d kB > 1.5 * baseline %.0f \
-               kB\n"
-              r.name r.rss_kb base_rss;
-            ok := false
-          end
-        | _ -> ())
-      results;
-    if !ok then print_string "conn bench: regression gate passed\n";
-    !ok
+let family = Harness.Family.v "conn" run ~gates

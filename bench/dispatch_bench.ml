@@ -1,8 +1,8 @@
 (* Dispatch fast-path benchmark: the per-packet / per-event-loop costs
-   this PR drove to zero allocation, each measured against the retired
+   that run with zero allocation, each measured against the retired
    implementation it replaced and gated on the speedup ratio (stable
    across machines, unlike raw nanoseconds — same scheme as
-   Sched_bench / BENCH_PR3.json):
+   Sched_bench):
 
    - [select_8]/[select_64]: reuseport hash fallback — rank-select over
      the incremental live bitmap vs the retired per-packet list build +
@@ -19,79 +19,9 @@
    a few words — anything a single op allocates shows up as >= ops
    words and fails). *)
 
-type result = {
-  name : string;
-  size : string; (* "full" or "quick" — only same-size entries compare *)
-  fast_ns : float; (* ns/op, new path *)
-  base_ns : float; (* ns/op, retired baseline *)
-  speedup : float; (* base/fast: > 1 means the new path is faster *)
-  fast_words : float; (* minor words/op on the fast path; -1 = n/a *)
-  checksum : int;
-}
-
+(* Local to each family on purpose: the timed loops call it per op, and
+   only a same-module definition gets inlined there. *)
 let mix i = (i * 0x61C88647) lxor (i lsr 7)
-
-let time_best ~reps f =
-  let best = ref infinity in
-  let first = ref 0 in
-  for i = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    if i = 0 then first := r
-    else if r <> !first then
-      failwith "dispatch bench: scenario is nondeterministic across reps"
-  done;
-  (!best *. 1e9, !first)
-
-(* Minor-word accounting only means something on an uninstrumented
-   native runtime; calibrate with a loop known to allocate nothing. *)
-let calibrated =
-  lazy
-    (match Sys.backend_type with
-    | Sys.Native ->
-      let arr = Array.make 64 1 in
-      let sink = ref 0 in
-      let before = Gc.minor_words () in
-      for _ = 1 to 1000 do
-        for i = 0 to 63 do
-          sink := !sink + Array.unsafe_get arr i
-        done
-      done;
-      ignore !sink;
-      Gc.minor_words () -. before < 256.0
-    | _ -> false)
-
-let words_per_op ~ops f =
-  if not (Lazy.force calibrated) then -1.0
-  else begin
-    f ();
-    (* warm *)
-    let before = Gc.minor_words () in
-    f ();
-    let d = Gc.minor_words () -. before in
-    (* the two probes box a handful of words themselves *)
-    if d < 64.0 then 0.0 else d /. float_of_int ops
-  end
-
-let run_pair ~reps ~name ~size ~ops ~fast ~base ~words () =
-  let fast_total, cf = time_best ~reps fast in
-  let base_total, cb = time_best ~reps base in
-  if cf <> cb then
-    failwith
-      (Printf.sprintf
-         "dispatch bench %s: fast and baseline disagree (checksums %d vs %d)"
-         name cf cb);
-  {
-    name;
-    size;
-    fast_ns = fast_total /. float_of_int ops;
-    base_ns = base_total /. float_of_int ops;
-    speedup = base_total /. fast_total;
-    fast_words = words_per_op ~ops words;
-    checksum = cf;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Reuseport fallback select                                            *)
@@ -268,24 +198,21 @@ let ebpf_scenarios ~ops =
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ~quick () =
-  let size = if quick then "quick" else "full" in
+let run ~quick =
+  let size = Harness.Row.size ~quick in
   let reps = if quick then 5 else 3 in
   let select_ops = if quick then 200_000 else 2_000_000 in
   let sched_ops_8 = if quick then 50_000 else 500_000 in
   let sched_ops_64 = if quick then 15_000 else 150_000 in
   let ebpf_ops = if quick then 50_000 else 500_000 in
+  let pair = Harness.paired ~family:"dispatch" ~size ~reps in
   let select n ops =
     let fast, base, words = select_scenario ~workers:n ~ops in
-    run_pair ~reps
-      ~name:(Printf.sprintf "select_%d" n)
-      ~size ~ops ~fast ~base ~words ()
+    pair ~name:(Printf.sprintf "select_%d" n) ~ops ~words fast base
   in
   let sched n ops =
     let fast, base, words = sched_scenario ~workers:n ~ops in
-    run_pair ~reps
-      ~name:(Printf.sprintf "sched_%d" n)
-      ~size ~ops ~fast ~base ~words ()
+    pair ~name:(Printf.sprintf "sched_%d" n) ~ops ~words fast base
   in
   let jit_thunk, vm_thunk, ast_thunk, jwords = ebpf_scenarios ~ops:ebpf_ops in
   [
@@ -293,63 +220,9 @@ let run_all ~quick () =
     select 64 select_ops;
     sched 8 sched_ops_8;
     sched 64 sched_ops_64;
-    run_pair ~reps ~name:"ebpf_jit_vm" ~size ~ops:ebpf_ops ~fast:jit_thunk
-      ~base:vm_thunk ~words:jwords ();
-    run_pair ~reps ~name:"ebpf_jit_ast" ~size ~ops:ebpf_ops ~fast:jit_thunk
-      ~base:ast_thunk ~words:jwords ();
+    pair ~name:"ebpf_jit_vm" ~ops:ebpf_ops ~words:jwords jit_thunk vm_thunk;
+    pair ~name:"ebpf_jit_ast" ~ops:ebpf_ops ~words:jwords jit_thunk ast_thunk;
   ]
-
-let print_table results =
-  print_string
-    "\n=== Dispatch benchmarks (fast path vs retired baseline) ===\n";
-  let table =
-    Stats.Table.create
-      ~header:[ "scenario"; "fast ns/op"; "base ns/op"; "speedup"; "minor w/op" ]
-  in
-  List.iter
-    (fun r ->
-      Stats.Table.add_row table
-        [
-          r.name;
-          Printf.sprintf "%.1f" r.fast_ns;
-          Printf.sprintf "%.1f" r.base_ns;
-          Printf.sprintf "%.2fx" r.speedup;
-          (if r.fast_words < 0.0 then "n/a"
-           else Printf.sprintf "%.3f" r.fast_words);
-        ])
-    results;
-  Stats.Table.print table
-
-(* ------------------------------------------------------------------ *)
-(* JSON + regression gate (same format family as Sched_bench; the
-   substring helpers and per-entry speedup parser are reused as-is)    *)
-
-let entry_key = Sched_bench.entry_key
-
-let render_entry r =
-  Printf.sprintf
-    "{%s,\"fast_ns\":%.2f,\"base_ns\":%.2f,\"speedup\":%.3f,\"fast_words\":%.3f,\"checksum\":%d}"
-    (entry_key ~name:r.name ~size:r.size)
-    r.fast_ns r.base_ns r.speedup r.fast_words r.checksum
-
-let write_json ~file results =
-  let kept =
-    List.filter
-      (fun e ->
-        not
-          (List.exists
-             (fun r ->
-               Sched_bench.find_sub e (entry_key ~name:r.name ~size:r.size) 0
-               <> None)
-             results))
-      (Sched_bench.file_entries file)
-  in
-  let oc = open_out file in
-  output_string oc "{\"schema\":\"hermes-dispatch-bench/1\",\"scenarios\":[";
-  output_string oc (String.concat "," (kept @ List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "dispatch bench: wrote %s\n" file
 
 (* The gate:
    - each scenario keeps >= 90% of the committed same-size baseline's
@@ -359,51 +232,13 @@ let write_json ~file results =
      interpreter, bitmap scheduler >= 1.5x over Ref;
    - the fast paths allocate exactly zero minor words per op (when the
      runtime supports the measurement). *)
-let ungated_relative = [ "ebpf_jit_ast" ]
-let check ~baseline results =
-  match
-    (try Some (Sched_bench.read_file baseline) with Sys_error _ -> None)
-  with
-  | None ->
-    Printf.eprintf "dispatch bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        (match Sched_bench.baseline_speedup json ~name:r.name ~size:r.size with
-        | None ->
-          Printf.eprintf "dispatch bench: no %s baseline entry for %s\n" r.size
-            r.name;
-          ok := false
-        | Some _ when List.mem r.name ungated_relative -> ()
-        | Some base ->
-          if r.speedup < 0.9 *. base then begin
-            Printf.eprintf
-              "dispatch bench REGRESSION: %s (%s) speedup %.2fx < 0.9 * \
-               baseline %.2fx\n"
-              r.name r.size r.speedup base;
-            ok := false
-          end);
-        let floor =
-          match r.name with
-          | "ebpf_jit_vm" -> 1.3
-          | "sched_8" | "sched_64" -> 1.5
-          | _ -> 0.0
-        in
-        if r.speedup < floor then begin
-          Printf.eprintf
-            "dispatch bench REGRESSION: %s speedup %.2fx < %.2fx floor\n" r.name
-            r.speedup floor;
-          ok := false
-        end;
-        if r.fast_words > 0.0 then begin
-          Printf.eprintf
-            "dispatch bench REGRESSION: %s fast path allocates %.3f minor \
-             words/op (want 0)\n"
-            r.name r.fast_words;
-          ok := false
-        end)
-      results;
-    if !ok then print_string "dispatch bench: regression gate passed\n";
-    !ok
+let gates (r : Harness.Row.t) =
+  let open Harness.Gate in
+  (if r.name = "ebpf_jit_ast" then [] else [ v "speedup" (Rel_floor 0.9) ])
+  @ (match r.name with
+    | "ebpf_jit_vm" -> [ v "speedup" (Floor 1.3) ]
+    | "sched_8" | "sched_64" -> [ v "speedup" (Floor 1.5) ]
+    | _ -> [])
+  @ [ v "fast_words" Zero ]
+
+let family = Harness.Family.v "dispatch" run ~gates

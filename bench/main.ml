@@ -1,355 +1,74 @@
-(* Benchmark harness.
+(* Regression benchmarks: every family of bench/, run through one
+   harness (Bench.Harness) against one committed baseline,
+   bench/baseline.json.
 
-   Two parts:
-   1. Regeneration of every table and figure in the paper's evaluation,
-      via the experiments registry (the shapes to compare against the
-      paper are recorded in EXPERIMENTS.md).
-   2. Bechamel micro-benchmarks of the Hermes hot paths: the bit
-      twiddling the eBPF dispatcher relies on, WST updates and
-      snapshots, a full Algo 1 scheduling pass, the Algo 2 program
-      under the interpreter, and the supporting codecs.
+     dune exec bench/main.exe                       # every family, full size
+     dune exec bench/main.exe -- --quick --only sched,conn
+     dune exec bench/main.exe -- --only conn --json # re-record conn's rows
+     dune exec bench/main.exe -- --quick --json=BENCH_CI.json --check \
+       --only sched,dispatch,chaos,cluster,conn,splice  # the CI gate
 
-   Three parts — the third is the scheduler regression harness of
-   Sched_bench: timing-wheel vs binary-heap scenarios, JSON emission
-   and the speedup-ratio gate.
+   --json[=FILE] merges the run's rows into FILE; --check[=FILE] gates
+   them against FILE (FILE defaults to bench/baseline.json).  Exits 1
+   when a gate fails and 2 on a bad command line.  The paper's tables
+   and figures are regenerated by [hermes_sim all] / [hermes_sim run]. *)
 
-   Four parts — the fourth is the dispatch fast-path harness of
-   Dispatch_bench: rank-select reuseport, bitmap scheduler and the
-   eBPF closure JIT vs their retired baselines, with a speedup-ratio
-   plus zero-allocation gate against BENCH_PR4.json.
+open Bench
 
-   Five parts — the fifth is the sharded-cluster scaling harness of
-   Cluster_bench: the same cluster program under 1/2/4/8 worker
-   domains, with a behaviour (completed-count) gate and a
-   machine-shape-aware speedup gate against BENCH_PR6.json.
-
-   Usage:
-     dune exec bench/main.exe                 # everything, full size
-     dune exec bench/main.exe -- --quick      # shrunken runs
-     dune exec bench/main.exe -- table3 fig13 # selected experiments
-     dune exec bench/main.exe -- --micro-only
-     dune exec bench/main.exe -- --sched-only --json        # write BENCH_PR3.json
-     dune exec bench/main.exe -- --sched-only --quick \
-       --json=BENCH_CI.json --check=BENCH_PR3.json          # CI gate
-     dune exec bench/main.exe -- --dispatch-only --dispatch-json  # BENCH_PR4.json
-     dune exec bench/main.exe -- --dispatch-only --quick \
-       --dispatch-json=BENCH_DISPATCH_CI.json --dispatch-check=BENCH_PR4.json
-     dune exec bench/main.exe -- --cluster-only --cluster-json  # BENCH_PR6.json
-     dune exec bench/main.exe -- --cluster-only --quick \
-       --cluster-json=BENCH_CLUSTER_CI.json --cluster-check=BENCH_PR6.json
-     dune exec bench/main.exe -- --splice-only --splice-json   # BENCH_PR9.json
-     dune exec bench/main.exe -- --splice-only --quick \
-       --splice-json=BENCH_SPLICE_CI.json --splice-check=BENCH_PR9.json *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmark fixtures                                            *)
-
-let bitmap = Kernel.Bitops.bits_of_list [ 1; 3; 8; 13; 21; 34; 55 ]
-
-let tuple =
-  {
-    Netsim.Addr.src_ip = 0x0A00002A;
-    src_port = 43210;
-    dst_ip = 0x0A0000FE;
-    dst_port = 20007;
-  }
-
-let wst8 = Hermes.Wst.create ~workers:8
-
-let () =
-  for w = 0 to 7 do
-    Hermes.Wst.set_avail wst8 w ~now:(Engine.Sim_time.ms 1);
-    Hermes.Wst.add_busy wst8 w (w * 3);
-    Hermes.Wst.add_conn wst8 w (w * 7)
-  done
-
-let dispatch_prog =
-  let m_sel = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel" ~size:1 in
-  Kernel.Ebpf_maps.Array_map.kernel_update m_sel 0 bitmap;
-  let m_socket = Kernel.Ebpf_maps.Sockarray.create ~name:"M_sock" ~size:64 in
-  for i = 0 to 63 do
-    Kernel.Ebpf_maps.Sockarray.set m_socket i
-      (Kernel.Socket.create_listen ~port:80 ~backlog:4 ())
-  done;
-  Kernel.Ebpf.verify_exn
-    (Hermes.Dispatch.single_group ~m_sel ~m_socket ~min_selected:2)
-
-let dispatch_vm =
-  let m_sel = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel_vm" ~size:1 in
-  Kernel.Ebpf_maps.Array_map.kernel_update m_sel 0 bitmap;
-  let m_socket = Kernel.Ebpf_maps.Sockarray.create ~name:"M_sock_vm" ~size:64 in
-  for i = 0 to 63 do
-    Kernel.Ebpf_maps.Sockarray.set m_socket i
-      (Kernel.Socket.create_listen ~port:80 ~backlog:4 ())
-  done;
-  match
-    Kernel.Verifier.compile_and_verify
-      (Hermes.Dispatch.single_group ~m_sel ~m_socket ~min_selected:2)
-  with
-  | Ok v ->
-    if not (Kernel.Ebpf_vm.fully_proved v) then
-      failwith "bench: dispatch bytecode left residual runtime checks";
-    v
-  | Error e -> failwith (Kernel.Verifier.error_to_string e)
-
-let router100 =
-  Lb.Router.create
-    (List.init 100 (fun i ->
-         {
-           Lb.Router.matcher =
-             { host = None; path = `Prefix (Printf.sprintf "/svc%d/" i) };
-           backend_group = Printf.sprintf "g%d" (i mod 8);
-         }))
-
-let http_raw =
-  "GET /svc42/items?q=1 HTTP/1.1\r\nHost: bench.example\r\nAccept: */*\r\n\r\n"
-
-let micro_tests =
-  let hist = Stats.Histogram.create () in
-  let hooks = Hermes.Metrics.create ~wst:wst8 ~worker:0 in
+(* [conn] runs first: its device_soak row reads the process's max-RSS
+   high-water mark, which every family that ran before it would raise. *)
+let families =
   [
-    Test.make ~name:"bitops/popcount64"
-      (Staged.stage (fun () -> Kernel.Bitops.popcount64 bitmap));
-    Test.make ~name:"bitops/find_nth_set"
-      (Staged.stage (fun () -> Kernel.Bitops.find_nth_set bitmap 4));
-    Test.make ~name:"bitops/reciprocal_scale"
-      (Staged.stage (fun () ->
-           Kernel.Bitops.reciprocal_scale ~hash:0xDEADBEEF ~n:7));
-    Test.make ~name:"netsim/flow_hash"
-      (Staged.stage (fun () -> Netsim.Flow_hash.of_four_tuple tuple));
-    Test.make ~name:"hermes/wst_busy_update"
-      (Staged.stage (fun () ->
-           Hermes.Metrics.busy_count hooks 1;
-           Hermes.Metrics.busy_count hooks (-1)));
-    Test.make ~name:"hermes/wst_read_all_8"
-      (Staged.stage (fun () -> Hermes.Wst.read_all wst8));
-    Test.make ~name:"hermes/scheduler_pass_8"
-      (Staged.stage (fun () ->
-           Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst:wst8
-             ~now:(Engine.Sim_time.ms 2)));
-    Test.make ~name:"hermes/ebpf_dispatch"
-      (Staged.stage (fun () ->
-           Kernel.Ebpf.run dispatch_prog
-             { Kernel.Ebpf.flow_hash = 0x9E3779B9; dst_port = 20007 }));
-    Test.make ~name:"hermes/ebpf_dispatch_bytecode"
-      (Staged.stage (fun () ->
-           Kernel.Ebpf_vm.run dispatch_vm
-             { Kernel.Ebpf.flow_hash = 0x9E3779B9; dst_port = 20007 }));
-    Test.make ~name:"hermes/ebpf_dispatch_bytecode_checked"
-      (Staged.stage (fun () ->
-           Kernel.Ebpf_vm.run_checked dispatch_vm
-             { Kernel.Ebpf.flow_hash = 0x9E3779B9; dst_port = 20007 }));
-    Test.make ~name:"stats/histogram_record"
-      (Staged.stage (fun () -> Stats.Histogram.record hist 123456.0));
-    Test.make ~name:"lb/http_parse"
-      (Staged.stage (fun () -> Lb.Http.parse_request http_raw));
-    Test.make ~name:"lb/router_route_100"
-      (Staged.stage (fun () ->
-           Lb.Router.route router100 ~host:None ~path:"/svc42/items"));
+    Conn_bench.family;
+    Sched_bench.family;
+    Dispatch_bench.family;
+    Chaos_bench.family;
+    Cluster_bench.family;
+    Splice_bench.family;
+    Micro_bench.family;
   ]
 
-let run_micro () =
-  print_string "\n=== Micro-benchmarks (Bechamel, ns/run) ===\n";
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let table = Stats.Table.create ~header:[ "benchmark"; "ns/run"; "r^2" ] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ v ] -> v
-            | _ -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with
-            | Some v -> v
-            | None -> nan
-          in
-          Stats.Table.add_row table
-            [ name; Stats.Table.cell_f ns; Printf.sprintf "%.4f" r2 ])
-        results)
-    micro_tests;
-  Stats.Table.print table
-
-(* [--json] / [--check] take an optional [=FILE]; the bare form uses
-   the committed baseline file. *)
-let opt_file ~flag ~default args =
-  let prefix = flag ^ "=" in
-  List.fold_left
-    (fun acc a ->
-      if a = flag then Some default
-      else if
-        String.length a > String.length prefix
-        && String.sub a 0 (String.length prefix) = prefix
-      then Some (String.sub a (String.length prefix) (String.length a - String.length prefix))
-      else acc)
-    None args
+let fail code fmt = Printf.ksprintf (fun s -> prerr_endline s; exit code) fmt
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro-only" args in
-  let no_micro = List.mem "--no-micro" args in
-  let sched_only = List.mem "--sched-only" args in
-  let no_sched = List.mem "--no-sched" args in
-  let dispatch_only = List.mem "--dispatch-only" args in
-  let no_dispatch = List.mem "--no-dispatch" args in
-  let json_file = opt_file ~flag:"--json" ~default:"BENCH_PR3.json" args in
-  let check_file = opt_file ~flag:"--check" ~default:"BENCH_PR3.json" args in
-  let djson_file =
-    opt_file ~flag:"--dispatch-json" ~default:"BENCH_PR4.json" args
+  let names = List.map (fun (f : Harness.Family.t) -> f.name) families in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let cli =
+    match Harness.Cli.parse ~families:names args with
+    | Ok cli -> cli
+    | Error msg -> fail 2 "bench: %s\n%s" msg Harness.Cli.usage
   in
-  let dcheck_file =
-    opt_file ~flag:"--dispatch-check" ~default:"BENCH_PR4.json" args
+  let families =
+    List.filter
+      (fun (f : Harness.Family.t) -> cli.only = [] || List.mem f.name cli.only)
+      families
   in
-  let chaos_only = List.mem "--chaos-only" args in
-  let no_chaos = List.mem "--no-chaos" args in
-  let cjson_file =
-    opt_file ~flag:"--chaos-json" ~default:"BENCH_CHAOS.json" args
+  let baseline =
+    Option.map
+      (fun file ->
+        match Harness.Json.read file with
+        | Ok rows -> rows
+        | Error msg -> fail 1 "bench: baseline %s: %s" file msg)
+      cli.check
   in
-  let ccheck_file =
-    opt_file ~flag:"--chaos-check" ~default:"BENCH_CHAOS.json" args
+  let rows =
+    List.concat_map
+      (fun (f : Harness.Family.t) ->
+        (* collect the previous family's garbage now, so no major slice
+           spends this family's timed loops on it *)
+        Gc.compact ();
+        let rows = f.run ~quick:cli.quick in
+        Harness.print_table f (f.derive rows);
+        rows)
+      families
   in
-  let cluster_only = List.mem "--cluster-only" args in
-  let no_cluster = List.mem "--no-cluster" args in
-  let kjson_file =
-    opt_file ~flag:"--cluster-json" ~default:"BENCH_PR6.json" args
-  in
-  let kcheck_file =
-    opt_file ~flag:"--cluster-check" ~default:"BENCH_PR6.json" args
-  in
-  let conn_only = List.mem "--conn-only" args in
-  let no_conn = List.mem "--no-conn" args in
-  let njson_file = opt_file ~flag:"--conn-json" ~default:"BENCH_PR8.json" args in
-  let ncheck_file =
-    opt_file ~flag:"--conn-check" ~default:"BENCH_PR8.json" args
-  in
-  let splice_only = List.mem "--splice-only" args in
-  let no_splice = List.mem "--no-splice" args in
-  let pjson_file =
-    opt_file ~flag:"--splice-json" ~default:"BENCH_PR9.json" args
-  in
-  let pcheck_file =
-    opt_file ~flag:"--splice-check" ~default:"BENCH_PR9.json" args
-  in
-  let ids = List.filter (fun a -> String.length a > 0 && a.[0] <> '-') args in
-  if
-    (not micro_only) && (not sched_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    match ids with
-    | [] -> Experiments.Registry.run_all ~quick ()
-    | ids ->
-      List.iter
-        (fun id ->
-          match Experiments.Registry.find id with
-          | Some e -> e.Experiments.Registry.run ~quick ()
-          | None ->
-            Printf.eprintf "unknown experiment %S (see hermes_sim list)\n" id;
-            exit 1)
-        ids
-  end;
-  if
-    (not no_sched) && (not micro_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Sched_bench.run_all ~quick () in
-    Sched_bench.print_table results;
-    (match json_file with
-    | Some file -> Sched_bench.write_json ~file results
-    | None -> ());
-    match check_file with
-    | Some baseline -> if not (Sched_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_dispatch) && (not micro_only) && (not sched_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Dispatch_bench.run_all ~quick () in
-    Dispatch_bench.print_table results;
-    (match djson_file with
-    | Some file -> Dispatch_bench.write_json ~file results
-    | None -> ());
-    match dcheck_file with
-    | Some baseline ->
-      if not (Dispatch_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_chaos) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Chaos_bench.run_all ~quick () in
-    Chaos_bench.print_table results;
-    (match cjson_file with
-    | Some file -> Chaos_bench.write_json ~file results
-    | None -> ());
-    match ccheck_file with
-    | Some baseline -> if not (Chaos_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_cluster) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not conn_only)
-    && not splice_only
-  then begin
-    let results = Cluster_bench.run_all ~quick () in
-    Cluster_bench.print_table results;
-    (match kjson_file with
-    | Some file -> Cluster_bench.write_json ~file results
-    | None -> ());
-    match kcheck_file with
-    | Some baseline ->
-      if not (Cluster_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_conn) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not cluster_only)
-    && not splice_only
-  then begin
-    let results = Conn_bench.run_all ~quick () in
-    Conn_bench.print_table results;
-    (match njson_file with
-    | Some file -> Conn_bench.write_json ~file results
-    | None -> ());
-    match ncheck_file with
-    | Some baseline -> if not (Conn_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_splice) && (not micro_only) && (not sched_only)
-    && (not dispatch_only) && (not chaos_only) && (not cluster_only)
-    && not conn_only
-  then begin
-    let results = Splice_bench.run_all ~quick () in
-    Splice_bench.print_table results;
-    (match pjson_file with
-    | Some file -> Splice_bench.write_json ~file results
-    | None -> ());
-    match pcheck_file with
-    | Some baseline -> if not (Splice_bench.check ~baseline results) then exit 1
-    | None -> ()
-  end;
-  if
-    (not no_micro) && (not sched_only) && (not dispatch_only)
-    && (not chaos_only) && (not cluster_only) && (not conn_only)
-    && not splice_only
-  then run_micro ()
+  Option.iter
+    (fun file ->
+      match Harness.Json.write file rows with
+      | Ok () -> Printf.printf "bench: wrote %s\n" file
+      | Error msg -> fail 1 "bench: not overwriting %s: %s" file msg)
+    cli.json;
+  Option.iter
+    (fun baseline ->
+      if not (Harness.check ~baseline families rows) then exit 1)
+    baseline

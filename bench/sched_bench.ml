@@ -5,8 +5,9 @@
    retired binary heap [Engine.Ref_heap] — and timed in the same
    process run.  The regression metric is the wheel/heap {e speedup
    ratio}, not absolute nanoseconds: the ratio is stable across
-   machines and CI runners, so BENCH_PR3.json commits a meaningful
-   baseline where raw timings would not be.
+   machines and CI runners, so the committed sched rows of
+   bench/baseline.json are a meaningful baseline where raw timings
+   would not be.
 
    The scenarios deliberately stress what the wheel fixed:
    - [probe_storm]: timeout-heavy — nearly every timeout is cancelled
@@ -147,204 +148,40 @@ end
 module Wheel_runs = Scenarios (Engine.Sim)
 module Heap_runs = Scenarios (Engine.Ref_heap)
 
-type result = {
-  name : string;
-  size : string; (* "full" or "quick" — speedups differ systematically
-                    with workload size, so the gate only ever compares
-                    same-size runs *)
-  wheel_ns : float;
-  heap_ns : float;
-  speedup : float; (* heap_ns / wheel_ns: > 1 means the wheel is faster *)
-  events : int;
-}
-
-let time_best ~reps f =
-  let best = ref infinity in
-  let first = ref 0 in
-  for i = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    if i = 0 then first := r
-    else if r <> !first then
-      failwith "sched bench: scenario is nondeterministic across reps"
-  done;
-  (!best *. 1e9, !first)
-
-let run_pair ~reps ~name ~size wheel heap =
-  let wheel_ns, wheel_events = time_best ~reps wheel in
-  let heap_ns, heap_events = time_best ~reps heap in
-  if wheel_events <> heap_events then
-    failwith
-      (Printf.sprintf
-         "sched bench %s: wheel and heap disagree (checksums %d vs %d)" name
-         wheel_events heap_events);
-  {
-    name;
-    size;
-    wheel_ns;
-    heap_ns;
-    speedup = heap_ns /. wheel_ns;
-    events = wheel_events;
-  }
-
-let run_all ~quick () =
-  let size = if quick then "quick" else "full" in
+let run ~quick =
+  let size = Harness.Row.size ~quick in
   let reps = if quick then 5 else 3 in
   let conns, rounds = if quick then (2048, 8) else (8192, 20) in
   let arrivals, keepalives = if quick then (150, 4096) else (600, 8192) in
   let batches, batch = if quick then (300, 200) else (1000, 400) in
+  let pair name wheel heap =
+    let wheel_ns, heap_ns, events = Harness.run_pair ~name ~reps wheel heap in
+    Harness.Row.v ~family:"sched" ~name ~size
+      [
+        ("wheel_ns", wheel_ns);
+        ("heap_ns", heap_ns);
+        ("speedup", heap_ns /. wheel_ns);
+        ("events", float_of_int events);
+      ]
+  in
   [
-    run_pair ~reps ~name:"probe_storm" ~size
+    pair "probe_storm"
       (Wheel_runs.probe_storm ~conns ~rounds)
       (Heap_runs.probe_storm ~conns ~rounds);
-    run_pair ~reps ~name:"surge" ~size
+    pair "surge"
       (Wheel_runs.surge ~workers:64 ~arrivals ~keepalives)
       (Heap_runs.surge ~workers:64 ~arrivals ~keepalives);
-    run_pair ~reps ~name:"churn" ~size
+    pair "churn"
       (Wheel_runs.churn ~batches ~batch)
       (Heap_runs.churn ~batches ~batch);
   ]
 
-let print_table results =
-  print_string "\n=== Scheduler benchmarks (wheel vs binary-heap baseline) ===\n";
-  let table =
-    Stats.Table.create ~header:[ "scenario"; "wheel ms"; "heap ms"; "speedup" ]
-  in
-  List.iter
-    (fun r ->
-      Stats.Table.add_row table
-        [
-          r.name;
-          Printf.sprintf "%.2f" (r.wheel_ns /. 1e6);
-          Printf.sprintf "%.2f" (r.heap_ns /. 1e6);
-          Printf.sprintf "%.2fx" r.speedup;
-        ])
-    results;
-  Stats.Table.print table
+(* Each scenario's wheel/heap speedup stays within 10% of the committed
+   same-size baseline's, and probe_storm beats the heap by >= 1.25x
+   outright (the wheel's headline acceptance criterion). *)
+let gates (r : Harness.Row.t) =
+  let open Harness.Gate in
+  v "speedup" (Rel_floor 0.9)
+  :: (if r.name = "probe_storm" then [ v "speedup" (Floor 1.25) ] else [])
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission and the regression gate                                *)
-
-(* Naive substring scanning instead of a JSON dependency: the file
-   format is ours and machine-written, with no nested objects. *)
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go from
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let entry_key ~name ~size = Printf.sprintf "\"name\":\"%s\",\"size\":\"%s\"" name size
-
-(* The raw "{...}" scenario objects of an existing results file. *)
-let file_entries file =
-  match (try Some (read_file file) with Sys_error _ -> None) with
-  | None -> []
-  | Some json -> (
-    match find_sub json "\"scenarios\":[" 0 with
-    | None -> []
-    | Some i -> (
-      let start = i + String.length "\"scenarios\":[" in
-      match find_sub json "]" start with
-      | None -> []
-      | Some stop ->
-        String.sub json start (stop - start)
-        |> String.split_on_char '}'
-        |> List.filter_map (fun s ->
-               let s = String.trim s in
-               let s =
-                 if String.length s > 0 && s.[0] = ',' then
-                   String.sub s 1 (String.length s - 1)
-                 else s
-               in
-               if s = "" then None else Some (s ^ "}"))))
-
-let render_entry r =
-  Printf.sprintf
-    "{%s,\"wheel_ns\":%.0f,\"heap_ns\":%.0f,\"speedup\":%.3f,\"events\":%d}"
-    (entry_key ~name:r.name ~size:r.size)
-    r.wheel_ns r.heap_ns r.speedup r.events
-
-(* Merge with any existing file so one baseline can carry both the
-   full-size and the quick entries (a quick CI run must never be
-   compared against full-size ratios). *)
-let write_json ~file results =
-  let kept =
-    List.filter
-      (fun e ->
-        not
-          (List.exists
-             (fun r -> find_sub e (entry_key ~name:r.name ~size:r.size) 0 <> None)
-             results))
-      (file_entries file)
-  in
-  let oc = open_out file in
-  output_string oc "{\"schema\":\"hermes-sched-bench/1\",\"scenarios\":[";
-  output_string oc (String.concat "," (kept @ List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "sched bench: wrote %s\n" file
-
-let baseline_speedup json ~name ~size =
-  match find_sub json (entry_key ~name ~size) 0 with
-  | None -> None
-  | Some i -> (
-    match find_sub json "\"speedup\":" i with
-    | None -> None
-    | Some j ->
-      let k = j + String.length "\"speedup\":" in
-      let e = ref k in
-      let len = String.length json in
-      while
-        !e < len
-        && match json.[!e] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false
-      do
-        incr e
-      done;
-      float_of_string_opt (String.sub json k (!e - k)))
-
-(* The gate: each scenario's speedup must stay within 10% of the
-   committed same-size baseline's, and probe_storm must beat the heap
-   by >= 1.25x outright (the PR's headline acceptance criterion). *)
-let check ~baseline results =
-  match (try Some (read_file baseline) with Sys_error _ -> None) with
-  | None ->
-    Printf.eprintf "sched bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        (match baseline_speedup json ~name:r.name ~size:r.size with
-        | None ->
-          Printf.eprintf "sched bench: no %s baseline entry for %s\n" r.size
-            r.name;
-          ok := false
-        | Some base ->
-          let floor_ratio = 0.9 *. base in
-          if r.speedup < floor_ratio then begin
-            Printf.eprintf
-              "sched bench REGRESSION: %s (%s) speedup %.2fx < 0.9 * baseline %.2fx\n"
-              r.name r.size r.speedup base;
-            ok := false
-          end);
-        if r.name = "probe_storm" && r.speedup < 1.25 then begin
-          Printf.eprintf
-            "sched bench REGRESSION: probe_storm speedup %.2fx < 1.25x floor\n"
-            r.speedup;
-          ok := false
-        end)
-      results;
-    if !ok then print_string "sched bench: regression gate passed\n";
-    !ok
+let family = Harness.Family.v "sched" run ~gates

@@ -1,4 +1,4 @@
-(* Splice fast-path benchmarks: the PR 9 data-plane numbers.
+(* Splice fast-path benchmarks: the in-kernel splice data-plane numbers.
 
    - [splice_redirect]: one sockmap redirect verdict through the
      closure JIT vs the bytecode interpreter on the same verified
@@ -11,7 +11,7 @@
      dispatch) and a splice-mode device; the columns are simulated LB
      CPU nanoseconds per completed request, so the speedup is the
      proxy-bypass factor itself, not host wall clock.  Long streams
-     must clear 2x — the headline claim BENCH_PR9.json pins; short
+     must clear 2x — the headline claim the splice rows pin; short
      RPCs also win (their per-request cost in this model is dominated
      by the copyin/copyout the splice elides) but carry a looser
      floor, since a handful of sub-KB exchanges amortizes the attach
@@ -19,16 +19,8 @@
 
 module ST = Engine.Sim_time
 
-type result = {
-  name : string;
-  size : string; (* "full" or "quick" — only same-size entries compare *)
-  fast_ns : float; (* splice / JIT cost per op *)
-  base_ns : float; (* proxy / interpreter cost per op *)
-  speedup : float;
-  fast_words : float; (* minor words/op on the fast path; -1 = n/a *)
-  checksum : int;
-}
-
+(* Local to each family on purpose: the timed loops call it per op, and
+   only a same-module definition gets inlined there. *)
 let mix i = (i * 0x61C88647) lxor (i lsr 7)
 
 (* ------------------------------------------------------------------ *)
@@ -126,37 +118,24 @@ let proxy_vs_splice ~name ~axis ~size ~quick =
     run_leg ~mode:Lb.Device.Reuseport ~profile ~quick
   in
   let fast_ns, completed_fast = run_leg ~mode:Lb.Device.Splice ~profile ~quick in
-  {
-    name;
-    size;
-    fast_ns;
-    base_ns;
-    speedup = base_ns /. fast_ns;
-    fast_words = -1.0;
-    checksum = completed_base + completed_fast;
-  }
+  Harness.Row.v ~family:"splice" ~name ~size
+    [
+      ("fast_ns", fast_ns);
+      ("base_ns", base_ns);
+      ("speedup", base_ns /. fast_ns);
+      ("checksum", float_of_int (completed_base + completed_fast));
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ~quick () =
-  let size = if quick then "quick" else "full" in
+let run ~quick =
+  let size = Harness.Row.size ~quick in
   let reps = if quick then 5 else 3 in
   let ops = if quick then 300_000 else 3_000_000 in
   let redirect =
     let fast, base, words = redirect_scenario ~slots:4096 ~ops in
-    let r =
-      Dispatch_bench.run_pair ~reps ~name:"splice_redirect" ~size ~ops ~fast
-        ~base ~words ()
-    in
-    {
-      name = r.Dispatch_bench.name;
-      size = r.Dispatch_bench.size;
-      fast_ns = r.Dispatch_bench.fast_ns;
-      base_ns = r.Dispatch_bench.base_ns;
-      speedup = r.Dispatch_bench.speedup;
-      fast_words = r.Dispatch_bench.fast_words;
-      checksum = r.Dispatch_bench.checksum;
-    }
+    Harness.paired ~family:"splice" ~name:"splice_redirect" ~size ~reps ~ops
+      ~words fast base
   in
   [
     redirect;
@@ -166,127 +145,21 @@ let run_all ~quick () =
       ~axis:Workload.Cases.Long_streaming ~size ~quick;
   ]
 
-let print_table results =
-  print_string "\n=== Splice benchmarks ===\n";
-  let table =
-    Stats.Table.create
-      ~header:[ "scenario"; "fast ns/op"; "base ns/op"; "speedup"; "minor w/op" ]
-  in
-  List.iter
-    (fun r ->
-      Stats.Table.add_row table
-        [
-          r.name;
-          Printf.sprintf "%.1f" r.fast_ns;
-          Printf.sprintf "%.1f" r.base_ns;
-          Printf.sprintf "%.2fx" r.speedup;
-          (if r.fast_words < 0.0 then "n/a"
-           else Printf.sprintf "%.3f" r.fast_words);
-        ])
-    results;
-  Stats.Table.print table
-
-(* ------------------------------------------------------------------ *)
-(* JSON + regression gate (Sched_bench format family)                   *)
-
-let entry_key = Sched_bench.entry_key
-
-let render_entry r =
-  Printf.sprintf
-    "{%s,\"fast_ns\":%.2f,\"base_ns\":%.2f,\"speedup\":%.3f,\"fast_words\":%.3f,\"checksum\":%d}"
-    (entry_key ~name:r.name ~size:r.size)
-    r.fast_ns r.base_ns r.speedup r.fast_words r.checksum
-
-let write_json ~file results =
-  let kept =
-    List.filter
-      (fun e ->
-        not
-          (List.exists
-             (fun r ->
-               Sched_bench.find_sub e (entry_key ~name:r.name ~size:r.size) 0
-               <> None)
-             results))
-      (Sched_bench.file_entries file)
-  in
-  let oc = open_out file in
-  output_string oc "{\"schema\":\"hermes-splice-bench/1\",\"scenarios\":[";
-  output_string oc (String.concat "," (kept @ List.map render_entry results));
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "splice bench: wrote %s\n" file
-
-let baseline_field json ~name ~size ~field =
-  match Sched_bench.find_sub json (entry_key ~name ~size) 0 with
-  | None -> None
-  | Some i -> (
-    let tag = Printf.sprintf "\"%s\":" field in
-    match Sched_bench.find_sub json tag i with
-    | None -> None
-    | Some j ->
-      let k = j + String.length tag in
-      let e = ref k in
-      let len = String.length json in
-      while
-        !e < len
-        &&
-        match json.[!e] with
-        | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr e
-      done;
-      float_of_string_opt (String.sub json k (!e - k)))
-
 (* The gate:
    - every row keeps >= 75% of the committed same-size baseline
      speedup, and holds its absolute floor: the long-streaming
-     proxy-bypass factor is the PR's headline (>= 2x by acceptance;
-     the model actually lands far above), short RPCs must still win,
-     and the JIT must beat the interpreter on the verdict;
+     proxy-bypass factor is the headline (>= 2x; the model actually
+     lands far above), short RPCs must still win, and the JIT must
+     beat the interpreter on the verdict;
    - [splice_redirect] allocates exactly zero minor words per op. *)
-let speedup_floor = function
-  | "splice_redirect" -> 1.5
-  | "proxy_vs_splice_short_rpc" -> 1.2
-  | "proxy_vs_splice_long_stream" -> 2.0
-  | _ -> 0.0
+let gates (r : Harness.Row.t) =
+  let open Harness.Gate in
+  v "speedup" (Rel_floor 0.75)
+  ::
+  (match r.name with
+  | "splice_redirect" -> [ v "speedup" (Floor 1.5); v "fast_words" Zero ]
+  | "proxy_vs_splice_short_rpc" -> [ v "speedup" (Floor 1.2) ]
+  | "proxy_vs_splice_long_stream" -> [ v "speedup" (Floor 2.0) ]
+  | _ -> [])
 
-let check ~baseline results =
-  match
-    (try Some (Sched_bench.read_file baseline) with Sys_error _ -> None)
-  with
-  | None ->
-    Printf.eprintf "splice bench: baseline %s not found\n" baseline;
-    false
-  | Some json ->
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        (match baseline_field json ~name:r.name ~size:r.size ~field:"speedup" with
-        | None ->
-          Printf.eprintf "splice bench: no %s baseline entry for %s\n" r.size
-            r.name;
-          ok := false
-        | Some base ->
-          if r.speedup < 0.75 *. base then begin
-            Printf.eprintf
-              "splice bench REGRESSION: %s (%s) speedup %.2fx < 0.75 * \
-               baseline %.2fx\n"
-              r.name r.size r.speedup base;
-            ok := false
-          end);
-        (let floor = speedup_floor r.name in
-         if r.speedup < floor then begin
-           Printf.eprintf "splice bench REGRESSION: %s speedup %.2fx < %.2fx floor\n"
-             r.name r.speedup floor;
-           ok := false
-         end);
-        if r.name = "splice_redirect" && r.fast_words > 0.0 then begin
-          Printf.eprintf
-            "splice bench REGRESSION: %s allocates %.3f minor words/op (want 0)\n"
-            r.name r.fast_words;
-          ok := false
-        end)
-      results;
-    if !ok then print_string "splice bench: regression gate passed\n";
-    !ok
+let family = Harness.Family.v "splice" run ~gates

@@ -1,5 +1,5 @@
 (* Command-line front end: list and run the paper-reproduction
-   experiments individually (bench/main.exe runs the whole battery). *)
+   experiments, one at a time ([run ID]) or the whole battery ([all]). *)
 
 open Cmdliner
 

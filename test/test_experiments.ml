@@ -1,5 +1,5 @@
 (* Tests for the experiments registry and the fast experiments as
-   integration smoke (the full regeneration lives in bench/main.exe). *)
+   integration smoke (the full regeneration is [hermes_sim all]). *)
 
 let check = Alcotest.check
 
