@@ -170,36 +170,23 @@ let print_table (f : Family.t) rows =
 module Json = struct
   let schema = "hermes-bench/1"
 
-  let quote s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (function
-        | ('"' | '\\') as c -> Buffer.add_string b (Printf.sprintf "\\%c" c)
-        | c when c < ' ' ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-
   (* Shortest of %.15g / %.17g that reads back as the same float. *)
   let number x =
     let s = Printf.sprintf "%.15g" x in
     if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
   let render_row (r : Row.t) =
-    let field (k, v) = quote k ^ ":" ^ v in
+    let field (k, v) = Trace.json_string k ^ ":" ^ v in
     "{"
     ^ String.concat ","
         (List.map
-           (fun (k, v) -> field (k, quote v))
+           (fun (k, v) -> field (k, Trace.json_string v))
            [ ("family", r.family); ("name", r.name); ("size", r.size) ]
         @ List.map (fun (k, x) -> field (k, number x)) r.metrics)
     ^ "}"
 
   let to_string rows =
-    Printf.sprintf "{\"schema\":%s,\"rows\":[%s\n]}\n" (quote schema)
+    Printf.sprintf "{\"schema\":%s,\"rows\":[%s\n]}\n" (Trace.json_string schema)
       (String.concat "," (List.map (fun r -> "\n" ^ render_row r) rows))
 
   type value =
@@ -236,6 +223,16 @@ module Json = struct
         | '"' -> Buffer.contents b
         | '\\' when !pos < n && String.contains "\"\\/" s.[!pos] ->
           Buffer.add_char b s.[!pos];
+          incr pos;
+          go ()
+        | '\\' when !pos < n && String.contains "bfnrt" s.[!pos] ->
+          Buffer.add_char b
+            (match s.[!pos] with
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | 'n' -> '\n'
+            | 'r' -> '\r'
+            | _ -> '\t');
           incr pos;
           go ()
         | '\\' when !pos + 4 < n && s.[!pos] = 'u' -> (

@@ -16,26 +16,16 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* The one trace-file writer: [f] gets the [--trace] file's sink, if
+   any, and must close it. *)
+let with_trace_file file f =
+  match Option.map Trace.file_sink file with
+  | exception Sys_error msg -> `Error (false, "cannot open trace file: " ^ msg)
+  | sink -> f sink
+
 let with_trace file f =
-  match file with
-  | None ->
-    f ();
-    `Ok ()
-  | Some path ->
-    (match open_out_bin path with
-    | exception Sys_error msg ->
-      `Error (false, Printf.sprintf "cannot open trace file: %s" msg)
-    | oc ->
-      let sink =
-        if Filename.check_suffix path ".bin" then Trace.Binary.sink oc
-        else Trace.jsonl_sink oc
-      in
-      Trace.install sink;
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.uninstall ();
-          close_out oc)
-        f;
+  with_trace_file file (fun sink ->
+      (match sink with None -> f () | Some s -> Trace.with_sink s f);
       `Ok ())
 
 let list_cmd =
@@ -335,14 +325,10 @@ let chaos_cmd =
         | Error problems ->
           `Error (false, "plan lint: " ^ String.concat "; " problems)
         | Ok () ->
-          let capture, finish =
-            match trace with
-            | None -> (None, fun () -> ())
-            | Some path ->
-              let oc = open_out path in
-              ( Some (fun r -> output_string oc (Trace.json_of_record r ^ "\n")),
-                fun () -> close_out oc )
-          in
+          with_trace_file trace @@ fun sink ->
+          (* Each run's own stream, [seq] from 0, exactly as its
+             monitors see it. *)
+          let capture = Option.map (fun s -> s.Trace.write) sink in
           let failures = ref [] in
           List.iter
             (fun mode ->
@@ -359,7 +345,7 @@ let chaos_cmd =
               if outcome.Faults.Chaos.monitor.Faults.Monitor.violations <> []
               then failures := outcome.Faults.Chaos.label :: !failures)
             modes;
-          finish ();
+          Option.iter (fun s -> s.Trace.close ()) sink;
           (match !failures with
           | [] -> `Ok ()
           | fs ->
@@ -467,6 +453,7 @@ let cluster_cmd =
       match (parse_single_mode mode_name, plan) with
       | Error e, _ | _, Error e -> `Error (false, e)
       | Ok mode, Ok plan ->
+        with_trace_file trace @@ fun sink ->
         let module ST = Engine.Sim_time in
         let sim = Engine.Sim.create () in
         let rng = Engine.Rng.create seed in
@@ -475,7 +462,7 @@ let cluster_cmd =
           Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
             ~shards
             ?lookahead:(Option.map ST.us lookahead_us)
-            ?trace_capacity:(if trace = None then None else Some 262144)
+            ?trace_capacity:(Option.map (fun _ -> 262144) sink)
             ()
         in
         Fun.protect
@@ -526,14 +513,11 @@ let cluster_cmd =
             let wall = Unix.gettimeofday () -. t0 in
             let records = Cluster.Lb_cluster.merged_trace cluster in
             let drops = Cluster.Lb_cluster.trace_drops cluster in
-            (match trace with
-            | None -> ()
-            | Some path ->
-              let oc = open_out path in
-              List.iter
-                (fun r -> output_string oc (Trace.json_of_record r ^ "\n"))
-                records;
-              close_out oc);
+            Option.iter
+              (fun s ->
+                List.iter s.Trace.write records;
+                s.Trace.close ())
+              sink;
             (* Everything on stdout is deterministic in the logical
                decomposition; wall-clock goes to stderr so shard-count
                sweeps can diff stdout too. *)
@@ -557,15 +541,15 @@ let cluster_cmd =
               `Error
                 ( false,
                   Printf.sprintf
-                    "trace ring overflowed (%d drops); the JSONL trace is \
+                    "trace ring overflowed (%d drops); the trace file is \
                      truncated"
                     drops )
             else `Ok ())
   in
   let doc =
-    "Run a sharded multi-device cluster simulation; the merged JSONL \
-     trace and the stdout summary are byte-identical for every \
-     $(b,--shards) value."
+    "Run a sharded multi-device cluster simulation; the merged trace \
+     and the stdout summary are byte-identical for every $(b,--shards) \
+     value."
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
@@ -642,20 +626,6 @@ let mcheck_cmd =
        (the CI artifact)."
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
   in
   let run scenarios seeded check max_interleavings max_steps preemption_bound
       no_dpor json_file =
@@ -746,17 +716,17 @@ let mcheck_cmd =
           (fun i ((sc : Mcheck.Scenarios.t), (o : Mcheck.Model.outcome), pass,
                   reason, wall) ->
             Printf.fprintf oc
-              "  {\"scenario\": \"%s\", \"seeded\": %b, \"pass\": %b, \
-               \"reason\": \"%s\", \"executions\": %d, \"pruned\": %d, \
+              "  {\"scenario\": %s, \"seeded\": %b, \"pass\": %b, \
+               \"reason\": %s, \"executions\": %d, \"pruned\": %d, \
                \"steps\": %d, \"max_depth\": %d, \"races\": %d, \
                \"counterexample\": %s, \"budget_exhausted\": %b, \
                \"bounded\": %b, \"wall_s\": %.3f}%s\n"
-              (json_escape sc.name) sc.bug pass (json_escape reason)
+              (Trace.json_string sc.name) sc.bug pass (Trace.json_string reason)
               o.executions o.prunes o.steps_total o.max_depth
               (List.length o.races)
               (match o.counterexample with
               | None -> "null"
-              | Some c -> Printf.sprintf "\"%s\"" (json_escape c.kind))
+              | Some c -> Trace.json_string c.kind)
               o.budget_exhausted o.bounded wall
               (if i = List.length results - 1 then "" else ",");
             ())
@@ -808,19 +778,16 @@ let trace_dump_cmd =
          & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let run file format =
-    let render =
-      match format with
-      | `Jsonl -> Trace.json_of_record
-      | `Text -> Trace.render
+    let sink =
+      (match format with `Jsonl -> Trace.jsonl_sink | `Text -> Trace.text_sink) stdout
     in
     match
       let ic = open_in_bin file in
       Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          Trace.Binary.iter_channel ic (fun r ->
-              print_string (render r);
-              print_newline ()))
+        ~finally:(fun () ->
+          close_in ic;
+          sink.Trace.close ())
+        (fun () -> Trace.Binary.iter_channel ic sink.Trace.write)
     with
     | () -> `Ok ()
     | exception Sys_error msg -> `Error (false, msg)

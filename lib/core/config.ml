@@ -23,7 +23,7 @@ module Mode = struct
   let names = List.map to_string all
 end
 
-type filter = By_time | By_conn | By_event
+type filter = Trace.stage = By_time | By_conn | By_event
 
 type t = {
   avail_threshold : Engine.Sim_time.t;
@@ -50,15 +50,10 @@ let default =
     kernel_jit = false;
   }
 
-let filter_name = function
-  | By_time -> "time"
-  | By_conn -> "conn"
-  | By_event -> "event"
-
 let pp fmt t =
   Format.fprintf fmt
     "{thr=%a theta=%.2f min_sel=%d timeout=%a max_ev=%d order=[%s] at_end=%b vm=%b jit=%b}"
     Engine.Sim_time.pp t.avail_threshold t.theta_ratio t.min_selected
     Engine.Sim_time.pp t.epoll_timeout t.max_events
-    (String.concat ";" (List.map filter_name t.filter_order))
+    (String.concat ";" (List.map Trace.stage_name t.filter_order))
     t.schedule_at_loop_end t.kernel_bytecode t.kernel_jit

@@ -35,7 +35,8 @@ module Mode : sig
   (** [List.map to_string all]. *)
 end
 
-type filter = By_time | By_conn | By_event
+type filter = Trace.stage = By_time | By_conn | By_event
+(** An Algo 1 filter stage; traces name the stage the scheduler ran. *)
 
 type t = {
   avail_threshold : Engine.Sim_time.t;

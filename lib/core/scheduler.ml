@@ -77,21 +77,21 @@ module Ref = struct
           filter_time ~threshold:config.avail_threshold ~now ~times:snapshot.times mask;
           after_time := count_live mask;
           if Trace.enabled () then
-            trace_stage "time" ~cutoff:(float_of_int config.avail_threshold) mask
+            trace_stage filter ~cutoff:(float_of_int config.avail_threshold) mask
         | Config.By_conn ->
           let cutoff =
             filter_count_cutoff ~theta_ratio:config.theta_ratio ~values:snapshot.conns
               mask
           in
           if Trace.enabled () then
-            trace_stage "conn" ~cutoff:(Option.value cutoff ~default:0.0) mask
+            trace_stage filter ~cutoff:(Option.value cutoff ~default:0.0) mask
         | Config.By_event ->
           let cutoff =
             filter_count_cutoff ~theta_ratio:config.theta_ratio ~values:snapshot.events
               mask
           in
           if Trace.enabled () then
-            trace_stage "event" ~cutoff:(Option.value cutoff ~default:0.0) mask)
+            trace_stage filter ~cutoff:(Option.value cutoff ~default:0.0) mask)
       config.filter_order;
     let bitmap = mask_bits mask in
     let passed = count_live mask in
@@ -245,19 +245,17 @@ let rec run_stages s ~(config : Config.t) ~now stages =
         Trace.emit
           (Trace.Sched_filter
              {
-               stage = "time";
+               stage;
                cutoff = float_of_int config.avail_threshold;
                survivors = bitmap_of s;
                live = s.at;
              })
     | Config.By_conn ->
       filter_count_into s ~theta_ratio:config.theta_ratio s.conns;
-      if Trace.enabled () then
-        trace_count_stage s ~theta_ratio:config.theta_ratio ~stage:"conn"
+      if Trace.enabled () then trace_count_stage s ~theta_ratio:config.theta_ratio ~stage
     | Config.By_event ->
       filter_count_into s ~theta_ratio:config.theta_ratio s.events;
-      if Trace.enabled () then
-        trace_count_stage s ~theta_ratio:config.theta_ratio ~stage:"event");
+      if Trace.enabled () then trace_count_stage s ~theta_ratio:config.theta_ratio ~stage);
     run_stages s ~config ~now rest
 
 let run s ~(config : Config.t) ~wst ~now =

@@ -15,7 +15,8 @@
     boxed payload per entry in a flat ['a array] slot store with a
     free list, so the open/close hot path allocates {e zero} minor
     words once the table has reached its working size
-    (see [bench/conn_bench.ml], gated in BENCH_PR8.json).
+    (see [bench/conn_bench.ml], gated by the [conn] rows of
+    [bench/baseline.json]).
 
     Layout: an open-addressing index (linear probing, power-of-two
     capacity, backward-shift deletion) maps a positive int key to a

@@ -8,7 +8,7 @@
       and demands identical [(time, seq)] firing order; and
     - the scheduler benchmarks ([bench/main.exe]) measure the wheel's
       speedup against this baseline {e in the same run}, which is what
-      [BENCH_PR3.json]'s regression gate compares.
+      the [sched] rows of [bench/baseline.json] gate.
 
     It deliberately retains the old cancellation behaviour — [cancel]
     only flips a flag, so the action closure and heap slot leak until

@@ -48,8 +48,9 @@ type outcome = {
 val run : ?capture:(Trace.record -> unit) -> ?plan:Plan.t -> config -> outcome
 (** Execute one chaos run.  [capture] sees every trace record (after
     the monitors), e.g. to tee the stream to a file or hash it for
-    replay comparison.  Installs its own trace sink for the duration
-    (replacing any active one) and uninstalls on exit. *)
+    replay comparison.  Records through its own sink for the duration
+    ({!Trace.with_sink}): an already installed sink keeps receiving
+    the run's records and stays installed. *)
 
 val print_outcome : outcome -> unit
 (** Human-readable summary: headline numbers, one line per exclusion

@@ -47,7 +47,7 @@ let fire ~device (entry : Plan.entry) =
   | Plan.Recover { worker } ->
     Device.recover_worker device worker;
     (* The matching end of the [crash] window, for the monitors. *)
-    emit_clear ~fault:"crash" ~worker
+    emit_clear ~fault:Trace.Crash ~worker
   | Plan.Hang { worker; duration } | Plan.Gc_pause { worker; duration } ->
     stall ~device ~worker ~cost:duration;
     clear_after duration (fun () -> ())

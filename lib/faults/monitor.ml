@@ -18,7 +18,7 @@ let default_config =
   }
 
 type exclusion = {
-  fault : string;
+  fault : Trace.fault;
   worker : int;
   injected_at : Sim_time.t;
   deadline : Sim_time.t;
@@ -112,7 +112,7 @@ let observe t (r : Trace.record) =
       Hashtbl.replace t.active_excl worker excl;
       t.all_excl <- excl :: t.all_excl
     end;
-    if fault = "ebpf_fail" then
+    if fault = Trace.Ebpf_fail then
       t.fallbacks <-
         {
           failed_at = r.time;
@@ -131,7 +131,7 @@ let observe t (r : Trace.record) =
          excl.cleared_at <- Some r.time;
          Hashtbl.remove t.active_excl worker
        | _ -> ());
-    if fault = "ebpf_fail" then
+    if fault = Trace.Ebpf_fail then
       Option.iter
         (fun fb -> if fb.restored_at = None then fb.restored_at <- Some r.time)
         (current_fallback t)
@@ -223,7 +223,7 @@ let finalize t ~device =
     (fun e ->
       if enforceable e && e.late_dispatches > 0 then
         add "worker %d got %d dispatches past the staleness deadline (%s at %s)"
-          e.worker e.late_dispatches e.fault
+          e.worker e.late_dispatches (Trace.fault_name e.fault)
           (Sim_time.to_string e.injected_at))
     exclusions;
   let fallbacks = List.rev t.fallbacks in
@@ -270,7 +270,8 @@ let pp_report ppf r =
         | None -> "none seen"
       in
       Format.fprintf ppf
-        "%s worker=%d at %s: last dispatch within %s, %d late%s%s@," e.fault
+        "%s worker=%d at %s: last dispatch within %s, %d late%s%s@,"
+        (Trace.fault_name e.fault)
         e.worker
         (Sim_time.to_string e.injected_at)
         converged e.late_dispatches
@@ -282,8 +283,9 @@ let pp_report ppf r =
   List.iter
     (fun fb ->
       Format.fprintf ppf
-        "ebpf_fail at %s: %d prog selects before fallback, %d hash selects, \
+        "%s at %s: %d prog selects before fallback, %d hash selects, \
          recovery %s@,"
+        (Trace.fault_name Trace.Ebpf_fail)
         (Sim_time.to_string fb.failed_at)
         fb.prog_before_engage fb.hash_selects
         (match fb.restored_at with

@@ -56,7 +56,7 @@ val default_config : config
     fallback bound 1, exclusion and fallback enforced. *)
 
 type exclusion = {
-  fault : string;
+  fault : Trace.fault;
   worker : int;
   injected_at : Engine.Sim_time.t;
   deadline : Engine.Sim_time.t;  (** injected_at + window + slack *)

@@ -17,26 +17,19 @@ type action =
 type entry = { at : Sim_time.t; action : action }
 type t = entry list
 
-let kind = function
-  | Crash _ -> "crash"
-  | Isolate _ -> "isolate"
-  | Recover _ -> "recover"
-  | Hang _ -> "hang"
-  | Gc_pause _ -> "gc_pause"
-  | Slowdown _ -> "slowdown"
-  | Wst_stall _ -> "wst_stall"
-  | Map_sync_delay _ -> "map_sync_delay"
-  | Ebpf_fail _ -> "ebpf_fail"
-  | Probe_loss _ -> "probe_loss"
-  | Accept_overflow _ -> "accept_overflow"
-  | Splice_desync _ -> "splice_desync"
-
-let kinds =
-  [
-    "crash"; "isolate"; "recover"; "hang"; "gc_pause"; "slowdown";
-    "wst_stall"; "map_sync_delay"; "ebpf_fail"; "probe_loss";
-    "accept_overflow"; "splice_desync";
-  ]
+let kind : action -> Trace.fault = function
+  | Crash _ -> Crash
+  | Isolate _ -> Isolate
+  | Recover _ -> Recover
+  | Hang _ -> Hang
+  | Gc_pause _ -> Gc_pause
+  | Slowdown _ -> Slowdown
+  | Wst_stall _ -> Wst_stall
+  | Map_sync_delay _ -> Map_sync_delay
+  | Ebpf_fail _ -> Ebpf_fail
+  | Probe_loss _ -> Probe_loss
+  | Accept_overflow _ -> Accept_overflow
+  | Splice_desync _ -> Splice_desync
 
 let worker_of = function
   | Crash { worker }
@@ -64,9 +57,11 @@ let duration_of = function
   | Splice_desync { duration; _ } ->
     Some duration
 
-let stops_availability = function
-  | "crash" | "hang" | "gc_pause" | "wst_stall" -> true
-  | _ -> false
+let stops_availability : Trace.fault -> bool = function
+  | Crash | Hang | Gc_pause | Wst_stall -> true
+  | Isolate | Recover | Slowdown | Map_sync_delay | Ebpf_fail | Probe_loss
+  | Accept_overflow | Splice_desync ->
+    false
 
 (* Text format *)
 
@@ -86,7 +81,8 @@ let parse_time s =
   in
   let with_unit mult digits =
     match int_of_string_opt digits with
-    | Some v when v >= 0 -> Ok (v * mult)
+    | Some v when v >= 0 && v <= max_int / mult -> Ok (v * mult)
+    | Some v when v >= 0 -> Error (Printf.sprintf "time %S out of range" s)
     | _ -> Error (Printf.sprintf "bad time %S" s)
   in
   (* "ns"/"us"/"ms" before "s": "ms" also ends in "s". *)
@@ -123,7 +119,7 @@ let entry_to_string { at; action } =
     | Ebpf_fail { duration } | Probe_loss { duration } ->
       Printf.sprintf "duration=%s" (time duration)
   in
-  Printf.sprintf "at %s %s %s" (time at) (kind action) args
+  Printf.sprintf "at %s %s %s" (time at) (Trace.fault_name (kind action)) args
 
 let to_string plan =
   String.concat "" (List.map (fun e -> entry_to_string e ^ "\n") plan)
@@ -176,52 +172,52 @@ let parse_entry ~line s =
           in
           let ( let* ) r f = match r with Ok v -> f v | Error e -> fail "%s" e in
           let action =
-            match kind_tok with
-            | "crash" ->
+            match Trace.fault_of_name kind_tok with
+            | Some Crash ->
               let* worker = int_arg "worker" in
               Ok (Crash { worker })
-            | "isolate" ->
+            | Some Isolate ->
               let* worker = int_arg "worker" in
               Ok (Isolate { worker })
-            | "recover" ->
+            | Some Recover ->
               let* worker = int_arg "worker" in
               Ok (Recover { worker })
-            | "hang" ->
+            | Some Hang ->
               let* worker = int_arg "worker" in
               let* duration = time_arg "duration" in
               Ok (Hang { worker; duration })
-            | "gc_pause" ->
+            | Some Gc_pause ->
               let* worker = int_arg "worker" in
               let* duration = time_arg "duration" in
               Ok (Gc_pause { worker; duration })
-            | "slowdown" ->
+            | Some Slowdown ->
               let* worker = int_arg "worker" in
               let* factor = int_arg "factor" in
               let* duration = time_arg "duration" in
               Ok (Slowdown { worker; factor; duration })
-            | "wst_stall" ->
+            | Some Wst_stall ->
               let* worker = int_arg "worker" in
               let* duration = time_arg "duration" in
               Ok (Wst_stall { worker; duration })
-            | "map_sync_delay" ->
+            | Some Map_sync_delay ->
               let* delay = time_arg "delay" in
               let* duration = time_arg "duration" in
               Ok (Map_sync_delay { delay; duration })
-            | "ebpf_fail" ->
+            | Some Ebpf_fail ->
               let* duration = time_arg "duration" in
               Ok (Ebpf_fail { duration })
-            | "probe_loss" ->
+            | Some Probe_loss ->
               let* duration = time_arg "duration" in
               Ok (Probe_loss { duration })
-            | "accept_overflow" ->
+            | Some Accept_overflow ->
               let* worker = int_arg "worker" in
               let* duration = time_arg "duration" in
               Ok (Accept_overflow { worker; duration })
-            | "splice_desync" ->
+            | Some Splice_desync ->
               let* worker = int_arg "worker" in
               let* duration = time_arg "duration" in
               Ok (Splice_desync { worker; duration })
-            | k -> fail "unknown fault kind %S" k
+            | None -> fail "unknown fault kind %S" kind_tok
           in
           (match action with
           | Ok action -> Ok { at; action }
@@ -255,7 +251,7 @@ let lint ~workers plan =
   let add fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   List.iter
     (fun e ->
-      let k = kind e.action in
+      let k = Trace.fault_name (kind e.action) in
       (match worker_of e.action with
       | Some w when w < 0 || w >= workers ->
         add "at %s: %s targets unknown worker %d (device has %d: ids 0..%d)"
@@ -267,10 +263,10 @@ let lint ~workers plan =
       | _ -> ());
       match e.action with
       | Slowdown { factor; _ } when factor < 2 ->
-        add "at %s: slowdown factor must be at least 2 (got %d)"
-          (time_to_string e.at) factor
+        add "at %s: %s factor must be at least 2 (got %d)" (time_to_string e.at) k
+          factor
       | Map_sync_delay { delay; _ } when delay <= 0 ->
-        add "at %s: map_sync_delay needs a positive delay" (time_to_string e.at)
+        add "at %s: %s needs a positive delay" (time_to_string e.at) k
       | _ -> ())
     plan;
   match List.rev !problems with [] -> Ok () | ps -> Error ps

@@ -69,23 +69,20 @@ type action =
 type entry = { at : Engine.Sim_time.t; action : action }
 type t = entry list
 
-val kind : action -> string
-(** Stable fault-class name as it appears in {!Trace.Fault_inject}
-    records and plan files: ["crash"], ["hang"], ["wst_stall"], … *)
+val kind : action -> Trace.fault
+(** The action's fault class, as {!Trace.Fault_inject} records carry
+    it; {!Trace.fault_name} is its plan-file name. *)
 
 val worker_of : action -> int option
 (** The targeted worker; [None] for device-wide faults. *)
 
 val duration_of : action -> Engine.Sim_time.t option
 
-val stops_availability : string -> bool
-(** Whether the named fault class freezes the victim's WST
-    availability timestamp — i.e. the Algo 1 time filter must exclude
-    the worker within one staleness window.  True for ["crash"],
-    ["hang"], ["gc_pause"] and ["wst_stall"]. *)
-
-val kinds : string list
-(** All fault-class names, plan-file order. *)
+val stops_availability : Trace.fault -> bool
+(** Whether the fault class freezes the victim's WST availability
+    timestamp — i.e. the Algo 1 time filter must exclude the worker
+    within one staleness window.  True for [Crash], [Hang], [Gc_pause]
+    and [Wst_stall]. *)
 
 (** {1 Text format} *)
 
@@ -97,7 +94,9 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse a whole plan file.  Errors carry the 1-based line number.
-    Entries are returned sorted by [at] (stable). *)
+    Entries are returned sorted by [at] (stable).  A time whose value
+    does not fit in a nanosecond count is an error, not a wrapped
+    value. *)
 
 val load : string -> (t, string) result
 (** [parse] of a file's contents; [Error] on unreadable files too. *)

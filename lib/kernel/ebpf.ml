@@ -249,11 +249,11 @@ let rec eval_ret ctx env cycles = function
       if c < 0 || c > copy_limit then raise Fault;
       Redirected { conn = e.conn; target = e.target; copy = c })
 
-let outcome_name = function
-  | Selected _ -> "select"
-  | Fell_back -> "fallback"
-  | Dropped -> "drop"
-  | Redirected _ -> "redirect"
+let trace_outcome = function
+  | Selected _ -> Trace.Select
+  | Fell_back -> Trace.Fallback
+  | Dropped -> Trace.Drop
+  | Redirected _ -> Trace.Redirect
 
 let run v ctx =
   let cycles = ref 0 in
@@ -268,7 +268,7 @@ let run v ctx =
          {
            prog = v.vname;
            flow_hash = ctx.flow_hash;
-           outcome = outcome_name outcome;
+           outcome = trace_outcome outcome;
            cycles = !cycles;
          });
   (outcome, !cycles)

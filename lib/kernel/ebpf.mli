@@ -96,9 +96,8 @@ type outcome =
           owner [target], with [copy] payload bytes copied up to
           userspace for inspection *)
 
-val outcome_name : outcome -> string
-(** "select" / "fallback" / "drop" / "redirect" — the trace
-    rendering. *)
+val trace_outcome : outcome -> Trace.outcome
+(** The verdict a {!Trace.Prog_run} record carries. *)
 
 val run : verified -> ctx -> outcome * int
 (** Execute; the second component is the cycle estimate.  A runtime

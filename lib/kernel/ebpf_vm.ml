@@ -693,7 +693,7 @@ let emit_run (ctx : Ebpf.ctx) outcome cycles =
          {
            prog = "bytecode";
            flow_hash = ctx.Ebpf.flow_hash;
-           outcome = Ebpf.outcome_name outcome;
+           outcome = Ebpf.trace_outcome outcome;
            cycles;
          })
 

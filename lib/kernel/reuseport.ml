@@ -105,8 +105,6 @@ let live_count t = Bitops.popcount64 t.live_bm
 let live_bitmap t = t.live_bm
 
 let attach_ebpf t prog = t.prog <- Some (Ast prog)
-let attach_vm t prog = t.prog <- Some (Vm prog)
-let attach_jit t prog = t.prog <- Some (Jit (Ebpf_jit.compile prog))
 
 (* SO_ATTACH_REUSEPORT_EBPF proper: raw bytecode goes through the
    abstract-interpretation verifier at attach time, and only a
@@ -161,9 +159,7 @@ let fallback_select t ~flow_hash =
   end
 
 let emit_prog_run ~prog ~flow_hash ~outcome ~cycles =
-  Trace.emit
-    (Trace.Prog_run
-       { prog; flow_hash; outcome = Ebpf.outcome_name outcome; cycles })
+  Trace.emit (Trace.Prog_run { prog; flow_hash; outcome; cycles })
 
 let select t ~flow_hash =
   match t.prog with
@@ -182,8 +178,7 @@ let select t ~flow_hash =
         t.by_prog <- t.by_prog + 1;
         t.cyc_select <- t.cyc_select + cycles;
         if Trace.enabled () then begin
-          emit_prog_run ~prog:"jit" ~flow_hash ~outcome:(Ebpf.Selected sock)
-            ~cycles;
+          emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Select ~cycles;
           Trace.emit
             (Trace.Rp_select
                {
@@ -198,7 +193,7 @@ let select t ~flow_hash =
       t.drop_count <- t.drop_count + 1;
       t.cyc_drop <- t.cyc_drop + cycles;
       if Trace.enabled () then begin
-        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Ebpf.Dropped ~cycles;
+        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Drop ~cycles;
         Trace.emit (Trace.Rp_drop { port = t.group_port; flow_hash })
       end;
       None
@@ -206,7 +201,7 @@ let select t ~flow_hash =
     else begin
       t.cyc_fallback <- t.cyc_fallback + cycles;
       if Trace.enabled () then
-        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Ebpf.Fell_back ~cycles;
+        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Fallback ~cycles;
       fallback_select t ~flow_hash
     end
   | Some ((Ast _ | Vm _) as prog) -> (

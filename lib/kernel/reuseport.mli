@@ -49,14 +49,6 @@ val attach_ebpf : t -> Ebpf.verified -> unit
 (** Attach / replace the selection program (expression-interpreter
     backend). *)
 
-val attach_vm : t -> Ebpf_vm.verified -> unit
-(** Attach compiled bytecode instead — same semantics, executed by the
-    register VM of {!Ebpf_vm}. *)
-
-val attach_jit : t -> Ebpf_vm.verified -> unit
-(** Attach certified bytecode closure-compiled by {!Ebpf_jit} — same
-    semantics again, but the per-packet run allocates nothing. *)
-
 val attach :
   ?jit:bool -> t -> name:string -> Ebpf_vm.program -> (unit, Verifier.error) result
 (** [SO_ATTACH_REUSEPORT_EBPF] proper: run raw bytecode through

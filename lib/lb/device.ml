@@ -197,7 +197,7 @@ let handle_request_done t conn req =
 (* Removing an entry resets its payload to the dummy, so the callbacks
    must be read out before the remove. *)
 let handle_closed t conn =
-  splice_teardown t ~conn:conn.Conn.id ~reason:"close";
+  splice_teardown t ~conn:conn.Conn.id ~reason:Trace.By_close;
   let slot = meta_slot t conn in
   if slot >= 0 then begin
     let events = Conn_table.payload t.metas slot in
@@ -206,7 +206,7 @@ let handle_closed t conn =
   end
 
 let handle_reset t conn =
-  splice_teardown t ~conn:conn.Conn.id ~reason:"reset";
+  splice_teardown t ~conn:conn.Conn.id ~reason:Trace.By_reset;
   if conn.Conn.tenant_id >= 0 then t.reset_count <- t.reset_count + 1;
   let slot = meta_slot t conn in
   if slot >= 0 then begin
@@ -613,7 +613,7 @@ let splice_sweep t ~worker ~reason =
 let isolate_worker t w =
   if not t.isolated.(w) then begin
     t.isolated.(w) <- true;
-    splice_sweep t ~worker:w ~reason:"isolate";
+    splice_sweep t ~worker:w ~reason:Trace.By_isolate;
     (match t.hermes_rt with
     | Some rt -> Hermes.Runtime.mark_dead rt ~worker:w
     | None -> ());
@@ -648,7 +648,7 @@ let recover_worker t w =
   (* Before the restart resets its connections: a restarted process
      has fresh sockets, so any surviving sockmap entry is stale by
      definition. *)
-  splice_sweep t ~worker:w ~reason:"restart";
+  splice_sweep t ~worker:w ~reason:Trace.By_restart;
   Worker.restart t.workers_arr.(w);
   if t.isolated.(w) then begin
     t.isolated.(w) <- false;

@@ -26,6 +26,31 @@ type column = Avail | Busy | Conn  (** WST row written *)
 
 type io = Accept_io | Read_io  (** epoll readiness kind *)
 
+type stage = By_time | By_conn | By_event
+(** Algo 1 filter stage: staleness, connection count, pending events. *)
+
+type outcome = Select | Fallback | Drop | Redirect
+(** eBPF program verdict. *)
+
+type teardown = By_close | By_reset | By_restart | By_isolate
+(** Why userspace removed a sockmap entry: the connection closed or
+    was reset, or its worker restarted or was isolated. *)
+
+(** The fault class of a fault-plan action. *)
+type fault =
+  | Crash | Isolate | Recover | Hang | Gc_pause | Slowdown | Wst_stall | Map_sync_delay
+  | Ebpf_fail | Probe_loss | Accept_overflow | Splice_desync
+
+val stage_name : stage -> string
+(** ["time"], ["conn"], ["event"]. *)
+
+val fault_name : fault -> string
+(** The stable fault-class name used in traces and plan files:
+    ["crash"], ["hang"], ["wst_stall"], ["ebpf_fail"], … *)
+
+val fault_of_name : string -> fault option
+(** Inverse of {!fault_name}. *)
+
 type event =
   | Wq_wake of { policy : policy; queue : int list; woken : int list; steps : int }
       (** One wait-queue traversal: the queue snapshot before the walk
@@ -34,18 +59,16 @@ type event =
   | Epoll_dispatch of { worker : int; events : (int * io * int) list }
       (** A non-empty [epoll_wait] batch handed to a worker:
           (fd, kind, units) in delivery order. *)
-  | Sched_filter of { stage : string; cutoff : float; survivors : int64; live : int }
-      (** One stage of the Algo 1 cascade ("time", "conn" or "event"):
-          the cutoff applied (staleness threshold in ns, or
+  | Sched_filter of { stage : stage; cutoff : float; survivors : int64; live : int }
+      (** One stage of the Algo 1 cascade: the cutoff applied (staleness threshold in ns, or
           [avg + θ]) and the surviving-worker mask after the stage. *)
   | Sched_result of { bitmap : int64; passed : int; total : int; after_time : int }
       (** The cascade's final bitmap, as pushed to the kernel. *)
   | Map_update of { map : string; key : int; value : int64 }
       (** A bpf() map-update syscall — the bitmap push of Fig. 9
           line 20. *)
-  | Prog_run of { prog : string; flow_hash : int; outcome : string; cycles : int }
-      (** One eBPF dispatch-program execution; [outcome] is "select",
-          "fallback" or "drop". *)
+  | Prog_run of { prog : string; flow_hash : int; outcome : outcome; cycles : int }
+      (** One eBPF dispatch-program execution and its verdict. *)
   | Rp_select of { port : int; flow_hash : int; via : via; slot : int }
       (** Reuseport socket selection for one SYN: the winning member
           slot and whether the program or the default hash chose it. *)
@@ -74,13 +97,12 @@ type event =
           [visited] counts abstract instruction visits, [proved] the
           fault sites discharged statically and [residual] those left
           as runtime checks.  [reason] is empty on acceptance. *)
-  | Fault_inject of { fault : string; worker : int; arg : int }
-      (** A fault-plan injection fired: [fault] is the fault-class name
-          (["crash"], ["hang"], ["wst_stall"], ["ebpf_fail"], …),
+  | Fault_inject of { fault : fault; worker : int; arg : int }
+      (** A fault-plan injection fired: [fault] is the fault class,
           [worker] the target ([-1] for device-wide faults), [arg] a
           class-specific parameter (duration in ns, delay, …).  The
           invariant monitors key their windows off these events. *)
-  | Fault_clear of { fault : string; worker : int }
+  | Fault_clear of { fault : fault; worker : int }
       (** The matching end of a bounded-duration injection (or an
           explicit recovery action). *)
   | Splice_attach of { conn : int; worker : int; key : int }
@@ -91,9 +113,8 @@ type event =
       (** One payload chunk forwarded by the kernel splice path
           ([bytes] total, of which [copied] were selectively copied up
           to userspace) — the userspace proxy never saw it. *)
-  | Splice_teardown of { conn : int; worker : int; key : int; reason : string }
-      (** Userspace removed a sockmap entry; [reason] is ["close"],
-          ["reset"], ["restart"] or ["isolate"].  After this event no
+  | Splice_teardown of { conn : int; worker : int; key : int; reason : teardown }
+      (** Userspace removed a sockmap entry.  After this event no
           [Splice_redirect] may name [conn] — the monitors enforce
           it. *)
 
@@ -129,7 +150,10 @@ val uninstall : unit -> unit
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink s f] installs [s], runs [f], and uninstalls — even on
-    exceptions. *)
+    exceptions.  Called while another sink is installed, it does not
+    replace it: for the duration of [f] every record goes to both
+    sinks, [seq] continues the outer stream, and on exit [s] is closed
+    and the outer sink, still open, is the only one again. *)
 
 (** {1 Recorder state multiplexing}
 
@@ -187,33 +211,43 @@ val jsonl_sink : out_channel -> sink
 val text_sink : out_channel -> sink
 (** The {!render} form, one event per line — the golden-file format. *)
 
+val file_sink : string -> sink
+(** [file_sink path] creates [path] and records into it: in the
+    {!Binary} format when [path] ends in [.bin], as JSON lines
+    otherwise.  [close] closes the file.
+    @raise Sys_error if the file cannot be created. *)
+
 (** {1 Binary trace format}
 
     A compact fixed-width alternative to {!jsonl_sink} for
     multi-million-event soaks: an 8-byte magic followed by framed
     records of little-endian 64-bit words.  Each record's first word
     packs a tag (low 8 bits) and a payload word count, so readers can
-    skip records without decoding them and the file is mmap-able.
+    skip records without decoding them and the file is mmap-able.  The
+    payload holds the event's fields in the schema's order: ints as
+    words, enums as their code, lists as a length then the elements.
     Strings are interned — each distinct string is emitted once as a
     definition record and referenced by integer id thereafter.
     Decoding a binary trace yields the {e same} {!record} values the
     JSONL sink would have serialised, event for event
-    ([hermes_sim trace-dump] renders them through the same
-    {!render} / {!json_of_record} paths). *)
+    ([hermes_sim trace-dump] feeds them to {!jsonl_sink} or
+    {!text_sink}). *)
 
 module Binary : sig
   val magic : string
-  (** ["HTRCBIN1"] — the stream's first 8 bytes. *)
+  (** ["HTRCBIN2"] — the stream's first 8 bytes.  Streams of the
+      earlier [HTRCBIN1] layout are rejected as {!Corrupt}. *)
 
   exception Corrupt of string
   (** Raised by the decoder on truncation, unknown tags, undefined
-      string ids or out-of-range enum codes. *)
+      string ids, out-of-range enum codes, or a record whose payload
+      is not exactly its event's fields. *)
 
   val sink : out_channel -> sink
   (** Writes the magic immediately, then one framed record per
-      {!emit}.  Steady-state writing allocates no per-event OCaml
-      values beyond a reused scratch buffer.  Flushes on close; the
-      channel itself is not closed. *)
+      {!emit}, buffered and handed to the channel in 64 KiB chunks.
+      Writing an event without string fields allocates nothing.
+      Flushes on close; the channel itself is not closed. *)
 
   val iter_channel : in_channel -> (record -> unit) -> unit
   (** Decode records in stream order, calling the callback on each
@@ -232,3 +266,6 @@ val render : record -> string
 
 val json_of_record : record -> string
 val event_name : event -> string
+
+val json_string : string -> string
+(** RFC 8259 quoted string literal, as trace JSON writes strings. *)

@@ -23,7 +23,11 @@
    - [splice_handoff] the in-kernel splice fast path: sockmap attach on
                       accept, redirect per payload chunk, teardown on
                       close — plus the reason=isolate sweep when a
-                      worker is pulled *)
+                      worker is pulled
+   - [fault_window]   a fault plan replayed through the device stack:
+                      an eBPF program fault (Algo 2 degrades to the
+                      hash fallback, then re-engages), a hang, and
+                      health probes that time out behind it *)
 
 let ms = Engine.Sim_time.ms
 let us = Engine.Sim_time.us
@@ -143,6 +147,34 @@ let splice_handoff () =
          Lb.Device.isolate_worker device 1));
   Engine.Sim.run_until sim ~limit:(ms 20)
 
+(* Hermes with a two-entry fault plan: the program faults from 2 ms to
+   5 ms (selections in the window go [via=hash]), then worker 2 hangs
+   from 7 ms to 15 ms.  Probes sent in the hang's first millisecond,
+   before the next scheduler pass filters worker 2 out, can land on it
+   and show [probe.timeout] (2 ms timeout) queued behind the stall. *)
+let fault_window () =
+  let device, sim =
+    make_device (Lb.Device.Hermes Hermes.Config.default) ~workers:4 ~seed:42
+  in
+  Lb.Device.start device;
+  Faults.Inject.arm ~device
+    ~plan:
+      Faults.Plan.
+        [
+          { at = ms 2; action = Ebpf_fail { duration = ms 3 } };
+          { at = ms 7; action = Hang { worker = 2; duration = ms 8 } };
+        ];
+  for i = 0 to 5 do
+    ignore
+      (Engine.Sim.schedule sim
+         ~at:(Engine.Sim_time.add (ms 7) (us 200 * i))
+         (fun () ->
+           Lb.Device.probe_once device ~tenant:0 ~timeout:(ms 2)
+             ~on_result:ignore))
+  done;
+  drive device sim ~conns:16 ~spacing:(ms 1) ~costs:[ us 100; us 300 ]
+    ~limit:(ms 18)
+
 let all =
   [
     {
@@ -172,6 +204,13 @@ let all =
         "# scenario splice_handoff: splice mode, 4 workers, 6 two-chunk conns, \
          isolate at 4ms";
       run = splice_handoff;
+    };
+    {
+      name = "fault_window";
+      header =
+        "# scenario fault_window: Hermes, 4 workers, ebpf_fail 2-5ms, hang \
+         worker 2 7-15ms, probes";
+      run = fault_window;
     };
   ]
 

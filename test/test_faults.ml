@@ -50,7 +50,63 @@ let test_plan_parse_errors () =
   bad "missing duration" "at 1s hang worker=1\n";
   bad "bad time" "at soon crash worker=1\n";
   bad "bad shape" "crash at 1s worker=1\n";
-  bad "unknown key" "at 1s crash worker=1 blast=3\n"
+  bad "unknown key" "at 1s crash worker=1 blast=3\n";
+  (* out-of-range times are errors, not wrapped values (these once
+     parsed as 76627963145224192ns, -808ms and a negative duration) *)
+  bad "time overflow" "at 9300000000s crash worker=0\n";
+  bad "time wraps negative" "at 9223372036854775s crash worker=0\n";
+  bad "duration overflow" "at 1s hang worker=0 duration=9223372036855ms\n"
+
+(* Random plans over all twelve fault classes print and reparse to
+   themselves. *)
+let arb_any_plan =
+  let open QCheck.Gen in
+  let time = oneof [ nat; map (fun n -> n * 1_000_000) nat; int_range 0 max_int ] in
+  let action =
+    oneof
+      [
+        map (fun worker -> Plan.Crash { worker }) int;
+        map (fun worker -> Plan.Isolate { worker }) int;
+        map (fun worker -> Plan.Recover { worker }) int;
+        map2 (fun worker duration -> Plan.Hang { worker; duration }) int time;
+        map2 (fun worker duration -> Plan.Gc_pause { worker; duration }) int time;
+        map3
+          (fun worker factor duration -> Plan.Slowdown { worker; factor; duration })
+          int int time;
+        map2 (fun worker duration -> Plan.Wst_stall { worker; duration }) int time;
+        map2 (fun delay duration -> Plan.Map_sync_delay { delay; duration }) time time;
+        map (fun duration -> Plan.Ebpf_fail { duration }) time;
+        map (fun duration -> Plan.Probe_loss { duration }) time;
+        map2 (fun worker duration -> Plan.Accept_overflow { worker; duration }) int time;
+        map2 (fun worker duration -> Plan.Splice_desync { worker; duration }) int time;
+      ]
+  in
+  let by_time = List.stable_sort (fun a b -> compare a.Plan.at b.Plan.at) in
+  QCheck.make ~print:Plan.to_string
+    (map by_time (list_size (0 -- 12) (map2 (fun at action -> { Plan.at; action }) time action)))
+
+let test_plan_roundtrip_property =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string p) = Ok p" arb_any_plan (fun p ->
+      Plan.parse (Plan.to_string p) = Ok p)
+
+(* Truncated or byte-flipped plan text parses or returns Error. *)
+let test_plan_fuzz =
+  let text = Plan.to_string Faults.Chaos.default_plan in
+  let n = String.length text in
+  let mutant =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> String.sub text 0 k) (int_bound n);
+          map2
+            (fun i x ->
+              String.mapi (fun j c -> if i = j then Char.chr (Char.code c lxor x) else c) text)
+            (int_bound (n - 1)) (int_range 1 255);
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated plan: Ok or Error, never raises"
+    (QCheck.make ~print:String.escaped mutant)
+    (fun s -> match Plan.parse s with Ok _ | Error _ -> true)
 
 let test_plan_lint () =
   let plan =
@@ -151,7 +207,7 @@ let test_hang_excluded_within_window () =
     o.Faults.Chaos.monitor.Faults.Monitor.violations;
   match o.Faults.Chaos.monitor.Faults.Monitor.exclusions with
   | [ e ] ->
-    check Alcotest.string "hang window" "hang" e.Faults.Monitor.fault;
+    check Alcotest.string "hang window" "hang" (Trace.fault_name e.Faults.Monitor.fault);
     check Alcotest.int "worker 1" 1 e.Faults.Monitor.worker;
     check Alcotest.int "zero dispatches past deadline" 0
       e.Faults.Monitor.late_dispatches;
@@ -226,6 +282,37 @@ let test_replay_determinism =
       let t2, n2 = render_run ~plan ~seed:7 in
       n1 = n2 && String.equal t1 t2)
 
+(* A chaos run inside an outer recording ([hermes_sim run chaos
+   --trace]) leaves its fault records in the outer stream, and leaves
+   the outer sink installed and open. *)
+let test_chaos_under_outer_sink () =
+  let faults = ref 0 and closed = ref false in
+  let outer =
+    {
+      Trace.write =
+        (fun r ->
+          match r.Trace.event with
+          | Trace.Fault_inject _ | Trace.Fault_clear _ -> incr faults
+          | _ -> ());
+      close = (fun () -> closed := true);
+    }
+  in
+  let config =
+    {
+      Faults.Chaos.default_config with
+      workers = 4;
+      horizon = ST.ms 300;
+      drain = ST.ms 50;
+      probes = false;
+    }
+  in
+  let plan = [ { Plan.at = ST.ms 100; action = Plan.Hang { worker = 1; duration = ST.ms 50 } } ] in
+  Trace.with_sink outer (fun () ->
+      ignore (Faults.Chaos.run ~plan config);
+      check Alcotest.bool "outer sink still open" false !closed;
+      check Alcotest.bool "outer sink still installed" true (Trace.enabled ()));
+  check Alcotest.int "inject and clear reach the outer sink" 2 !faults
+
 let test_different_seed_differs () =
   (* Sanity for the property above: the trace is seed-sensitive, so
      byte equality is not vacuous. *)
@@ -246,6 +333,8 @@ let () =
           Alcotest.test_case "lint rejects bad targets" `Quick test_plan_lint;
           Alcotest.test_case "builtin plan lints clean" `Quick
             test_builtin_plan_lints_clean;
+          QCheck_alcotest.to_alcotest test_plan_roundtrip_property;
+          QCheck_alcotest.to_alcotest test_plan_fuzz;
         ] );
       ( "staleness",
         [
@@ -265,5 +354,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_replay_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_different_seed_differs;
+          Alcotest.test_case "chaos under an outer sink" `Quick test_chaos_under_outer_sink;
         ] );
     ]

@@ -48,6 +48,39 @@ let test_seq_and_time_stamping () =
     check Alcotest.int "t 250" 250 b.Trace.time
   | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
 
+(* A sink installed inside another's recording tees off the same
+   stream: both see its records under one contiguous seq, and the
+   outer sink is back, still open, afterwards. *)
+let test_nested_with_sink () =
+  let outer = Trace.Ring.create ~capacity:16 and inner = Trace.Ring.create ~capacity:16 in
+  let inner_closed = ref false in
+  let accept conn = Trace.emit (Trace.Accept { worker = 0; conn }) in
+  Trace.with_sink (Trace.ring_sink outer) (fun () ->
+      accept 1;
+      Trace.with_sink
+        { (Trace.ring_sink inner) with close = (fun () -> inner_closed := true) }
+        (fun () ->
+          accept 2;
+          accept 3);
+      check Alcotest.bool "inner closed on exit" true !inner_closed;
+      check Alcotest.bool "outer still installed" true (Trace.enabled ());
+      accept 4);
+  check Alcotest.bool "disabled after" false (Trace.enabled ());
+  let seq_conn ring =
+    List.map
+      (fun r ->
+        match r.Trace.event with
+        | Trace.Accept { conn; _ } -> (r.Trace.seq, conn)
+        | _ -> (-1, -1))
+      (Trace.Ring.records ring)
+  in
+  check
+    Alcotest.(list (pair int int))
+    "outer: every record, contiguous seq"
+    [ (0, 1); (1, 2); (2, 3); (3, 4) ]
+    (seq_conn outer);
+  check Alcotest.(list (pair int int)) "inner: its scope" [ (1, 2); (2, 3) ] (seq_conn inner)
+
 (* The text rendering is the golden-file format: pin it exactly so an
    accidental format change shows up here, not as a confusing golden
    diff. *)
@@ -59,14 +92,14 @@ let test_render_stability () =
       ( Trace.Epoll_dispatch
           { worker = 2; events = [ (4, Trace.Accept_io, 2); (5, Trace.Read_io, 1) ] },
         "epoll.dispatch worker=2 events=[4:accept*2,5:read*1]" );
-      ( Trace.Sched_filter { stage = "conn"; cutoff = 1.25; survivors = 0xfL; live = 4 },
+      ( Trace.Sched_filter { stage = Trace.By_conn; cutoff = 1.25; survivors = 0xfL; live = 4 },
         "sched.filter stage=conn cutoff=1.25 survivors=0xf live=4" );
       ( Trace.Sched_result { bitmap = 0xeL; passed = 3; total = 4; after_time = 4 },
         "sched.result bitmap=0xe passed=3/4 after_time=4" );
       ( Trace.Map_update { map = "M_Sel"; key = 0; value = 0xfL },
         "ebpf.map_update map=M_Sel key=0 value=0xf" );
       ( Trace.Prog_run
-          { prog = "hermes_dispatch"; flow_hash = 0xab; outcome = "select"; cycles = 38 },
+          { prog = "hermes_dispatch"; flow_hash = 0xab; outcome = Trace.Select; cycles = 38 },
         "ebpf.run prog=hermes_dispatch hash=0xab outcome=select cycles=38" );
       ( Trace.Rp_select { port = 80; flow_hash = 0xcd; via = Trace.Prog; slot = 2 },
         "reuseport.select port=80 hash=0xcd via=prog slot=2" );
@@ -79,15 +112,15 @@ let test_render_stability () =
         "wst.write worker=3 col=busy value=2" );
       ( Trace.Probe_timeout { tenant = 2; after = 300_000_000 },
         "probe.timeout tenant=2 after=300000000" );
-      ( Trace.Fault_inject { fault = "hang"; worker = 3; arg = 600_000_000 },
+      ( Trace.Fault_inject { fault = Trace.Hang; worker = 3; arg = 600_000_000 },
         "fault.inject kind=hang worker=3 arg=600000000" );
-      ( Trace.Fault_clear { fault = "ebpf_fail"; worker = -1 },
+      ( Trace.Fault_clear { fault = Trace.Ebpf_fail; worker = -1 },
         "fault.clear kind=ebpf_fail worker=-1" );
       ( Trace.Splice_attach { conn = 1; worker = 2; key = 3 },
         "splice.attach conn=1 worker=2 key=3" );
       ( Trace.Splice_redirect { conn = 1; worker = 2; bytes = 8192; copied = 256 },
         "splice.redirect conn=1 worker=2 bytes=8192 copied=256" );
-      ( Trace.Splice_teardown { conn = 1; worker = 2; key = 3; reason = "isolate" },
+      ( Trace.Splice_teardown { conn = 1; worker = 2; key = 3; reason = Trace.By_isolate },
         "splice.teardown conn=1 worker=2 key=3 reason=isolate" );
     ]
   in
@@ -110,14 +143,29 @@ let test_jsonl_roundtrip_shape () =
 (* ------------------------------------------------------------------ *)
 (* JSON string escaping (RFC 8259)                                      *)
 
-(* Event strings are usually tame identifiers, but fault names and
-   verifier reasons are arbitrary; every escape class must survive.
-   Driven through [json_of_record] so the pinned output is exactly what
-   lands in trace files. *)
+(* Event strings are usually tame identifiers, but verifier reasons
+   are arbitrary; every escape class must survive.  Driven through
+   [json_of_record] so the pinned output is exactly what lands in trace
+   files. *)
 let test_json_string_escaping () =
-  let json_of_fault fault =
+  let json_of_reason reason =
     Trace.json_of_record
-      { Trace.seq = 0; time = 0; event = Trace.Fault_inject { fault; worker = 0; arg = 0 } }
+      {
+        Trace.seq = 0;
+        time = 0;
+        event =
+          Trace.Verifier_verdict
+            {
+              prog = "p";
+              backend = "bytecode";
+              accepted = false;
+              insns = 0;
+              visited = 0;
+              proved = 0;
+              residual = 0;
+              reason;
+            };
+      }
   in
   let cases =
     [
@@ -138,9 +186,10 @@ let test_json_string_escaping () =
   in
   List.iter
     (fun (raw, expected_literal) ->
-      let line = json_of_fault raw in
+      let line = json_of_reason raw in
       let expected =
-        Printf.sprintf "{\"seq\":0,\"t\":0,\"ev\":\"fault.inject\",\"kind\":%s,\"worker\":0,\"arg\":0}"
+        Printf.sprintf
+          "{\"seq\":0,\"t\":0,\"ev\":\"verifier.verdict\",\"prog\":\"p\",\"backend\":\"bytecode\",\"accepted\":false,\"insns\":0,\"visited\":0,\"proved\":0,\"residual\":0,\"reason\":%s}"
           expected_literal
       in
       check Alcotest.string (String.escaped raw) expected line)
@@ -165,13 +214,13 @@ let all_constructor_records =
     ev 5 (Trace.Epoll_dispatch { worker = 0; events = [] });
     ev 6
       (Trace.Sched_filter
-         { stage = "time"; cutoff = 1.25e9; survivors = 0xdeadbeefL; live = 64 });
-    ev 7 (Trace.Sched_filter { stage = "conn"; cutoff = -1.0; survivors = -1L; live = 0 });
+         { stage = Trace.By_time; cutoff = 1.25e9; survivors = 0xdeadbeefL; live = 64 });
+    ev 7 (Trace.Sched_filter { stage = Trace.By_conn; cutoff = -1.0; survivors = -1L; live = 0 });
     ev 8 (Trace.Sched_result { bitmap = 0xeL; passed = 3; total = 4; after_time = 4 });
     ev 9 (Trace.Map_update { map = "M_Sel"; key = 0; value = 0xfL });
     ev 10
       (Trace.Prog_run
-         { prog = "hermes_dispatch"; flow_hash = 0xab; outcome = "select"; cycles = 38 });
+         { prog = "hermes_dispatch"; flow_hash = 0xab; outcome = Trace.Select; cycles = 38 });
     ev 11 (Trace.Rp_select { port = 80; flow_hash = 0xcd; via = Trace.Prog; slot = 2 });
     ev 12 (Trace.Rp_select { port = 81; flow_hash = 0xce; via = Trace.Hash; slot = 0 });
     ev 13 (Trace.Rp_drop { port = 80; flow_hash = 0xcd });
@@ -206,12 +255,12 @@ let all_constructor_records =
            residual = 0;
            reason = "loop: back-edge at insn 2";
          });
-    ev 23 (Trace.Fault_inject { fault = "hang"; worker = 3; arg = 600_000_000 });
-    ev 24 (Trace.Fault_inject { fault = "probe_loss"; worker = -1; arg = 0 });
-    ev 25 (Trace.Fault_clear { fault = "hang"; worker = 3 });
+    ev 23 (Trace.Fault_inject { fault = Trace.Hang; worker = 3; arg = 600_000_000 });
+    ev 24 (Trace.Fault_inject { fault = Trace.Probe_loss; worker = -1; arg = 0 });
+    ev 25 (Trace.Fault_clear { fault = Trace.Hang; worker = 3 });
     ev 26 (Trace.Splice_attach { conn = 9; worker = 1; key = 1573 });
     ev 27 (Trace.Splice_redirect { conn = 9; worker = 1; bytes = 65536; copied = 0 });
-    ev 28 (Trace.Splice_teardown { conn = 9; worker = 1; key = 1573; reason = "close" });
+    ev 28 (Trace.Splice_teardown { conn = 9; worker = 1; key = 1573; reason = Trace.By_close });
   ]
 
 let with_temp_file f =
@@ -242,6 +291,29 @@ let test_binary_roundtrip_all_constructors () =
             Alcotest.failf "structural mismatch at seq %d" original.Trace.seq)
         all_constructor_records decoded)
 
+(* The .mli promises an allocation-free binary sink for events without
+   string fields; these four are the per-connection hot ones. *)
+let test_binary_sink_allocates_nothing () =
+  let oc = open_out_bin Filename.null in
+  let sink = Trace.Binary.sink oc in
+  let records =
+    Array.mapi
+      (fun i event -> { Trace.seq = i; time = i * 1000; event })
+      [|
+        Trace.Accept { worker = 1; conn = 7 };
+        Trace.Rp_select { port = 80; flow_hash = 0xcd; via = Trace.Prog; slot = 2 };
+        Trace.Wst_write { worker = 3; column = Trace.Busy; value = 2 };
+        Trace.Close { worker = 1; conn = 7; reset = true };
+      |]
+  in
+  let write i = sink.Trace.write records.(i land 3) in
+  for i = 1 to 10_000 do
+    write i
+  done;
+  Alloc_gate.check "binary sink: accept/select/wst/close" write;
+  sink.Trace.close ();
+  close_out oc
+
 let test_binary_rejects_garbage () =
   with_temp_file (fun path ->
       let oc = open_out_bin path in
@@ -255,9 +327,59 @@ let test_binary_rejects_garbage () =
       output_string oc Trace.Binary.magic;
       output_string oc "abc";
       close_out oc;
+      (match Trace.Binary.read_file path with
+      | exception Trace.Binary.Corrupt _ -> ()
+      | _ -> Alcotest.fail "truncated header accepted");
+      (* a stream in the earlier layout *)
+      write_binary path all_constructor_records;
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "HTRCBIN1";
+          output_string oc (String.sub data 8 (String.length data - 8)));
       match Trace.Binary.read_file path with
       | exception Trace.Binary.Corrupt _ -> ()
-      | _ -> Alcotest.fail "truncated header accepted")
+      | _ -> Alcotest.fail "HTRCBIN1 stream accepted")
+
+(* Every golden scenario's records, encoded as one binary stream. *)
+let golden_stream =
+  lazy
+    (let ring = Trace.Ring.create ~capacity:65536 in
+     List.iter
+       (fun s -> Trace.with_sink (Trace.ring_sink ring) s.Golden_scenarios.Scenarios.run)
+       Golden_scenarios.Scenarios.all;
+     with_temp_file (fun path ->
+         write_binary path (Trace.Ring.records ring);
+         In_channel.with_open_bin path In_channel.input_all))
+
+(* Truncated or bit-flipped streams either decode or raise [Corrupt] —
+   never another exception. *)
+let test_binary_fuzz =
+  let mutant =
+    QCheck.Gen.(
+      int_bound max_int >>= fun seed ->
+      bool >|= fun truncate ->
+      let data = Lazy.force golden_stream in
+      let rng = Random.State.make [| seed |] in
+      let n = String.length data in
+      if truncate then String.sub data 0 (Random.State.int rng n)
+      else begin
+        let b = Bytes.of_string data in
+        for _ = 0 to Random.State.int rng 4 do
+          let i = Random.State.int rng n in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)))
+        done;
+        Bytes.to_string b
+      end)
+  in
+  QCheck.Test.make ~count:300 ~name:"mutated stream decodes or raises Corrupt"
+    (QCheck.make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s)) mutant)
+    (fun data ->
+      with_temp_file (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc data);
+          match Trace.Binary.read_file path with
+          | _ -> true
+          | exception Trace.Binary.Corrupt _ -> true))
 
 (* The load-bearing equivalence: over every golden scenario, the binary
    sink's decoded stream renders to exactly the lines the JSONL sink
@@ -376,6 +498,7 @@ let () =
           Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
           Alcotest.test_case "ring keeps most recent" `Quick test_ring_keeps_most_recent;
           Alcotest.test_case "seq and time stamping" `Quick test_seq_and_time_stamping;
+          Alcotest.test_case "nested with_sink tees" `Quick test_nested_with_sink;
           Alcotest.test_case "render stability" `Quick test_render_stability;
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
           Alcotest.test_case "json string escaping" `Quick test_json_string_escaping;
@@ -385,6 +508,9 @@ let () =
           Alcotest.test_case "roundtrip all constructors" `Quick
             test_binary_roundtrip_all_constructors;
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
+          Alcotest.test_case "sink allocates nothing" `Quick
+            test_binary_sink_allocates_nothing;
+          QCheck_alcotest.to_alcotest test_binary_fuzz;
           Alcotest.test_case "binary = jsonl on golden scenarios" `Quick
             test_binary_jsonl_equivalence;
         ] );
