@@ -89,10 +89,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Kernel.Ebpf.run dispatch_prog
              { Kernel.Ebpf.flow_hash = 0x9E3779B9; dst_port = 20007 }));
-    Test.make ~name:"hermes/ebpf_dispatch_bytecode"
-      (Staged.stage (fun () ->
-           Kernel.Ebpf_vm.run dispatch_vm
-             { Kernel.Ebpf.flow_hash = 0x9E3779B9; dst_port = 20007 }));
     Test.make ~name:"hermes/ebpf_dispatch_bytecode_checked"
       (Staged.stage (fun () ->
            Kernel.Ebpf_vm.run_checked dispatch_vm

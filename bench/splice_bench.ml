@@ -1,9 +1,10 @@
 (* Splice fast-path benchmarks: the in-kernel splice data-plane numbers.
 
    - [splice_redirect]: one sockmap redirect verdict through the
-     closure JIT vs the bytecode interpreter on the same verified
-     program (certificate-directed guard elision means the JIT runs
-     with zero residual checks).  The gate requires exactly zero minor
+     closure JIT vs the checked bytecode interpreter
+     ([Ebpf_vm.run_checked]) on the same verified program
+     (certificate-directed guard elision means the JIT runs with zero
+     residual checks).  The gate requires exactly zero minor
      words per op on the JIT path — the verdict runs per chunk, on the
      kernel side of the model.
    - [proxy_vs_splice_short_rpc] / [proxy_vs_splice_long_stream]: the
@@ -24,7 +25,7 @@ module ST = Engine.Sim_time
 let mix i = (i * 0x61C88647) lxor (i lsr 7)
 
 (* ------------------------------------------------------------------ *)
-(* Redirect verdict: JIT vs interpreter                                 *)
+(* Redirect verdict: JIT vs checked interpreter                         *)
 
 let redirect_setup ~slots =
   let m_splice = Kernel.Ebpf_maps.Sockmap.create ~name:"M_splice" ~size:slots in
@@ -62,7 +63,8 @@ let redirect_scenario ~slots ~ops =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
       let outcome, _cycles =
-        Kernel.Ebpf_vm.run vm { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
+        Kernel.Ebpf_vm.run_checked vm
+          { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
       in
       match outcome with
       | Kernel.Ebpf.Redirected { conn; target; copy = _ } ->

@@ -33,7 +33,6 @@ type t = {
   max_events : int;
   filter_order : filter list;
   schedule_at_loop_end : bool;
-  kernel_bytecode : bool;
   kernel_jit : bool;
 }
 
@@ -46,14 +45,13 @@ let default =
     max_events = 64;
     filter_order = [ By_time; By_conn; By_event ];
     schedule_at_loop_end = true;
-    kernel_bytecode = false;
     kernel_jit = false;
   }
 
 let pp fmt t =
   Format.fprintf fmt
-    "{thr=%a theta=%.2f min_sel=%d timeout=%a max_ev=%d order=[%s] at_end=%b vm=%b jit=%b}"
+    "{thr=%a theta=%.2f min_sel=%d timeout=%a max_ev=%d order=[%s] at_end=%b jit=%b}"
     Engine.Sim_time.pp t.avail_threshold t.theta_ratio t.min_selected
     Engine.Sim_time.pp t.epoll_timeout t.max_events
     (String.concat ";" (List.map Trace.stage_name t.filter_order))
-    t.schedule_at_loop_end t.kernel_bytecode t.kernel_jit
+    t.schedule_at_loop_end t.kernel_jit

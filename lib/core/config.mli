@@ -57,15 +57,12 @@ type t = {
   schedule_at_loop_end : bool;
       (** true (paper): run the scheduler after the batch; false is the
           stale-status ablation of §5.3.2 *)
-  kernel_bytecode : bool;
-      (** run the dispatch program as verified register bytecode
-          ({!Kernel.Ebpf_vm}) instead of the expression interpreter —
-          same semantics, closer to the metal *)
   kernel_jit : bool;
-      (** closure-compile the verified bytecode at attach time
-          ({!Kernel.Ebpf_jit}) — same semantics again, zero per-packet
-          allocation; implies the bytecode pipeline regardless of
-          [kernel_bytecode] *)
+      (** compile the dispatch program to register bytecode
+          ({!Kernel.Ebpf_vm}), verify it ({!Kernel.Verifier}) and run
+          it closure-compiled ({!Kernel.Ebpf_jit}) instead of on the
+          expression evaluator — same semantics, zero per-packet
+          allocation *)
 }
 
 val default : t

@@ -96,8 +96,6 @@ let run ?(quick = false) () =
   in
   let open Hermes.Config in
   add "hermes (paper config)" Common.hermes_default;
-  add "hermes (kernel bytecode VM)"
-    (hermes_with (fun c -> { c with kernel_bytecode = true }));
   add "hermes (kernel bytecode JIT)"
     (hermes_with (fun c -> { c with kernel_jit = true }));
   (* Filter order and metric subsets. *)

@@ -249,12 +249,6 @@ let rec eval_ret ctx env cycles = function
       if c < 0 || c > copy_limit then raise Fault;
       Redirected { conn = e.conn; target = e.target; copy = c })
 
-let trace_outcome = function
-  | Selected _ -> Trace.Select
-  | Fell_back -> Trace.Fallback
-  | Dropped -> Trace.Drop
-  | Redirected _ -> Trace.Redirect
-
 let run v ctx =
   let cycles = ref 0 in
   let outcome =
@@ -262,13 +256,4 @@ let run v ctx =
     | outcome -> outcome
     | exception Fault -> Fell_back
   in
-  if Trace.enabled () then
-    Trace.emit
-      (Trace.Prog_run
-         {
-           prog = v.vname;
-           flow_hash = ctx.flow_hash;
-           outcome = trace_outcome outcome;
-           cycles = !cycles;
-         });
   (outcome, !cycles)

@@ -96,11 +96,9 @@ type outcome =
           owner [target], with [copy] payload bytes copied up to
           userspace for inspection *)
 
-val trace_outcome : outcome -> Trace.outcome
-(** The verdict a {!Trace.Prog_run} record carries. *)
-
 val run : verified -> ctx -> outcome * int
 (** Execute; the second component is the cycle estimate.  A runtime
     fault (bad map key, select of an empty or out-of-range sockarray
     slot, shift out of range) yields [Fell_back], as the kernel ignores
-    a failing program and uses the default selection. *)
+    a failing program and uses the default selection.  Emits no trace
+    event: {!Reuseport.select} records each attached program's run. *)

@@ -1,6 +1,6 @@
-(** Closure-compiling JIT for verified eBPF bytecode.
+(** Closure-compiling JIT: the one executor of verified eBPF bytecode.
 
-    The bytecode interpreter of {!Ebpf_vm} pays three per-packet costs
+    An instruction-stepping interpreter pays three per-packet costs
     that a per-SYN dispatch path cannot afford: it allocates fresh
     register and stack arrays on every run, it re-dispatches on the
     instruction constructor at every step, and every 64-bit ALU result
@@ -13,18 +13,18 @@
     invocations, so a steady-state [exec] performs {e zero} minor-heap
     allocation.
 
-    Compilation is certificate-directed, exactly like the
-    interpreter's fast path: a site the {!Verifier} proved safe is
-    compiled without its dynamic check, a residual site keeps the
-    check armed (and a firing check makes the program fall back, as in
-    the interpreter).  Straight-line code and forward jumps call their
-    successor closures directly; backward jumps (the verifier admits
-    bounded loops) go through one cell of indirection tied after the
-    reverse-order compile.
+    Compilation is certificate-directed: a site the {!Verifier} proved
+    safe is compiled without its dynamic check, a residual site keeps
+    the check armed (and a firing check makes the program fall back).
+    Straight-line code and forward jumps call their successor closures
+    directly; backward jumps (the verifier admits bounded loops) go
+    through one cell of indirection tied after the reverse-order
+    compile.
 
-    Outcomes and cycle counts are bit-identical to [Ebpf_vm.run] /
-    [run_checked] on every verified program — the qcheck differential
-    suite pins this on random certified bytecode. *)
+    Outcomes and cycle counts are bit-identical to
+    {!Ebpf_vm.run_checked}, which keeps every check armed, on every
+    verified program — the qcheck differential suite pins this on
+    random certified bytecode. *)
 
 type t
 (** A compiled program plus its private execution scratch.  A [t] is
@@ -64,11 +64,12 @@ val copy_len : t -> int
 
 val last_cycles : t -> int
 (** Cycle estimate of the last [exec]: instructions executed, helper
-    calls costing 4 extra — the same accounting as {!Ebpf_vm.run}. *)
+    calls costing 4 extra — the same accounting as
+    {!Ebpf_vm.run_checked}. *)
 
 val run : t -> Ebpf.ctx -> Ebpf.outcome * int
 (** Interpreter-compatible convenience wrapper over [exec] (this one
-    does allocate its result, like {!Ebpf_vm.run}); used by the
+    does allocate its result, like {!Ebpf_vm.run_checked}); used by the
     differential tests and anywhere per-packet allocation is not at a
     premium.  Does not emit a trace event — {!Reuseport.select} owns
     the [Prog_run] emission for attached programs. *)

@@ -173,8 +173,7 @@ let resolve asms =
    scratch register: it is caller-saved (dead across helper calls
    anyway) and never holds a live value between instructions the
    emitter controls. *)
-let emit_popcount ?(tmp = R5) v =
-  ignore tmp;
+let emit_popcount v =
   let tmp = R5 in
   [
     I (Mov_reg (tmp, v));
@@ -413,34 +412,24 @@ let max_insns = 4096
 (* A [verified] program carries the fault-site certificate produced by
    {!Verifier}: [proved.(pc)] means the dynamic safety checks of insn
    [pc] (shift range, mod-by-zero, map/sockarray index) were discharged
-   statically, so [run] may skip them. *)
-type verified = {
-  code : program;
-  proved : bool array;
-  no_cert : bool array; (* all-false mask, for [run_checked] *)
-  all_proved : bool;
-}
+   statically, so the JIT may compile them out. *)
+type verified = { code : program; proved : bool array }
 
 let certify code ~proved =
   if Array.length proved <> Array.length code then
     invalid_arg "Ebpf_vm.certify: certificate length mismatch";
-  {
-    code = Array.copy code;
-    proved = Array.copy proved;
-    no_cert = Array.make (Array.length code) false;
-    all_proved = Array.for_all Fun.id proved;
-  }
+  { code = Array.copy code; proved = Array.copy proved }
 
 let insn_count v = Array.length v.code
 let program_of v = Array.copy v.code
 let certificate v = Array.copy v.proved
-let fully_proved v = v.all_proved
+let fully_proved v = Array.for_all Fun.id v.proved
 
 let residual_checks v =
   Array.fold_left (fun acc ok -> if ok then acc else acc + 1) 0 v.proved
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter                                                          *)
+(* Checked reference interpreter                                        *)
 
 exception Fault
 
@@ -453,12 +442,10 @@ let test op a b =
   | Jgt -> Int64.compare a b > 0
   | Jge -> Int64.compare a b >= 0
 
-(* Certificate-directed interpreter: [safe.(pc)] skips the dynamic
-   checks at [pc].  If a certificate were ever unsound, the skipped
-   check's failure would surface as an escaping exception
-   (Division_by_zero / Invalid_argument) rather than a silent
-   fall-back — deliberately loud. *)
-let exec_checked code (safe : bool array) (ctx : Ebpf.ctx) =
+(* Every dynamic check armed, whatever the certificate says: the oracle
+   the JIT's certificate-directed guard elision is tested against. *)
+let run_checked v (ctx : Ebpf.ctx) =
+  let code = v.code in
   let len = Array.length code in
   let regs = Array.make 10 0L in
   let stack = Array.make max_stack_slots 0L in
@@ -468,7 +455,7 @@ let exec_checked code (safe : bool array) (ctx : Ebpf.ctx) =
   let cycles = ref 0 in
   let get r = regs.(int_of_reg r) in
   let set r x = regs.(int_of_reg r) <- x in
-  let alu pc op a b =
+  let alu op a b =
     match op with
     | Add -> Int64.add a b
     | Sub -> Int64.sub a b
@@ -478,139 +465,20 @@ let exec_checked code (safe : bool array) (ctx : Ebpf.ctx) =
     | Xor -> Int64.logxor a b
     | Lsh ->
       let s = Int64.to_int b in
-      if (not safe.(pc)) && (s < 0 || s > 63) then raise Fault;
+      if s < 0 || s > 63 then raise Fault;
       Int64.shift_left a s
     | Rsh ->
       let s = Int64.to_int b in
-      if (not safe.(pc)) && (s < 0 || s > 63) then raise Fault;
+      if s < 0 || s > 63 then raise Fault;
       Int64.shift_right_logical a s
     | Mod ->
-      if (not safe.(pc)) && Int64.equal b 0L then raise Fault;
+      if Int64.equal b 0L then raise Fault;
       Int64.rem a b
   in
   let rec step pc =
     if pc >= len then raise Fault;
     incr cycles;
     match code.(pc) with
-    | Mov_imm (d, x) ->
-      set d x;
-      step (pc + 1)
-    | Mov_reg (d, s) ->
-      set d (get s);
-      step (pc + 1)
-    | Alu_imm (op, d, x) ->
-      set d (alu pc op (get d) x);
-      step (pc + 1)
-    | Alu_reg (op, d, s) ->
-      set d (alu pc op (get d) (get s));
-      step (pc + 1)
-    | Jmp_imm (op, r, x, off) ->
-      if test op (get r) x then step (pc + 1 + off) else step (pc + 1)
-    | Jmp_reg (op, a, b, off) ->
-      if test op (get a) (get b) then step (pc + 1 + off) else step (pc + 1)
-    | Ja off -> step (pc + 1 + off)
-    | Ld_flow_hash d ->
-      set d (Int64.of_int ctx.Ebpf.flow_hash);
-      step (pc + 1)
-    | Ld_dst_port d ->
-      set d (Int64.of_int ctx.Ebpf.dst_port);
-      step (pc + 1)
-    | St_stack (slot, r) ->
-      stack.(slot) <- get r;
-      step (pc + 1)
-    | Ld_stack (r, slot) ->
-      set r stack.(slot);
-      step (pc + 1)
-    | Call h ->
-      cycles := !cycles + 4;
-      (match h with
-      | Map_lookup map ->
-        let k = Int64.to_int (get R1) in
-        if (not safe.(pc)) && (k < 0 || k >= Ebpf_maps.Array_map.size map)
-        then raise Fault;
-        set R0 (Ebpf_maps.Array_map.unsafe_lookup map k)
-      | Sk_select sockarray -> (
-        let i = Int64.to_int (get R1) in
-        if
-          (not safe.(pc))
-          && (i < 0 || i >= Ebpf_maps.Sockarray.size sockarray)
-        then raise Fault;
-        match Ebpf_maps.Sockarray.unsafe_get sockarray i with
-        | None -> raise Fault
-        | Some sock ->
-          selected := Some sock;
-          set R0 0L)
-      | Reciprocal_scale ->
-        let h = Int64.to_int (get R1) and n = Int64.to_int (get R2) in
-        if n <= 0 then raise Fault;
-        set R0 (Int64.of_int (Bitops.reciprocal_scale ~hash:h ~n))
-      | Sk_redirect map -> (
-        let k = Int64.to_int (get R1) in
-        if (not safe.(pc)) && (k < 0 || k >= Ebpf_maps.Sockmap.size map)
-        then raise Fault;
-        match Ebpf_maps.Sockmap.unsafe_get map k with
-        | None -> set R0 0L
-        | Some _ as e ->
-          redirect := e;
-          set R0 1L)
-      | Sk_copy ->
-        let c = Int64.to_int (get R1) in
-        if (not safe.(pc)) && (c < 0 || c > Ebpf.copy_limit) then raise Fault;
-        copy_len := c;
-        set R0 (get R1));
-      step (pc + 1)
-    | Exit ->
-      let r0 = get R0 in
-      if Int64.equal r0 pass_code then
-        match !selected with
-        | Some sock -> Ebpf.Selected sock
-        | None -> raise Fault
-      else if Int64.equal r0 drop_code then Ebpf.Dropped
-      else if Int64.equal r0 redirect_code then
-        match !redirect with
-        | Some { Ebpf_maps.Sockmap.conn; target } ->
-          Ebpf.Redirected { conn; target; copy = !copy_len }
-        | None -> raise Fault
-      else Ebpf.Fell_back
-  in
-  let outcome =
-    match step 0 with outcome -> outcome | exception Fault -> Ebpf.Fell_back
-  in
-  (outcome, !cycles)
-
-(* Unchecked fast path for fully-certified programs: no per-site
-   branches at all, and no OCaml array bounds checks either — the
-   verifier's structural pass bounds every stack slot and jump target,
-   registers are 0..9 by construction, so the certificate licenses
-   [unsafe_get]/[unsafe_set] throughout.  Only the inherently dynamic
-   checks remain (empty sockarray slot, reciprocal_scale of a
-   non-positive n, and the cannot-happen-on-verified-code pc guard). *)
-let exec_fast code (ctx : Ebpf.ctx) =
-  let len = Array.length code in
-  let regs = Array.make 10 0L in
-  let stack = Array.make max_stack_slots 0L in
-  let selected = ref None in
-  let redirect = ref None in
-  let copy_len = ref 0 in
-  let cycles = ref 0 in
-  let get r = Array.unsafe_get regs (int_of_reg r) in
-  let set r x = Array.unsafe_set regs (int_of_reg r) x in
-  let alu op a b =
-    match op with
-    | Add -> Int64.add a b
-    | Sub -> Int64.sub a b
-    | Mul -> Int64.mul a b
-    | And -> Int64.logand a b
-    | Or -> Int64.logor a b
-    | Xor -> Int64.logxor a b
-    | Lsh -> Int64.shift_left a (Int64.to_int b)
-    | Rsh -> Int64.shift_right_logical a (Int64.to_int b)
-    | Mod -> Int64.rem a b
-  in
-  let rec step pc =
-    if pc >= len then raise Fault;
-    incr cycles;
-    match Array.unsafe_get code pc with
     | Mov_imm (d, x) ->
       set d x;
       step (pc + 1)
@@ -635,20 +503,22 @@ let exec_fast code (ctx : Ebpf.ctx) =
       set d (Int64.of_int ctx.Ebpf.dst_port);
       step (pc + 1)
     | St_stack (slot, r) ->
-      Array.unsafe_set stack slot (get r);
+      stack.(slot) <- get r;
       step (pc + 1)
     | Ld_stack (r, slot) ->
-      set r (Array.unsafe_get stack slot);
+      set r stack.(slot);
       step (pc + 1)
     | Call h ->
       cycles := !cycles + 4;
       (match h with
       | Map_lookup map ->
-        set R0 (Ebpf_maps.Array_map.unsafe_lookup map (Int64.to_int (get R1)))
+        let k = Int64.to_int (get R1) in
+        if k < 0 || k >= Ebpf_maps.Array_map.size map then raise Fault;
+        set R0 (Ebpf_maps.Array_map.unsafe_lookup map k)
       | Sk_select sockarray -> (
-        match
-          Ebpf_maps.Sockarray.unsafe_get sockarray (Int64.to_int (get R1))
-        with
+        let i = Int64.to_int (get R1) in
+        if i < 0 || i >= Ebpf_maps.Sockarray.size sockarray then raise Fault;
+        match Ebpf_maps.Sockarray.unsafe_get sockarray i with
         | None -> raise Fault
         | Some sock ->
           selected := Some sock;
@@ -658,13 +528,17 @@ let exec_fast code (ctx : Ebpf.ctx) =
         if n <= 0 then raise Fault;
         set R0 (Int64.of_int (Bitops.reciprocal_scale ~hash:h ~n))
       | Sk_redirect map -> (
-        match Ebpf_maps.Sockmap.unsafe_get map (Int64.to_int (get R1)) with
+        let k = Int64.to_int (get R1) in
+        if k < 0 || k >= Ebpf_maps.Sockmap.size map then raise Fault;
+        match Ebpf_maps.Sockmap.unsafe_get map k with
         | None -> set R0 0L
         | Some _ as e ->
           redirect := e;
           set R0 1L)
       | Sk_copy ->
-        copy_len := Int64.to_int (get R1);
+        let c = Int64.to_int (get R1) in
+        if c < 0 || c > Ebpf.copy_limit then raise Fault;
+        copy_len := c;
         set R0 (get R1));
       step (pc + 1)
     | Exit ->
@@ -685,27 +559,3 @@ let exec_fast code (ctx : Ebpf.ctx) =
     match step 0 with outcome -> outcome | exception Fault -> Ebpf.Fell_back
   in
   (outcome, !cycles)
-
-let emit_run (ctx : Ebpf.ctx) outcome cycles =
-  if Trace.enabled () then
-    Trace.emit
-      (Trace.Prog_run
-         {
-           prog = "bytecode";
-           flow_hash = ctx.Ebpf.flow_hash;
-           outcome = Ebpf.trace_outcome outcome;
-           cycles;
-         })
-
-let run v ctx =
-  let outcome, cycles =
-    if v.all_proved then exec_fast v.code ctx
-    else exec_checked v.code v.proved ctx
-  in
-  emit_run ctx outcome cycles;
-  (outcome, cycles)
-
-let run_checked v ctx =
-  let outcome, cycles = exec_checked v.code v.no_cert ctx in
-  emit_run ctx outcome cycles;
-  (outcome, cycles)

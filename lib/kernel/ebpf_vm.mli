@@ -1,4 +1,5 @@
-(** Register-level eBPF: bytecode, certificates, and interpreter.
+(** Register-level eBPF: bytecode, certificates, and the checked
+    reference interpreter.
 
     {!Ebpf} gives Hermes a convenient expression language; this module
     grounds it.  [compile] lowers an expression program to a
@@ -17,13 +18,15 @@
     interpreter.  Its verdict is a {!verified} program carrying a
     fault-site {e certificate}: per instruction, whether the dynamic
     safety checks (shift range, mod-by-zero, map/sockarray index) were
-    proved unnecessary.  [run] skips every check the certificate
-    discharges — fully-certified programs take an unchecked fast path —
-    while [run_checked] keeps them all, as a differential baseline.
+    proved unnecessary.  Verified bytecode has one executor, the
+    closure JIT of {!Ebpf_jit}, which compiles out every check the
+    certificate discharges.  [run_checked] ignores the certificate and
+    keeps every check armed: it is the oracle the JIT is tested
+    against, and serves no traffic.
 
     The differential property tests in the suite check that compiled
-    programs agree with the {!Ebpf} evaluator, and both interpreters
-    with each other, on random inputs. *)
+    programs agree with the {!Ebpf} evaluator, and the JIT with
+    [run_checked], on random inputs. *)
 
 type reg = R0 | R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
@@ -73,7 +76,6 @@ type insn =
               2 = drop, 3 = in-kernel redirect (splice) *)
 
 val pass_code : int64
-val fallback_code : int64
 val drop_code : int64
 val redirect_code : int64
 
@@ -86,7 +88,6 @@ val max_stack_slots : int
 (** Stack slots available to a program (64, i.e. the real 512-byte
     BPF stack in 8-byte words). *)
 
-val pp_insn : Format.formatter -> insn -> unit
 val disassemble : program -> string
 
 val compile : Ebpf.prog -> (program, string) result
@@ -101,9 +102,8 @@ val certify : program -> proved:bool array -> verified
 (** Package a program with its certificate; [proved.(pc)] asserts the
     dynamic safety checks of instruction [pc] can never fire.  This is
     {!Verifier}'s constructor — calling it with an unsound certificate
-    makes [run] skip a needed check, turning what would have been a
-    quiet fall-back into an escaping [Division_by_zero] /
-    [Invalid_argument]. *)
+    makes the JIT skip a needed check, so a run can diverge from
+    [run_checked]. *)
 
 val insn_count : verified -> int
 
@@ -113,24 +113,20 @@ val program_of : verified -> program
 val certificate : verified -> bool array
 (** A copy of the fault-site certificate: [.(pc)] means the dynamic
     safety checks of instruction [pc] were discharged statically.
-    Alternative execution backends (the closure JIT of {!Ebpf_jit})
-    consume this to elide exactly the checks the interpreter's fast
-    path elides. *)
+    The closure JIT of {!Ebpf_jit} consumes this to compile those
+    checks out. *)
 
 val fully_proved : verified -> bool
-(** Every potentially-faulting site was discharged; [run] uses the
-    fully unchecked fast path. *)
+(** Every potentially-faulting site was discharged: the JIT runs the
+    program with no armed check. *)
 
 val residual_checks : verified -> int
 (** Number of instructions whose dynamic checks remain armed. *)
 
-val run : verified -> Ebpf.ctx -> Ebpf.outcome * int
-(** Execute, skipping every dynamic check the certificate discharged;
-    the count is instructions executed (helpers cost extra).  Residual
-    runtime faults (empty socket slot, undischarged check firing) make
-    the program fall back, as the kernel ignores a failing program. *)
-
 val run_checked : verified -> Ebpf.ctx -> Ebpf.outcome * int
 (** Execute with {e every} dynamic check armed, ignoring the
-    certificate — the pre-certificate baseline, kept for benchmarking
-    and differential testing against [run]. *)
+    certificate; the count is instructions executed (helpers cost 4
+    extra).  A firing check, an empty socket slot or a non-positive
+    [reciprocal_scale] divisor makes the program fall back, as the
+    kernel ignores a failing program.  The reference the JIT is
+    differential-tested against; emits no trace event. *)

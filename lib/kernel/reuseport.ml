@@ -8,10 +8,10 @@ type stats = {
   prog_cycles_drop : int;
 }
 
-type prog_impl =
-  | Ast of Ebpf.verified
-  | Vm of Ebpf_vm.verified
-  | Jit of Ebpf_jit.t
+(* The two engines an attached program runs on: the expression
+   evaluator, and the closure JIT every verified bytecode program is
+   compiled to. *)
+type engine = Ast of Ebpf.verified | Jit of Ebpf_jit.t
 
 type t = {
   group_port : Netsim.Addr.port;
@@ -26,9 +26,13 @@ type t = {
   dense_socks : Socket.t option array;
   dense_slot : int array;
   slot_by_sock : (int, int) Hashtbl.t; (* Socket.id -> member slot *)
-  mutable prog : prog_impl option;
+  mutable prog : engine option;
+  mutable prog_name : string;
   mutable prog_fault : bool;
-  mutable faulted_runs : int;
+  (* The last program run: its cycles, and after a pass the chosen
+     socket (the sockarray's own option cell). *)
+  mutable run_cycles : int;
+  mutable run_sel : Socket.t option;
   mutable by_prog : int;
   mutable by_hash : int;
   mutable drop_count : int;
@@ -49,8 +53,10 @@ let create ~port ~slots =
     dense_slot = Array.make slots (-1);
     slot_by_sock = Hashtbl.create 16;
     prog = None;
+    prog_name = "";
     prog_fault = false;
-    faulted_runs = 0;
+    run_cycles = 0;
+    run_sel = None;
     by_prog = 0;
     by_hash = 0;
     drop_count = 0;
@@ -104,19 +110,20 @@ let member t ~slot = t.members.(slot)
 let live_count t = Bitops.popcount64 t.live_bm
 let live_bitmap t = t.live_bm
 
-let attach_ebpf t prog = t.prog <- Some (Ast prog)
+let attach_ebpf t prog =
+  t.prog <- Some (Ast prog);
+  t.prog_name <- Ebpf.name prog
 
 (* SO_ATTACH_REUSEPORT_EBPF proper: raw bytecode goes through the
    abstract-interpretation verifier at attach time, and only a
-   certified program is installed — closure-compiled when [jit]. *)
-let attach ?(jit = false) t ~name code =
+   certified program is installed, closure-compiled. *)
+let attach t ~name code =
   match Verifier.verify ~name code with
   | Ok (vm, _report) ->
-    t.prog <- (if jit then Some (Jit (Ebpf_jit.compile vm)) else Some (Vm vm));
+    t.prog <- Some (Jit (Ebpf_jit.compile vm));
+    t.prog_name <- name;
     Ok ()
   | Error e -> Error e
-
-let detach_ebpf t = t.prog <- None
 
 (* Fault injection: an attached program that faults at run time (or an
    attach that failed and left no program) must never take the data
@@ -124,8 +131,6 @@ let detach_ebpf t = t.prog <- None
    default hash.  While the flag is set, [select] behaves exactly as
    if every program run faulted: straight to [fallback_select]. *)
 let set_prog_fault t faulted = t.prog_fault <- faulted
-let prog_faulted t = t.prog_fault
-let faulted_runs t = t.faulted_runs
 
 (* Member slot of a program-selected socket, for the trace (the
    sockarray the program indexed holds the same sockets as the group's
@@ -158,87 +163,76 @@ let fallback_select t ~flow_hash =
     Array.unsafe_get t.dense_socks idx
   end
 
-let emit_prog_run ~prog ~flow_hash ~outcome ~cycles =
-  Trace.emit (Trace.Prog_run { prog; flow_hash; outcome; cycles })
+(* One run of the attached program on a SYN: the raw exit code
+   ({!Ebpf_vm.pass_code} and friends), with the run's cycles left in
+   [run_cycles] and, after a pass, the chosen socket in [run_sel].  The
+   JIT side allocates nothing. *)
+let run_prog t engine ~flow_hash =
+  match engine with
+  | Jit j ->
+    let code = Ebpf_jit.exec j ~flow_hash ~dst_port:t.group_port in
+    t.run_cycles <- Ebpf_jit.last_cycles j;
+    t.run_sel <- Ebpf_jit.selected j;
+    code
+  | Ast p -> (
+    let outcome, cycles = Ebpf.run p { Ebpf.flow_hash; dst_port = t.group_port } in
+    t.run_cycles <- cycles;
+    match outcome with
+    | Ebpf.Selected sock ->
+      t.run_sel <- Some sock;
+      1
+    | Ebpf.Dropped -> 2
+    | Ebpf.Redirected _ -> 3
+    | Ebpf.Fell_back -> 0)
+
+let emit_prog_run t ~flow_hash outcome =
+  Trace.emit
+    (Trace.Prog_run
+       { prog = t.prog_name; flow_hash; outcome; cycles = t.run_cycles })
 
 let select t ~flow_hash =
   match t.prog with
-  | Some _ when t.prog_fault ->
-    t.faulted_runs <- t.faulted_runs + 1;
-    fallback_select t ~flow_hash
-  | None -> fallback_select t ~flow_hash
-  | Some (Jit j) ->
-    let code = Ebpf_jit.exec j ~flow_hash ~dst_port:t.group_port in
-    let cycles = Ebpf_jit.last_cycles j in
+  | Some engine when not t.prog_fault ->
+    let code = run_prog t engine ~flow_hash in
+    let cycles = t.run_cycles in
     t.cycles <- t.cycles + cycles;
-    if code = 1 then (
-      match Ebpf_jit.selected j with
-      | None -> (* exec never reports 1 without a selection *) assert false
-      | Some sock as r ->
-        t.by_prog <- t.by_prog + 1;
-        t.cyc_select <- t.cyc_select + cycles;
-        if Trace.enabled () then begin
-          emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Select ~cycles;
-          Trace.emit
-            (Trace.Rp_select
-               {
-                 port = t.group_port;
-                 flow_hash;
-                 via = Trace.Prog;
-                 slot = slot_of_socket t sock;
-               })
-        end;
-        r)
+    if code = 1 then begin
+      t.by_prog <- t.by_prog + 1;
+      t.cyc_select <- t.cyc_select + cycles;
+      (if Trace.enabled () then
+         match t.run_sel with
+         | Some sock ->
+           emit_prog_run t ~flow_hash Trace.Select;
+           Trace.emit
+             (Trace.Rp_select
+                {
+                  port = t.group_port;
+                  flow_hash;
+                  via = Trace.Prog;
+                  slot = slot_of_socket t sock;
+                })
+         | None -> (* a pass always carries its selection *) assert false);
+      t.run_sel
+    end
     else if code = 2 then begin
       t.drop_count <- t.drop_count + 1;
       t.cyc_drop <- t.cyc_drop + cycles;
       if Trace.enabled () then begin
-        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Drop ~cycles;
+        emit_prog_run t ~flow_hash Trace.Drop;
         Trace.emit (Trace.Rp_drop { port = t.group_port; flow_hash })
       end;
       None
     end
     else begin
-      t.cyc_fallback <- t.cyc_fallback + cycles;
-      if Trace.enabled () then
-        emit_prog_run ~prog:"jit" ~flow_hash ~outcome:Trace.Fallback ~cycles;
-      fallback_select t ~flow_hash
-    end
-  | Some ((Ast _ | Vm _) as prog) -> (
-    let ctx = { Ebpf.flow_hash; dst_port = t.group_port } in
-    let outcome, cycles =
-      match prog with
-      | Ast p -> Ebpf.run p ctx
-      | Vm p -> Ebpf_vm.run p ctx
-      | Jit _ -> assert false
-    in
-    t.cycles <- t.cycles + cycles;
-    match outcome with
-    | Ebpf.Selected sock ->
-      t.by_prog <- t.by_prog + 1;
-      t.cyc_select <- t.cyc_select + cycles;
-      if Trace.enabled () then
-        Trace.emit
-          (Trace.Rp_select
-             {
-               port = t.group_port;
-               flow_hash;
-               via = Trace.Prog;
-               slot = slot_of_socket t sock;
-             });
-      Some sock
-    | Ebpf.Fell_back
-    | Ebpf.Redirected _ ->
       (* a redirect verdict is meaningless at SYN selection time; the
          kernel treats an unexpected return code as a fallback *)
       t.cyc_fallback <- t.cyc_fallback + cycles;
-      fallback_select t ~flow_hash
-    | Ebpf.Dropped ->
-      t.drop_count <- t.drop_count + 1;
-      t.cyc_drop <- t.cyc_drop + cycles;
       if Trace.enabled () then
-        Trace.emit (Trace.Rp_drop { port = t.group_port; flow_hash });
-      None)
+        emit_prog_run t ~flow_hash
+          (if code = 3 then Trace.Redirect else Trace.Fallback);
+      fallback_select t ~flow_hash
+    end
+  | Some _ | None -> fallback_select t ~flow_hash
 
 let stats t =
   {
@@ -250,12 +244,3 @@ let stats t =
     prog_cycles_fallback = t.cyc_fallback;
     prog_cycles_drop = t.cyc_drop;
   }
-
-let reset_stats t =
-  t.by_prog <- 0;
-  t.by_hash <- 0;
-  t.drop_count <- 0;
-  t.cycles <- 0;
-  t.cyc_select <- 0;
-  t.cyc_fallback <- 0;
-  t.cyc_drop <- 0

@@ -46,18 +46,15 @@ val slot_of_socket : t -> Socket.t -> int
 (** Member slot of a bound socket (O(1)); [-1] if not a member. *)
 
 val attach_ebpf : t -> Ebpf.verified -> unit
-(** Attach / replace the selection program (expression-interpreter
-    backend). *)
+(** Attach / replace the selection program, run by the expression
+    evaluator. *)
 
-val attach :
-  ?jit:bool -> t -> name:string -> Ebpf_vm.program -> (unit, Verifier.error) result
+val attach : t -> name:string -> Ebpf_vm.program -> (unit, Verifier.error) result
 (** [SO_ATTACH_REUSEPORT_EBPF] proper: run raw bytecode through
     {!Verifier.verify} (emitting the attach-time
-    {!Trace.Verifier_verdict}) and install the certified program — JIT
-    compiled when [jit] (default false: interpreted); on rejection
-    nothing is attached. *)
-
-val detach_ebpf : t -> unit
+    {!Trace.Verifier_verdict}) and install the certified program,
+    closure-compiled by {!Ebpf_jit}; on rejection nothing is
+    attached. *)
 
 (** {1 Fault injection} *)
 
@@ -70,16 +67,12 @@ val set_prog_fault : t -> bool -> unit
     [set_prog_fault t false] restores it.  A no-op while no program is
     attached. *)
 
-val prog_faulted : t -> bool
-
-val faulted_runs : t -> int
-(** Selections that skipped the program because of an injected fault
-    (not included in [stats.prog_cycles] — a faulted run never
-    executes). *)
-
 val select : t -> flow_hash:int -> Socket.t option
 (** Socket selection for one SYN.  [None] when the group is empty or
-    the program dropped the packet. *)
+    the program dropped the packet.  Whichever engine runs the
+    attached program, its verdict takes one path: the stats below, and
+    under tracing one {!Trace.Prog_run} stamped with the program's
+    name, then the [Rp_select] / [Rp_drop] record. *)
 
 type stats = {
   selected_by_prog : int;
@@ -94,4 +87,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit

@@ -22,8 +22,8 @@
     The verdict is a typed certificate: for each potentially-faulting
     operation (shift amounts, [Mod] divisors, [Map_lookup]/[Sk_select]
     indices, stack slots) the verifier records {e proved-safe} or
-    {e needs-runtime-check}.  {!Ebpf_vm.run} consumes it to skip the
-    discharged checks. *)
+    {e needs-runtime-check}.  {!Ebpf_jit.compile} consumes it to
+    compile the discharged checks out. *)
 
 type check_kind =
   | Shift_amount  (** [Lsh]/[Rsh] amount in 0..63 *)

@@ -357,14 +357,12 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
         | Some rt ->
           let prog = Hermes.Runtime.make_prog rt ~m_socket:sockarray in
           let cfg = Hermes.Runtime.config rt in
-          if cfg.Hermes.Config.kernel_bytecode || cfg.Hermes.Config.kernel_jit
-          then
+          if cfg.Hermes.Config.kernel_jit then
             match Kernel.Ebpf_vm.compile prog with
             | Error msg -> invalid_arg ("Device.create: " ^ msg)
             | Ok code -> (
               match
-                Kernel.Reuseport.attach ~jit:cfg.Hermes.Config.kernel_jit group
-                  ~name:prog.Kernel.Ebpf.name code
+                Kernel.Reuseport.attach group ~name:prog.Kernel.Ebpf.name code
               with
               | Ok () -> ()
               | Error e ->

@@ -54,7 +54,7 @@ let test_rank_select_exhaustive_8bit () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program pick: AST interpreter and bytecode VM vs the loop      *)
+(* Whole-program pick: AST interpreter and bytecode JIT vs the loop     *)
 
 let make_prog ~bitmap ~min_selected =
   let m_sel = Kernel.Ebpf_maps.Array_map.create ~name:"m" ~size:1 in
@@ -81,7 +81,7 @@ let agree ~bitmap ~flow_hash ~min_selected =
     | Error e ->
       Alcotest.failf "vm compile: %s" (Kernel.Verifier.error_to_string e)
   in
-  let vm_outcome = fst (Kernel.Ebpf_vm.run vm ctx) in
+  let jit_outcome = fst (Kernel.Ebpf_jit.run (Kernel.Ebpf_jit.compile vm) ctx) in
   let expected = naive_pick ~bitmap ~flow_hash ~min_selected in
   let matches outcome =
     match (outcome, expected) with
@@ -89,7 +89,7 @@ let agree ~bitmap ~flow_hash ~min_selected =
     | Kernel.Ebpf.Fell_back, None -> true
     | _ -> false
   in
-  matches ast_outcome && matches vm_outcome
+  matches ast_outcome && matches jit_outcome
 
 let test_pick_exhaustive_8bit () =
   let hashes = [ 0; 1; 0x2545F491; 0x7FFFFFFF; 0xdeadbeef; 0xFFFFFFFF ] in

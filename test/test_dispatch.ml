@@ -210,7 +210,7 @@ let test_bind_unbind_bitmap () =
   check Alcotest.int "live count" 2 (Kernel.Reuseport.live_count g)
 
 (* ------------------------------------------------------------------ *)
-(* Per-outcome cycle accounting, VM vs JIT parity                       *)
+(* Per-outcome cycle accounting, one outcome path for both engines      *)
 
 (* flow_hash 1 -> select slot 0 (10 cycles: 6 insns + 4 helper extra),
    flow_hash 2 -> drop (5), anything else -> fallback (5). *)
@@ -230,7 +230,20 @@ let mixed_prog sa =
       Exit;
     |]
 
-let run_mixed ~jit =
+(* The same verdicts as an expression program: select 7 cycles (the
+   compare 3, the select 4), drop 7, fallback 7. *)
+let mixed_ast sa =
+  let open Kernel.Ebpf in
+  verify_exn
+    {
+      name = "mixed";
+      body =
+        If
+          ( Eq, Flow_hash, Const 1L, Select (sa, Const 0L),
+            If (Eq, Flow_hash, Const 2L, Drop, Fallback) );
+    }
+
+let run_mixed attach =
   let g, socks = fresh_group 4 in
   for slot = 0 to 3 do
     Kernel.Reuseport.bind g ~slot ~socket:socks.(slot)
@@ -239,27 +252,35 @@ let run_mixed ~jit =
   for i = 0 to 3 do
     Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
   done;
-  (match Kernel.Reuseport.attach ~jit g ~name:"mixed" (mixed_prog sa) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e));
+  attach g sa;
   List.iter
     (fun flow_hash -> ignore (Kernel.Reuseport.select g ~flow_hash))
     [ 1; 2; 3; 1 ];
   Kernel.Reuseport.stats g
 
-let check_mixed_stats label (st : Kernel.Reuseport.stats) =
+let attach_jit g sa =
+  match Kernel.Reuseport.attach g ~name:"mixed" (mixed_prog sa) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
+
+let check_mixed_stats label ~select ~drop ~fallback
+    (st : Kernel.Reuseport.stats) =
   check Alcotest.int (label ^ " by prog") 2 st.selected_by_prog;
   check Alcotest.int (label ^ " by hash") 1 st.selected_by_hash;
   check Alcotest.int (label ^ " dropped") 1 st.dropped;
-  check Alcotest.int (label ^ " select cycles") 20 st.prog_cycles_select;
-  check Alcotest.int (label ^ " drop cycles") 5 st.prog_cycles_drop;
-  check Alcotest.int (label ^ " fallback cycles") 5 st.prog_cycles_fallback;
+  check Alcotest.int (label ^ " select cycles") (2 * select) st.prog_cycles_select;
+  check Alcotest.int (label ^ " drop cycles") drop st.prog_cycles_drop;
+  check Alcotest.int (label ^ " fallback cycles") fallback st.prog_cycles_fallback;
   check Alcotest.int (label ^ " total = sum of outcomes")
     (st.prog_cycles_select + st.prog_cycles_fallback + st.prog_cycles_drop)
     st.prog_cycles
 
-let test_per_outcome_cycles_vm () = check_mixed_stats "vm" (run_mixed ~jit:false)
-let test_per_outcome_cycles_jit () = check_mixed_stats "jit" (run_mixed ~jit:true)
+let test_per_outcome_cycles_ast () =
+  check_mixed_stats "ast" ~select:7 ~drop:7 ~fallback:7
+    (run_mixed (fun g sa -> Kernel.Reuseport.attach_ebpf g (mixed_ast sa)))
+
+let test_per_outcome_cycles_jit () =
+  check_mixed_stats "jit" ~select:10 ~drop:5 ~fallback:5 (run_mixed attach_jit)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation gates (quarantined)                                       *)
@@ -281,7 +302,7 @@ let test_jit_select_zero_alloc () =
   for i = 0 to 3 do
     Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
   done;
-  (match Kernel.Reuseport.attach ~jit:true g ~name:"alloc" (mixed_prog sa) with
+  (match Kernel.Reuseport.attach g ~name:"alloc" (mixed_prog sa) with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e));
   ignore (Kernel.Reuseport.select g ~flow_hash:1);
@@ -310,7 +331,8 @@ let () =
         ] );
       ( "cycle-accounting",
         [
-          Alcotest.test_case "per-outcome (vm)" `Quick test_per_outcome_cycles_vm;
+          Alcotest.test_case "per-outcome (ast)" `Quick
+            test_per_outcome_cycles_ast;
           Alcotest.test_case "per-outcome (jit)" `Quick
             test_per_outcome_cycles_jit;
         ] );

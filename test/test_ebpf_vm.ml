@@ -1,6 +1,7 @@
-(* Tests for the eBPF bytecode VM: assembler/compiler correctness,
-   verifier rules, and a differential property test against the
-   expression-level interpreter. *)
+(* Tests for the eBPF bytecode pipeline: compiler correctness,
+   verifier rules, and a differential property test of the closure JIT
+   (verified bytecode's one executor) and the checked reference
+   interpreter against the expression-level interpreter. *)
 
 let check = Alcotest.check
 
@@ -11,9 +12,11 @@ let compile_exn prog =
   | Ok code -> code
   | Error e -> Alcotest.fail e
 
+let run_jit v ctx = fst (Kernel.Ebpf_jit.run (Kernel.Ebpf_jit.compile v) ctx)
+
 let run_prog prog ctx =
   match Kernel.Verifier.compile_and_verify prog with
-  | Ok v -> fst (Kernel.Ebpf_vm.run v ctx)
+  | Ok v -> run_jit v ctx
   | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -67,12 +70,13 @@ let test_vm_dispatch_program () =
   in
   check Alcotest.bool "nontrivial program" true
     (Kernel.Ebpf_vm.insn_count v > 100);
+  let jit = Kernel.Ebpf_jit.compile v in
   let rng = Engine.Rng.create 3 in
   for _ = 1 to 200 do
     let ctx =
       { Kernel.Ebpf.flow_hash = Engine.Rng.int rng 0xFFFFFFFF; dst_port = 80 }
     in
-    match fst (Kernel.Ebpf_vm.run v ctx) with
+    match fst (Kernel.Ebpf_jit.run jit ctx) with
     | Kernel.Ebpf.Selected sock ->
       let slot = ref (-1) in
       Array.iteri
@@ -98,7 +102,7 @@ let test_vm_two_level_program_compiles () =
   let prog = Hermes.Groups.make_prog g ~m_socket ~min_selected:2 in
   match Kernel.Verifier.compile_and_verify prog with
   | Ok v -> (
-    match fst (Kernel.Ebpf_vm.run v ctx) with
+    match run_jit v ctx with
     | Kernel.Ebpf.Selected _ -> ()
     | _ -> Alcotest.fail "two-level should select")
   | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
@@ -299,8 +303,8 @@ let prop_vm_matches_ast =
       match (Kernel.Ebpf.verify prog, Kernel.Verifier.compile_and_verify prog) with
       | Ok ast, Ok vm ->
         let ast_out = fst (Kernel.Ebpf.run ast ctx) in
-        let vm_out = fst (Kernel.Ebpf_vm.run vm ctx) in
-        outcome_equal ast_out vm_out
+        outcome_equal ast_out (run_jit vm ctx)
+        && outcome_equal ast_out (fst (Kernel.Ebpf_vm.run_checked vm ctx))
       | Error _, _ -> QCheck.assume_fail ()
       | _, Error _ ->
         (* register exhaustion on a deep random expression is legal *)

@@ -1,7 +1,7 @@
 (* Tests for the abstract-interpretation bytecode verifier: bounded
    loops, branch refinement, certificate completeness, the stack-slot
    regression, the AST checker's error cases, and a differential
-   property pitting the certificate-directed fast path against the
+   property pitting the certificate-directed closure JIT against the
    fully-checked interpreter on random bytecode. *)
 
 let check = Alcotest.check
@@ -14,6 +14,9 @@ let contains s sub =
     i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
   go 0
+
+(* Verified bytecode runs on the closure JIT, its one executor. *)
+let run_jit v ctx = fst (Kernel.Ebpf_jit.run (Kernel.Ebpf_jit.compile v) ctx)
 
 let verify_ok code =
   match Kernel.Verifier.verify code with
@@ -43,7 +46,7 @@ let test_accepts_bounded_loop () =
   check Alcotest.bool "saw the backedge" true (r.Kernel.Verifier.backward_edges = 1);
   check Alcotest.bool "unrolled the loop" true (r.Kernel.Verifier.visited > 20);
   (* r0 = 50 at exit: neither pass nor drop, so the program falls back *)
-  match fst (Kernel.Ebpf_vm.run v ctx) with
+  match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
   | _ -> Alcotest.fail "loop program should fall back"
 
@@ -103,7 +106,7 @@ let test_deep_let_chain_uses_high_slots () =
     Kernel.Verifier.compile_and_verify { Kernel.Ebpf.name = "deep_chain"; body }
   with
   | Ok v -> (
-    match fst (Kernel.Ebpf_vm.run v ctx) with
+    match run_jit v ctx with
     | Kernel.Ebpf.Dropped -> ()
     | _ -> Alcotest.fail "deep chain should drop")
   | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
@@ -143,7 +146,7 @@ let test_unmasked_shift_residual () =
   check Alcotest.int "residual checks armed" 1 (Kernel.Ebpf_vm.residual_checks v);
   (* the armed check fires (flow_hash is way over 63) and the program
      falls back instead of faulting the kernel *)
-  match fst (Kernel.Ebpf_vm.run v ctx) with
+  match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
   | _ -> Alcotest.fail "oversized shift should fall back"
 
@@ -214,14 +217,14 @@ let test_unmasked_sockmap_key_residual () =
   check Alcotest.bool "residual checks armed" true
     (Kernel.Ebpf_vm.residual_checks v > 0);
   (* ctx.flow_hash = 0x12345678 >= 8: the armed check fires *)
-  match fst (Kernel.Ebpf_vm.run v ctx) with
+  match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
   | _ -> Alcotest.fail "OOB sockmap key should fall back"
 
 (* An unmaskable key through the AST path: the [Redirect] compile emits
    range guards, so the call-site obligation is discharged by branch
    refinement, and an out-of-range hash takes the guard's fallback exit
-   in the interpreter and the JIT alike. *)
+   in the JIT's outcome and exit code alike. *)
 let test_redirect_guard_catches_oob_key () =
   let m = Kernel.Ebpf_maps.Sockmap.create ~name:"m_splice_g" ~size:8 in
   Kernel.Ebpf_maps.Sockmap.set m 5 ~conn:41 ~target:3;
@@ -237,8 +240,8 @@ let test_redirect_guard_catches_oob_key () =
     | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
   in
   let jit = Kernel.Ebpf_jit.compile v in
-  (* in range and occupied: both engines redirect to the same entry *)
-  (match fst (Kernel.Ebpf_vm.run v { Kernel.Ebpf.flow_hash = 5; dst_port = 80 }) with
+  (* in range and occupied: the JIT redirects to the entry *)
+  (match run_jit v { Kernel.Ebpf.flow_hash = 5; dst_port = 80 } with
   | Kernel.Ebpf.Redirected { conn; target; copy } ->
     check Alcotest.int "conn" 41 conn;
     check Alcotest.int "target" 3 target;
@@ -247,7 +250,7 @@ let test_redirect_guard_catches_oob_key () =
   check Alcotest.int "jit redirects" 3
     (Kernel.Ebpf_jit.exec jit ~flow_hash:5 ~dst_port:80);
   (* out of range: the guard rejects the key before the helper runs *)
-  (match fst (Kernel.Ebpf_vm.run v ctx) with
+  (match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
   | _ -> Alcotest.fail "OOB key should take the guard exit");
   check Alcotest.int "jit falls back" 0
@@ -356,7 +359,7 @@ let test_ast_rejects_depth_limit () =
   | Ok _ -> Alcotest.fail "over-deep program accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Differential property: fast path vs fully-checked interpreter        *)
+(* Differential property: JIT vs fully-checked interpreter              *)
 
 let qmap = Kernel.Ebpf_maps.Array_map.create ~name:"qv_map" ~size:8
 
@@ -488,6 +491,12 @@ let outcome_equal a b =
     c1 = c2 && t1 = t2 && y1 = y2
   | _ -> false
 
+(* The closure JIT compiles out every check the certificate
+   discharges; [run_checked] keeps them all.  A wrong certificate would
+   surface here as a skipped check: a different outcome or cycle count
+   than the checked baseline.  The single [jit] instance is reused
+   across all 20 contexts, so any stale scratch state leaking between
+   runs would also surface here. *)
 let prop_fast_matches_checked =
   QCheck.Test.make
     ~name:"certified fast path = fully-checked interpreter (random bytecode)"
@@ -497,6 +506,7 @@ let prop_fast_matches_checked =
       match Kernel.Verifier.verify ~budget:3000 code with
       | Error _ -> true (* rejected programs constrain nothing *)
       | Ok (v, _) ->
+        let jit = Kernel.Ebpf_jit.compile v in
         let rng = Engine.Rng.create (seed + 1) in
         let ok = ref true in
         for _ = 1 to 20 do
@@ -507,59 +517,22 @@ let prop_fast_matches_checked =
               dst_port = Engine.Rng.int rng 0xFFFF;
             }
           in
-          (* a wrong certificate would surface here as a skipped check:
-             either an escaping exception from the fast path or a
-             different outcome than the checked baseline *)
-          let fast_out, fast_cycles = Kernel.Ebpf_vm.run v ctx in
-          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
-          ok :=
-            !ok && outcome_equal fast_out chk_out && fast_cycles = chk_cycles
-        done;
-        !ok)
-
-(* Same harness, third backend: the closure JIT must agree with both
-   interpreters on outcome AND cycle count, on every accepted program.
-   The single [jit] instance is reused across all 20 contexts, so any
-   stale scratch state leaking between runs would also surface here. *)
-let prop_jit_matches_interpreters =
-  QCheck.Test.make
-    ~name:"closure JIT = interpreter = checked interpreter (random bytecode)"
-    ~count:500
-    (QCheck.make QCheck.Gen.(pair gen_vm_prog small_int))
-    (fun (code, seed) ->
-      match Kernel.Verifier.verify ~budget:3000 code with
-      | Error _ -> true (* rejected programs constrain nothing *)
-      | Ok (v, _) ->
-        let jit = Kernel.Ebpf_jit.compile v in
-        let rng = Engine.Rng.create (seed + 7) in
-        let ok = ref true in
-        for _ = 1 to 20 do
-          let ctx =
-            {
-              Kernel.Ebpf.flow_hash =
-                Engine.Rng.int rng 0x7FFFFFFF - 0x3FFFFFFF;
-              dst_port = Engine.Rng.int rng 0xFFFF;
-            }
-          in
-          let vm_out, vm_cycles = Kernel.Ebpf_vm.run v ctx in
-          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
           let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
+          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
           ok :=
-            !ok
-            && outcome_equal jit_out vm_out
-            && outcome_equal jit_out chk_out
-            && jit_cycles = vm_cycles && jit_cycles = chk_cycles
+            !ok && outcome_equal jit_out chk_out && jit_cycles = chk_cycles
         done;
         !ok)
 
-(* Random sockmap redirect programs through all four engines: the AST
-   interpreter, both bytecode interpreters and the closure JIT must
-   agree on the full redirect verdict (entry and accepted copy length)
-   for every map size (power-of-two sizes take the masked-key path,
-   the rest the mod-folded one), occupancy pattern and flow hash. *)
+(* Random sockmap redirect programs through all three engines: the AST
+   interpreter, the checked bytecode interpreter and the closure JIT
+   must agree on the full redirect verdict (entry and accepted copy
+   length) for every map size (power-of-two sizes take the masked-key
+   path, the rest the mod-folded one), occupancy pattern and flow
+   hash. *)
 let prop_redirect_engines_agree =
   QCheck.Test.make
-    ~name:"splice redirect: AST = interpreter = checked = JIT (random sockmaps)"
+    ~name:"splice redirect: AST = checked = JIT (random sockmaps)"
     ~count:300
     (QCheck.make
        QCheck.Gen.(
@@ -584,15 +557,13 @@ let prop_redirect_engines_agree =
             { Kernel.Ebpf.flow_hash = Engine.Rng.int rng 0x7FFFFFFF; dst_port = 80 }
           in
           let ast_out = fst (Kernel.Ebpf.run ast ctx) in
-          let vm_out, vm_cycles = Kernel.Ebpf_vm.run v ctx in
           let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
           let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
           ok :=
             !ok
-            && outcome_equal ast_out vm_out
-            && outcome_equal jit_out vm_out
+            && outcome_equal ast_out chk_out
             && outcome_equal jit_out chk_out
-            && jit_cycles = vm_cycles && jit_cycles = chk_cycles
+            && jit_cycles = chk_cycles
         done;
         !ok)
 
@@ -645,7 +616,6 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_fast_matches_checked;
-          QCheck_alcotest.to_alcotest prop_jit_matches_interpreters;
           QCheck_alcotest.to_alcotest prop_redirect_engines_agree;
         ] );
     ]
