@@ -283,6 +283,82 @@ let test_per_outcome_cycles_jit () =
   check_mixed_stats "jit" ~select:10 ~drop:5 ~fallback:5 (run_mixed attach_jit)
 
 (* ------------------------------------------------------------------ *)
+(* The kernel_jit device path                                           *)
+
+(* One seeded Hermes device under an open-loop Case 1 workload, with
+   its trace captured.  Returns the rendered records (the attach-time
+   verifier verdicts dropped, each program run's cycles zeroed: the
+   AST evaluator and the bytecode JIT charge different cycle models),
+   the device, and how many program runs selected and fell back. *)
+let hermes_device_run config =
+  let records = ref [] in
+  let sink = { Trace.write = (fun r -> records := r :: !records); close = ignore } in
+  let device =
+    Trace.with_sink sink (fun () ->
+        let sim = Engine.Sim.create () in
+        let rng = Engine.Rng.create 2026 in
+        let tenants = Netsim.Tenant.population ~n:8 ~base_dport:20000 in
+        let device =
+          Lb.Device.create ~sim ~rng:(Engine.Rng.split rng)
+            ~mode:(Lb.Device.Hermes config) ~workers:8 ~tenants ()
+        in
+        Lb.Device.start device;
+        let profile =
+          Workload.Profile.scale_rate
+            (Workload.Cases.profile Workload.Cases.Case1 ~workers:8)
+            2.0
+        in
+        let driver = Workload.Driver.start ~device ~profile ~rng () in
+        Engine.Sim.run_until sim ~limit:(ms 150);
+        Workload.Driver.stop driver;
+        Engine.Sim.run_until sim ~limit:(ms 200);
+        device)
+  in
+  let selects = ref 0 and fallbacks = ref 0 in
+  let rendered =
+    List.rev !records
+    |> List.filter_map (fun (r : Trace.record) ->
+           match r.event with
+           | Trace.Verifier_verdict _ -> None
+           | Trace.Prog_run p ->
+             (match p.outcome with
+             | Trace.Select -> incr selects
+             | Trace.Fallback -> incr fallbacks
+             | Trace.Drop | Trace.Redirect -> ());
+             Some (Trace.render { r with event = Trace.Prog_run { p with cycles = 0 } })
+           | _ -> Some (Trace.render r))
+  in
+  (rendered, device, !selects, !fallbacks)
+
+let test_kernel_jit_device_matches_ast () =
+  let ast, ast_dev, selects, fallbacks =
+    hermes_device_run Hermes.Config.default
+  in
+  let jit, jit_dev, _, _ =
+    hermes_device_run { Hermes.Config.default with kernel_jit = true }
+  in
+  check Alcotest.bool "programs selected" true (selects > 100);
+  check Alcotest.bool "programs fell back" true (fallbacks > 0);
+  let rec first_diff i a b =
+    match (a, b) with
+    | [], [] -> ()
+    | x :: a, y :: b ->
+      if x <> y then Alcotest.failf "record %d differs:\n ast %s\n jit %s" i x y
+      else first_diff (i + 1) a b
+    | _ ->
+      Alcotest.failf "trace lengths differ: ast %d, jit %d" (List.length ast)
+        (List.length jit)
+  in
+  first_diff 0 ast jit;
+  check Alcotest.int "completed" (Lb.Device.completed ast_dev)
+    (Lb.Device.completed jit_dev);
+  check Alcotest.int "dropped" (Lb.Device.dropped ast_dev) (Lb.Device.dropped jit_dev);
+  let hist d = Stats.Histogram.cdf_points (Lb.Device.latency_hist d) in
+  check
+    Alcotest.(list (pair (float 0.) (float 0.)))
+    "latency histogram" (hist ast_dev) (hist jit_dev)
+
+(* ------------------------------------------------------------------ *)
 (* Allocation gates (quarantined)                                       *)
 
 let test_scheduler_pass_zero_alloc () =
@@ -335,6 +411,11 @@ let () =
             test_per_outcome_cycles_ast;
           Alcotest.test_case "per-outcome (jit)" `Quick
             test_per_outcome_cycles_jit;
+        ] );
+      ( "device-engines",
+        [
+          Alcotest.test_case "kernel_jit = ast (trace, counts, latency)" `Quick
+            test_kernel_jit_device_matches_ast;
         ] );
       ( "allocation",
         [
