@@ -11,7 +11,10 @@ type t = {
      entry's [aux] field holds the fd's pushed, undelivered units, so
      readiness dies with the subscription. *)
   subs : sub Conn_table.t;
-  mutable shared : (int * Socket.t) array; (* registration order *)
+  (* Shared listening subscriptions in registration order: the first
+     [shared_len] cells; the array doubles when full. *)
+  mutable shared : (int * Socket.t) array;
+  mutable shared_len : int;
   (* FIFO ring of fds with pushed readiness; power-of-two capacity. *)
   mutable ring : int array;
   mutable ring_head : int;
@@ -29,6 +32,7 @@ let create ~worker_id =
     wakeup = (fun () -> ());
     subs = Conn_table.create ~dummy:Conn ~capacity:128 ();
     shared = [||];
+    shared_len = 0;
     ring = Array.make 8 0;
     ring_head = 0;
     ring_len = 0;
@@ -50,7 +54,15 @@ let subscribe t ~fd sub ~what =
 let add_listening t ~fd ~socket ~shared =
   if shared then begin
     subscribe t ~fd (Shared_listen socket) ~what:"Epoll.add_listening";
-    t.shared <- Array.append t.shared [| (fd, socket) |]
+    let entry = (fd, socket) in
+    let cap = Array.length t.shared in
+    if t.shared_len = cap then begin
+      let grown = Array.make (max 4 (2 * cap)) entry in
+      Array.blit t.shared 0 grown 0 cap;
+      t.shared <- grown
+    end;
+    t.shared.(t.shared_len) <- entry;
+    t.shared_len <- t.shared_len + 1
   end
   else subscribe t ~fd (Dedicated_listen socket) ~what:"Epoll.add_listening"
 
@@ -58,7 +70,15 @@ let remove_conn t ~fd = if fd >= 0 then ignore (Conn_table.remove t.subs (fd + 1
 
 let remove_listening t ~fd =
   remove_conn t ~fd;
-  t.shared <- Array.of_list (List.filter (fun (f, _) -> f <> fd) (Array.to_list t.shared))
+  let kept = ref 0 in
+  for i = 0 to t.shared_len - 1 do
+    let ((f, _) as entry) = t.shared.(i) in
+    if f <> fd then begin
+      t.shared.(!kept) <- entry;
+      incr kept
+    end
+  done;
+  t.shared_len <- !kept
 
 let add_conn t ~fd = subscribe t ~fd Conn ~what:"Epoll.add_conn"
 
@@ -154,7 +174,7 @@ let wait t ~max_events =
     end
   done;
   (* Level-triggered scan over shared listening sockets. *)
-  for i = 0 to Array.length t.shared - 1 do
+  for i = 0 to t.shared_len - 1 do
     let fd, sock = t.shared.(i) in
     let backlog = Socket.backlog_len sock in
     if !count < max_events && backlog > 0 then begin
@@ -162,7 +182,7 @@ let wait t ~max_events =
       incr count
     end
   done;
-  t.scan_cost <- Array.length t.shared;
+  t.scan_cost <- t.shared_len;
   let n = !count in
   if n > 0 && Trace.enabled () then
     Trace.emit

@@ -44,11 +44,14 @@ val set_wakeup : t -> (unit -> unit) -> unit
 
 val add_listening : t -> fd:int -> socket:Socket.t -> shared:bool -> unit
 (** Register a listening socket (EPOLL_CTL_ADD).  [shared = true]
-    subscriptions are found by the level-triggered scan; dedicated ones
-    rely on {!notify_accept_ready}.  @raise Invalid_argument on a
-    duplicate or negative fd. *)
+    subscriptions are found by the level-triggered scan, in
+    registration order; dedicated ones rely on {!notify_accept_ready}.
+    Amortized O(1).  @raise Invalid_argument on a duplicate or
+    negative fd. *)
 
 val remove_listening : t -> fd:int -> unit
+(** EPOLL_CTL_DEL; the remaining shared subscriptions keep their scan
+    order.  O(shared subscriptions). *)
 
 val add_conn : t -> fd:int -> unit
 (** Register an accepted connection fd.

@@ -407,6 +407,36 @@ let test_epoll_counts () =
   Kernel.Epoll.remove_listening ep ~fd:1;
   check Alcotest.int "removed" 0 (Kernel.Epoll.listening_count ep)
 
+(* Shared-listener registration is amortized O(1): N registrations
+   allocate O(N) words in total.  Major words count too, since any
+   array copy over 256 words is allocated directly in the major heap.
+   A removal keeps the scan in registration order. *)
+let test_epoll_shared_registration_linear () =
+  let n = 4096 in
+  let ep = Kernel.Epoll.create ~worker_id:0 in
+  let socks =
+    Array.init n (fun i -> Kernel.Socket.create_listen ~port:(1000 + i) ~backlog:8 ())
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  Array.iteri
+    (fun fd socket -> Kernel.Epoll.add_listening ep ~fd ~socket ~shared:true)
+    socks;
+  let per_registration = (allocated () -. before) /. float_of_int n in
+  if per_registration > 64. then
+    Alcotest.failf "%.0f words per shared registration at %d registrations"
+      per_registration n;
+  List.iter (fun fd -> ignore (Kernel.Socket.push socks.(fd) (pending fd))) [ 7; 8; 9 ];
+  Kernel.Epoll.remove_listening ep ~fd:8;
+  check
+    Alcotest.(list int)
+    "scan order" [ 7; 9 ]
+    (List.map (fun (fd, _, _) -> fd) (poll ep ~max_events:8));
+  check Alcotest.int "scan cost" (n - 1) (Kernel.Epoll.last_scan_cost ep)
+
 (* ------------------------------------------------------------------ *)
 (* Ebpf maps                                                            *)
 
@@ -721,6 +751,8 @@ let () =
           Alcotest.test_case "duplicate fd" `Quick test_epoll_duplicate_fd;
           Alcotest.test_case "counts" `Quick test_epoll_counts;
           Alcotest.test_case "readiness allocates nothing" `Quick test_epoll_zero_alloc;
+          Alcotest.test_case "shared registration is linear" `Quick
+            test_epoll_shared_registration_linear;
         ] );
       ( "ebpf_maps",
         [
