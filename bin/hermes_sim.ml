@@ -152,10 +152,11 @@ let verify_cmd =
   in
   let src_root_arg =
     let doc =
-      "Repo root for the concurrency source lint (raw Atomic/Mutex/\
-       Condition uses in lib/engine and lib/trace outside the \
-       Mcheck_shim functor convention); skipped with a warning when the \
-       sources are not present (installed binary)."
+      "Repo root for the source lints (raw Atomic/Mutex/Condition uses \
+       in lib/engine and lib/trace outside the Mcheck_shim functor \
+       convention, and lib/ interface vals no other module names); \
+       skipped with a warning when the sources are not present \
+       (installed binary)."
     in
     Arg.(value & opt string "." & info [ "src-root" ] ~docv:"DIR" ~doc)
   in
@@ -230,6 +231,20 @@ let verify_cmd =
             "concurrency lint" v.file v.line v.token v.context)
         violations;
       failures := "concurrency lint" :: !failures);
+    (match Mcheck.Src_lint.scan_dead_exports ~root:src_root with
+    | Error msg -> Printf.printf "%-24s skipped: %s\n" "dead exports" msg
+    | Ok [] ->
+      Printf.printf "%-24s ok (every lib/ val is used outside its module)\n"
+        "dead exports"
+    | Ok dead ->
+      List.iter
+        (fun (d : Mcheck.Src_lint.dead_export) ->
+          Printf.printf
+            "%-24s %s:%d val %s is named by no other .ml (delete it or \
+             drop it from the interface)\n"
+            "dead exports" d.mli d.line d.name)
+        dead;
+      failures := "dead exports" :: !failures);
     match !failures with
     | [] -> `Ok ()
     | fs ->
@@ -240,12 +255,13 @@ let verify_cmd =
   in
   let doc =
     "Verify every shipped dispatch program with the abstract \
-     interpreter, lint fault plans against the device shape, and lint \
-     the engine/trace sources for concurrency primitives that bypass \
-     the model-check shim; fail unless each program is accepted \
-     loop-free with a complete certificate (zero residual runtime \
-     checks), each plan is well-formed, and the sources are \
-     shim-clean."
+     interpreter, lint fault plans against the device shape, lint the \
+     engine/trace sources for concurrency primitives that bypass the \
+     model-check shim, and lint lib/ interfaces for dead exports; fail \
+     unless each program is accepted loop-free with a complete \
+     certificate (zero residual runtime checks), each plan is \
+     well-formed, the sources are shim-clean, and every exported val \
+     is named by some other module."
   in
   Cmd.v
     (Cmd.info "verify" ~doc)

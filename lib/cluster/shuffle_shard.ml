@@ -10,7 +10,6 @@ let create ~vms ~shard_size ~rng =
     invalid_arg "Shuffle_shard.create: need 0 < shard_size <= vms";
   { vms; size = shard_size; rng; shards = Hashtbl.create 64 }
 
-let vm_count t = t.vms
 let shard_size t = t.size
 
 let draw_shard t =

@@ -12,7 +12,6 @@ type t
 val create : vms:int -> shard_size:int -> rng:Engine.Rng.t -> t
 (** @raise Invalid_argument unless [0 < shard_size <= vms]. *)
 
-val vm_count : t -> int
 val shard_size : t -> int
 
 val shard_of : t -> tenant:int -> int array

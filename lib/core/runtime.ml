@@ -17,14 +17,7 @@ let syscall_cost_cycles = 1500
    lookahead that bounds how far the cluster coordinator may run one
    shard ahead of another.  Mirrors the modelled client RTT so a
    control->device message never undercuts the slowest in-shard path. *)
-let default_cross_shard_latency = Engine.Sim_time.us 100
-let cross_shard_latency_hook = ref default_cross_shard_latency
-
-let cross_shard_latency () = !cross_shard_latency_hook
-
-let set_cross_shard_latency d =
-  if d <= 0 then invalid_arg "Runtime.set_cross_shard_latency: must be positive";
-  cross_shard_latency_hook := d
+let cross_shard_latency () = Engine.Sim_time.us 100
 
 let create ?(group_size = 64) ?(select_mode = Groups.By_flow_hash) ~config
     ~workers () =

@@ -76,19 +76,10 @@ val syscall_cost_cycles : int
 (** Modelled cost of one bpf() map-update syscall. *)
 
 val cross_shard_latency : unit -> Engine.Sim_time.t
-(** Minimum virtual latency of any cross-shard interaction (default
-    100 µs, the modelled client RTT).  The sharded cluster uses this
-    as its conservative-synchronization lookahead: the coordinator
+(** Minimum virtual latency of any cross-shard interaction (100 µs,
+    the modelled client RTT).  The sharded cluster uses this as its
+    default conservative-synchronization lookahead: the coordinator
     advances all shards in rounds of exactly this width, and every
     cross-shard message is stamped at least this far in the future, so
     no shard can ever receive a message inside a window it has already
     executed. *)
-
-val set_cross_shard_latency : Engine.Sim_time.t -> unit
-(** Override the lookahead before building a cluster (the CLI's
-    [--lookahead]).  Larger values mean fewer synchronization rounds
-    but slower control-plane reaction — cross-shard message latency is
-    pinned to the lookahead, so this is a {e model} parameter: two
-    runs compare byte-for-byte only under the same lookahead (domain
-    count, by contrast, never affects the trace).
-    @raise Invalid_argument if the latency is not positive. *)

@@ -92,7 +92,6 @@ let find_slot t key = probe_find t.keys t.islots t.mask key (home t key)
 
 let mem t key = find_slot t key >= 0
 let payload t slot = t.payloads.(slot)
-let set_payload t slot v = t.payloads.(slot) <- v
 let aux t slot = Bigarray.Array1.get t.slot_aux slot
 let set_aux t slot v = Bigarray.Array1.set t.slot_aux slot v
 let key_of_slot t slot = Bigarray.Array1.get t.slot_key slot
@@ -225,7 +224,6 @@ module Ref = struct
   let find_slot t key = match Hashtbl.find_opt t.tbl key with Some s -> s | None -> -1
   let mem t key = Hashtbl.mem t.tbl key
   let payload t slot = t.payloads.(slot)
-  let set_payload t slot v = t.payloads.(slot) <- v
   let aux t slot = t.slot_aux.(slot)
   let set_aux t slot v = t.slot_aux.(slot) <- v
   let key_of_slot t slot = t.slot_key.(slot)

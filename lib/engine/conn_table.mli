@@ -58,7 +58,6 @@ val payload : 'a t -> int -> 'a
 (** Read a slot returned by {!find_slot} / {!iter}.  Slots are stable
     until the entry is removed. *)
 
-val set_payload : 'a t -> int -> 'a -> unit
 val aux : 'a t -> int -> int
 val set_aux : 'a t -> int -> int -> unit
 
@@ -99,7 +98,6 @@ module Ref : sig
   val find_slot : 'a t -> int -> int
   val mem : 'a t -> int -> bool
   val payload : 'a t -> int -> 'a
-  val set_payload : 'a t -> int -> 'a -> unit
   val aux : 'a t -> int -> int
   val set_aux : 'a t -> int -> int -> unit
   val key_of_slot : 'a t -> int -> int

@@ -34,10 +34,6 @@ val bounded_pareto : shape:float -> lo:float -> hi:float -> t
 (** Pareto truncated to [\[lo, hi\]]; keeps heavy tails while avoiding
     unbounded simulated processing times. *)
 
-val lognormal : mu:float -> sigma:float -> t
-(** Lognormal with location [mu] and shape [sigma] of the underlying
-    normal. *)
-
 val lognormal_of_quantiles : p50:float -> p99:float -> t
 (** Lognormal whose median and 99th percentile match the given targets:
     this is how the Region profiles reproduce Table 1's columns. *)

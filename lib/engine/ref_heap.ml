@@ -103,8 +103,6 @@ let pending_count t =
   done;
   !n
 
-let occupancy t = t.size
-
 let step t =
   let rec next () =
     match pop t with

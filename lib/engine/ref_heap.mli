@@ -42,6 +42,3 @@ val run : t -> unit
 val run_until : t -> limit:Sim_time.t -> unit
 val stop : t -> unit
 val events_fired : t -> int
-
-val occupancy : t -> int
-(** Physical heap entries, tombstones included. *)

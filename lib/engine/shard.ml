@@ -19,7 +19,6 @@ type t = {
 
 let create ~id ?trace_capacity () =
   let sim = Sim.create () in
-  Sim.set_shard sim id;
   let ring = Option.map (fun capacity -> Trace.Ring.create ~capacity) trace_capacity in
   let sink = Option.map Trace.ring_sink ring in
   { id; sim; trace = Some (Trace.make_state sink); ring; outbox = []; msg_seq = 0 }

@@ -26,11 +26,10 @@ type message = {
 }
 
 val create : id:int -> ?trace_capacity:int -> unit -> t
-(** A member shard with its own fresh simulator (tagged with
-    {!Sim.set_shard}[ id]) and its own recorder context.  With
-    [trace_capacity] the context records into a private ring of that
-    capacity (read back with {!records}); without it the shard records
-    nothing. *)
+(** A member shard with its own fresh simulator and its own recorder
+    context.  With [trace_capacity] the context records into a private
+    ring of that capacity (read back with {!records}); without it the
+    shard records nothing. *)
 
 val control : sim:Sim.t -> t
 (** Wrap the caller's simulator as the control LP (id 0).  The control

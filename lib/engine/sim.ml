@@ -20,7 +20,6 @@ type t = {
   mutable seq : int;
   mutable stopping : bool;
   mutable fired : int;
-  mutable shard : int;
 }
 
 let create () =
@@ -30,12 +29,9 @@ let create () =
     seq = 0;
     stopping = false;
     fired = 0;
-    shard = 0;
   }
 
 let now t = t.clock
-let shard_id t = t.shard
-let set_shard t id = t.shard <- id
 let null_handle = -1
 
 let schedule t ~at action =

@@ -34,15 +34,6 @@ val create : unit -> t
 val now : t -> Sim_time.t
 (** Current virtual time. *)
 
-val shard_id : t -> int
-(** Logical-shard tag of this simulator: [0] for a standalone
-    simulator (the default), the owning {!Shard}'s id when the
-    simulator is one logical process of a sharded cluster run.  Purely
-    a label — it feeds the deterministic [(time, shard, seq)] merge
-    order of per-shard traces. *)
-
-val set_shard : t -> int -> unit
-
 val schedule : t -> at:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when virtual time reaches [at].
     @raise Invalid_argument if [at] is in the past. *)

@@ -24,7 +24,6 @@ val of_sec_f : float -> t
 val of_ms_f : float -> t
 val of_us_f : float -> t
 val to_sec_f : t -> float
-val to_ms_f : t -> float
 val to_us_f : t -> float
 
 val add : t -> t -> t

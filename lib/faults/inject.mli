@@ -8,10 +8,6 @@
     invariant monitors key their windows off these records, so the
     trace stream alone carries the whole chaos timeline. *)
 
-val slowdown_period : Engine.Sim_time.t
-(** Duty-cycle period of the [Slowdown] fault (5 ms): each period the
-    victim burns [(factor-1)/factor] of it on synthetic work. *)
-
 val arm : device:Lb.Device.t -> plan:Plan.t -> unit
 (** Schedule the plan against the device.  Call after {!Lb.Device.create}
     and before driving the simulator; entries dated before the current

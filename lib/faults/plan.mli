@@ -86,10 +86,6 @@ val stops_availability : Trace.fault -> bool
 
 (** {1 Text format} *)
 
-val time_to_string : Engine.Sim_time.t -> string
-(** Shortest exact unit: ["2s"], ["2500ms"], ["150us"], ["42ns"]. *)
-
-val entry_to_string : entry -> string
 val to_string : t -> string
 
 val parse : string -> (t, string) result

@@ -11,7 +11,6 @@ type t = {
   listen_port : Netsim.Addr.port;
   mutable backlog : int;
   queue : pending_conn Queue.t;
-  mutable queued : int;
   mutable dropped : int;
   mutable accepted : int;
   mutable closed : bool;
@@ -32,7 +31,6 @@ let create_listen ?id ~port ~backlog () =
     listen_port = port;
     backlog;
     queue = Queue.create ();
-    queued = 0;
     dropped = 0;
     accepted = 0;
     closed = false;
@@ -53,7 +51,6 @@ let push t conn =
   end
   else begin
     Queue.push conn t.queue;
-    t.queued <- t.queued + 1;
     `Queued
   end
 
@@ -65,7 +62,6 @@ let accept t =
     Some conn
 
 let backlog_len t = Queue.length t.queue
-let total_queued t = t.queued
 let total_dropped t = t.dropped
 let total_accepted t = t.accepted
 

@@ -53,7 +53,6 @@ val accept : t -> pending_conn option
     empty (a spurious wakeup). *)
 
 val backlog_len : t -> int
-val total_queued : t -> int
 val total_dropped : t -> int
 val total_accepted : t -> int
 

@@ -72,19 +72,17 @@ type report = {
           otherwise; "unreached" for dead code) *)
 }
 
-val default_budget : int
-(** Instruction-visit budget, 1,000,000 — the kernel's
-    [BPF_COMPLEXITY_LIMIT_INSNS]. *)
-
 val verify :
   ?name:string ->
   ?budget:int ->
   ?collect_states:bool ->
   Ebpf_vm.program ->
   (Ebpf_vm.verified * report, error) result
-(** Check [program] and build its certificate.  Emits a
-    {!Trace.Verifier_verdict} event (backend ["bytecode"]) on both
-    acceptance and rejection; [name] labels it. *)
+(** Check [program] and build its certificate.  [budget] bounds the
+    instruction visits (default 1,000,000 — the kernel's
+    [BPF_COMPLEXITY_LIMIT_INSNS]).  Emits a {!Trace.Verifier_verdict}
+    event (backend ["bytecode"]) on both acceptance and rejection;
+    [name] labels it. *)
 
 val verify_exn : ?name:string -> ?budget:int -> Ebpf_vm.program -> Ebpf_vm.verified
 (** @raise Invalid_argument on rejection. *)

@@ -47,8 +47,6 @@ let forward_to t ~worker ~server =
     t.idle.(pool).(server) <- t.idle.(pool).(server) - 1
   else t.handshake_count <- t.handshake_count + 1
 
-let forward t ~worker = forward_to t ~worker ~server:(pick t ~worker)
-
 let release t ~worker ~server =
   let pool = pool_of t worker in
   if t.idle.(pool).(server) < t.idle_cap then
@@ -77,7 +75,6 @@ let update_server_list t ?servers ~randomize () =
 
 let requests_per_server t = Array.copy t.request_counts
 let handshakes t = t.handshake_count
-let forwarded t = t.forward_count
 
 let reuse_ratio t =
   if t.forward_count = 0 then 0.0

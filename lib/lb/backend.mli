@@ -25,18 +25,15 @@ val create :
 val server_count : t -> int
 val mode : t -> pool_mode
 
-val forward : t -> worker:int -> unit
-(** Route one request: round-robin server choice for this worker, then
-    reuse an idle backend connection or open a new one (counted as a
-    handshake). *)
-
 val release : t -> worker:int -> server:int -> unit
 (** Return a connection to the pool after use; kept if there is idle
     capacity. *)
 
 val forward_and_release : t -> worker:int -> int
-(** Convenience: [forward] immediately followed by [release] of the
-    chosen server; returns the server index. *)
+(** Route one request — round-robin server choice for this worker,
+    then reuse an idle backend connection or open a new one (counted
+    as a handshake) — and immediately [release] the connection;
+    returns the server index. *)
 
 val update_server_list :
   t -> ?servers:int -> randomize:Engine.Rng.t option -> unit -> unit
@@ -47,7 +44,6 @@ val update_server_list :
 
 val requests_per_server : t -> int array
 val handshakes : t -> int
-val forwarded : t -> int
 
 val reuse_ratio : t -> float
 (** Fraction of forwards that reused a pooled connection. *)

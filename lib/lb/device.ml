@@ -58,10 +58,6 @@ type sample = { at : Sim_time.t; util : float array; conns : int array }
 
 let null_sample = { at = 0; util = [||]; conns = [||] }
 
-(* Utilization is a fraction in [0, 1]; the streaming histogram's
-   linear buckets are unit-width, so record it in basis points. *)
-let util_scale = 10_000.0
-
 type t = {
   sim : Sim.t;
   rng : Engine.Rng.t;
@@ -87,15 +83,11 @@ type t = {
   mutable completed_count : int;
   mutable drop_count : int;
   mutable reset_count : int;
-  (* Bounded sample ring (most recent [retain] samples) + streaming
-     per-worker histograms fed on every tick, so unbounded soaks keep
-     O(retain) memory while percentiles still cover the full run. *)
+  (* Bounded sample ring (most recent [retain] samples), so unbounded
+     soaks keep O(retain) memory. *)
   mutable sample_buf : sample array;
   mutable sample_len : int;
   mutable sample_pos : int;
-  mutable sample_drops : int;
-  sample_util : Stats.Histogram.t;
-  sample_conns : Stats.Histogram.t;
   mutable sampling_prev : Sim_time.t array;
   (* per-tenant accounting (indexed like [tenant_arr]) for overload
      attribution: connection arrivals and CPU consumed *)
@@ -293,9 +285,6 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
       sample_buf = [||];
       sample_len = 0;
       sample_pos = 0;
-      sample_drops = 0;
-      sample_util = Stats.Histogram.create ();
-      sample_conns = Stats.Histogram.create ();
       sampling_prev = Array.make workers 0;
       tenant_conns = Array.make (Array.length tenants) 0;
       tenant_cpu = Array.make (Array.length tenants) 0;
@@ -568,13 +557,6 @@ let set_splice_desync t ~worker v =
 let set_splice_strict t v =
   match t.splice_rt with None -> () | Some sp -> Splice.set_strict sp v
 
-let splice_kernel_cycles t =
-  match t.splice_rt with
-  | None -> 0
-  | Some sp ->
-    let s = Splice.stats sp in
-    s.Splice.prog_cycles + s.Splice.splice_cycles
-
 (* Accept-queue overflow: clamp the victim's listening sockets to a
    one-deep backlog so handshakes start dropping.  Dedicated modes
    clamp worker [w]'s socket on every port; shared modes have no
@@ -704,14 +686,9 @@ let enable_degradation t ~policy ~check_every =
 
 let push_sample t s =
   let cap = Array.length t.sample_buf in
-  if t.sample_len = cap then t.sample_drops <- t.sample_drops + 1
-  else t.sample_len <- t.sample_len + 1;
+  if t.sample_len < cap then t.sample_len <- t.sample_len + 1;
   t.sample_buf.(t.sample_pos) <- s;
-  t.sample_pos <- (t.sample_pos + 1) mod cap;
-  Array.iter (fun u -> Stats.Histogram.record t.sample_util (u *. util_scale)) s.util;
-  Array.iter
-    (fun c -> Stats.Histogram.record t.sample_conns (float_of_int c))
-    s.conns
+  t.sample_pos <- (t.sample_pos + 1) mod cap
 
 let enable_sampling t ?(retain = 4096) ~every () =
   if retain <= 0 then invalid_arg "Device.enable_sampling: retain must be positive";
@@ -735,10 +712,6 @@ let samples t =
   let start = if t.sample_len = cap then t.sample_pos else 0 in
   List.init t.sample_len (fun i -> t.sample_buf.((start + i) mod cap))
 
-let samples_dropped t = t.sample_drops
-let sample_util_hist t = t.sample_util
-let sample_conn_hist t = t.sample_conns
-
 let latency_hist t = t.lat
 let establishment_hist t = t.estab_lat
 let completed t = t.completed_count
@@ -757,10 +730,7 @@ let reset_measurements t =
   t.drop_count <- 0;
   t.reset_count <- 0;
   t.sample_len <- 0;
-  t.sample_pos <- 0;
-  t.sample_drops <- 0;
-  Stats.Histogram.reset t.sample_util;
-  Stats.Histogram.reset t.sample_conns
+  t.sample_pos <- 0
 
 let kernel_dispatch_cycles t =
   Hashtbl.fold

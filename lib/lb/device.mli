@@ -159,10 +159,6 @@ val set_splice_strict : t -> bool -> unit
 (** Toggle the splice plane's userspace-directed verification
     ({!Splice.set_strict}).  No-op in non-splice modes. *)
 
-val splice_kernel_cycles : t -> int
-(** Cumulative in-kernel splice cycles — redirect-program runs plus
-    forwarding/selective-copy work (0 outside [Splice] mode). *)
-
 val overflow_accept_queue : t -> worker:int -> unit
 (** Clamp the victim's listening-socket backlogs to one pending
     connection, so handshakes overflow and drop.  Dedicated modes
@@ -211,24 +207,10 @@ val enable_sampling : t -> ?retain:int -> every:Engine.Sim_time.t -> unit -> uni
     (the sampling behind Fig. 13).  Sampling runs until the simulation
     stops being driven.  At most [retain] (default 4096) raw samples
     are kept — a bounded ring of the most recent ones, so week-long
-    soaks don't grow a per-tick list without bound; every sample is
-    additionally folded into the streaming histograms below, which
-    cover the whole run. *)
+    soaks don't grow a per-tick list without bound. *)
 
 val samples : t -> sample list
 (** The retained (most recent) samples, oldest first. *)
-
-val samples_dropped : t -> int
-(** Raw samples evicted from the ring because [retain] was exceeded.
-    Their contribution survives in the histograms. *)
-
-val sample_util_hist : t -> Stats.Histogram.t
-(** Per-worker utilization from every sampling tick of the run,
-    recorded in basis points (utilization × 10{^4}: 10000 = fully
-    busy). *)
-
-val sample_conn_hist : t -> Stats.Histogram.t
-(** Per-worker connection counts from every sampling tick. *)
 
 val reset_measurements : t -> unit
 (** Clear the latency histogram and device-level counters (warm-up

@@ -10,7 +10,6 @@
 
 type meth = GET | HEAD | POST | PUT | DELETE | OPTIONS | PATCH
 
-val meth_of_string : string -> meth option
 val meth_to_string : meth -> string
 
 type request = {

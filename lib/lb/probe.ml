@@ -23,7 +23,6 @@ type t = {
   mutable sent_count : int;
   mutable delayed_count : int;
   mutable lost_count : int;
-  lat : Stats.Histogram.t;
 }
 
 let rec tick t () =
@@ -36,7 +35,6 @@ let rec tick t () =
           t.lost_count <- t.lost_count + 1;
           t.delayed_count <- t.delayed_count + 1
         | Some delay ->
-          Stats.Histogram.record t.lat (float_of_int delay);
           if delay > t.cfg.delayed_threshold then
             t.delayed_count <- t.delayed_count + 1);
     ignore (Sim.schedule_after t.sim ~delay:t.cfg.interval (tick t))
@@ -53,7 +51,6 @@ let start ~sim ~config ~target ~tenant =
       sent_count = 0;
       delayed_count = 0;
       lost_count = 0;
-      lat = Stats.Histogram.create ();
     }
   in
   ignore (Sim.schedule_after sim ~delay:config.interval (tick t));
@@ -63,7 +60,6 @@ let stop t = t.running <- false
 let sent t = t.sent_count
 let delayed t = t.delayed_count
 let lost t = t.lost_count
-let latencies t = t.lat
 
 module Per_worker = struct
   type pw = {
@@ -74,7 +70,6 @@ module Per_worker = struct
     mutable sent_count : int;
     mutable delayed_count : int;
     per_worker : int array;
-    lat : Stats.Histogram.t;
     conns : Conn.t array;
     (* one probe in flight per worker: overlapping probes on the same
        connection would mistake each other's completions for their own *)
@@ -105,7 +100,6 @@ module Per_worker = struct
             answered := true;
             t.outstanding.(w) <- false;
             let delay = Sim_time.sub (Sim.now t.sim) started in
-            Stats.Histogram.record t.lat (float_of_int delay);
             if delay > t.cfg.delayed_threshold then begin
               t.delayed_count <- t.delayed_count + 1;
               t.per_worker.(w) <- t.per_worker.(w) + 1
@@ -164,7 +158,6 @@ module Per_worker = struct
         sent_count = 0;
         delayed_count = 0;
         per_worker = Array.make n 0;
-        lat = Stats.Histogram.create ();
         conns;
         outstanding = Array.make n false;
       }
@@ -176,5 +169,4 @@ module Per_worker = struct
   let sent t = t.sent_count
   let delayed t = t.delayed_count
   let delayed_by_worker t = Array.copy t.per_worker
-  let latencies t = t.lat
 end

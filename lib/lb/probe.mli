@@ -29,9 +29,6 @@ val delayed : t -> int
 val lost : t -> int
 (** Subset of [delayed] that never completed at all. *)
 
-val latencies : t -> Stats.Histogram.t
-(** Delay of completed probes, ns. *)
-
 (** {1 Per-worker probing}
 
     "We periodically send probes to {e all workers}" — the prober
@@ -48,5 +45,4 @@ module Per_worker : sig
   val sent : t -> int
   val delayed : t -> int
   val delayed_by_worker : t -> int array
-  val latencies : t -> Stats.Histogram.t
 end

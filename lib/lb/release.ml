@@ -16,14 +16,11 @@ type t = {
   started : Sim_time.t;
   mutable next : int;
   mutable active : int option;
-  mutable aborted : bool;
   mutable drained : int;
   mutable forced : int;
 }
 
-let in_progress t = t.active <> None || (t.next < Device.worker_count t.device && not t.aborted)
-let current_worker t = t.active
-let abort t = t.aborted <- true
+let in_progress t = t.active <> None || t.next < Device.worker_count t.device
 
 let finish t =
   t.active <- None;
@@ -36,7 +33,7 @@ let finish t =
     }
 
 let rec release_next t =
-  if t.aborted || t.next >= Device.worker_count t.device then finish t
+  if t.next >= Device.worker_count t.device then finish t
   else begin
     let w = t.next in
     t.active <- Some w;
@@ -90,7 +87,6 @@ let start ~device ?(grace = Sim_time.sec 2) ?(poll = Sim_time.ms 50) ~on_done ()
       started = Sim.now (Device.sim device);
       next = 0;
       active = None;
-      aborted = false;
       drained = 0;
       forced = 0;
     }

@@ -41,8 +41,3 @@ val start :
     @raise Invalid_argument in shared-socket modes. *)
 
 val in_progress : t -> bool
-val current_worker : t -> int option
-(** The worker currently out of rotation, if any. *)
-
-val abort : t -> unit
-(** Stop after the current worker completes its restart. *)

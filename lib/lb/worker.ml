@@ -24,14 +24,6 @@ type callbacks = {
   on_conn_reset : Conn.t -> unit;
 }
 
-let null_callbacks =
-  {
-    on_established = (fun _ -> ());
-    on_request_done = (fun _ _ -> ());
-    on_conn_closed = (fun _ -> ());
-    on_conn_reset = (fun _ -> ());
-  }
-
 type stats = {
   events_per_wait : Stats.Histogram.t;
   batch_processing : Stats.Histogram.t;
@@ -140,7 +132,6 @@ let conns t =
   Conn_table.fold t.conn_table ~init:[] ~f:(fun acc ~key:_ ~slot ->
       Conn_table.payload t.conn_table slot :: acc)
   |> List.sort (fun (a : Conn.t) b -> compare a.Conn.fd b.Conn.fd)
-let is_blocked t = t.state = Blocked
 let is_crashed t = t.state = Crashed
 
 let avail_update t =
@@ -497,8 +488,6 @@ let start t =
     Kernel.Epoll.set_wakeup t.ep (fun () -> ignore (try_wake t));
     loop_enter t ~woken:false
   | Blocked | Waking | Running | Crashed -> ()
-
-let reset_synthetic_ids () = ()
 
 let fresh_synthetic_id t =
   t.synthetic_seq <- t.synthetic_seq + 1;

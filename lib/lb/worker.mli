@@ -35,8 +35,6 @@ type callbacks = {
   on_conn_reset : Conn.t -> unit;  (** RST: crash, pool reject, shed *)
 }
 
-val null_callbacks : callbacks
-
 type t
 
 val create :
@@ -65,7 +63,6 @@ val try_wake : t -> bool
 (** Wait-queue callback: wakes the worker iff it is blocked in
     [epoll_wait].  Returns whether it was woken. *)
 
-val is_blocked : t -> bool
 val is_crashed : t -> bool
 
 val adopt_conn : t -> tenant_id:int -> Conn.t
@@ -99,22 +96,11 @@ val inject_stall : t -> req_id:int -> cost:Engine.Sim_time.t -> bool
     [tenant_id = -1] that bypasses the accept path and accept stats.
     Returns false (and injects nothing) if the worker is crashed. *)
 
-val reset_synthetic_ids : unit -> unit
-(** No-op, kept for compatibility.  The id counter behind
-    [adopt_conn] and [inject_stall] carriers is per-worker now (each
-    worker owns a disjoint band of the 1e9-based id space), so a fresh
-    device starts from the same ids with nothing to reset — and
-    workers on different simulation shards allocate ids with no shared
-    state, which the sharded cluster's determinism proof relies on. *)
-
 val conns : t -> Conn.t list
 val conn_count : t -> int
 val cpu_busy : t -> Engine.Sim_time.t
 (** Cumulative CPU time consumed by this worker's core up to now;
     a charge in progress counts only its elapsed part. *)
-
-val cpu_busy_at : t -> Engine.Sim_time.t -> Engine.Sim_time.t
-(** [cpu_busy] evaluated at an arbitrary (non-future) instant. *)
 
 type stats = {
   events_per_wait : Stats.Histogram.t;

@@ -15,8 +15,6 @@
     schedule; [Condition.signal] wakes the longest-waiting thread;
     spurious wakeups are not modelled; at most 16 fibers. *)
 
-val max_threads : int
-
 (** The scheduler-controlled primitives.  Only usable inside a
     {!check} scenario; calling them outside raises. *)
 module P : Mcheck_shim.PRIM

@@ -24,8 +24,5 @@ type t = {
 val all : t list
 val find : string -> t option
 
-val unexpected_races : t -> Model.outcome -> Model.race list
-val missing_races : t -> Model.outcome -> string list
-
 val evaluate : t -> Model.outcome -> bool * string
 (** [(pass, reason)] under the rules above. *)

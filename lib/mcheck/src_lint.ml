@@ -270,3 +270,99 @@ let scan_tree ~root =
         present
     in
     Ok violations
+
+(* ------------------------------------------------------------------ *)
+(* Dead exports                                                         *)
+
+(* A [val] in a [lib/] interface whose name no other implementation
+   mentions is dead weight: either nothing calls it, or only its own
+   module does and it need not be exported.  The scan is by name on
+   comment- and string-stripped source, so a common name used anywhere
+   counts as a use — it can miss dead exports, never invent one. *)
+
+type dead_export = { mli : string; line : int; name : string }
+
+let export_roots = [ "lib" ]
+let user_roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+
+let identifiers text =
+  let n = String.length text in
+  let rec go i acc =
+    if i >= n then acc
+    else if is_ident_char text.[i] && text.[i] <> '\'' then begin
+      let j = ref i in
+      while !j < n && is_ident_char text.[!j] do
+        incr j
+      done;
+      go !j ((i, String.sub text i (!j - i)) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  List.rev (go 0 [])
+
+(* [val name] declarations of an interface, with their offsets;
+   operator vals ([val ( + )]) are skipped. *)
+let val_names text =
+  let rec go = function
+    | (v, "val") :: ((i, name) :: _ as rest)
+      when String.trim (String.sub text (v + 3) (i - v - 3)) = "" ->
+      let c = name.[0] in
+      if (c >= 'a' && c <= 'z') || c = '_' then (i, name) :: go rest
+      else go rest
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (identifiers text)
+
+let dead_exports ~mlis ~mls =
+  (* name -> the implementations that mention it *)
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun (file, src) ->
+      let seen = Hashtbl.create 256 in
+      List.iter
+        (fun (_, id) ->
+          if not (Hashtbl.mem seen id) then begin
+            Hashtbl.add seen id ();
+            Hashtbl.add users id file
+          end)
+        (identifiers (strip src)))
+    mls;
+  List.concat_map
+    (fun (mli, src) ->
+      let own = Filename.remove_extension mli ^ ".ml" in
+      let text = strip src in
+      List.filter_map
+        (fun (i, name) ->
+          if List.exists (fun f -> f <> own) (Hashtbl.find_all users name) then None
+          else Some { mli; line = line_of text i; name })
+        (val_names text))
+    mlis
+
+(* Every file under [dir] with [suffix], depth first in name order;
+   build and hidden directories are skipped. *)
+let rec files_under dir ~suffix =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then
+           if f.[0] = '_' || f.[0] = '.' then [] else files_under path ~suffix
+         else if Filename.check_suffix f suffix then [ path ]
+         else [])
+
+let scan_dead_exports ~root =
+  let under roots ~suffix =
+    List.concat_map
+      (fun d ->
+        let dir = Filename.concat root d in
+        if Sys.file_exists dir then
+          List.map (fun p -> (p, read_file p)) (files_under dir ~suffix)
+        else [])
+      roots
+  in
+  match under export_roots ~suffix:".mli" with
+  | [] ->
+    Error
+      (Printf.sprintf "no interfaces found under %s (looked in %s)" root
+         (String.concat ", " export_roots))
+  | mlis -> Ok (dead_exports ~mlis ~mls:(under user_roots ~suffix:".ml"))

@@ -39,5 +39,4 @@ let equal_four_tuple a b =
   a.src_ip = b.src_ip && a.src_port = b.src_port && a.dst_ip = b.dst_ip
   && a.dst_port = b.dst_port
 
-let http_port = 80
 let https_port = 443

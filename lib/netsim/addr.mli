@@ -28,8 +28,5 @@ val pp_four_tuple : Format.formatter -> four_tuple -> unit
 
 val equal_four_tuple : four_tuple -> four_tuple -> bool
 
-val http_port : port
-(** 80 *)
-
 val https_port : port
 (** 443 *)

@@ -18,13 +18,6 @@ let user_copy_cycles ~bytes =
   check_bytes "user_copy_cycles" bytes;
   copy_cycles_per_kb * bytes / 1024
 
-(* read() from the client socket + write() to the backend socket: two
-   syscall round trips, each side copying the full payload across the
-   kernel/user boundary. *)
-let proxy_cycles ~bytes =
-  check_bytes "proxy_cycles" bytes;
-  (2 * syscall_cycles) + (2 * user_copy_cycles ~bytes)
-
 let splice_cycles ~bytes =
   check_bytes "splice_cycles" bytes;
   splice_base_cycles + (splice_cycles_per_kb * bytes / 1024)

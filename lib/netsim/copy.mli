@@ -6,8 +6,8 @@
 
     - {b userspace proxy}: every chunk crosses the kernel/user
       boundary twice ([read] from the client socket, [write] to the
-      backend socket), paying two syscalls plus two full copies —
-      {!proxy_cycles};
+      backend socket), paying two {!syscall_cycles} plus two full
+      copies ({!user_copy_cycles});
     - {b in-kernel splice}: a sockmap redirect moves page references
       between sockets without copying payload ({!splice_cycles}), and
       only the bytes userspace asked to inspect are copied up
@@ -22,21 +22,9 @@
 val syscall_cycles : int
 (** Entry/exit cost of one syscall (600). *)
 
-val copy_cycles_per_kb : int
-(** Kernel<->user copy cost per KiB (768, ~0.75 cycles/byte). *)
-
-val splice_base_cycles : int
-(** Fixed cost of one sockmap redirect verdict (150). *)
-
-val splice_cycles_per_kb : int
-(** Per-KiB page-reference bookkeeping on the splice path (48). *)
-
 val user_copy_cycles : bytes:int -> int
 (** One kernel<->user copy of [bytes].  @raise Invalid_argument on a
     negative count (all functions below too). *)
-
-val proxy_cycles : bytes:int -> int
-(** Userspace forwarding of [bytes]: two syscalls + two copies. *)
 
 val splice_cycles : bytes:int -> int
 (** In-kernel redirect of [bytes]: no payload copy at all. *)

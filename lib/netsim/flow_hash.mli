@@ -7,10 +7,6 @@
     same family Linux uses for [inet_ehashfn] — so collision behaviour
     under heavy-hitter tuples is realistic. *)
 
-val jhash3 : int -> int -> int -> seed:int -> int
-(** Jenkins hash of three 32-bit words, returning a non-negative 32-bit
-    value. *)
-
 val of_four_tuple : ?seed:int -> Addr.four_tuple -> int
 (** Hash a 4-tuple to a non-negative 32-bit value.  A fixed default
     seed keeps runs reproducible; pass [seed] to model the per-boot

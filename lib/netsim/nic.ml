@@ -16,8 +16,6 @@ let create ~queues =
     bytes = Array.make queues 0;
   }
 
-let queue_count t = t.queues
-
 let queue_for t (p : Packet.t) = t.table.(p.flow_hash land (table_size - 1))
 
 let receive t p =

@@ -11,8 +11,6 @@ val create : queues:int -> t
 (** A NIC with [queues] RX queues and an RSS indirection table of 128
     entries initialized round-robin, as real NICs default to. *)
 
-val queue_count : t -> int
-
 val queue_for : t -> Packet.t -> int
 (** RSS decision for one packet (does not record it). *)
 

@@ -123,8 +123,6 @@ let stddev t =
     let var = t.acc.(m2_) /. float_of_int t.n in
     if var <= 0.0 then 0.0 else sqrt var
 
-let bucket_count t = Array.length t.buckets
-
 let merge_into ~src ~dst =
   (* Equal bucket-array lengths are not equal layouts: different
      (significant_digits, max_value) pairs can coincide in length while

@@ -38,11 +38,6 @@ val stddev : t -> float
     (Welford running moments, stable for large-magnitude samples such
     as ns timestamps); 0 for fewer than 2 samples. *)
 
-val bucket_count : t -> int
-(** Number of buckets in this histogram's layout (a cheap layout
-    fingerprint for tests; equal counts do {e not} imply equal
-    layouts). *)
-
 val merge_into : src:t -> dst:t -> unit
 (** Add all of [src]'s observations into [dst].  The two histograms
     must have identical bucket layouts — same [significant_digits] and

@@ -403,11 +403,6 @@ let render = to_string add_text
 let json_of_record = to_string add_json
 let json_string = to_string add_json_string
 
-(* The text form starts with the name, and every event has a field. *)
-let event_name ev =
-  let line = render_event ev in
-  String.sub line 0 (String.index line ' ')
-
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                                *)
 

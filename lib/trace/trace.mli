@@ -254,7 +254,6 @@ module Binary : sig
       event record (string-definition records are consumed
       internally).  @raise Corrupt on malformed input. *)
 
-  val read_channel : in_channel -> record list
   val read_file : string -> record list
 end
 
@@ -265,7 +264,6 @@ val render : record -> string
 (** Stable single-line form: right-aligned timestamp, then the event. *)
 
 val json_of_record : record -> string
-val event_name : event -> string
 
 val json_string : string -> string
 (** RFC 8259 quoted string literal, as trace JSON writes strings. *)

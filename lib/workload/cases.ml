@@ -8,12 +8,6 @@ let name = function
   | Case3 -> "case3"
   | Case4 -> "case4"
 
-let description = function
-  | Case1 -> "High CPS, low avg processing time"
-  | Case2 -> "High CPS, high avg processing time"
-  | Case3 -> "Low CPS, low avg processing time"
-  | Case4 -> "Low CPS, high avg processing time"
-
 let cps_class = function Case1 | Case2 -> `High | Case3 | Case4 -> `Low
 let processing_class = function Case1 | Case3 -> `Low | Case2 | Case4 -> `High
 
@@ -25,14 +19,9 @@ let splice_axis_name = function
   | Short_rpc -> "short-rpc"
   | Long_streaming -> "long-streaming"
 
-let splice_axis_description = function
-  | Short_rpc -> "Many small request/response exchanges; cost is dispatch, not bytes"
-  | Long_streaming -> "Long-lived connections pumping 64 KiB chunks; cost is pure forwarding"
-
 type load = Light | Medium | Heavy
 
 let loads = [ Light; Medium; Heavy ]
-let load_name = function Light -> "light" | Medium -> "medium" | Heavy -> "heavy"
 let load_factor = function Light -> 1.0 | Medium -> 2.0 | Heavy -> 3.0
 
 (* Light-load profiles target roughly 45% device utilization so the 3x

@@ -20,7 +20,6 @@ type case = Case1 | Case2 | Case3 | Case4
 
 val all : case list
 val name : case -> string
-val description : case -> string
 val cps_class : case -> [ `High | `Low ]
 val processing_class : case -> [ `High | `Low ]
 
@@ -36,7 +35,6 @@ type splice_axis =
 
 val splice_axes : splice_axis list
 val splice_axis_name : splice_axis -> string
-val splice_axis_description : splice_axis -> string
 
 val splice_profile : splice_axis -> workers:int -> Profile.t
 (** Light-load profile (~45% device utilization under the userspace
@@ -47,7 +45,6 @@ val splice_profile : splice_axis -> workers:int -> Profile.t
 type load = Light | Medium | Heavy
 
 val loads : load list
-val load_name : load -> string
 val load_factor : load -> float
 (** 1.0 / 2.0 / 3.0 *)
 

@@ -16,8 +16,6 @@ type t = {
 
 val region1 : t
 val region2 : t
-val region3 : t
-val region4 : t
 val all : t array
 
 val sample_case : t -> Engine.Rng.t -> Cases.case

@@ -353,6 +353,27 @@ let test_lint_tree_is_clean () =
                Printf.sprintf "%s:%d %s" v.file v.line v.token)
              vs))
 
+(* Dead exports: a [val] counts as used only when some implementation
+   other than its own names it outside comments and strings. *)
+let test_dead_exports () =
+  let mlis =
+    [
+      ( "lib/a/m.mli",
+        "val used : int\n(** doc *)\nval internal : int\nval dead : int\nval ( + ) : int\n" );
+    ]
+  in
+  let mls =
+    [
+      ("lib/a/m.ml", "let used = 1\nlet internal = 2\nlet dead = internal\n");
+      ("test/t.ml", "let _ = M.used (* M.dead *)\nlet s = \"M.dead\"\n");
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "unused outside own module" [ ("internal", 3); ("dead", 4) ]
+    (List.map
+       (fun (d : Mcheck.Src_lint.dead_export) -> (d.name, d.line))
+       (Mcheck.Src_lint.dead_exports ~mlis ~mls))
+
 let () =
   Alcotest.run "mcheck"
     [
@@ -393,5 +414,6 @@ let () =
             test_lint_ignores_comments_strings_chars;
           Alcotest.test_case "repo tree is clean" `Quick
             test_lint_tree_is_clean;
+          Alcotest.test_case "dead exports" `Quick test_dead_exports;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the stats library: histograms, summaries, time series,
-   table rendering. *)
+(* Tests for the stats library: histograms, summaries, table
+   rendering. *)
 
 let check = Alcotest.check
 
@@ -224,56 +224,6 @@ let test_cov () =
     (Stats.Summary.coefficient_of_variation [| 3.0; 7.0 |])
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries                                                           *)
-
-let test_ts_basic () =
-  let ts = Stats.Timeseries.create ~name:"x" () in
-  Stats.Timeseries.add ts ~time:0.0 ~value:1.0;
-  Stats.Timeseries.add ts ~time:1.0 ~value:3.0;
-  check Alcotest.int "length" 2 (Stats.Timeseries.length ts);
-  check Alcotest.string "name" "x" (Stats.Timeseries.name ts);
-  (match Stats.Timeseries.last ts with
-  | Some (t, v) ->
-    check (Alcotest.float 0.0) "last t" 1.0 t;
-    check (Alcotest.float 0.0) "last v" 3.0 v
-  | None -> Alcotest.fail "expected last")
-
-let test_ts_monotone_enforced () =
-  let ts = Stats.Timeseries.create () in
-  Stats.Timeseries.add ts ~time:5.0 ~value:0.0;
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Timeseries.add: time went backwards") (fun () ->
-      Stats.Timeseries.add ts ~time:4.0 ~value:0.0)
-
-let test_ts_window_mean () =
-  let ts = Stats.Timeseries.create () in
-  for i = 0 to 9 do
-    Stats.Timeseries.add ts ~time:(float_of_int i) ~value:(float_of_int i)
-  done;
-  check (Alcotest.float 1e-9) "window [2,5)" 3.0
-    (Stats.Timeseries.window_mean ts ~lo:2.0 ~hi:5.0);
-  check (Alcotest.float 0.0) "empty window" 0.0
-    (Stats.Timeseries.window_mean ts ~lo:100.0 ~hi:200.0)
-
-let test_ts_downsample () =
-  let ts = Stats.Timeseries.create () in
-  for i = 0 to 99 do
-    Stats.Timeseries.add ts ~time:(float_of_int i) ~value:1.0
-  done;
-  let d = Stats.Timeseries.downsample ts ~every:10.0 in
-  check Alcotest.int "10 buckets" 10 (Stats.Timeseries.length d);
-  Array.iter
-    (fun (_, v) -> check (Alcotest.float 1e-9) "bucket mean" 1.0 v)
-    (Stats.Timeseries.points d)
-
-let test_ts_growth () =
-  let ts = Stats.Timeseries.create () in
-  for i = 0 to 999 do
-    Stats.Timeseries.add ts ~time:(float_of_int i) ~value:0.0
-  done;
-  check Alcotest.int "1000 points" 1000 (Stats.Timeseries.length ts)
-
-(* ------------------------------------------------------------------ *)
 (* Table                                                                *)
 
 let test_table_render () =
@@ -343,14 +293,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "jain fairness" `Quick test_jain_fairness;
           Alcotest.test_case "cov" `Quick test_cov;
-        ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "basic" `Quick test_ts_basic;
-          Alcotest.test_case "monotone enforced" `Quick test_ts_monotone_enforced;
-          Alcotest.test_case "window mean" `Quick test_ts_window_mean;
-          Alcotest.test_case "downsample" `Quick test_ts_downsample;
-          Alcotest.test_case "growth" `Quick test_ts_growth;
         ] );
       ( "table",
         [
