@@ -282,7 +282,6 @@ let scan_tree ~root =
 
 type dead_export = { mli : string; line : int; name : string }
 
-let export_roots = [ "lib" ]
 let user_roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
 
 let identifiers text =
@@ -300,15 +299,14 @@ let identifiers text =
   in
   List.rev (go 0 [])
 
-(* [val name] declarations of an interface, with their offsets;
-   operator vals ([val ( + )]) are skipped. *)
+(* [val name] declarations of an interface, with their offsets; an
+   operator val ([val ( + )]) has no identifier right after [val] and
+   is skipped. *)
 let val_names text =
   let rec go = function
     | (v, "val") :: ((i, name) :: _ as rest)
       when String.trim (String.sub text (v + 3) (i - v - 3)) = "" ->
-      let c = name.[0] in
-      if (c >= 'a' && c <= 'z') || c = '_' then (i, name) :: go rest
-      else go rest
+      (i, name) :: go rest
     | _ :: rest -> go rest
     | [] -> []
   in
@@ -360,9 +358,6 @@ let scan_dead_exports ~root =
         else [])
       roots
   in
-  match under export_roots ~suffix:".mli" with
-  | [] ->
-    Error
-      (Printf.sprintf "no interfaces found under %s (looked in %s)" root
-         (String.concat ", " export_roots))
+  match under [ "lib" ] ~suffix:".mli" with
+  | [] -> Error (Printf.sprintf "no interfaces found under %s/lib" root)
   | mlis -> Ok (dead_exports ~mlis ~mls:(under user_roots ~suffix:".ml"))
