@@ -1,8 +1,9 @@
 (* Tests for the abstract-interpretation bytecode verifier: bounded
    loops, branch refinement, certificate completeness, the stack-slot
-   regression, the AST checker's error cases, and a differential
-   property pitting the certificate-directed closure JIT against the
-   fully-checked interpreter on random bytecode. *)
+   regression, the AST checker's error cases, and differential
+   properties pitting the certificate-directed closure JIT (and the
+   same JIT with every check armed) against the fully-checked
+   interpreter on random bytecode. *)
 
 let check = Alcotest.check
 
@@ -524,6 +525,48 @@ let prop_fast_matches_checked =
         done;
         !ok)
 
+(* The JIT's armed checks, at every site: the same bytecode compiled
+   against an empty certificate keeps every dynamic check armed, running
+   it as an interpreter without a certificate would.  The certified JIT,
+   that all-armed JIT and [run_checked] must agree on outcome and cycle
+   count; the property above reaches the armed closures only at residual
+   sites.  Both [jit] instances are reused across all 20 contexts. *)
+let prop_jit_matches_interpreters =
+  QCheck.Test.make
+    ~name:"closure JIT = interpreter = checked interpreter (random bytecode)"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_vm_prog small_int))
+    (fun (code, seed) ->
+      match Kernel.Verifier.verify ~budget:3000 code with
+      | Error _ -> true (* rejected programs constrain nothing *)
+      | Ok (v, _) ->
+        let jit = Kernel.Ebpf_jit.compile v in
+        let armed =
+          Kernel.Ebpf_jit.compile
+            (Kernel.Ebpf_vm.certify code
+               ~proved:(Array.make (Array.length code) false))
+        in
+        let rng = Engine.Rng.create (seed + 7) in
+        let ok = ref true in
+        for _ = 1 to 20 do
+          let ctx =
+            {
+              Kernel.Ebpf.flow_hash =
+                Engine.Rng.int rng 0x7FFFFFFF - 0x3FFFFFFF;
+              dst_port = Engine.Rng.int rng 0xFFFF;
+            }
+          in
+          let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
+          let arm_out, arm_cycles = Kernel.Ebpf_jit.run armed ctx in
+          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
+          ok :=
+            !ok
+            && outcome_equal jit_out arm_out
+            && outcome_equal jit_out chk_out
+            && jit_cycles = arm_cycles && jit_cycles = chk_cycles
+        done;
+        !ok)
+
 (* Random sockmap redirect programs through all three engines: the AST
    interpreter, the checked bytecode interpreter and the closure JIT
    must agree on the full redirect verdict (entry and accepted copy
@@ -616,6 +659,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_fast_matches_checked;
+          QCheck_alcotest.to_alcotest prop_jit_matches_interpreters;
           QCheck_alcotest.to_alcotest prop_redirect_engines_agree;
         ] );
     ]
