@@ -1,42 +1,75 @@
-type t = Rng.t -> float
+(* First-order distributions, one constructor per family, sampled by one
+   [match].  Each arm performs the float operations of the closure it
+   replaced, in the same order, so every stream is bit-identical;
+   construction precomputes only pure constants ([hi -. lo],
+   [1. /. shape], [lo ** shape]).  Uniforms come from [Rng.bits53] as an
+   [int]: dev builds compile [lib/] with [-opaque], so nothing is inlined
+   across modules and a float returned from [Rng] would be boxed. *)
+type t =
+  | Constant of float
+  | Uniform of { lo : float; width : float }
+  | Exponential of { mean : float }
+  | Pareto of { scale : float; inv_shape : float }
+  | Bounded_pareto of { la : float; ha : float; inv_shape : float }
+  | Lognormal of { mu : float; sigma : float }
+  | Mixture of { total : float; weights : float array; parts : t array }
+  | Shifted of float * t
+  | Scaled of float * t
 
-let sample d rng = d rng
+(* Uniform in [0,1): the same double as [Rng.unit_float]. *)
+let[@inline] unit rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
+
+(* The first index whose left-to-right running weight sum exceeds a
+   uniform draw over [\[0, total)]; the last index takes whatever the
+   rounding of [total] leaves over.  Inlined, so [total] stays unboxed. *)
+let[@inline] pick_index total weights rng =
+  let x = unit rng *. total in
+  let last = Array.length weights - 1 in
+  let i = ref 0 and acc = ref (0.0 +. weights.(0)) in
+  while not (x < !acc || !i = last) do
+    incr i;
+    acc := !acc +. weights.(!i)
+  done;
+  !i
+
+let rec sample d rng =
+  match d with
+  | Constant v -> v
+  | Uniform { lo; width } -> lo +. (unit rng *. width)
+  | Exponential { mean } ->
+    (* Inverse transform; 1 - u avoids log 0. *)
+    -.mean *. log (1.0 -. unit rng)
+  | Pareto { scale; inv_shape } -> scale /. ((1.0 -. unit rng) ** inv_shape)
+  | Bounded_pareto { la; ha; inv_shape } ->
+    (* Inverse transform of the truncated Pareto CDF. *)
+    let u = unit rng in
+    let x = -.((u *. ha) -. (u *. la) -. ha) /. (ha *. la) in
+    (1.0 /. x) ** inv_shape
+  | Lognormal { mu; sigma } ->
+    (* Box-Muller, u1 drawn before u2; one sample per call is fine at
+       simulation scale. *)
+    let u1 = 1.0 -. unit rng in
+    let u2 = unit rng in
+    exp (mu +. (sigma *. (sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))))
+  | Mixture { total; weights; parts } -> sample parts.(pick_index total weights rng) rng
+  | Shifted (dx, d) -> dx +. sample d rng
+  | Scaled (k, d) -> k *. sample d rng
 
 let mean_of d rng n =
   if n <= 0 then invalid_arg "Dist.mean_of: n must be positive";
   let acc = ref 0.0 in
   for _ = 1 to n do
-    acc := !acc +. d rng
+    acc := !acc +. sample d rng
   done;
   !acc /. float_of_int n
 
-let constant v _ = v
+let constant v = Constant v
+let uniform ~lo ~hi = Uniform { lo; width = hi -. lo }
+let exponential ~mean = Exponential { mean }
+let pareto ~shape ~scale = Pareto { scale; inv_shape = 1.0 /. shape }
 
-let uniform ~lo ~hi rng = lo +. Rng.float rng (hi -. lo)
-
-let exponential ~mean rng =
-  (* Inverse transform; 1 - u avoids log 0. *)
-  let u = Rng.unit_float rng in
-  -.mean *. log (1.0 -. u)
-
-let pareto ~shape ~scale rng =
-  let u = Rng.unit_float rng in
-  scale /. ((1.0 -. u) ** (1.0 /. shape))
-
-let bounded_pareto ~shape ~lo ~hi rng =
-  (* Inverse transform of the truncated Pareto CDF. *)
-  let u = Rng.unit_float rng in
-  let la = lo ** shape and ha = hi ** shape in
-  let x = -.((u *. ha) -. (u *. la) -. ha) /. (ha *. la) in
-  (1.0 /. x) ** (1.0 /. shape)
-
-let normal rng =
-  (* Box-Muller; one sample per call is fine at simulation scale. *)
-  let u1 = 1.0 -. Rng.unit_float rng in
-  let u2 = Rng.unit_float rng in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-let lognormal ~mu ~sigma rng = exp (mu +. (sigma *. normal rng))
+let bounded_pareto ~shape ~lo ~hi =
+  Bounded_pareto { la = lo ** shape; ha = hi ** shape; inv_shape = 1.0 /. shape }
 
 (* z-score of the 99th percentile of the standard normal. *)
 let z99 = 2.3263478740408408
@@ -46,24 +79,21 @@ let lognormal_of_quantiles ~p50 ~p99 =
     invalid_arg "Dist.lognormal_of_quantiles: need 0 < p50 < p99";
   let mu = log p50 in
   let sigma = (log p99 -. mu) /. z99 in
-  lognormal ~mu ~sigma
+  Lognormal { mu; sigma }
 
 let mixture parts =
   if parts = [] then invalid_arg "Dist.mixture: empty";
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 parts in
   if total <= 0.0 then invalid_arg "Dist.mixture: non-positive total weight";
-  let arr = Array.of_list parts in
-  fun rng ->
-    let x = Rng.float rng total in
-    let rec pick i acc =
-      let w, d = arr.(i) in
-      let acc = acc +. w in
-      if x < acc || i = Array.length arr - 1 then d rng else pick (i + 1) acc
-    in
-    pick 0 0.0
+  Mixture
+    {
+      total;
+      weights = Array.of_list (List.map fst parts);
+      parts = Array.of_list (List.map snd parts);
+    }
 
-let shifted dx d rng = dx +. d rng
-let scaled k d rng = k *. d rng
+let shifted dx d = Shifted (dx, d)
+let scaled k d = Scaled (k, d)
 
 module Zipf = struct
   type t = { cumulative : float array; weights : float array }
@@ -83,7 +113,7 @@ module Zipf = struct
     { cumulative; weights }
 
   let sample t rng =
-    let x = Rng.unit_float rng in
+    let x = unit rng in
     (* Binary search for the first cumulative weight >= x. *)
     let lo = ref 0 and hi = ref (Array.length t.cumulative - 1) in
     while !lo < !hi do
@@ -96,15 +126,10 @@ module Zipf = struct
 end
 
 let categorical weights rng =
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  Array.iter (fun w -> if w < 0.0 then invalid_arg "Dist.categorical: negative weight") weights;
-  if total <= 0.0 then invalid_arg "Dist.categorical: zero total weight";
-  let x = Rng.float rng total in
-  let n = Array.length weights in
-  let rec pick i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else pick (i + 1) acc
-  in
-  pick 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to Array.length weights - 1 do
+    if weights.(i) < 0.0 then invalid_arg "Dist.categorical: negative weight";
+    total := !total +. weights.(i)
+  done;
+  if !total <= 0.0 then invalid_arg "Dist.categorical: zero total weight";
+  pick_index !total weights rng

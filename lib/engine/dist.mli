@@ -1,7 +1,9 @@
 (** Random-variate distributions used by the workload generators.
 
-    A distribution is a thunk from a generator to a sample; the module
-    provides the families the Hermes evaluation needs: exponential
+    A distribution is first-order data, one constructor per family,
+    and {!sample} draws from it with one [match] that allocates only
+    its boxed result.  The module provides the families the Hermes
+    evaluation needs: exponential
     inter-arrival gaps (Poisson processes), Pareto and lognormal request
     sizes / processing times (heavy tails for Table 1's P99 gaps), Zipf
     tenant popularity (the "top three tenants carry 40/28/22% of traffic"
@@ -9,7 +11,11 @@
     targets. *)
 
 type t
-(** A sampleable distribution over non-negative floats. *)
+(** A sampleable distribution over non-negative floats.  Sampling is
+    bit-identical to the closures this representation replaced: each
+    family performs the same float operations in the same order on the
+    same uniform draws ([test/sampling_ref.ml] keeps those closures as
+    the test oracle). *)
 
 val sample : t -> Rng.t -> float
 (** Draw one variate. *)

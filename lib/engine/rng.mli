@@ -8,7 +8,8 @@
     independent subsystems can derive independent streams from one seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state, held unboxed,
+    so no draw allocates. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal
@@ -24,6 +25,13 @@ val split : t -> t
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits53 : t -> int
+(** [bits53 t] is the 53 high bits of the next raw output, in
+    [\[0, 2^53)].  Other modules build their floats from this draw:
+    dev builds compile with [-opaque], so nothing is inlined across
+    modules and a float returned from here would be boxed.  [float_of_int (bits53 t) *. 0x1p-53] is the double
+    {!unit_float} returns. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
