@@ -206,6 +206,249 @@ let test_categorical () =
       ignore (Engine.Dist.categorical [| 0.0; 0.0 |] rng))
 
 (* ------------------------------------------------------------------ *)
+(* Sampling: bit-identity against the closure-based reference          *)
+
+(* What the property drives, in both implementations. *)
+module type SAMPLER = sig
+  module Rng : sig
+    type t
+
+    val create : int -> t
+    val copy : t -> t
+    val split : t -> t
+    val next_int64 : t -> int64
+    val bits53 : t -> int
+    val int : t -> int -> int
+    val float : t -> float -> float
+    val unit_float : t -> float
+    val bool : t -> bool
+    val shuffle : t -> 'a array -> unit
+    val pick : t -> 'a array -> 'a
+  end
+
+  module Dist : sig
+    type t
+
+    val sample : t -> Rng.t -> float
+    val constant : float -> t
+    val uniform : lo:float -> hi:float -> t
+    val exponential : mean:float -> t
+    val pareto : shape:float -> scale:float -> t
+    val bounded_pareto : shape:float -> lo:float -> hi:float -> t
+    val lognormal_of_quantiles : p50:float -> p99:float -> t
+    val mixture : (float * t) list -> t
+    val shifted : float -> t -> t
+    val scaled : float -> t -> t
+
+    module Zipf : sig
+      type t
+
+      val create : n:int -> s:float -> t
+      val sample : t -> Rng.t -> int
+    end
+
+    val categorical : float array -> Rng.t -> int
+  end
+end
+
+type dspec =
+  | Const of float
+  | Unif of float * float (* lo, hi *)
+  | Expo of float (* mean *)
+  | Par of float * float (* shape, scale *)
+  | Bpar of float * float * float (* shape, lo, hi *)
+  | Logn of float * float (* p50, p99 *)
+  | Mix of (float * dspec) list
+  | Shift of float * dspec
+  | Scale of float * dspec
+
+type sop =
+  | Sample of dspec * int (* draws *)
+  | Categorical of float array
+  | Zipf of int * float * int (* n, s, draws *)
+  | Int of int (* bound *)
+  | Float of float (* bound *)
+  | Unit_float
+  | Bits53
+  | Bool
+  | Shuffle of int (* length *)
+  | Pick of int (* length *)
+  | Split (* later ops draw from the child *)
+  | Copy (* later ops draw from the copy *)
+
+type out = Bits of int64 | Raised of string
+
+module Run (S : SAMPLER) = struct
+  let rec dist = function
+    | Const v -> S.Dist.constant v
+    | Unif (lo, hi) -> S.Dist.uniform ~lo ~hi
+    | Expo mean -> S.Dist.exponential ~mean
+    | Par (shape, scale) -> S.Dist.pareto ~shape ~scale
+    | Bpar (shape, lo, hi) -> S.Dist.bounded_pareto ~shape ~lo ~hi
+    | Logn (p50, p99) -> S.Dist.lognormal_of_quantiles ~p50 ~p99
+    | Mix parts -> S.Dist.mixture (List.map (fun (w, d) -> (w, dist d)) parts)
+    | Shift (dx, d) -> S.Dist.shifted dx (dist d)
+    | Scale (k, d) -> S.Dist.scaled k (dist d)
+
+  (* Every draw as its bit pattern, then one [next_int64] of every
+     generator the run made, the original included. *)
+  let run seed ops =
+    let out = ref [] in
+    let int i = out := Bits (Int64.of_int i) :: !out in
+    let float f = out := Bits (Int64.bits_of_float f) :: !out in
+    let gens = ref [ S.Rng.create seed ] in
+    List.iter
+      (fun op ->
+        let g = List.hd !gens in
+        try
+          match op with
+          | Sample (d, n) ->
+            let d = dist d in
+            for _ = 1 to n do
+              float (S.Dist.sample d g)
+            done
+          | Categorical w -> int (S.Dist.categorical w g)
+          | Zipf (n, s, draws) ->
+            let z = S.Dist.Zipf.create ~n ~s in
+            for _ = 1 to draws do
+              int (S.Dist.Zipf.sample z g)
+            done
+          | Int bound -> int (S.Rng.int g bound)
+          | Float bound -> float (S.Rng.float g bound)
+          | Unit_float -> float (S.Rng.unit_float g)
+          | Bits53 -> int (S.Rng.bits53 g)
+          | Bool -> int (Bool.to_int (S.Rng.bool g))
+          | Shuffle n ->
+            let a = Array.init n Fun.id in
+            S.Rng.shuffle g a;
+            Array.iter int a
+          | Pick n -> int (S.Rng.pick g (Array.init n Fun.id))
+          | Split -> gens := S.Rng.split g :: !gens
+          | Copy -> gens := S.Rng.copy g :: !gens
+        with Invalid_argument m -> out := Raised m :: !out)
+      ops;
+    List.iter (fun g -> out := Bits (S.Rng.next_int64 g) :: !out) !gens;
+    List.rev !out
+end
+
+module Unboxed = Run (Engine)
+
+module Reference = Run (struct
+  module Rng = struct
+    include Sampling_ref.Rng
+
+    let bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+  end
+
+  module Dist = Sampling_ref.Dist
+end)
+
+let rec print_dspec = function
+  | Const v -> Printf.sprintf "constant %h" v
+  | Unif (lo, hi) -> Printf.sprintf "uniform %h %h" lo hi
+  | Expo m -> Printf.sprintf "exponential %h" m
+  | Par (a, s) -> Printf.sprintf "pareto %h %h" a s
+  | Bpar (a, lo, hi) -> Printf.sprintf "bounded_pareto %h %h %h" a lo hi
+  | Logn (p50, p99) -> Printf.sprintf "lognormal %h %h" p50 p99
+  | Mix parts ->
+    Printf.sprintf "mixture [%s]"
+      (String.concat "; "
+         (List.map (fun (w, d) -> Printf.sprintf "%h, %s" w (print_dspec d)) parts))
+  | Shift (dx, d) -> Printf.sprintf "shifted %h (%s)" dx (print_dspec d)
+  | Scale (k, d) -> Printf.sprintf "scaled %h (%s)" k (print_dspec d)
+
+let print_sop = function
+  | Sample (d, n) -> Printf.sprintf "sample x%d (%s)" n (print_dspec d)
+  | Categorical w ->
+    Printf.sprintf "categorical [|%s|]"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") w)))
+  | Zipf (n, s, draws) -> Printf.sprintf "zipf n=%d s=%h x%d" n s draws
+  | Int b -> Printf.sprintf "int %d" b
+  | Float b -> Printf.sprintf "float %h" b
+  | Unit_float -> "unit_float"
+  | Bits53 -> "bits53"
+  | Bool -> "bool"
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+  | Pick n -> Printf.sprintf "pick %d" n
+  | Split -> "split"
+  | Copy -> "copy"
+
+let gen_dspec =
+  let open QCheck.Gen in
+  let pos = float_range in
+  let leaf =
+    oneof
+      [
+        map (fun v -> Const v) (float_range (-1e3) 1e3);
+        map2 (fun lo w -> Unif (lo, lo +. w)) (float_range (-1e3) 1e3) (pos 0.0 1e3);
+        map (fun m -> Expo m) (pos 1e-6 1e3);
+        map2 (fun a s -> Par (a, s)) (pos 0.1 5.0) (pos 1e-3 1e3);
+        map3
+          (fun a lo r -> Bpar (a, lo, lo *. (1.0 +. r)))
+          (pos 0.1 3.0) (pos 1e-3 100.0) (pos 1e-3 1e4);
+        map2 (fun p50 r -> Logn (p50, p50 *. (1.0 +. r))) (pos 1e-6 1e4) (pos 1e-3 100.0);
+      ]
+  in
+  let weight = frequency [ (1, return 0.0); (4, pos 1e-3 10.0) ] in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (3, leaf);
+            ( 2,
+              map
+                (fun parts -> Mix parts)
+                (list_size (int_range 1 4) (pair weight (self (depth - 1)))) );
+            (1, map2 (fun dx d -> Shift (dx, d)) (float_range (-100.0) 100.0) (self (depth - 1)));
+            (1, map2 (fun k d -> Scale (k, d)) (float_range (-100.0) 100.0) (self (depth - 1)));
+          ])
+    3
+
+let gen_sop =
+  let open QCheck.Gen in
+  let bound =
+    oneof
+      [
+        int_range (-2) 0;
+        int_range 1 100;
+        map (fun k -> 1 lsl k) (int_range 0 61);
+        map (fun d -> max_int - d) (int_range 0 1000);
+        map (fun x -> max 1 (x land max_int)) int;
+      ]
+  in
+  let cat_weight =
+    frequency [ (2, return 0.0); (6, float_range 1e-3 10.0); (1, float_range (-1.0) (-1e-3)) ]
+  in
+  frequency
+    [
+      (6, map2 (fun d n -> Sample (d, n)) gen_dspec (int_range 1 20));
+      (3, map (fun w -> Categorical w) (array_size (int_range 0 6) cat_weight));
+      ( 2,
+        map3 (fun n s k -> Zipf (n, s, k)) (int_range 1 200) (float_range 0.0 2.5)
+          (int_range 1 10) );
+      (3, map (fun b -> Int b) bound);
+      (1, map (fun b -> Float b) (float_range (-1e6) 1e6));
+      (1, return Unit_float);
+      (1, return Bits53);
+      (1, return Bool);
+      (1, map (fun n -> Shuffle n) (int_range 0 20));
+      (1, map (fun n -> Pick n) (int_range 0 5));
+      (1, return Split);
+      (1, return Copy);
+    ]
+
+let prop_sampling_matches_reference =
+  let gen = QCheck.Gen.(pair int (list_size (int_range 1 40) gen_sop)) in
+  let print (seed, ops) =
+    Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map print_sop ops))
+  in
+  QCheck.Test.make ~name:"draws match the closure reference bit for bit" ~count:500
+    (QCheck.make gen ~print) (fun (seed, ops) ->
+      Unboxed.run seed ops = Reference.run seed ops)
+
+(* ------------------------------------------------------------------ *)
 (* Sim_time                                                             *)
 
 let test_time_units () =
@@ -511,6 +754,55 @@ let test_schedule_cancel_zero_alloc () =
   in
   round 0;
   Alloc_gate.check "schedule + cancel" round
+
+(* The sampler's draws allocate nothing: the generator state is
+   unboxed, and [categorical] and [Zipf.sample] build their uniform
+   from [Rng.bits53]'s int.  Bounds near [max_int] run [Rng.int]'s
+   rejection loop. *)
+let test_draws_zero_alloc () =
+  let rng = Engine.Rng.create 1 in
+  let weights = [| 0.8; 0.2 |] in
+  let zipf = Engine.Dist.Zipf.create ~n:64 ~s:0.8 in
+  Alloc_gate.check "Rng.int" (fun i -> ignore (Engine.Rng.int rng (max_int - i)));
+  Alloc_gate.check "Rng.bits53" (fun _ -> ignore (Engine.Rng.bits53 rng));
+  Alloc_gate.check "Dist.categorical" (fun _ ->
+      ignore (Engine.Dist.categorical weights rng));
+  Alloc_gate.check "Zipf.sample" (fun _ -> ignore (Engine.Dist.Zipf.sample zipf rng))
+
+(* [Dist.sample] allocates its boxed result, 2 words, and nothing more,
+   for every family and for a mixture (the Region profiles' shape).
+   [shifted] and [scaled] are not gated: each level boxes the sample it
+   wraps. *)
+let test_sample_one_box () =
+  if not (Alloc_gate.calibrated ()) then Alloc_gate.skip_note ()
+  else begin
+    let rng = Engine.Rng.create 2 in
+    let lognormal = Engine.Dist.lognormal_of_quantiles ~p50:0.002 ~p99:0.042 in
+    let limit = (2.0 *. float_of_int Alloc_gate.rounds) +. Alloc_gate.slack in
+    List.iter
+      (fun (family, d) ->
+        ignore (Engine.Dist.sample d rng);
+        let words =
+          Alloc_gate.minor_words_of (fun () ->
+              for _ = 1 to Alloc_gate.rounds do
+                ignore (Engine.Dist.sample d rng)
+              done)
+        in
+        if not (words < limit) then
+          Alcotest.failf "Dist.sample (%s) allocated %.0f minor words over %d calls"
+            family words Alloc_gate.rounds)
+      [
+        ("constant", Engine.Dist.constant 1.0);
+        ("uniform", Engine.Dist.uniform ~lo:100.0 ~hi:300.0);
+        ("exponential", Engine.Dist.exponential ~mean:0.05);
+        ("pareto", Engine.Dist.pareto ~shape:1.5 ~scale:1.0);
+        ("bounded_pareto", Engine.Dist.bounded_pareto ~shape:0.7 ~lo:1.0 ~hi:5000.0);
+        ("lognormal", lognormal);
+        ( "mixture",
+          Engine.Dist.mixture
+            [ (0.97, lognormal); (0.03, Engine.Dist.exponential ~mean:3.0) ] );
+      ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the wheel against the retired binary heap             *)
@@ -905,6 +1197,12 @@ let () =
           Alcotest.test_case "zipf probabilities" `Quick test_zipf_probabilities;
           Alcotest.test_case "zipf sampling" `Quick test_zipf_sampling;
           Alcotest.test_case "categorical" `Quick test_categorical;
+        ] );
+      ( "sampling",
+        [
+          QCheck_alcotest.to_alcotest prop_sampling_matches_reference;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_zero_alloc;
+          Alcotest.test_case "sample allocates one box" `Quick test_sample_one_box;
         ] );
       ( "sim_time",
         [
