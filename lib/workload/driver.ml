@@ -7,6 +7,8 @@ type t = {
   rng : Engine.Rng.t;
   reconnect_on_reset : bool;
   pick_tenant : unit -> int;
+  pick_op : unit -> Lb.Request.op;
+  arrival_gap : Engine.Dist.t;
   mutable running : bool;
   mutable opened : int;
   mutable sent : int;
@@ -19,7 +21,7 @@ let stop t = t.running <- false
 let sim t = Lb.Device.sim t.device
 
 let make_request t ~tenant_id =
-  let op = Profile.pick_op t.profile t.rng in
+  let op = t.pick_op () in
   let size =
     int_of_float (Engine.Dist.sample t.profile.Profile.request_size t.rng)
   in
@@ -69,9 +71,7 @@ let rec open_conn t ~reconnected =
 let rec arrival_loop t =
   if t.running then begin
     open_conn t ~reconnected:false;
-    let gap =
-      Engine.Dist.sample (Engine.Dist.exponential ~mean:(1.0 /. t.profile.Profile.cps)) t.rng
-    in
+    let gap = Engine.Dist.sample t.arrival_gap t.rng in
     ignore
       (Sim.schedule_after (sim t) ~delay:(max 1 (Sim_time.of_sec_f gap)) (fun () ->
            arrival_loop t))
@@ -89,14 +89,14 @@ let start ~device ~profile ~rng ?(reconnect_on_reset = false) () =
         Profile.tenant_picker profile
           ~tenants:(Array.length (Lb.Device.tenants device))
           rng;
+      pick_op = Profile.op_picker profile rng;
+      arrival_gap = Engine.Dist.exponential ~mean:(1.0 /. profile.Profile.cps);
       running = true;
       opened = 0;
       sent = 0;
     }
   in
-  let first =
-    Engine.Dist.sample (Engine.Dist.exponential ~mean:(1.0 /. profile.Profile.cps)) rng
-  in
+  let first = Engine.Dist.sample t.arrival_gap rng in
   ignore
     (Sim.schedule_after (sim t) ~delay:(max 1 (Sim_time.of_sec_f first)) (fun () ->
          arrival_loop t));

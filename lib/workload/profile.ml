@@ -19,16 +19,10 @@ let offered_load t rng =
   let reqs = Engine.Dist.mean_of t.requests_per_conn rng 2000 in
   t.cps *. reqs *. mean_processing_time t rng
 
-let pick_op t rng =
+let op_picker t rng =
   let weights = Array.of_list (List.map fst t.op_mix) in
   let ops = Array.of_list (List.map snd t.op_mix) in
-  ops.(Engine.Dist.categorical weights rng)
-
-let pick_tenant t ~tenants rng =
-  if t.tenant_skew <= 0.0 then Engine.Rng.int rng tenants
-  else
-    let z = Engine.Dist.Zipf.create ~n:tenants ~s:t.tenant_skew in
-    Engine.Dist.Zipf.sample z rng
+  fun () -> ops.(Engine.Dist.categorical weights rng)
 
 let tenant_picker t ~tenants rng =
   if t.tenant_skew <= 0.0 then fun () -> Engine.Rng.int rng tenants

@@ -33,10 +33,10 @@ val offered_load : t -> Engine.Rng.t -> float
 (** Estimated CPU-seconds per second demanded of the whole device:
     cps * E[requests_per_conn] * E[processing_time]. *)
 
-val pick_op : t -> Engine.Rng.t -> Lb.Request.op
-val pick_tenant : t -> tenants:int -> Engine.Rng.t -> int
-(** Zipf-skewed tenant index.  A fresh Zipf table is built per call
-    population size; generators cache via {!tenant_picker}. *)
+val op_picker : t -> Engine.Rng.t -> unit -> Lb.Request.op
+(** Op-class picker over [op_mix], its weight and op tables built once;
+    each pick is one {!Engine.Dist.categorical} draw. *)
 
 val tenant_picker : t -> tenants:int -> Engine.Rng.t -> unit -> int
-(** Precomputed-Zipf closure for repeated picks. *)
+(** Zipf-skewed tenant picker over [tenants] tenants (uniform when
+    [tenant_skew] is 0), its Zipf table built once. *)

@@ -20,16 +20,12 @@ let at_of = function
 let record ~profile ~tenants ~duration ~rng =
   if tenants <= 0 then invalid_arg "Replay.record: tenants must be positive";
   let pick_tenant = Profile.tenant_picker profile ~tenants rng in
+  let pick_op = Profile.op_picker profile rng in
+  let arrival_gap = Engine.Dist.exponential ~mean:(1.0 /. profile.Profile.cps) in
   let ops = ref [] in
   let key = ref 0 in
   let clock = ref 0 in
-  let next_gap () =
-    max 1
-      (Sim_time.of_sec_f
-         (Engine.Dist.sample
-            (Engine.Dist.exponential ~mean:(1.0 /. profile.Profile.cps))
-            rng))
-  in
+  let next_gap () = max 1 (Sim_time.of_sec_f (Engine.Dist.sample arrival_gap rng)) in
   clock := next_gap ();
   while !clock < duration do
     incr key;
@@ -47,7 +43,7 @@ let record ~profile ~tenants ~duration ~rng =
         + max 1
             (Sim_time.of_sec_f (Engine.Dist.sample profile.Profile.request_gap rng));
       if !t < duration then begin
-        let op_class = Profile.pick_op profile rng in
+        let op_class = pick_op () in
         let size =
           max 0 (int_of_float (Engine.Dist.sample profile.Profile.request_size rng))
         in

@@ -60,9 +60,9 @@ let test_profile_uniform_when_no_skew () =
 
 let test_profile_pick_op () =
   let p = Workload.Cases.profile Workload.Cases.Case4 ~workers:8 in
-  let rng = Engine.Rng.create 4 in
+  let pick = Workload.Profile.op_picker p (Engine.Rng.create 4) in
   for _ = 1 to 100 do
-    let op = Workload.Profile.pick_op p rng in
+    let op = pick () in
     check Alcotest.bool "op from mix" true
       (List.exists (fun (_, o) -> o = op) p.Workload.Profile.op_mix)
   done
