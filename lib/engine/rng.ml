@@ -1,7 +1,7 @@
-(* SplitMix64 with its 64-bit state held unboxed in an 8-byte [Bytes.t].
-   The raw 64-bit primitives below read and write it without boxing, so
-   a draw allocates nothing.  A [mutable state : int64] field would box
-   every new state and write it, through the barrier, into a record that
+(* SplitMix64 with its 64-bit state held unboxed in an 8-byte [Bytes.t],
+   read and written by the raw 64-bit primitives below, so a draw
+   allocates nothing.  A [mutable state : int64] field would box every
+   new state and write it through the barrier into a generator that
    usually lives in the major heap. *)
 type t = Bytes.t
 
@@ -45,8 +45,8 @@ let int t bound =
   draw t bound
 
 (* 53 high-quality bits -> [0,1). *)
-let unit_float t = float_of_int (bits53 t) *. 0x1p-53
-let float t bound = float_of_int (bits53 t) *. 0x1p-53 *. bound
+let[@inline] unit_float t = float_of_int (bits53 t) *. 0x1p-53
+let float t bound = unit_float t *. bound
 let bool t = Int64.to_int (next t) land 1 = 1
 
 let shuffle t arr =
