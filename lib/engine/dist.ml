@@ -2,9 +2,10 @@
    [match].  Each arm performs the float operations of the closure
    sampler kept in test/sampling_ref.ml, in the same order, so every
    stream is bit-identical; construction precomputes only pure constants
-   ([hi -. lo], [1. /. shape], [lo ** shape]).  Uniforms come from [Rng.bits53] as an
-   [int]: dev builds compile [lib/] with [-opaque], so nothing is inlined
-   across modules and a float returned from [Rng] would be boxed. *)
+   ([hi -. lo], [1. /. shape], [lo ** shape]).  Uniforms come from
+   [Rng.bits53] as an [int]: dev builds compile [lib/] with [-opaque], so
+   nothing is inlined across modules and a float returned from [Rng]
+   would be boxed. *)
 type t =
   | Constant of float
   | Uniform of { lo : float; width : float }

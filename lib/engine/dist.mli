@@ -12,10 +12,9 @@
 
 type t
 (** A sampleable distribution over non-negative floats.  Sampling is
-    bit-identical to the closures this representation replaced: each
-    family performs the same float operations in the same order on the
-    same uniform draws ([test/sampling_ref.ml] keeps those closures as
-    the test oracle). *)
+    bit-identical to the closure-based sampler in [test/sampling_ref.ml],
+    the test oracle: each family performs the same float operations in
+    the same order on the same uniform draws. *)
 
 val sample : t -> Rng.t -> float
 (** Draw one variate. *)

@@ -30,8 +30,9 @@ val bits53 : t -> int
 (** [bits53 t] is the 53 high bits of the next raw output, in
     [\[0, 2^53)].  Other modules build their floats from this draw:
     dev builds compile with [-opaque], so nothing is inlined across
-    modules and a float returned from here would be boxed.  [float_of_int (bits53 t) *. 0x1p-53] is the double
-    {!unit_float} returns. *)
+    modules and a float returned from here would be boxed.
+    [float_of_int (bits53 t) *. 0x1p-53] is the double {!unit_float}
+    returns. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
