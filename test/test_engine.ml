@@ -444,7 +444,7 @@ let prop_sampling_matches_reference =
   let print (seed, ops) =
     Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map print_sop ops))
   in
-  QCheck.Test.make ~name:"draws match the closure reference bit for bit" ~count:500
+  QCheck.Test.make ~name:"draws match the closure reference bit for bit" ~count:2000
     (QCheck.make gen ~print) (fun (seed, ops) ->
       Unboxed.run seed ops = Reference.run seed ops)
 
