@@ -38,13 +38,9 @@ module Gate = struct
     | Ceiling of float * float
         (** value <= k x the same-key baseline value + slack *)
 
-  (* [same_cores]: judge only when the baseline row was recorded on a
-     machine with as many cores as this run's row (both rows carry a
-     [cores] metric); wall-clock parallel speedups mean nothing across
-     machine shapes. *)
-  type t = { metric : string; bound : bound; same_cores : bool }
+  type t = { metric : string; bound : bound }
 
-  let v ?(same_cores = false) metric bound = { metric; bound; same_cores }
+  let v metric bound = { metric; bound }
 end
 
 module Family = struct
@@ -53,13 +49,9 @@ module Family = struct
     run : quick:bool -> Row.t list;
     gates : Row.t -> Gate.t list;
         (* a row with no gates is informational and never judged *)
-    derive : Row.t list -> Row.t list;
-        (* metrics computed across a row set; applied to both the run's
-           rows and the baseline's before judging *)
   }
 
-  let v ?(gates = fun _ -> []) ?(derive = Fun.id) name run =
-    { name; run; gates; derive }
+  let v ?(gates = fun _ -> []) name run = { name; run; gates }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -352,20 +344,10 @@ end
 (* ------------------------------------------------------------------ *)
 (* The gate evaluator                                                   *)
 
-type finding = Fail of string | Note of string
-
 let violation (g : Gate.t) r (b : Row.t option) =
   let base m = Option.bind b (fun b -> Row.get b m) in
-  let cores row = Option.fold ~none:"?" ~some:cell row in
-  let fail fmt = Printf.ksprintf (fun s -> Some (Fail s)) fmt in
+  let fail fmt = Printf.ksprintf Option.some fmt in
   match (g.bound, Row.get r g.metric, base g.metric) with
-  | _, Some _, _
-    when g.same_cores
-         && (Row.get r "cores" = None || Row.get r "cores" <> base "cores") ->
-    Some
-      (Note
-         (Printf.sprintf "%s gate skipped: baseline cores %s, machine cores %s"
-            g.metric (cores (base "cores")) (cores (Row.get r "cores"))))
   | Rel_floor k, Some v, Some bv when v < k *. bv ->
     fail "%s %g < %g x baseline %g" g.metric v k bv
   | Floor k, Some v, _ when v < k -> fail "%s %g < floor %g" g.metric v k
@@ -376,37 +358,33 @@ let violation (g : Gate.t) r (b : Row.t option) =
     fail "%s %g > %g x baseline %g + %g" g.metric v k bv slack
   | _ -> None
 
-(* Every finding for the rows of [f] among [rows], each judged against
+(* Every failure for the rows of [f] among [rows], each judged against
    the baseline row of the same key.  A gated row with no baseline row
    fails; gates with nothing to compare (an absent metric) pass. *)
 let judge (f : Family.t) ~baseline rows =
   let own = List.filter (fun (r : Row.t) -> r.family = f.name) in
-  let base = f.derive (own baseline) in
+  let base = own baseline in
   List.concat_map
     (fun r ->
       match f.gates r with
       | [] -> []
       | gates ->
         let b = List.find_opt (Row.same_key r) base in
-        (if b = None then [ (r, Fail "no baseline row") ] else [])
+        (if b = None then [ (r, "no baseline row") ] else [])
         @ List.filter_map
             (fun g -> Option.map (fun x -> (r, x)) (violation g r b))
             gates)
-    (f.derive (own rows))
+    (own rows)
 
 let check ~baseline families rows =
   let ok = ref true in
   List.iter
     (fun (f : Family.t) ->
       List.iter
-        (fun ((r : Row.t), finding) ->
-          match finding with
-          | Note msg ->
-            Printf.printf "%s %s (%s): %s\n" f.name r.name r.size msg
-          | Fail msg ->
-            ok := false;
-            Printf.eprintf "bench REGRESSION: %s %s (%s): %s\n" f.name r.name
-              r.size msg)
+        (fun ((r : Row.t), msg) ->
+          ok := false;
+          Printf.eprintf "bench REGRESSION: %s %s (%s): %s\n" f.name r.name
+            r.size msg)
         (judge f ~baseline rows))
     families;
   if !ok then print_string "bench: regression gate passed\n";

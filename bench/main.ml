@@ -58,7 +58,7 @@ let () =
            spends this family's timed loops on it *)
         Gc.compact ();
         let rows = f.run ~quick:cli.quick in
-        Harness.print_table f (f.derive rows);
+        Harness.print_table f rows;
         rows)
       families
   in

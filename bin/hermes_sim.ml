@@ -152,9 +152,9 @@ let verify_cmd =
   in
   let src_root_arg =
     let doc =
-      "Repo root for the source lints (raw Atomic/Mutex/Condition uses \
-       in lib/engine and lib/trace outside the Mcheck_shim functor \
-       convention, and lib/ interface vals no other module names); \
+      "Repo root for the source lints (any Atomic/Mutex/Condition/Domain \
+       use in lib/engine and lib/trace, and lib/ interface vals no \
+       other module names); \
        skipped with a warning when the sources are not present \
        (installed binary)."
     in
@@ -216,29 +216,30 @@ let verify_cmd =
               problems;
             failures := name :: !failures))
       plans;
-    (match Mcheck.Src_lint.scan_tree ~root:src_root with
+    (match Lint.Src_lint.scan_tree ~root:src_root with
     | Error msg ->
       Printf.printf "%-24s skipped: %s\n" "concurrency lint" msg
     | Ok [] ->
-      Printf.printf "%-24s ok (lib/engine and lib/trace are shim-clean)\n"
+      Printf.printf
+        "%-24s ok (no concurrency primitive in lib/engine or lib/trace)\n"
         "concurrency lint"
     | Ok violations ->
       List.iter
-        (fun (v : Mcheck.Src_lint.violation) ->
+        (fun (v : Lint.Src_lint.violation) ->
           Printf.printf
-            "%-24s %s:%d raw %s (route it through Mcheck_shim.PRIM)\n\
+            "%-24s %s:%d %s (the engine and trace run on one domain)\n\
             \                           | %s\n"
             "concurrency lint" v.file v.line v.token v.context)
         violations;
       failures := "concurrency lint" :: !failures);
-    (match Mcheck.Src_lint.scan_dead_exports ~root:src_root with
+    (match Lint.Src_lint.scan_dead_exports ~root:src_root with
     | Error msg -> Printf.printf "%-24s skipped: %s\n" "dead exports" msg
     | Ok [] ->
       Printf.printf "%-24s ok (every lib/ val is used outside its module)\n"
         "dead exports"
     | Ok dead ->
       List.iter
-        (fun (d : Mcheck.Src_lint.dead_export) ->
+        (fun (d : Lint.Src_lint.dead_export) ->
           Printf.printf
             "%-24s %s:%d val %s is named by no other .ml (delete it or \
              drop it from the interface)\n"
@@ -256,12 +257,12 @@ let verify_cmd =
   let doc =
     "Verify every shipped dispatch program with the abstract \
      interpreter, lint fault plans against the device shape, lint the \
-     engine/trace sources for concurrency primitives that bypass the \
-     model-check shim, and lint lib/ interfaces for dead exports; fail \
-     unless each program is accepted loop-free with a complete \
-     certificate (zero residual runtime checks), each plan is \
-     well-formed, the sources are shim-clean, and every exported val \
-     is named by some other module."
+     engine/trace sources for concurrency primitives, and lint lib/ \
+     interfaces for dead exports; fail unless each program is accepted \
+     loop-free with a complete certificate (zero residual runtime \
+     checks), each plan is well-formed, the engine and trace use no \
+     concurrency primitive, and every exported val is named by some \
+     other module."
   in
   Cmd.v
     (Cmd.info "verify" ~doc)
@@ -380,11 +381,10 @@ let chaos_cmd =
         (const run $ plan_arg $ seed_arg $ mode_arg $ workers_arg
        $ show_plan_flag $ trace_arg))
 
-(* Sharded cluster runner: the CLI face of Cluster.Lb_cluster.  The
-   printed summary and the JSONL trace depend only on the logical
-   decomposition (devices, seed, lookahead, plan), never on --shards —
-   CI replays the same seed at different shard counts and diffs the
-   trace files byte-for-byte. *)
+(* Cluster runner: the CLI face of Cluster.Lb_cluster.  The printed
+   summary and the JSONL trace depend only on the logical decomposition
+   (devices, seed, lookahead, plan) — CI replays the same seed twice
+   and diffs the trace files byte-for-byte. *)
 let cluster_cmd =
   let devices_arg =
     let doc = "Member devices behind the VIP (\"8 LBs in total\", §6.1)." in
@@ -393,13 +393,6 @@ let cluster_cmd =
   let workers_arg =
     let doc = "Workers per member device." in
     Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let shards_arg =
-    let doc =
-      "Executing domain count.  Changes wall-clock only; traces and \
-       counters are byte-identical for every value."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Run seed; same seed replays byte-identically." in
@@ -448,10 +441,9 @@ let cluster_cmd =
     | Some md -> Ok (Lb.Device.of_mode md)
     | None -> Error (Printf.sprintf "unknown mode %S" m)
   in
-  let run devices workers shards seed duration_ms conns reqs lookahead_us
-      mode_name plan_file trace =
+  let run devices workers seed duration_ms conns reqs lookahead_us mode_name
+      plan_file trace =
     if devices < 1 then `Error (false, "devices must be >= 1")
-    else if shards < 1 then `Error (false, "shards must be >= 1")
     else if duration_ms < 1 then `Error (false, "duration-ms must be >= 1")
     else
       let plan =
@@ -476,310 +468,99 @@ let cluster_cmd =
         let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
         let cluster =
           Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
-            ~shards
             ?lookahead:(Option.map ST.us lookahead_us)
             ?trace_capacity:(Option.map (fun _ -> 262144) sink)
             ()
         in
-        Fun.protect
-          ~finally:(fun () -> Cluster.Lb_cluster.shutdown cluster)
-          (fun () ->
-            (match plan with
-            | None -> ()
-            | Some p ->
-              List.iter
-                (fun (slot, _) ->
-                  Cluster.Lb_cluster.run_on cluster ~slot (fun dev ->
-                      Faults.Inject.arm ~device:dev ~plan:p))
-                (Cluster.Lb_cluster.devices cluster));
-            let established = ref 0 and closed = ref 0 and resets = ref 0 in
-            let failed = ref 0 and req_done = ref 0 in
-            let window_us = duration_ms * 1000 * 4 / 5 in
-            for i = 0 to conns - 1 do
-              let at = ST.us (i * window_us / max 1 conns) in
-              let tenant = i mod Array.length tenants in
-              ignore
-                (Engine.Sim.schedule sim ~at (fun () ->
-                     let open Cluster.Lb_cluster in
-                     let pending = ref reqs in
-                     connect cluster ~tenant
-                       ~events:
-                         {
-                           established =
-                             (fun h ->
-                               incr established;
-                               for _ = 1 to reqs do
-                                 send h
-                                   (Lb.Request.make ~id:(fresh_id cluster)
-                                      ~op:Lb.Request.Plain_proxy ~size:64
-                                      ~cost:(ST.ms 1) ~tenant_id:tenant)
-                               done);
-                           request_done =
-                             (fun h _ ->
-                               incr req_done;
-                               decr pending;
-                               if !pending = 0 then close h);
-                           closed = (fun _ -> incr closed);
-                           reset = (fun _ -> incr resets);
-                           dispatch_failed = (fun () -> incr failed);
-                         }))
-            done;
-            let t0 = Unix.gettimeofday () in
-            Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
-            let wall = Unix.gettimeofday () -. t0 in
-            let records = Cluster.Lb_cluster.merged_trace cluster in
-            let drops = Cluster.Lb_cluster.trace_drops cluster in
-            Option.iter
-              (fun s ->
-                List.iter s.Trace.write records;
-                s.Trace.close ())
-              sink;
-            (* Everything on stdout is deterministic in the logical
-               decomposition; wall-clock goes to stderr so shard-count
-               sweeps can diff stdout too. *)
-            Printf.printf
-              "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
-               duration=%dms\n"
-              devices workers mode_name seed
-              (ST.to_string (Cluster.Lb_cluster.lookahead cluster))
-              duration_ms;
-            Printf.printf
-              "conns established=%d closed=%d resets=%d dispatch_failed=%d\n"
-              !established !closed !resets !failed;
-            Printf.printf
-              "requests done=%d device_completed=%d device_dropped=%d\n"
-              !req_done
-              (Cluster.Lb_cluster.completed cluster)
-              (Cluster.Lb_cluster.dropped cluster);
-            Printf.printf "trace records=%d\n" (List.length records);
-            Printf.eprintf "shards=%d wall=%.3fs\n%!" shards wall;
-            if drops > 0 then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "trace ring overflowed (%d drops); the trace file is \
-                     truncated"
-                    drops )
-            else `Ok ())
+        (match plan with
+        | None -> ()
+        | Some p ->
+          List.iter
+            (fun (slot, _) ->
+              Cluster.Lb_cluster.run_on cluster ~slot (fun dev ->
+                  Faults.Inject.arm ~device:dev ~plan:p))
+            (Cluster.Lb_cluster.devices cluster));
+        let established = ref 0 and closed = ref 0 and resets = ref 0 in
+        let failed = ref 0 and req_done = ref 0 in
+        let window_us = duration_ms * 1000 * 4 / 5 in
+        for i = 0 to conns - 1 do
+          let at = ST.us (i * window_us / max 1 conns) in
+          let tenant = i mod Array.length tenants in
+          ignore
+            (Engine.Sim.schedule sim ~at (fun () ->
+                 let open Cluster.Lb_cluster in
+                 let pending = ref reqs in
+                 connect cluster ~tenant
+                   ~events:
+                     {
+                       established =
+                         (fun h ->
+                           incr established;
+                           for _ = 1 to reqs do
+                             send h
+                               (Lb.Request.make ~id:(fresh_id cluster)
+                                  ~op:Lb.Request.Plain_proxy ~size:64
+                                  ~cost:(ST.ms 1) ~tenant_id:tenant)
+                           done);
+                       request_done =
+                         (fun h _ ->
+                           incr req_done;
+                           decr pending;
+                           if !pending = 0 then close h);
+                       closed = (fun _ -> incr closed);
+                       reset = (fun _ -> incr resets);
+                       dispatch_failed = (fun () -> incr failed);
+                     }))
+        done;
+        let t0 = Unix.gettimeofday () in
+        Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
+        let wall = Unix.gettimeofday () -. t0 in
+        let records = Cluster.Lb_cluster.merged_trace cluster in
+        let drops = Cluster.Lb_cluster.trace_drops cluster in
+        Option.iter
+          (fun s ->
+            List.iter s.Trace.write records;
+            s.Trace.close ())
+          sink;
+        (* Everything on stdout is deterministic in the logical
+           decomposition; wall-clock goes to stderr so replays can diff
+           stdout too. *)
+        Printf.printf
+          "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
+           duration=%dms\n"
+          devices workers mode_name seed
+          (ST.to_string (Cluster.Lb_cluster.lookahead cluster))
+          duration_ms;
+        Printf.printf
+          "conns established=%d closed=%d resets=%d dispatch_failed=%d\n"
+          !established !closed !resets !failed;
+        Printf.printf
+          "requests done=%d device_completed=%d device_dropped=%d\n"
+          !req_done
+          (Cluster.Lb_cluster.completed cluster)
+          (Cluster.Lb_cluster.dropped cluster);
+        Printf.printf "trace records=%d\n" (List.length records);
+        Printf.eprintf "wall=%.3fs\n%!" wall;
+        if drops > 0 then
+          `Error
+            ( false,
+              Printf.sprintf
+                "trace ring overflowed (%d drops); the trace file is \
+                 truncated"
+                drops )
+        else `Ok ()
   in
   let doc =
-    "Run a sharded multi-device cluster simulation; the merged trace \
-     and the stdout summary are byte-identical for every $(b,--shards) \
-     value."
+    "Run a multi-device cluster simulation, one logical process per \
+     device plus a control process; the same seed replays the merged \
+     trace and the stdout summary byte for byte."
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
       ret
-        (const run $ devices_arg $ workers_arg $ shards_arg $ seed_arg
+        (const run $ devices_arg $ workers_arg $ seed_arg
        $ duration_arg $ conns_arg $ reqs_arg $ lookahead_arg $ mode_arg
        $ plan_arg $ trace_arg))
-
-(* Systematic concurrency checking of the engine internals: explore
-   every non-equivalent interleaving of the Task_deque / Coordinator
-   pool / Trace publication harnesses under the DPOR scheduler. *)
-let mcheck_cmd =
-  let scenario_arg =
-    let doc =
-      "Run only the named scenario (repeatable); all otherwise.  See the \
-       run output for names."
-    in
-    Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"NAME" ~doc)
-  in
-  let seeded_flag =
-    let doc =
-      "Also run the seeded-bug scenarios (historical orderings \
-       deliberately re-introduced behind a flag); those $(b,pass) only \
-       when the checker finds their counterexample, gating the checker \
-       itself against regressions."
-    in
-    Arg.(value & flag & info [ "seeded" ] ~doc)
-  in
-  let check_flag =
-    let doc =
-      "Gate mode: non-zero exit if any clean scenario has a \
-       counterexample, an undocumented race or an exhausted budget, or \
-       any seeded scenario fails to produce its counterexample."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let max_interleavings_arg =
-    let doc =
-      "Per-scenario exploration budget (executions + sleep-set prunes); \
-       the CI time-box."
-    in
-    Arg.(
-      value
-      & opt int Mcheck.Model.default_config.Mcheck.Model.max_interleavings
-      & info [ "max-interleavings" ] ~docv:"N" ~doc)
-  in
-  let max_steps_arg =
-    let doc = "Per-interleaving step budget (livelock cut-off)." in
-    Arg.(
-      value
-      & opt int Mcheck.Model.default_config.Mcheck.Model.max_steps
-      & info [ "max-steps" ] ~docv:"N" ~doc)
-  in
-  let preemption_bound_arg =
-    let doc =
-      "Skip branches needing more than $(docv) preemptions (unbounded \
-       when omitted); a bounded pass is reported in the output."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "preemption-bound" ] ~docv:"K" ~doc)
-  in
-  let no_dpor_flag =
-    let doc =
-      "Disable the partial-order reduction (exhaustive DFS) — only for \
-       debugging the explorer."
-    in
-    Arg.(value & flag & info [ "no-dpor" ] ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Write per-scenario explored/pruned counts and verdicts to $(docv) \
-       (the CI artifact)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run scenarios seeded check max_interleavings max_steps preemption_bound
-      no_dpor json_file =
-    let config =
-      {
-        Mcheck.Model.max_interleavings;
-        max_steps;
-        preemption_bound;
-        dpor = not no_dpor;
-      }
-    in
-    let selected =
-      match scenarios with
-      | [] ->
-        List.filter
-          (fun (s : Mcheck.Scenarios.t) -> seeded || not s.bug)
-          Mcheck.Scenarios.all
-      | names -> (
-        match
-          List.filter_map
-            (fun n ->
-              match Mcheck.Scenarios.find n with
-              | Some s -> Some (Ok s)
-              | None -> Some (Error n))
-            names
-          |> List.partition_map (function
-               | Ok s -> Either.Left s
-               | Error n -> Either.Right n)
-        with
-        | sel, [] -> sel
-        | _, unknown ->
-          Printf.eprintf "unknown scenario(s): %s; known: %s\n"
-            (String.concat ", " unknown)
-            (String.concat ", "
-               (List.map
-                  (fun (s : Mcheck.Scenarios.t) -> s.name)
-                  Mcheck.Scenarios.all));
-          [])
-    in
-    if selected = [] then `Error (false, "no scenarios selected")
-    else begin
-      Printf.printf "%-24s %-6s %9s %8s %6s %6s  %s\n" "scenario" "kind"
-        "explored" "pruned" "depth" "races" "verdict";
-      let results =
-        List.map
-          (fun (sc : Mcheck.Scenarios.t) ->
-            let t0 = Unix.gettimeofday () in
-            (* the CLI budget flags override the scenario's own config *)
-            let o = sc.run config in
-            let wall = Unix.gettimeofday () -. t0 in
-            let pass, reason = Mcheck.Scenarios.evaluate sc o in
-            Printf.printf "%-24s %-6s %9d %8d %6d %6d  %s — %s (%.2fs)\n"
-              sc.name
-              (if sc.bug then "seeded" else "clean")
-              o.executions o.prunes o.max_depth (List.length o.races)
-              (if pass then "PASS" else "FAIL")
-              reason wall;
-            List.iter
-              (fun (r : Mcheck.Model.race) ->
-                Printf.printf "  race %-18s %s / %s%s\n" r.loc r.access_a
-                  r.access_b
-                  (if
-                     List.exists
-                       (fun p ->
-                         String.length r.loc >= String.length p
-                         && String.sub r.loc 0 (String.length p) = p)
-                       sc.expected_races
-                   then " (documented benign)"
-                   else " (UNDOCUMENTED)"))
-              o.races;
-            (match o.counterexample with
-            | Some c when (not pass) || not sc.bug ->
-              Printf.printf "  counterexample (%s): %s\n" c.kind c.message;
-              List.iter (fun l -> Printf.printf "    %s\n" l) c.trace
-            | Some c ->
-              Printf.printf "  counterexample (%s): %s (%d-step schedule)\n"
-                c.kind c.message (List.length c.trace)
-            | None -> ());
-            (sc, o, pass, reason, wall))
-          selected
-      in
-      (match json_file with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc "[\n";
-        List.iteri
-          (fun i ((sc : Mcheck.Scenarios.t), (o : Mcheck.Model.outcome), pass,
-                  reason, wall) ->
-            Printf.fprintf oc
-              "  {\"scenario\": %s, \"seeded\": %b, \"pass\": %b, \
-               \"reason\": %s, \"executions\": %d, \"pruned\": %d, \
-               \"steps\": %d, \"max_depth\": %d, \"races\": %d, \
-               \"counterexample\": %s, \"budget_exhausted\": %b, \
-               \"bounded\": %b, \"wall_s\": %.3f}%s\n"
-              (Trace.json_string sc.name) sc.bug pass (Trace.json_string reason)
-              o.executions o.prunes o.steps_total o.max_depth
-              (List.length o.races)
-              (match o.counterexample with
-              | None -> "null"
-              | Some c -> Trace.json_string c.kind)
-              o.budget_exhausted o.bounded wall
-              (if i = List.length results - 1 then "" else ",");
-            ())
-          results;
-        output_string oc "]\n";
-        close_out oc);
-      let failed =
-        List.filter_map
-          (fun ((sc : Mcheck.Scenarios.t), _, pass, _, _) ->
-            if pass then None else Some sc.name)
-          results
-      in
-      match failed with
-      | [] -> `Ok ()
-      | fs ->
-        if check then
-          `Error (false, "mcheck scenarios failed: " ^ String.concat ", " fs)
-        else begin
-          Printf.printf "(failures above; exit 0 without --check)\n";
-          `Ok ()
-        end
-    end
-  in
-  let doc =
-    "Model-check the engine's concurrent internals (work-stealing \
-     deque, coordinator pool, trace publication): explore every \
-     non-equivalent interleaving with dynamic partial-order reduction, \
-     report happens-before races on non-atomic accesses, and print \
-     counterexample schedules for assertion failures, deadlocks and \
-     lost wakeups."
-  in
-  Cmd.v (Cmd.info "mcheck" ~doc)
-    Term.(
-      ret
-        (const run $ scenario_arg $ seeded_flag $ check_flag
-       $ max_interleavings_arg $ max_steps_arg $ preemption_bound_arg
-       $ no_dpor_flag $ json_arg))
 
 let trace_dump_cmd =
   let file =
@@ -829,7 +610,6 @@ let main =
       chaos_cmd;
       disasm_cmd;
       verify_cmd;
-      mcheck_cmd;
       trace_dump_cmd;
     ]
 

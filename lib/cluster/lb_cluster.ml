@@ -9,13 +9,9 @@ module Coordinator = Engine.Coordinator
    LP boundaries as messages with a fixed latency [lookahead], and the
    coordinator advances the fleet in rounds of exactly that width — so
    no LP can ever receive a message inside a window it has already
-   executed (conservative synchronization), whatever the domain count.
-
-   The decomposition is the same for every [?shards] value; [shards]
-   only picks how many OCaml domains execute member rounds.  That is
-   the whole determinism argument: schedules, trace sequence numbers
-   and message stamps are functions of the LP decomposition alone, so
-   the merged trace is byte-identical across domain counts. *)
+   executed (conservative synchronization).  Schedules, trace sequence
+   numbers and message stamps are functions of the LP decomposition
+   alone. *)
 
 type member = {
   slot : int;
@@ -40,8 +36,6 @@ type t = {
   mutable removed_dropped : int;
   mutable retired_traces : (int * Trace.record list) list;
   mutable retired_trace_drops : int;
-  mutable tick : Sim.handle option;
-  mutable stopped : bool;
 }
 
 let lp_of_slot slot = slot + 1
@@ -75,15 +69,12 @@ let spawn t ~mode ~workers =
    events landing exactly one lookahead out sort behind the next
    tick deterministically. *)
 let rec tick t () =
-  if not t.stopped then begin
-    t.tick <- Some (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
-    Coordinator.advance t.coord ~horizon:(Sim.now t.sim)
-  end
+  ignore (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
+  Coordinator.advance t.coord ~horizon:(Sim.now t.sim)
 
-let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
-    ?lookahead ?trace_capacity () =
+let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?lookahead
+    ?trace_capacity () =
   if devices <= 0 then invalid_arg "Lb_cluster.create: devices must be positive";
-  if shards <= 0 then invalid_arg "Lb_cluster.create: shards must be positive";
   let lookahead =
     match lookahead with
     | Some d ->
@@ -96,7 +87,7 @@ let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
     {
       sim;
       control;
-      coord = Coordinator.create ~control ~domains:shards;
+      coord = Coordinator.create ~control;
       rng;
       tenants;
       default_workers = workers;
@@ -109,14 +100,12 @@ let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?(shards = 1)
       removed_dropped = 0;
       retired_traces = [];
       retired_trace_drops = 0;
-      tick = None;
-      stopped = false;
     }
   in
   for _ = 1 to devices do
     ignore (spawn t ~mode ~workers)
   done;
-  t.tick <- Some (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
+  ignore (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
   t
 
 let size t = Hashtbl.length t.slots
@@ -324,12 +313,3 @@ let trace_drops t =
       (fun _ m acc -> acc + Shard.dropped_records m.shard)
       t.slots 0
 
-let shutdown t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    (match t.tick with
-    | Some handle -> Sim.cancel t.sim handle
-    | None -> ());
-    t.tick <- None;
-    Coordinator.shutdown t.coord
-  end

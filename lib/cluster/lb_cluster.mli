@@ -20,16 +20,12 @@
     control simulator — so driving the control sim with
     [Sim.run_until] drives the whole fleet.  Do {e not} drive it with
     [Sim.run]: the round event re-arms itself, so the queue never
-    empties before {!shutdown}.
+    empties.
 
-    [?shards] sets how many OCaml domains execute member rounds; it
-    never affects behaviour, only wall-clock.  Traces, counters and
-    schedules are functions of the logical decomposition alone, which
-    the differential harness pins by comparing {!merged_trace} output
-    byte-for-byte across shard counts.  Touching a device directly
-    (via {!device}) mutates that member's simulator from the control
-    domain and is only safe under [shards = 1] — the default, and what
-    the single-threaded tests and examples use. *)
+    Rounds run every member inline on the calling domain, in slot
+    order.  Traces, counters and schedules are functions of the
+    logical decomposition alone; the replay harness pins
+    {!merged_trace} output byte-for-byte. *)
 
 type t
 
@@ -40,18 +36,15 @@ val create :
   devices:int ->
   mode:Lb.Device.mode ->
   ?workers:int ->
-  ?shards:int ->
   ?lookahead:Engine.Sim_time.t ->
   ?trace_capacity:int ->
   unit ->
   t
-(** A cluster of [devices] identical members, all started.  [shards]
-    (default 1) is the executing domain count; [lookahead] (default
-    {!Hermes.Runtime.cross_shard_latency}[ ()]) the cross-process
-    message latency and round width; [trace_capacity] (default off)
-    gives every member a private trace ring of that many records for
-    {!merged_trace}.  Call {!shutdown} when done if [shards > 1] —
-    OCaml caps live domains, so leaked pools starve later clusters. *)
+(** A cluster of [devices] identical members, all started.
+    [lookahead] (default {!Hermes.Runtime.cross_shard_latency}[ ()]) is
+    the cross-process message latency and round width;
+    [trace_capacity] (default off) gives every member a private trace
+    ring of that many records for {!merged_trace}. *)
 
 val size : t -> int
 (** Members currently in the cluster (serving or draining). *)
@@ -60,8 +53,7 @@ val in_rotation : t -> int
 (** Members accepting new connections. *)
 
 val device : t -> int -> Lb.Device.t
-(** Member by slot.  Direct device access is safe only under
-    [shards = 1] (see above).
+(** Member by slot.
     @raise Invalid_argument for a removed slot. *)
 
 val devices : t -> (int * Lb.Device.t) list
@@ -168,15 +160,11 @@ val dropped : t -> int
 val merged_trace : t -> Trace.record list
 (** All members' trace rings (including removed members'), merged in
     [(time, process id, per-process seq)] order and re-stamped with
-    merge-order sequence numbers — one deterministic stream,
-    byte-identical for every [?shards] value.  Empty unless the
+    merge-order sequence numbers — one deterministic stream.  Empty
+    unless the
     cluster was created with [trace_capacity]. *)
 
 val trace_drops : t -> int
 (** Records lost to ring overflow across all members — non-zero means
     {!merged_trace} is truncated and [trace_capacity] was too small. *)
 
-val shutdown : t -> unit
-(** Stop the synchronization rounds and join the worker-domain pool.
-    Idempotent.  Mandatory for [shards > 1] harnesses that build
-    clusters in a loop. *)

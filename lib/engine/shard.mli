@@ -2,14 +2,10 @@
 
     A shard bundles a private {!Sim} instance, a private trace-recorder
     context (optionally backed by a bounded {!Trace.Ring}), and an
-    outbox of timestamped cross-shard messages.  The semantic unit is
-    the {e logical} shard, never the OCaml domain: a cluster of [n]
+    outbox of timestamped cross-shard messages.  A cluster of [n]
     devices always decomposes into [n] device LPs plus one control LP,
-    whatever [--shards] says, so every schedule, trace sequence number
-    and message stamp is a function of the decomposition alone.  The
-    domain count only decides which physical core executes
-    {!run_to} — which is why the merged trace is byte-identical across
-    domain counts.
+    so every schedule, trace sequence number and message stamp is a
+    function of the decomposition alone.
 
     Shards never share mutable state; all interaction goes through
     {!post}ed messages that the {!Coordinator} delivers at horizon
@@ -54,13 +50,13 @@ val drain_outbox : t -> message list
 val deliver : t -> message -> unit
 (** Schedule [message.action] on this shard's simulator at
     [message.at].  Call only between rounds (the destination must not
-    be mid-{!run_to} on another domain). *)
+    be mid-{!run_to}). *)
 
 val run_to : t -> limit:Sim_time.t -> unit
 (** Run this shard's simulator to [limit] with the shard's recorder
-    context swapped in, restoring the caller's context afterwards.
-    Safe to call from any domain; on the control shard it raises
-    [Invalid_argument] (the caller drives the control sim). *)
+    context swapped in, restoring the caller's context afterwards.  On
+    the control shard it raises [Invalid_argument] (the caller drives
+    the control sim). *)
 
 val with_context : t -> (unit -> 'a) -> 'a
 (** Run [f] with this shard's recorder context installed, restoring

@@ -70,8 +70,6 @@ type verified
 val max_insns : int
 (** 4096, as in pre-5.2 kernels. *)
 
-val max_depth : int
-
 val verify : prog -> (verified, string) result
 (** Static checks: instruction budget, expression depth, non-empty
     name, and that every [Var] is bound by an enclosing [Let] — the

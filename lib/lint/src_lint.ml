@@ -1,17 +1,13 @@
-(* Source lint: the engine and trace libraries must route every
-   concurrency primitive through the {!Mcheck_shim.PRIM} shim — a
-   functor parameter conventionally named [P], or the zero-cost
-   [Mcheck_shim.Real] instance.  A raw [Atomic.] / [Mutex.] /
-   [Condition.] / [Domain.spawn] use compiles and runs fine but is
-   invisible to the model checker, so its interleavings would be
-   silently unexplored; this lint (wired into [hermes_sim verify] and
-   CI) turns that hole into a build failure.
+(* Source lint: the engine and trace libraries run on one domain and
+   hold no concurrency primitive.  Any [Atomic.] / [Mutex.] /
+   [Condition.] / [Domain.] use there is a build failure ([hermes_sim
+   verify] and CI), so shared-memory concurrency cannot come back into
+   them unreviewed.
 
    The scan is token-based on comment- and string-stripped source: a
-   forbidden module name followed by a dot counts only when it is a
-   real dotted-path use whose head compartment is not [Mcheck_shim] or
-   [P] (so [P.Atomic.get] and [Mcheck_shim.Real.Atomic] pass, bare
-   [Atomic.get] and [Stdlib.Mutex.create] fail). *)
+   forbidden module name followed by a dot counts wherever it starts a
+   path component, so [Stdlib.Mutex.create] fails as well as
+   [Mutex.create], while [Atomics.get] or [t.domain] do not. *)
 
 type violation = { file : string; line : int; token : string; context : string }
 
@@ -155,35 +151,7 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Walk back over capitalized ["Seg."] prefixes to find the head
-   compartment of the dotted path a match at [i] belongs to; [None]
-   when the match is itself the head. *)
-let path_head text i =
-  let rec back i =
-    if i >= 2 && text.[i - 1] = '.' then begin
-      let j = ref (i - 2) in
-      while !j >= 0 && is_ident_char text.[!j] do
-        decr j
-      done;
-      let start = !j + 1 in
-      if start <= i - 2 && text.[start] >= 'A' && text.[start] <= 'Z' then
-        back start
-      else i (* a lowercase prefix (record access etc.) is not a path *)
-    end
-    else i
-  in
-  let h = back i in
-  if h = i then None
-  else begin
-    let j = ref h in
-    while !j < String.length text && is_ident_char text.[!j] do
-      incr j
-    done;
-    Some (String.sub text h (!j - h))
-  end
-
-let allowed_heads = [ "Mcheck_shim"; "P" ]
-let forbidden_modules = [ "Atomic"; "Mutex"; "Condition" ]
+let forbidden_modules = [ "Atomic"; "Mutex"; "Condition"; "Domain" ]
 
 let line_of text i =
   let l = ref 1 in
@@ -215,27 +183,11 @@ let scan_source ~file src =
   for i = 0 to n - 1 do
     List.iter
       (fun m ->
-        if word_at i (m ^ ".") then begin
-          let head, token =
-            match path_head text i with
-            | None -> (m, m)
-            | Some h -> (h, h ^ "..." ^ m)
-          in
-          if not (List.mem head allowed_heads) then
-            hits :=
-              { file; line = line_of text i; token; context = context_of text i }
-              :: !hits
-        end)
-      forbidden_modules;
-    if word_at i "Domain.spawn" then
-      hits :=
-        {
-          file;
-          line = line_of text i;
-          token = "Domain.spawn";
-          context = context_of text i;
-        }
-        :: !hits
+        if word_at i (m ^ ".") then
+          hits :=
+            { file; line = line_of text i; token = m; context = context_of text i }
+            :: !hits)
+      forbidden_modules
   done;
   List.rev !hits
 

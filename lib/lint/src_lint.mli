@@ -1,17 +1,15 @@
 (** Source lints, run by [hermes_sim verify] and CI.
 
-    - Concurrency: forbid raw concurrency primitives ([Atomic.],
-      [Mutex.], [Condition.], [Domain.spawn]) in [lib/engine] and
-      [lib/trace] — everything must go through a {!Mcheck_shim.PRIM}
-      functor parameter named [P] or the [Mcheck_shim.Real] instance,
-      or the model checker cannot see it.
+    - Concurrency: forbid every use of [Atomic.], [Mutex.],
+      [Condition.] and [Domain.] in [lib/engine] and [lib/trace],
+      which run on one domain.
     - Dead exports: every [val] of a [lib/] interface must be named by
       some implementation other than its own. *)
 
 type violation = {
   file : string;
   line : int;  (** 1-based *)
-  token : string;  (** e.g. ["Atomic"] or ["Stdlib...Mutex"] *)
+  token : string;  (** the forbidden module, e.g. ["Atomic"] *)
   context : string;  (** the offending source line, trimmed *)
 }
 

@@ -46,13 +46,12 @@ type sink = { write : record -> unit; close : unit -> unit }
 (* ------------------------------------------------------------------ *)
 (* Recorder state (tracepoint style: one sink per execution context)    *)
 
-(* The recorder state is domain-local rather than a plain global so
-   that simulation shards running on different OCaml domains record
-   into disjoint sinks without synchronisation; [swap_state] further
-   lets one domain multiplex several logical shards (each owning its
-   own sink, sequence counter and clock) over the same domain-local
-   slot.  Single-domain programs see exactly the old one-global-sink
-   behaviour. *)
+(* One recorder state for the process.  [swap_state] multiplexes the
+   logical shards of a cluster over it: the shard executor swaps a
+   shard's own state (sink, sequence counter, clock) in around its
+   events and the previous one back afterwards.  Everything runs on one
+   domain, so a plain reference is enough, and the trace-off check on
+   the hot paths is two loads: the current state, then its sink. *)
 
 type state = {
   mutable active : sink option;
@@ -60,77 +59,46 @@ type state = {
   mutable clock : int;
 }
 
-let fresh_state () = { active = None; seq_counter = 0; clock = 0 }
-let state_key = Domain.DLS.new_key fresh_state
-let st () = Domain.DLS.get state_key
-
-(* Process-wide count of states holding a live sink.  [enabled],
-   [set_now] and [emit] sit on per-select / per-event hot paths where
-   the domain-local lookup alone costs a few ns; when nothing in the
-   whole process is tracing (every benchmark fast path), this gate
-   reduces them to one atomic load.  The count is conservative: a
-   shard state whose ring outlives its shard keeps it positive, which
-   only means those processes keep paying the domain-local lookup —
-   never that a record is lost.
-
-   Concurrency primitives go through the shim ([A.get] is the same
-   "%atomic_load" primitive, so the fast path is still one inlined
-   atomic load); the publication protocol itself — count incremented
-   in [make_state] before the state is ever visible to a domain,
-   decremented only by [uninstall] — is model-checked by the
-   [trace_publication] harness in [Mcheck.Scenarios]. *)
-module A = Mcheck_shim.Real.Atomic
-
-let active_sinks = A.make ~name:"trace.active_sinks" 0
-
-let make_state sink =
-  (match sink with None -> () | Some _ -> A.incr active_sinks);
-  { active = sink; seq_counter = 0; clock = 0 }
+let make_state sink = { active = sink; seq_counter = 0; clock = 0 }
+let current = ref (make_state None)
 
 let swap_state s =
-  let cur = Domain.DLS.get state_key in
-  Domain.DLS.set state_key s;
+  let cur = !current in
+  current := s;
   cur
 
-let enabled () =
-  A.get active_sinks > 0
-  && match (st ()).active with None -> false | Some _ -> true
-
-let set_now t = if A.get active_sinks > 0 then (st ()).clock <- t
-let now () = (st ()).clock
+let enabled () = match !current.active with None -> false | Some _ -> true
+let set_now t = !current.clock <- t
+let now () = !current.clock
 
 let emit ev =
-  if A.get active_sinks > 0 then begin
-    let s = st () in
-    match s.active with
-    | None -> ()
-    | Some sink ->
-      sink.write { seq = s.seq_counter; time = s.clock; event = ev };
-      s.seq_counter <- s.seq_counter + 1
-  end
+  let s = !current in
+  match s.active with
+  | None -> ()
+  | Some sink ->
+    sink.write { seq = s.seq_counter; time = s.clock; event = ev };
+    s.seq_counter <- s.seq_counter + 1
 
 let uninstall () =
-  let s = st () in
+  let s = !current in
   match s.active with
   | None -> ()
   | Some sink ->
     s.active <- None;
-    A.decr active_sinks;
     sink.close ()
 
 let install sink =
   uninstall ();
-  let s = st () in
+  let s = !current in
   s.seq_counter <- 0;
   s.clock <- 0;
-  s.active <- Some sink;
-  A.incr active_sinks
+  s.active <- Some sink
 
 (* Nested inside another sink's recording, [s] tees off the same stream:
    both sinks see every record, under one contiguous [seq], and the
    outer sink comes back, still open, when [f] returns. *)
 let with_sink s f =
-  let state = st () in
+  let state = !current in
   match state.active with
   | None ->
     install s;

@@ -157,14 +157,11 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 
 (** {1 Recorder state multiplexing}
 
-    The recorder state (active sink, sequence counter, clock) is
-    domain-local: simulation shards running on different OCaml domains
-    record into disjoint sinks with no synchronisation.  A single
-    domain can additionally multiplex several logical shards over its
-    slot with {!swap_state} — the shard executor swaps a shard's state
-    in around running its events and swaps the previous state back
-    afterwards, so each shard keeps an independent sink, monotone
-    sequence counter and clock regardless of which domain runs it. *)
+    The recorder state (active sink, sequence counter, clock) is one
+    per process.  {!swap_state} multiplexes several logical shards over
+    it: the shard executor swaps a shard's state in around running its
+    events and swaps the previous state back afterwards, so each shard
+    keeps an independent sink, monotone sequence counter and clock. *)
 
 type state
 (** One recorder context: a sink (or none), its sequence counter and
@@ -174,10 +171,9 @@ val make_state : sink option -> state
 (** A fresh context with the given sink, sequence 0 and clock 0. *)
 
 val swap_state : state -> state
-(** [swap_state s] installs [s] as the calling domain's recorder
-    context and returns the previously installed one.  All subsequent
-    {!emit} / {!set_now} / {!install} calls on this domain act on [s]
-    until the next swap. *)
+(** [swap_state s] installs [s] as the recorder context and returns
+    the previously installed one.  All subsequent {!emit} /
+    {!set_now} / {!install} calls act on [s] until the next swap. *)
 
 (** {1 Ring buffer} *)
 

@@ -2,9 +2,9 @@
    baseline file every regression-benchmark family shares.
 
    Each gate kind is pinned with one row that passes and one that
-   fails; the family-specific exemptions (dispatch's informational
-   ebpf_jit_ast row, cluster's machine-shape-conditional speedup) are
-   pinned through the real family gate specs.  The baseline reader is
+   fails; the family-specific gates (dispatch's informational
+   ebpf_jit_ast row, cluster's exact completed count) are pinned
+   through the real family gate specs.  The baseline reader is
    outside input, so it is fuzzed: truncations and byte flips of the
    committed file must come back as [Error], never as an exception. *)
 
@@ -19,11 +19,10 @@ let row ?(family = "t") ?(size = "quick") name metrics =
 let family gates =
   H.Family.v "t" (fun ~quick:_ -> []) ~gates:(fun _ -> gates)
 
-(* Names of the rows with at least one failing finding. *)
+(* Names of the rows with at least one failure. *)
 let failing f ~baseline rows =
   H.judge f ~baseline rows
-  |> List.filter_map (fun ((r : Row.t), x) ->
-         match x with H.Fail _ -> Some r.name | H.Note _ -> None)
+  |> List.map (fun ((r : Row.t), _) -> r.name)
   |> List.sort_uniq compare
 
 let strings = Alcotest.(list string)
@@ -90,49 +89,17 @@ let test_dispatch_ast_exemption () =
     [ "ebpf_jit_ast" ]
     (failing f ~baseline (rows ~speedup:10.0 ~ast_words:2.0))
 
-(* d4w2 at shards 1 and 4; the sequential row always ran 0.1 s. *)
-let cluster_rows ?(cores = 2.0) ?(seq_completed = 4000.0)
-    ?(completed4 = 4000.0) ~wall4 () =
-  let r shards wall completed =
-    row ~family:"cluster" ~size:"full"
-      (Printf.sprintf "d4w2/shards=%d" shards)
-      [
-        ("shards", float_of_int shards);
-        ("wall_s", wall);
-        ("completed", completed);
-        ("cores", cores);
-      ]
-  in
-  [ r 1 0.1 seq_completed; r 4 wall4 completed4 ]
+let cluster_row ~wall ~completed =
+  row ~family:"cluster" ~size:"full" "d4w2"
+    [ ("wall_s", wall); ("completed", completed) ]
 
 let test_cluster_gates () =
   let f = Bench.Cluster_bench.family in
-  (* baseline speedup 0.1 / 0.2 = 0.5x; the run's 0.1 / 0.5 = 0.2x is
-     below 0.5 x 0.5 *)
-  let slow = cluster_rows ~wall4:0.5 () in
-  let baseline = cluster_rows ~cores:2.0 ~wall4:0.2 () in
-  Alcotest.check strings "same cores: speedup gated" [ "d4w2/shards=4" ]
-    (failing f ~baseline slow);
-  Alcotest.check strings "same cores: speedup above the bound passes" []
-    (failing f ~baseline (cluster_rows ~wall4:0.3 ()));
-  let other_shape = cluster_rows ~cores:1.0 ~wall4:0.2 () in
-  Alcotest.check strings "other cores: speedup skipped" []
-    (failing f ~baseline:other_shape slow);
-  Alcotest.(check bool)
-    "other cores: the skip is reported" true
-    (List.exists
-       (function _, H.Note _ -> true | _ -> false)
-       (H.judge f ~baseline:other_shape slow));
-  Alcotest.check strings "other cores: exact completed still gated"
-    [ "d4w2/shards=4" ]
-    (failing f ~baseline:other_shape
-       (cluster_rows ~completed4:3999.0 ~wall4:0.2 ()));
-  (* a drifting sequential row fails every row of its scenario, even
-     where the row itself matches the baseline *)
-  Alcotest.check strings "shard drift fails the scenario"
-    [ "d4w2/shards=1"; "d4w2/shards=4" ]
-    (failing f ~baseline:other_shape
-       (cluster_rows ~seq_completed:3999.0 ~wall4:0.2 ()))
+  let baseline = [ cluster_row ~wall:0.1 ~completed:4000.0 ] in
+  Alcotest.check strings "wall time is not gated" []
+    (failing f ~baseline [ cluster_row ~wall:5.0 ~completed:4000.0 ]);
+  Alcotest.check strings "completed must equal the baseline" [ "d4w2" ]
+    (failing f ~baseline [ cluster_row ~wall:0.1 ~completed:3999.0 ])
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                         *)
@@ -189,7 +156,7 @@ let test_committed_baseline () =
   in
   Alcotest.(check (list (pair string int)))
     "rows per family"
-    (List.combine families [ 6; 12; 66; 16; 8; 6 ])
+    (List.combine families [ 6; 12; 66; 4; 8; 6 ])
     (List.map (fun f -> (f, count f)) families);
   let keys = List.map (fun (r : Row.t) -> (r.family, r.name, r.size)) rows in
   Alcotest.(check int)
@@ -202,7 +169,7 @@ let with_temp f =
 
 let test_merge_keeps_full_rows () =
   let full = read_committed () in
-  let fresh = row ~family:"cluster" ~size:"full" "d64w1/shards=1" [] in
+  let fresh = row ~family:"cluster" ~size:"full" "d64w1" [] in
   let quick =
     [
       row ~family:"chaos" ~size:"full" "none/hermes" [ ("p99_ms", 9.0) ];
@@ -319,8 +286,7 @@ let () =
           Alcotest.test_case "absent metrics" `Quick test_absent_metric;
           Alcotest.test_case "dispatch ebpf_jit_ast exemption" `Quick
             test_dispatch_ast_exemption;
-          Alcotest.test_case "cluster gates and machine shape" `Quick
-            test_cluster_gates;
+          Alcotest.test_case "cluster completed gate" `Quick test_cluster_gates;
         ] );
       ("cli", [ Alcotest.test_case "flags" `Quick test_cli ]);
       ( "baseline",
