@@ -217,6 +217,12 @@ let pending_units t =
   Conn_table.fold t.subs ~init:0 ~f:(fun acc ~key:_ ~slot ->
       acc + Conn_table.aux t.subs slot)
 
-let clear_pending t =
-  Conn_table.iter t.subs (fun ~key:_ ~slot -> Conn_table.set_aux t.subs slot 0);
-  t.ring_len <- 0
+let rearm t =
+  t.ring_len <- 0;
+  Conn_table.iter t.subs (fun ~key ~slot ->
+      Conn_table.set_aux t.subs slot 0;
+      match Conn_table.payload t.subs slot with
+      | Dedicated_listen sock ->
+        let backlog = Socket.backlog_len sock in
+        if backlog > 0 then push t slot (key - 1) backlog
+      | Shared_listen _ | Conn -> ())

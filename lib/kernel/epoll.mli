@@ -106,5 +106,9 @@ val last_scan_cost : t -> int
 val pending_units : t -> int
 (** Total undelivered pushed units (diagnostics). *)
 
-val clear_pending : t -> unit
-(** Drop all pushed readiness (worker restart). *)
+val rearm : t -> unit
+(** Worker restart: drop all pushed readiness, then report each
+    dedicated listener's queued connections as one readiness of its
+    socket's backlog, as a fresh registration does on Linux.  Without
+    that, connections queued while the worker was down would never be
+    accepted. *)

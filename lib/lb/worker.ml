@@ -590,7 +590,7 @@ let restart t =
     List.iter
       (fun conn -> Kernel.Epoll.remove_conn t.ep ~fd:conn.Conn.fd)
       owned;
-    Kernel.Epoll.clear_pending t.ep;
+    Kernel.Epoll.rearm t.ep;
     conn_add t (-List.length owned);
     busy_add t (-t.busy_outstanding);
     t.state <- Init;

@@ -636,6 +636,31 @@ let test_worker_cpu_accounting () =
   (* at least the 10ms request, plus overheads, across all workers *)
   check Alcotest.bool "cpu counted" true (busy >= ms 10 && busy < ms 20)
 
+(* SYNs that reach a crashed worker's dedicated listener wait in its
+   backlog.  A restart must report them the way a fresh epoll
+   registration does on Linux, as readiness equal to the backlog, or
+   the restarted worker, which accepts only what one event reports,
+   strands them for good. *)
+let test_device_restart_accepts_backlog () =
+  List.iter
+    (fun mode ->
+      let device, sim = make_device mode in
+      let name = Lb.Device.mode_name mode in
+      Lb.Device.crash_worker device 0;
+      let established = ref 0 in
+      for _ = 1 to 40 do
+        Lb.Device.connect device ~tenant:0
+          ~events:(simple_events ~on_established:(fun _ -> incr established) ())
+      done;
+      Engine.Sim.run_until sim ~limit:(ms 50);
+      check Alcotest.bool (name ^ ": some wait on the crashed worker") true
+        (!established < 40);
+      Lb.Device.recover_worker device 0;
+      Engine.Sim.run_until sim ~limit:(ms 200);
+      check Alcotest.int (name ^ ": all accepted after the restart") 40
+        !established)
+    [ Lb.Device.Reuseport; Lb.Device.Hermes Hermes.Config.default ]
+
 (* A resume pending at a crash must die silently even when the worker
    restarts before it falls due.  The restarted worker is handed a
    20 ms request at once, so the stale resume falls due while that
@@ -761,5 +786,7 @@ let () =
             test_device_probe_quarantined_single_fire;
           Alcotest.test_case "cpu accounting" `Quick test_worker_cpu_accounting;
           Alcotest.test_case "crash mid-charge" `Quick test_worker_crash_mid_charge;
+          Alcotest.test_case "restart accepts its backlog" `Quick
+            test_device_restart_accepts_backlog;
         ] );
     ]
