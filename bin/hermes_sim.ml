@@ -16,6 +16,23 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
+(* An integer that must lie in [lo, hi]: anything else is a
+   command-line error (exit 124), never an escaping exception. *)
+let int_in ?(lo = min_int) ?(hi = max_int) () =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ when hi = max_int -> Error (`Msg (Printf.sprintf "%s must be >= %d" s lo))
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be in %d..%d" s lo hi))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Workers per device: 1..64, the width of the WST and of a reuseport
+   group's worker bitmap. *)
+let workers_arg ~default ~doc =
+  Arg.(value & opt (int_in ~lo:1 ~hi:64 ()) default & info [ "workers" ] ~docv:"N" ~doc)
+
 (* The one trace-file writer: [f] gets the [--trace] file's sink, if
    any, and must close it. *)
 let with_trace_file file f =
@@ -57,32 +74,25 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc) Term.(ret (const run $ quick_flag $ trace_arg $ id))
 
 let disasm_cmd =
-  let workers =
-    let doc = "Workers in the (single) group." in
-    Arg.(value & opt int 8 & info [ "workers" ] ~doc)
-  in
+  let workers = workers_arg ~default:8 ~doc:"Workers in the (single) group." in
   let run workers =
-    if workers < 1 || workers > 64 then
-      `Error (false, "workers must be in 1..64")
-    else begin
-      let m_sel = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel" ~size:1 in
-      let m_socket =
-        Kernel.Ebpf_maps.Sockarray.create ~name:"M_socket" ~size:workers
-      in
-      let prog = Hermes.Dispatch.single_group ~m_sel ~m_socket ~min_selected:2 in
-      match Kernel.Verifier.compile_and_verify prog with
-      | Error e -> `Error (false, Kernel.Verifier.error_to_string e)
-      | Ok verified ->
-        Printf.printf
-          "; Algo 2 dispatch program for %d workers, compiled and verified\n\
-           ; (%d instructions; popcount and rank-select inlined as SWAR)\n"
-          workers
-          (Kernel.Ebpf_vm.insn_count verified);
-        (match Kernel.Ebpf_vm.compile prog with
-        | Ok code -> print_string (Kernel.Ebpf_vm.disassemble code)
-        | Error msg -> prerr_endline msg);
-        `Ok ()
-    end
+    let m_sel = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel" ~size:1 in
+    let m_socket =
+      Kernel.Ebpf_maps.Sockarray.create ~name:"M_socket" ~size:workers
+    in
+    let prog = Hermes.Dispatch.single_group ~m_sel ~m_socket ~min_selected:2 in
+    match Kernel.Verifier.compile_and_verify prog with
+    | Error e -> `Error (false, Kernel.Verifier.error_to_string e)
+    | Ok verified ->
+      Printf.printf
+        "; Algo 2 dispatch program for %d workers, compiled and verified\n\
+         ; (%d instructions; popcount and rank-select inlined as SWAR)\n"
+        workers
+        (Kernel.Ebpf_vm.insn_count verified);
+      (match Kernel.Ebpf_vm.compile prog with
+      | Ok code -> print_string (Kernel.Ebpf_vm.disassemble code)
+      | Error msg -> prerr_endline msg);
+      `Ok ()
   in
   let doc =
     "Disassemble the verified eBPF bytecode of the Algo 2 dispatch program."
@@ -298,11 +308,8 @@ let chaos_cmd =
     Arg.(value & opt string "hermes" & info [ "mode" ] ~docv:"MODE" ~doc)
   in
   let workers_arg =
-    let doc = "Worker count." in
-    Arg.(
-      value
-      & opt int Faults.Chaos.default_config.Faults.Chaos.workers
-      & info [ "workers" ] ~docv:"N" ~doc)
+    workers_arg ~default:Faults.Chaos.default_config.Faults.Chaos.workers
+      ~doc:"Worker count."
   in
   let show_plan_flag =
     let doc = "Print the effective plan and exit without running." in
@@ -388,30 +395,27 @@ let chaos_cmd =
 let cluster_cmd =
   let devices_arg =
     let doc = "Member devices behind the VIP (\"8 LBs in total\", §6.1)." in
-    Arg.(value & opt int 8 & info [ "devices" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_in ~lo:1 ()) 8 & info [ "devices" ] ~docv:"N" ~doc)
   in
-  let workers_arg =
-    let doc = "Workers per member device." in
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
-  in
+  let workers_arg = workers_arg ~default:4 ~doc:"Workers per member device." in
   let seed_arg =
     let doc = "Run seed; same seed replays byte-identically." in
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let duration_arg =
     let doc = "Virtual run length in milliseconds." in
-    Arg.(value & opt int 200 & info [ "duration-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt (int_in ~lo:1 ()) 200 & info [ "duration-ms" ] ~docv:"MS" ~doc)
   in
   let conns_arg =
     let doc =
       "Connections to open, spread uniformly over the first 80% of the \
        run."
     in
-    Arg.(value & opt int 400 & info [ "conns" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_in ~lo:0 ()) 400 & info [ "conns" ] ~docv:"N" ~doc)
   in
   let reqs_arg =
     let doc = "Requests per connection (1 ms service cost each)." in
-    Arg.(value & opt int 2 & info [ "reqs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_in ~lo:1 ()) 2 & info [ "reqs" ] ~docv:"N" ~doc)
   in
   let lookahead_arg =
     let doc =
@@ -419,7 +423,10 @@ let cluster_cmd =
        microseconds (default: the runtime's cross-shard latency).  A \
        model parameter: changing it changes the trace."
     in
-    Arg.(value & opt (some int) None & info [ "lookahead-us" ] ~docv:"US" ~doc)
+    Arg.(
+      value
+      & opt (some (int_in ~lo:1 ())) None
+      & info [ "lookahead-us" ] ~docv:"US" ~doc)
   in
   let mode_arg =
     let doc =
@@ -443,113 +450,110 @@ let cluster_cmd =
   in
   let run devices workers seed duration_ms conns reqs lookahead_us mode_name
       plan_file trace =
-    if devices < 1 then `Error (false, "devices must be >= 1")
-    else if duration_ms < 1 then `Error (false, "duration-ms must be >= 1")
-    else
-      let plan =
-        match plan_file with
-        | None -> Ok None
-        | Some path -> (
-          match Faults.Plan.load path with
-          | Error e -> Error ("bad plan: " ^ e)
-          | Ok p -> (
-            match Faults.Plan.lint ~workers p with
-            | Error problems ->
-              Error ("plan lint: " ^ String.concat "; " problems)
-            | Ok () -> Ok (Some p)))
+    let plan =
+      match plan_file with
+      | None -> Ok None
+      | Some path -> (
+        match Faults.Plan.load path with
+        | Error e -> Error ("bad plan: " ^ e)
+        | Ok p -> (
+          match Faults.Plan.lint ~workers p with
+          | Error problems ->
+            Error ("plan lint: " ^ String.concat "; " problems)
+          | Ok () -> Ok (Some p)))
+    in
+    match (parse_single_mode mode_name, plan) with
+    | Error e, _ | _, Error e -> `Error (false, e)
+    | Ok mode, Ok plan ->
+      with_trace_file trace @@ fun sink ->
+      let module ST = Engine.Sim_time in
+      let sim = Engine.Sim.create () in
+      let rng = Engine.Rng.create seed in
+      let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
+      let cluster =
+        Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
+          ?lookahead:(Option.map ST.us lookahead_us)
+          ?trace_capacity:(Option.map (fun _ -> 262144) sink)
+          ()
       in
-      match (parse_single_mode mode_name, plan) with
-      | Error e, _ | _, Error e -> `Error (false, e)
-      | Ok mode, Ok plan ->
-        with_trace_file trace @@ fun sink ->
-        let module ST = Engine.Sim_time in
-        let sim = Engine.Sim.create () in
-        let rng = Engine.Rng.create seed in
-        let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
-        let cluster =
-          Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
-            ?lookahead:(Option.map ST.us lookahead_us)
-            ?trace_capacity:(Option.map (fun _ -> 262144) sink)
-            ()
-        in
-        (match plan with
-        | None -> ()
-        | Some p ->
-          List.iter
-            (fun (slot, _) ->
-              Cluster.Lb_cluster.run_on cluster ~slot (fun dev ->
-                  Faults.Inject.arm ~device:dev ~plan:p))
-            (Cluster.Lb_cluster.devices cluster));
-        let established = ref 0 and closed = ref 0 and resets = ref 0 in
-        let failed = ref 0 and req_done = ref 0 in
-        let window_us = duration_ms * 1000 * 4 / 5 in
-        for i = 0 to conns - 1 do
-          let at = ST.us (i * window_us / max 1 conns) in
-          let tenant = i mod Array.length tenants in
-          ignore
-            (Engine.Sim.schedule sim ~at (fun () ->
-                 let open Cluster.Lb_cluster in
-                 let pending = ref reqs in
-                 connect cluster ~tenant
-                   ~events:
-                     {
-                       established =
-                         (fun h ->
-                           incr established;
-                           for _ = 1 to reqs do
-                             send h
-                               (Lb.Request.make ~id:(fresh_id cluster)
-                                  ~op:Lb.Request.Plain_proxy ~size:64
-                                  ~cost:(ST.ms 1) ~tenant_id:tenant)
-                           done);
-                       request_done =
-                         (fun h _ ->
-                           incr req_done;
-                           decr pending;
-                           if !pending = 0 then close h);
-                       closed = (fun _ -> incr closed);
-                       reset = (fun _ -> incr resets);
-                       dispatch_failed = (fun () -> incr failed);
-                     }))
-        done;
-        let t0 = Unix.gettimeofday () in
-        Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
-        let wall = Unix.gettimeofday () -. t0 in
-        let records = Cluster.Lb_cluster.merged_trace cluster in
-        let drops = Cluster.Lb_cluster.trace_drops cluster in
-        Option.iter
-          (fun s ->
-            List.iter s.Trace.write records;
-            s.Trace.close ())
-          sink;
-        (* Everything on stdout is deterministic in the logical
-           decomposition; wall-clock goes to stderr so replays can diff
-           stdout too. *)
-        Printf.printf
-          "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
-           duration=%dms\n"
-          devices workers mode_name seed
-          (ST.to_string (Cluster.Lb_cluster.lookahead cluster))
-          duration_ms;
-        Printf.printf
-          "conns established=%d closed=%d resets=%d dispatch_failed=%d\n"
-          !established !closed !resets !failed;
-        Printf.printf
-          "requests done=%d device_completed=%d device_dropped=%d\n"
-          !req_done
-          (Cluster.Lb_cluster.completed cluster)
-          (Cluster.Lb_cluster.dropped cluster);
-        Printf.printf "trace records=%d\n" (List.length records);
-        Printf.eprintf "wall=%.3fs\n%!" wall;
-        if drops > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "trace ring overflowed (%d drops); the trace file is \
-                 truncated"
-                drops )
-        else `Ok ()
-  in
+      (match plan with
+      | None -> ()
+      | Some p ->
+        List.iter
+          (fun (slot, _) ->
+            Cluster.Lb_cluster.run_on cluster ~slot (fun dev ->
+                Faults.Inject.arm ~device:dev ~plan:p))
+          (Cluster.Lb_cluster.devices cluster));
+      let established = ref 0 and closed = ref 0 and resets = ref 0 in
+      let failed = ref 0 and req_done = ref 0 in
+      let window_us = duration_ms * 1000 * 4 / 5 in
+      for i = 0 to conns - 1 do
+        let at = ST.us (i * window_us / max 1 conns) in
+        let tenant = i mod Array.length tenants in
+        ignore
+          (Engine.Sim.schedule sim ~at (fun () ->
+               let open Cluster.Lb_cluster in
+               let pending = ref reqs in
+               connect cluster ~tenant
+                 ~events:
+                   {
+                     established =
+                       (fun h ->
+                         incr established;
+                         for _ = 1 to reqs do
+                           send h
+                             (Lb.Request.make ~id:(fresh_id cluster)
+                                ~op:Lb.Request.Plain_proxy ~size:64
+                                ~cost:(ST.ms 1) ~tenant_id:tenant)
+                         done);
+                     request_done =
+                       (fun h _ ->
+                         incr req_done;
+                         decr pending;
+                         if !pending = 0 then close h);
+                     closed = (fun _ -> incr closed);
+                     reset = (fun _ -> incr resets);
+                     dispatch_failed = (fun () -> incr failed);
+                   }))
+      done;
+      let t0 = Unix.gettimeofday () in
+      Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
+      let wall = Unix.gettimeofday () -. t0 in
+      let records = Cluster.Lb_cluster.merged_trace cluster in
+      let drops = Cluster.Lb_cluster.trace_drops cluster in
+      Option.iter
+        (fun s ->
+          List.iter s.Trace.write records;
+          s.Trace.close ())
+        sink;
+      (* Everything on stdout is deterministic in the logical
+         decomposition; wall-clock goes to stderr so replays can diff
+         stdout too. *)
+      Printf.printf
+        "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
+         duration=%dms\n"
+        devices workers mode_name seed
+        (ST.to_string (Cluster.Lb_cluster.lookahead cluster))
+        duration_ms;
+      Printf.printf
+        "conns established=%d closed=%d resets=%d dispatch_failed=%d\n"
+        !established !closed !resets !failed;
+      Printf.printf
+        "requests done=%d device_completed=%d device_dropped=%d\n"
+        !req_done
+        (Cluster.Lb_cluster.completed cluster)
+        (Cluster.Lb_cluster.dropped cluster);
+      Printf.printf "trace records=%d\n" (List.length records);
+      Printf.eprintf "wall=%.3fs\n%!" wall;
+      if drops > 0 then
+        `Error
+          ( false,
+            Printf.sprintf
+              "trace ring overflowed (%d drops); the trace file is \
+               truncated"
+              drops )
+      else `Ok ()
+in
   let doc =
     "Run a multi-device cluster simulation, one logical process per \
      device plus a control process; the same seed replays the merged \
