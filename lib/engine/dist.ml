@@ -14,8 +14,6 @@ type t =
   | Bounded_pareto of { la : float; ha : float; inv_shape : float }
   | Lognormal of { mu : float; sigma : float }
   | Mixture of { total : float; weights : float array; parts : t array }
-  | Shifted of float * t
-  | Scaled of float * t
 
 (* Uniform in [0,1): the same double as [Rng.unit_float]. *)
 let[@inline] unit rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
@@ -53,8 +51,6 @@ let rec sample d rng =
     let u2 = unit rng in
     exp (mu +. (sigma *. (sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))))
   | Mixture { total; weights; parts } -> sample parts.(pick_index total weights rng) rng
-  | Shifted (dx, d) -> dx +. sample d rng
-  | Scaled (k, d) -> k *. sample d rng
 
 let mean_of d rng n =
   if n <= 0 then invalid_arg "Dist.mean_of: n must be positive";
@@ -92,9 +88,6 @@ let mixture parts =
       weights = Array.of_list (List.map fst parts);
       parts = Array.of_list (List.map snd parts);
     }
-
-let shifted dx d = Shifted (dx, d)
-let scaled k d = Scaled (k, d)
 
 module Zipf = struct
   type t = { cumulative : float array; weights : float array }

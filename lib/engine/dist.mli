@@ -48,12 +48,6 @@ val mixture : (float * t) list -> t
     normalized.  @raise Invalid_argument on an empty list or
     non-positive total weight. *)
 
-val shifted : float -> t -> t
-(** [shifted dx d] adds a constant offset to every sample. *)
-
-val scaled : float -> t -> t
-(** [scaled k d] multiplies every sample by [k]. *)
-
 (** {1 Discrete distributions} *)
 
 module Zipf : sig

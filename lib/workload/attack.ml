@@ -9,6 +9,7 @@ type t = {
   device : Lb.Device.t;
   target_tenant : int;
   attack : kind;
+  gap : Engine.Dist.t; (* inter-arrival time, built once per attack *)
   rng : Engine.Rng.t;
   mutable running : bool;
   mutable conns : int;
@@ -52,11 +53,7 @@ let fire t =
 let rec arrival_loop t =
   if t.running then begin
     fire t;
-    let gap =
-      Engine.Dist.sample
-        (Engine.Dist.exponential ~mean:(1.0 /. cps_of t.attack))
-        t.rng
-    in
+    let gap = Engine.Dist.sample t.gap t.rng in
     ignore
       (Sim.schedule_after (Lb.Device.sim t.device)
          ~delay:(max 1 (Sim_time.of_sec_f gap))
@@ -70,6 +67,7 @@ let launch ~device ~tenant ~kind ~rng =
       device;
       target_tenant = tenant;
       attack = kind;
+      gap = Engine.Dist.exponential ~mean:(1.0 /. cps_of kind);
       rng;
       running = true;
       conns = 0;

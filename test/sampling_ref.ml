@@ -118,9 +118,6 @@ module Dist = struct
       in
       pick 0 0.0
 
-  let shifted dx d rng = dx +. d rng
-  let scaled k d rng = k *. d rng
-
   module Zipf = struct
     type t = { cumulative : float array; weights : float array }
 

@@ -163,13 +163,6 @@ let test_dist_mixture_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Dist.mixture: empty")
     (fun () -> ignore (Engine.Dist.mixture []))
 
-let test_dist_shifted_scaled () =
-  let rng = Engine.Rng.create 8 in
-  let d = Engine.Dist.shifted 10.0 (Engine.Dist.constant 5.0) in
-  checkf "shifted" 15.0 (Engine.Dist.sample d rng);
-  let d = Engine.Dist.scaled 3.0 (Engine.Dist.constant 5.0) in
-  checkf "scaled" 15.0 (Engine.Dist.sample d rng)
-
 let test_zipf_probabilities () =
   let z = Engine.Dist.Zipf.create ~n:4 ~s:1.0 in
   (* weights proportional to 1, 1/2, 1/3, 1/4 *)
@@ -237,8 +230,6 @@ module type SAMPLER = sig
     val bounded_pareto : shape:float -> lo:float -> hi:float -> t
     val lognormal_of_quantiles : p50:float -> p99:float -> t
     val mixture : (float * t) list -> t
-    val shifted : float -> t -> t
-    val scaled : float -> t -> t
 
     module Zipf : sig
       type t
@@ -259,8 +250,6 @@ type dspec =
   | Bpar of float * float * float (* shape, lo, hi *)
   | Logn of float * float (* p50, p99 *)
   | Mix of (float * dspec) list
-  | Shift of float * dspec
-  | Scale of float * dspec
 
 type sop =
   | Sample of dspec * int (* draws *)
@@ -287,8 +276,6 @@ module Run (S : SAMPLER) = struct
     | Bpar (shape, lo, hi) -> S.Dist.bounded_pareto ~shape ~lo ~hi
     | Logn (p50, p99) -> S.Dist.lognormal_of_quantiles ~p50 ~p99
     | Mix parts -> S.Dist.mixture (List.map (fun (w, d) -> (w, dist d)) parts)
-    | Shift (dx, d) -> S.Dist.shifted dx (dist d)
-    | Scale (k, d) -> S.Dist.scaled k (dist d)
 
   (* Every draw as its bit pattern, then one [next_int64] of every
      generator the run made, the original included. *)
@@ -354,8 +341,6 @@ let rec print_dspec = function
     Printf.sprintf "mixture [%s]"
       (String.concat "; "
          (List.map (fun (w, d) -> Printf.sprintf "%h, %s" w (print_dspec d)) parts))
-  | Shift (dx, d) -> Printf.sprintf "shifted %h (%s)" dx (print_dspec d)
-  | Scale (k, d) -> Printf.sprintf "scaled %h (%s)" k (print_dspec d)
 
 let print_sop = function
   | Sample (d, n) -> Printf.sprintf "sample x%d (%s)" n (print_dspec d)
@@ -401,8 +386,6 @@ let gen_dspec =
               map
                 (fun parts -> Mix parts)
                 (list_size (int_range 1 4) (pair weight (self (depth - 1)))) );
-            (1, map2 (fun dx d -> Shift (dx, d)) (float_range (-100.0) 100.0) (self (depth - 1)));
-            (1, map2 (fun k d -> Scale (k, d)) (float_range (-100.0) 100.0) (self (depth - 1)));
           ])
     3
 
@@ -770,9 +753,7 @@ let test_draws_zero_alloc () =
   Alloc_gate.check "Zipf.sample" (fun _ -> ignore (Engine.Dist.Zipf.sample zipf rng))
 
 (* [Dist.sample] allocates its boxed result, 2 words, and nothing more,
-   for every family and for a mixture (the Region profiles' shape).
-   [shifted] and [scaled] are not gated: each level boxes the sample it
-   wraps. *)
+   for every family and for a mixture (the Region profiles' shape). *)
 let test_sample_one_box () =
   if not (Alloc_gate.calibrated ()) then Alloc_gate.skip_note ()
   else begin
@@ -959,7 +940,6 @@ let () =
           Alcotest.test_case "lognormal invalid" `Quick test_dist_lognormal_invalid;
           Alcotest.test_case "mixture weights" `Quick test_dist_mixture_weights;
           Alcotest.test_case "mixture invalid" `Quick test_dist_mixture_invalid;
-          Alcotest.test_case "shifted/scaled" `Quick test_dist_shifted_scaled;
           Alcotest.test_case "zipf probabilities" `Quick test_zipf_probabilities;
           Alcotest.test_case "zipf sampling" `Quick test_zipf_sampling;
           Alcotest.test_case "categorical" `Quick test_categorical;
