@@ -175,10 +175,10 @@ let run_prog prog =
 let prop_replay_stable =
   QCheck.Test.make ~name:"same program, same shards => identical run" ~count:300
     arbitrary_prog (fun prog ->
-      let ((trace, out, summary, drops) as a) = run_prog prog in
+      let trace, out, summary, drops = run_prog prog in
       if drops > 0 then
         QCheck.Test.fail_reportf "trace ring overflowed (%d drops)" drops;
-      let ((trace', out', summary', _) as b) = run_prog prog in
+      let trace', out', summary', drops' = run_prog prog in
       if trace <> trace' then
         QCheck.Test.fail_reportf "merged trace diverged (lengths %d vs %d)"
           (String.length trace) (String.length trace');
@@ -187,7 +187,7 @@ let prop_replay_stable =
           "control-side outcomes diverged:\n%s\n-- vs --\n%s" out out';
       if summary <> summary' then
         QCheck.Test.fail_reportf "%s vs %s" summary summary';
-      a = b)
+      drops = drops')
 
 let test_nonempty_traces () =
   (* Guard against the vacuous pass: a representative program must
