@@ -27,7 +27,10 @@
    - [fault_window]   a fault plan replayed through the device stack:
                       an eBPF program fault (Algo 2 degrades to the
                       hash fallback, then re-engages), a hang, and
-                      health probes that time out behind it *)
+                      health probes that time out behind it
+   - [fleet_drain]    a two-device fleet's merged trace across a fault
+                      plan and a rolling replacement that starts while
+                      one connection is still on its way to a member *)
 
 let ms = Engine.Sim_time.ms
 let us = Engine.Sim_time.us
@@ -175,6 +178,76 @@ let fault_window () =
   drive device sim ~conns:16 ~spacing:(ms 1) ~costs:[ us 100; us 300 ]
     ~limit:(ms 18)
 
+(* Two Hermes members behind the VIP, each with a fault plan, one
+   200 us request per connection.  At 20 ms a rolling replacement
+   swaps both for reuseport members while the 19.95 ms connection is
+   still one hop from its member.  The members' records arrive merged
+   into the caller's recorder; a summary line of the control-side
+   outcomes follows the trace. *)
+let fleet_drain () =
+  let module C = Cluster.Lb_cluster in
+  let sim = Engine.Sim.create () in
+  let rng = Engine.Rng.create 11 in
+  let tenants = Netsim.Tenant.population ~n:2 ~base_dport:20000 in
+  let cluster =
+    C.create ~sim ~rng ~tenants ~devices:2
+      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2
+      ~trace_capacity:65536 ()
+  in
+  let plan : Faults.Plan.t =
+    [
+      { at = ms 5; action = Ebpf_fail { duration = ms 3 } };
+      { at = ms 12; action = Crash { worker = 1 } };
+      { at = ms 16; action = Recover { worker = 1 } };
+    ]
+  in
+  List.iter
+    (fun (slot, _) ->
+      C.run_on cluster ~slot (fun dev -> Faults.Inject.arm ~device:dev ~plan))
+    (C.devices cluster);
+  let issued = ref 0 and established = ref 0 and failed = ref 0 in
+  let closed = ref 0 and resets = ref 0 and served = ref 0 in
+  let connect tenant =
+    incr issued;
+    C.connect cluster ~tenant
+      ~events:
+        {
+          established =
+            (fun h ->
+              incr established;
+              C.send h
+                (Lb.Request.make ~id:(C.fresh_id cluster)
+                   ~op:Lb.Request.Plain_proxy ~size:64 ~cost:(us 200)
+                   ~tenant_id:tenant));
+          request_done =
+            (fun h _ ->
+              incr served;
+              C.close h);
+          closed = (fun _ -> incr closed);
+          reset = (fun _ -> incr resets);
+          dispatch_failed = (fun () -> incr failed);
+        }
+  in
+  List.iteri
+    (fun i at ->
+      ignore (Engine.Sim.schedule sim ~at (fun () -> connect (i mod 2))))
+    [ ms 1; ms 3; ms 6; ms 9; ms 13; ms 17; us 19_950; ms 25; ms 30 ];
+  ignore
+    (Engine.Sim.schedule sim ~at:(ms 20) (fun () ->
+         C.rolling_replace cluster ~new_mode:Lb.Device.Reuseport ~poll:(ms 1)
+           ~on_done:ignore ()));
+  Engine.Sim.run_until sim ~limit:(ms 40);
+  List.iter
+    (fun (r : Trace.record) ->
+      Trace.set_now r.time;
+      Trace.emit r.event)
+    (C.merged_trace cluster);
+  Printf.printf
+    "# issued=%d established=%d dispatch_failed=%d served=%d closed=%d \
+     resets=%d completed=%d size=%d\n"
+    !issued !established !failed !served !closed !resets (C.completed cluster)
+    (C.size cluster)
+
 let all =
   [
     {
@@ -211,6 +284,13 @@ let all =
         "# scenario fault_window: Hermes, 4 workers, ebpf_fail 2-5ms, hang \
          worker 2 7-15ms, probes";
       run = fault_window;
+    };
+    {
+      name = "fleet_drain";
+      header =
+        "# scenario fleet_drain: 2 Hermes members, fault plan, rolling \
+         replace to reuseport at 20ms with a connect in flight";
+      run = fleet_drain;
     };
   ]
 
