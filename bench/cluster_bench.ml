@@ -2,11 +2,10 @@
    devices x workers x connections grid), one row per scenario.
 
    The gate is behaviour only: the completed-request count must equal
-   the committed baseline's — it is a function of the logical
-   decomposition alone (the byte-level replay claim lives in
-   test_shard_diff.ml; the bench re-checks the cheap fingerprint so a
-   perf run cannot silently drift semantics).  Wall time is recorded,
-   not gated. *)
+   the committed baseline's — it is a function of the program alone
+   (the byte-level replay claim lives in test_fleet_replay.ml; the
+   bench re-checks the cheap fingerprint so a perf run cannot silently
+   drift semantics).  Wall time is recorded, not gated. *)
 
 module ST = Engine.Sim_time
 
@@ -23,7 +22,7 @@ let scenarios ~quick =
    800 ms of virtual time, two 1 ms requests each, 1.5 s horizon so
    everything drains.  Hermes mode end to end — the point is to drag
    the whole per-device stack (WST, scheduler, eBPF dispatch) through
-   the shard rounds, not a toy callback. *)
+   the cluster's ticks and hops, not a toy callback. *)
 let run_one ~devices ~workers ~conns =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create seed in

@@ -40,9 +40,15 @@ let with_trace_file file f =
   | exception Sys_error msg -> `Error (false, "cannot open trace file: " ^ msg)
   | sink -> f sink
 
-let with_trace file f =
+(* Run [f] recording into the [--trace] file, if any; [count] counts
+   the records written. *)
+let with_trace ?count file f =
   with_trace_file file (fun sink ->
-      (match sink with None -> f () | Some s -> Trace.with_sink s f);
+      (match (sink, count) with
+      | None, _ -> f ()
+      | Some s, None -> Trace.with_sink s f
+      | Some s, Some n ->
+        Trace.with_sink { s with write = (fun r -> incr n; s.write r) } f);
       `Ok ())
 
 let list_cmd =
@@ -389,9 +395,9 @@ let chaos_cmd =
        $ show_plan_flag $ trace_arg))
 
 (* Cluster runner: the CLI face of Cluster.Lb_cluster.  The printed
-   summary and the JSONL trace depend only on the logical decomposition
-   (devices, seed, lookahead, plan) — CI replays the same seed twice
-   and diffs the trace files byte-for-byte. *)
+   summary and the JSONL trace depend only on the arguments (devices,
+   seed, plan, ...) — CI replays the same seed twice and diffs the
+   trace files byte-for-byte. *)
 let cluster_cmd =
   let devices_arg =
     let doc = "Member devices behind the VIP (\"8 LBs in total\", §6.1)." in
@@ -417,17 +423,6 @@ let cluster_cmd =
     let doc = "Requests per connection (1 ms service cost each)." in
     Arg.(value & opt (int_in ~lo:1 ()) 2 & info [ "reqs" ] ~docv:"N" ~doc)
   in
-  let lookahead_arg =
-    let doc =
-      "Cross-process message latency / synchronization round width in \
-       microseconds (default: the runtime's cross-shard latency).  A \
-       model parameter: changing it changes the trace."
-    in
-    Arg.(
-      value
-      & opt (some (int_in ~lo:1 ())) None
-      & info [ "lookahead-us" ] ~docv:"US" ~doc)
-  in
   let mode_arg =
     let doc =
       Printf.sprintf "Dispatch mode for every member: one of %s."
@@ -437,9 +432,9 @@ let cluster_cmd =
   in
   let plan_arg =
     let doc =
-      "Fault plan file, armed on every member's own process (entries \
-       must sit beyond one lookahead so arming never schedules into a \
-       member's past)."
+      "Fault plan file, armed on every member's own simulator (entries \
+       must sit beyond one network hop, 100 us, so arming never \
+       schedules into a member's past)."
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
@@ -448,8 +443,8 @@ let cluster_cmd =
     | Some md -> Ok (Lb.Device.of_mode md)
     | None -> Error (Printf.sprintf "unknown mode %S" m)
   in
-  let run devices workers seed duration_ms conns reqs lookahead_us mode_name
-      plan_file trace =
+  let run devices workers seed duration_ms conns reqs mode_name plan_file
+      trace =
     let plan =
       match plan_file with
       | None -> Ok None
@@ -465,16 +460,14 @@ let cluster_cmd =
     match (parse_single_mode mode_name, plan) with
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok mode, Ok plan ->
-      with_trace_file trace @@ fun sink ->
+      let records = ref 0 in
+      with_trace ~count:records trace @@ fun () ->
       let module ST = Engine.Sim_time in
       let sim = Engine.Sim.create () in
       let rng = Engine.Rng.create seed in
       let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
       let cluster =
-        Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers
-          ?lookahead:(Option.map ST.us lookahead_us)
-          ?trace_capacity:(Option.map (fun _ -> 262144) sink)
-          ()
+        Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices ~mode ~workers ()
       in
       (match plan with
       | None -> ()
@@ -519,21 +512,13 @@ let cluster_cmd =
       let t0 = Unix.gettimeofday () in
       Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
       let wall = Unix.gettimeofday () -. t0 in
-      let records = Cluster.Lb_cluster.merged_trace cluster in
-      let drops = Cluster.Lb_cluster.trace_drops cluster in
-      Option.iter
-        (fun s ->
-          List.iter s.Trace.write records;
-          s.Trace.close ())
-        sink;
-      (* Everything on stdout is deterministic in the logical
-         decomposition; wall-clock goes to stderr so replays can diff
-         stdout too. *)
+      (* Everything on stdout is deterministic in the arguments;
+         wall-clock goes to stderr so replays can diff stdout too. *)
       Printf.printf
         "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
          duration=%dms\n"
         devices workers mode_name seed
-        (ST.to_string (Cluster.Lb_cluster.lookahead cluster))
+        (ST.to_string Cluster.Lb_cluster.hop)
         duration_ms;
       Printf.printf
         "conns established=%d closed=%d resets=%d dispatch_failed=%d\n"
@@ -543,28 +528,20 @@ let cluster_cmd =
         !req_done
         (Cluster.Lb_cluster.completed cluster)
         (Cluster.Lb_cluster.dropped cluster);
-      Printf.printf "trace records=%d\n" (List.length records);
-      Printf.eprintf "wall=%.3fs\n%!" wall;
-      if drops > 0 then
-        `Error
-          ( false,
-            Printf.sprintf
-              "trace ring overflowed (%d drops); the trace file is \
-               truncated"
-              drops )
-      else `Ok ()
+      Printf.printf "trace records=%d\n" !records;
+      Printf.eprintf "wall=%.3fs\n%!" wall
 in
   let doc =
-    "Run a multi-device cluster simulation, one logical process per \
-     device plus a control process; the same seed replays the merged \
-     trace and the stdout summary byte for byte."
+    "Run a multi-device cluster simulation, each device on its own \
+     simulator behind one control clock; the same seed replays the \
+     merged trace and the stdout summary byte for byte."
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
       ret
         (const run $ devices_arg $ workers_arg $ seed_arg
-       $ duration_arg $ conns_arg $ reqs_arg $ lookahead_arg $ mode_arg
-       $ plan_arg $ trace_arg))
+       $ duration_arg $ conns_arg $ reqs_arg $ mode_arg $ plan_arg
+       $ trace_arg))
 
 let trace_dump_cmd =
   let file =

@@ -1,143 +1,150 @@
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
-module Shard = Engine.Shard
-module Coordinator = Engine.Coordinator
 
-(* Each member device is one logical process (LP): slot [s] runs on
-   its own simulator as shard id [s + 1], the caller's simulator is
-   the control LP (id 0).  All cluster<->device interaction crosses
-   LP boundaries as messages with a fixed latency [lookahead], and the
-   coordinator advances the fleet in rounds of exactly that width — so
-   no LP can ever receive a message inside a window it has already
-   executed (conservative synchronization).  Schedules, trace sequence
-   numbers and message stamps are functions of the LP decomposition
-   alone. *)
+(* Each member device runs on a private simulator and records into a
+   private trace state; the caller's simulator is the control clock.
+   Every cluster<->device interaction takes one network hop, scheduled
+   straight into the target simulator.  A recurring tick on the control
+   simulator runs every member, in slot order, to the control clock:
+   members sit idle between ticks, so a hop from the control side lands
+   in a member's queue exactly where a delivery at the next tick would,
+   and hops back from the members enter the control queue in
+   (time, slot, member order).  Schedules and trace streams are
+   functions of the slot decomposition alone. *)
+
+let hop = Lb.Cost.client_rtt
 
 type member = {
   slot : int;
-  shard : Shard.t;
+  sim : Sim.t;
+  trace : Trace.state;
   dev : Lb.Device.t;
   mutable draining : bool;
 }
 
 type t = {
-  sim : Sim.t;  (* the control LP; driven by the caller *)
-  control : Shard.t;
-  coord : Coordinator.t;
+  sim : Sim.t;  (* the control clock; driven by the caller *)
   rng : Engine.Rng.t;
   tenants : Netsim.Tenant.t array;
   default_workers : int;
-  lookahead : Sim_time.t;
-  trace_capacity : int option;
-  slots : (int, member) Hashtbl.t;
+  mutable members : member list;  (* slot order *)
+  mutable horizon : Sim_time.t;  (* the clock every member has run to *)
+  mutable pending : (int * Trace.record) list;
+      (* (slot, record) recorded since the last tick, newest first *)
   mutable next_slot : int;
   mutable next_req_id : int;
   mutable removed_completed : int;
   mutable removed_dropped : int;
-  mutable retired_traces : (int * Trace.record list) list;
-  mutable retired_trace_drops : int;
 }
 
-let lp_of_slot slot = slot + 1
+let with_state state f =
+  let saved = Trace.swap_state state in
+  Fun.protect ~finally:(fun () -> ignore (Trace.swap_state saved)) f
 
 let spawn t ~mode ~workers =
   let slot = t.next_slot in
   t.next_slot <- slot + 1;
-  let shard =
-    Shard.create ~id:(lp_of_slot slot) ?trace_capacity:t.trace_capacity ()
+  (* A member records only when the caller does: untraced runs pay
+     nothing for it. *)
+  let sink =
+    if Trace.enabled () then
+      Some
+        {
+          Trace.write = (fun r -> t.pending <- (slot, r) :: t.pending);
+          close = ignore;
+        }
+    else None
   in
+  let sim = Sim.create () and trace = Trace.make_state sink in
   (* A device joining mid-run starts at the fleet's horizon: align the
-     empty shard clock first so creation-time events stamp there. *)
-  let horizon = Coordinator.horizon t.coord in
-  if horizon > 0 then Shard.run_to shard ~limit:horizon;
+     empty clock first so creation-time events stamp there. *)
   let dev =
-    Shard.with_context shard (fun () ->
+    with_state trace (fun () ->
+        Sim.run_until sim ~limit:t.horizon;
         let dev =
-          Lb.Device.create ~sim:(Shard.sim shard) ~rng:(Engine.Rng.split t.rng)
-            ~mode ~workers ~tenants:t.tenants ()
+          Lb.Device.create ~sim ~rng:(Engine.Rng.split t.rng) ~mode ~workers
+            ~tenants:t.tenants ()
         in
         Lb.Device.start dev;
         dev)
   in
-  Coordinator.add t.coord shard;
-  Hashtbl.replace t.slots slot { slot; shard; dev; draining = false };
+  t.members <- t.members @ [ { slot; sim; trace; dev; draining = false } ];
   slot
 
-(* The synchronization round, riding the control sim as a recurring
-   event: deliver control mail, run every member to the control
-   clock, collect member mail.  Re-armed before advancing so message
-   events landing exactly one lookahead out sort behind the next
-   tick deterministically. *)
-let rec tick t () =
-  ignore (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
-  Coordinator.advance t.coord ~horizon:(Sim.now t.sim)
+(* Forward the members' records into the caller's recorder, which
+   stamps [seq].  Every record since the last tick is timed after the
+   last tick's, except a member spawned in between: its creation
+   records carry the previous horizon, but its slot is the largest, so
+   they still follow everything already forwarded. *)
+let flush t =
+  if t.pending <> [] then begin
+    let order (slot_a, (a : Trace.record)) (slot_b, (b : Trace.record)) =
+      match compare a.time b.time with
+      | 0 -> ( match compare slot_a slot_b with 0 -> compare a.seq b.seq | c -> c)
+      | c -> c
+    in
+    List.iter
+      (fun (_, (r : Trace.record)) ->
+        Trace.set_now r.time;
+        Trace.emit r.event)
+      (List.sort order t.pending);
+    t.pending <- [];
+    Trace.set_now (Sim.now t.sim)
+  end
 
-let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) ?lookahead
-    ?trace_capacity () =
+(* Re-armed before the members run, so hops landing exactly one hop
+   out sort behind the next tick deterministically. *)
+let rec tick t () =
+  ignore (Sim.schedule_after t.sim ~delay:hop (tick t));
+  let limit = Sim.now t.sim in
+  List.iter (fun m -> with_state m.trace (fun () -> Sim.run_until m.sim ~limit)) t.members;
+  t.horizon <- limit;
+  flush t
+
+let create ~sim ~rng ~tenants ~devices ~mode ?(workers = 8) () =
   if devices <= 0 then invalid_arg "Lb_cluster.create: devices must be positive";
-  let lookahead =
-    match lookahead with
-    | Some d ->
-      if d <= 0 then invalid_arg "Lb_cluster.create: lookahead must be positive";
-      d
-    | None -> Hermes.Runtime.cross_shard_latency ()
-  in
-  let control = Shard.control ~sim in
   let t =
     {
       sim;
-      control;
-      coord = Coordinator.create ~control;
       rng;
       tenants;
       default_workers = workers;
-      lookahead;
-      trace_capacity;
-      slots = Hashtbl.create 16;
+      members = [];
+      horizon = 0;
+      pending = [];
       next_slot = 0;
       next_req_id = 0;
       removed_completed = 0;
       removed_dropped = 0;
-      retired_traces = [];
-      retired_trace_drops = 0;
     }
   in
   for _ = 1 to devices do
     ignore (spawn t ~mode ~workers)
   done;
-  ignore (Sim.schedule_after t.sim ~delay:t.lookahead (tick t));
+  ignore (Sim.schedule_after t.sim ~delay:hop (tick t));
   t
 
-let size t = Hashtbl.length t.slots
+let size t = List.length t.members
+let serving t = List.filter (fun m -> not m.draining) t.members
+let in_rotation t = List.length (serving t)
 
-let in_rotation t =
-  Hashtbl.fold (fun _ m acc -> if m.draining then acc else acc + 1) t.slots 0
+let find t slot = List.find_opt (fun m -> m.slot = slot) t.members
 
 let member t slot =
-  match Hashtbl.find_opt t.slots slot with
+  match find t slot with
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Lb_cluster: slot %d removed" slot)
 
 let device t slot = (member t slot).dev
+let devices t = List.map (fun m -> (m.slot, m.dev)) t.members
 
-let devices t =
-  Hashtbl.fold (fun slot m acc -> (slot, m.dev) :: acc) t.slots []
-  |> List.sort compare
-
-let serving t =
-  Hashtbl.fold (fun _ m acc -> if m.draining then acc else m :: acc) t.slots []
-  |> List.sort (fun a b -> compare a.slot b.slot)
-
-let lookahead t = t.lookahead
-
-(* Control -> device mail: delivered by the coordinator at the next
-   round, executed on the member's simulator one lookahead from now.
-   Mail for a slot removed in the meantime is dropped with the LP. *)
+(* Control -> device: one hop from now, on the member's simulator.  A
+   member removed in the meantime never runs again, so the action is
+   dropped with it. *)
 let post_to t ~slot action =
-  if Hashtbl.mem t.slots slot then
-    Shard.post t.control ~dst:(lp_of_slot slot)
-      ~at:(Sim_time.add (Sim.now t.sim) t.lookahead)
-      action
+  match find t slot with
+  | Some m -> ignore (Sim.schedule m.sim ~at:(Sim_time.add (Sim.now t.sim) hop) action)
+  | None -> ()
 
 type conn_ref = {
   cluster : t;
@@ -163,16 +170,11 @@ let null_events =
     dispatch_failed = (fun () -> ());
   }
 
-let dispatch t m ~tenant ~events =
-  let shard = m.shard in
-  let dev_sim = Shard.sim shard in
+let dispatch t (m : member) ~tenant ~events =
   let wrap conn = { cluster = t; slot = m.slot; member = m.dev; conn } in
-  (* Device-side callbacks fire on the member's simulator; marshal
-     them back to the control LP one lookahead later. *)
+  (* Device -> control: one hop after the device-side event. *)
   let to_control action =
-    Shard.post shard ~dst:0
-      ~at:(Sim_time.add (Sim.now dev_sim) t.lookahead)
-      action
+    ignore (Sim.schedule t.sim ~at:(Sim_time.add (Sim.now m.sim) hop) action)
   in
   let dev_events =
     {
@@ -194,7 +196,7 @@ let connect t ~tenant ~events =
   match serving t with
   | [] ->
     (* Nothing in rotation is a control-plane fact known immediately:
-       fail synchronously, before any cross-shard hop. *)
+       fail synchronously, before any hop. *)
     events.dispatch_failed ()
   | members ->
     (* ECMP-style spread: uniform choice is what per-flow hashing looks
@@ -227,22 +229,16 @@ let drain_device t slot = (member t slot).draining <- true
 let live_conns t slot =
   Array.fold_left ( + ) 0 (Lb.Device.conns_per_worker (device t slot))
 
+(* The member stops running; what it recorded is already pending. *)
 let remove t slot =
   let m = member t slot in
   t.removed_completed <- t.removed_completed + Lb.Device.completed m.dev;
   t.removed_dropped <- t.removed_dropped + Lb.Device.dropped m.dev;
-  (match t.trace_capacity with
-  | Some _ ->
-    t.retired_traces <-
-      (lp_of_slot slot, Shard.records m.shard) :: t.retired_traces;
-    t.retired_trace_drops <- t.retired_trace_drops + Shard.dropped_records m.shard
-  | None -> ());
-  Hashtbl.remove t.slots slot;
-  Coordinator.remove t.coord (lp_of_slot slot)
+  t.members <- List.filter (fun m' -> m' != m) t.members
 
 let remove_when_drained t slot ?(poll = Sim_time.ms 100) ~on_removed () =
   let rec wait () =
-    if not (Hashtbl.mem t.slots slot) then on_removed ()
+    if find t slot = None then on_removed ()
     else if live_conns t slot = 0 then begin
       remove t slot;
       on_removed ()
@@ -253,9 +249,7 @@ let remove_when_drained t slot ?(poll = Sim_time.ms 100) ~on_removed () =
 
 let rolling_replace t ~new_mode ?workers ?(poll = Sim_time.ms 100)
     ?(max_drain = Sim_time.sec 30) ~on_done () =
-  let originals =
-    Hashtbl.fold (fun slot _ acc -> slot :: acc) t.slots [] |> List.sort compare
-  in
+  let originals = List.map (fun (m : member) -> m.slot) t.members in
   let rec step = function
     | [] -> on_done ()
     | slot :: rest ->
@@ -277,39 +271,7 @@ let rolling_replace t ~new_mode ?workers ?(poll = Sim_time.ms 100)
   step originals
 
 let completed t =
-  t.removed_completed
-  + Hashtbl.fold (fun _ m acc -> acc + Lb.Device.completed m.dev) t.slots 0
+  List.fold_left (fun acc m -> acc + Lb.Device.completed m.dev) t.removed_completed t.members
 
 let dropped t =
-  t.removed_dropped
-  + Hashtbl.fold (fun _ m acc -> acc + Lb.Device.dropped m.dev) t.slots 0
-
-let merged_trace t =
-  let live =
-    Hashtbl.fold
-      (fun slot m acc -> (lp_of_slot slot, Shard.records m.shard) :: acc)
-      t.slots []
-  in
-  let tagged =
-    List.concat_map
-      (fun (lp, records) -> List.map (fun r -> (lp, r)) records)
-      (live @ t.retired_traces)
-  in
-  let order (lp_a, (a : Trace.record)) (lp_b, (b : Trace.record)) =
-    match compare a.Trace.time b.Trace.time with
-    | 0 -> (
-      match compare lp_a lp_b with 0 -> compare a.Trace.seq b.Trace.seq | c -> c)
-    | c -> c
-  in
-  (* Re-stamp [seq] in merge order so the merged stream reads like one
-     recorder's output whatever the per-LP interleaving was. *)
-  List.mapi
-    (fun i (_, r) -> { r with Trace.seq = i })
-    (List.sort order tagged)
-
-let trace_drops t =
-  t.retired_trace_drops
-  + Hashtbl.fold
-      (fun _ m acc -> acc + Shard.dropped_records m.shard)
-      t.slots 0
-
+  List.fold_left (fun acc m -> acc + Lb.Device.dropped m.dev) t.removed_dropped t.members

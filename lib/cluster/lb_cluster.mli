@@ -8,26 +8,30 @@
     implements the §6.2 canary: add a new-version device, drain an
     old one, wait, remove, repeat.
 
-    {2 Sharded execution}
+    {2 Execution}
 
-    Every member device owns a private {!Engine.Sim} and runs as one
-    logical process; the caller's simulator is the control process that
-    carries the L4 spread, the rollout logic and the aggregate
-    counters.  Cluster<->device interaction crosses process boundaries
-    as timestamped messages with a fixed [lookahead] latency, and an
-    {!Engine.Coordinator} advances the fleet in lookahead-wide rounds
-    (conservative synchronization) from a recurring event on the
-    control simulator — so driving the control sim with
+    Every member device runs on its own {!Engine.Sim} and records into
+    its own trace state; the caller's simulator is the control clock
+    that carries the L4 spread, the rollout logic and the aggregate
+    counters.  Every cluster<->device interaction takes one network
+    {!hop}, scheduled straight into the target simulator.  A recurring
+    tick on the control simulator runs every member, in slot order, to
+    the control clock, so driving the control sim with
     [Sim.run_until] drives the whole fleet.  Do {e not} drive it with
-    [Sim.run]: the round event re-arms itself, so the queue never
-    empties.
+    [Sim.run]: the tick re-arms itself, so the queue never empties.
 
-    Rounds run every member inline on the calling domain, in slot
-    order.  Traces, counters and schedules are functions of the
-    logical decomposition alone; the replay harness pins
-    {!merged_trace} output byte-for-byte. *)
+    When the caller's recorder has a sink as a member is created, the
+    member records too, and each tick forwards the members' new
+    records into the caller's recorder, merged in
+    [(time, slot, member order)]: one deterministic stream, the same
+    view as a single device's.  Traces, counters and schedules are
+    functions of the slot decomposition alone. *)
 
 type t
+
+val hop : Engine.Sim_time.t
+(** The latency of every cluster<->device interaction and the tick
+    width: the modelled client RTT, {!Lb.Cost.client_rtt} (100 µs). *)
 
 val create :
   sim:Engine.Sim.t ->
@@ -36,15 +40,9 @@ val create :
   devices:int ->
   mode:Lb.Device.mode ->
   ?workers:int ->
-  ?lookahead:Engine.Sim_time.t ->
-  ?trace_capacity:int ->
   unit ->
   t
-(** A cluster of [devices] identical members, all started.
-    [lookahead] (default {!Hermes.Runtime.cross_shard_latency}[ ()]) is
-    the cross-process message latency and round width;
-    [trace_capacity] (default off) gives every member a private trace
-    ring of that many records for {!merged_trace}. *)
+(** A cluster of [devices] identical members, all started. *)
 
 val size : t -> int
 (** Members currently in the cluster (serving or draining). *)
@@ -58,9 +56,6 @@ val device : t -> int -> Lb.Device.t
 
 val devices : t -> (int * Lb.Device.t) list
 (** Live [(slot, device)] pairs. *)
-
-val lookahead : t -> Engine.Sim_time.t
-(** The cross-process message latency / synchronization round width. *)
 
 type conn_ref = {
   cluster : t;
@@ -78,20 +73,18 @@ type events = {
   reset : conn_ref -> unit;
   dispatch_failed : unit -> unit;
 }
-(** Control-side connection callbacks.  They fire one [lookahead]
-    after the device-side event (the marshalling latency back to the
-    control process). *)
+(** Control-side connection callbacks.  They fire one {!hop} after
+    the device-side event. *)
 
 val null_events : events
 
 val connect : t -> tenant:int -> events:events -> unit
 (** L4 spread: pick an in-rotation member pseudo-randomly and dispatch
-    through it one [lookahead] later.  An empty rotation is a
-    control-plane fact: [dispatch_failed] fires synchronously, before
-    any cross-process hop. *)
+    through it one {!hop} later.  An empty rotation is a control-plane
+    fact: [dispatch_failed] fires synchronously, before any hop. *)
 
 val send : conn_ref -> Lb.Request.t -> unit
-(** Deliver a request on the connection one [lookahead] later (fire
+(** Deliver a request on the connection one {!hop} later (fire
     and forget — a request refused device-side, e.g. after a crash,
     surfaces as a missing [request_done], not a return value). *)
 
@@ -99,12 +92,11 @@ val close : conn_ref -> unit
 
 val run_on : t -> slot:int -> (Lb.Device.t -> unit) -> unit
 (** Run an arbitrary action against a member {e on the member's own
-    process}, one [lookahead] from now — the cross-shard form of
-    direct device access, safe under any shard count.  Fault
-    injections use this: [run_on cluster ~slot (fun dev ->
-    Faults.Inject.arm ~device:dev ~plan)] arms the plan on the
+    simulator}, one {!hop} from now, recording into the member's
+    trace.  Fault injections use this: [run_on cluster ~slot (fun dev
+    -> Faults.Inject.arm ~device:dev ~plan)] arms the plan on the
     member's simulator.  The action is dropped (with the member) if
-    the slot is removed before delivery.
+    the slot is removed before it runs.
     @raise Invalid_argument if the slot is already removed. *)
 
 val fresh_id : t -> int
@@ -112,7 +104,7 @@ val fresh_id : t -> int
 
 val add_device : t -> mode:Lb.Device.mode -> ?workers:int -> unit -> int
 (** Bring up a new member (e.g. the new software version) at the
-    fleet's current horizon; returns its slot. *)
+    clock of the last tick; returns its slot. *)
 
 val drain_device : t -> int -> unit
 (** Take a member out of rotation; its established connections keep
@@ -121,13 +113,12 @@ val drain_device : t -> int -> unit
 
 val live_conns : t -> int -> int
 (** Established connections still on a member, as of the last
-    synchronization round. *)
+    tick. *)
 
 val remove : t -> int -> unit
 (** Remove a member immediately: its counters fold into the cluster
-    aggregates, its trace ring (if any) is retained for
-    {!merged_trace}, and mail still in flight to it is dropped —
-    abandoned along with the removed VM.
+    aggregates, it stops running, and whatever is still in flight to
+    it is dropped — abandoned along with the removed VM.
     @raise Invalid_argument if the slot was already removed; removal
     is not idempotent, so double-removal is a harness bug worth
     failing loudly on. *)
@@ -156,15 +147,3 @@ val completed : t -> int
 (** Sum of completed requests over members, including removed ones. *)
 
 val dropped : t -> int
-
-val merged_trace : t -> Trace.record list
-(** All members' trace rings (including removed members'), merged in
-    [(time, process id, per-process seq)] order and re-stamped with
-    merge-order sequence numbers — one deterministic stream.  Empty
-    unless the
-    cluster was created with [trace_capacity]. *)
-
-val trace_drops : t -> int
-(** Records lost to ring overflow across all members — non-zero means
-    {!merged_trace} is truncated and [trace_capacity] was too small. *)
-

@@ -13,12 +13,6 @@ type t = {
 
 let syscall_cost_cycles = 1500
 
-(* Minimum virtual latency of any cross-shard interaction — the
-   lookahead that bounds how far the cluster coordinator may run one
-   shard ahead of another.  Mirrors the modelled client RTT so a
-   control->device message never undercuts the slowest in-shard path. *)
-let cross_shard_latency () = Engine.Sim_time.us 100
-
 let create ?(group_size = 64) ?(select_mode = Groups.By_flow_hash) ~config
     ~workers () =
   let grouping = Groups.create ~workers ~group_size ~mode:select_mode in

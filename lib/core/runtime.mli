@@ -74,12 +74,3 @@ val reset_accounting : t -> unit
 
 val syscall_cost_cycles : int
 (** Modelled cost of one bpf() map-update syscall. *)
-
-val cross_shard_latency : unit -> Engine.Sim_time.t
-(** Minimum virtual latency of any cross-shard interaction (100 µs,
-    the modelled client RTT).  The sharded cluster uses this as its
-    default conservative-synchronization lookahead: the coordinator
-    advances all shards in rounds of exactly this width, and every
-    cross-shard message is stamped at least this far in the future, so
-    no shard can ever receive a message inside a window it has already
-    executed. *)

@@ -46,10 +46,10 @@ type sink = { write : record -> unit; close : unit -> unit }
 (* ------------------------------------------------------------------ *)
 (* Recorder state (tracepoint style: one sink per execution context)    *)
 
-(* One recorder state for the process.  [swap_state] multiplexes the
-   logical shards of a cluster over it: the shard executor swaps a
-   shard's own state (sink, sequence counter, clock) in around its
-   events and the previous one back afterwards.  Everything runs on one
+(* One recorder state for the process.  [swap_state] multiplexes a
+   cluster's member devices over it: the cluster swaps a member's own
+   state (sink, sequence counter, clock) in around its events and the
+   previous one back afterwards.  Everything runs on one
    domain, so a plain reference is enough, and the trace-off check on
    the hot paths is two loads: the current state, then its sink. *)
 
@@ -69,7 +69,6 @@ let swap_state s =
 
 let enabled () = match !current.active with None -> false | Some _ -> true
 let set_now t = !current.clock <- t
-let now () = !current.clock
 
 let emit ev =
   let s = !current in
@@ -112,47 +111,6 @@ let with_sink s f =
           state.active <- Some outer;
           s.close ()
         | _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Ring buffer                                                          *)
-
-module Ring = struct
-  type buffer = {
-    buf : record array;
-    mutable next : int;
-    mutable stored : int;
-    mutable lost : int;
-  }
-
-  type t = buffer
-
-  let dummy = { seq = -1; time = 0; event = Rp_drop { port = 0; flow_hash = 0 } }
-
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Trace.Ring.create: capacity must be positive";
-    { buf = Array.make capacity dummy; next = 0; stored = 0; lost = 0 }
-
-  let capacity t = Array.length t.buf
-
-  let write t r =
-    let cap = Array.length t.buf in
-    if t.stored = cap then t.lost <- t.lost + 1 else t.stored <- t.stored + 1;
-    t.buf.(t.next) <- r;
-    t.next <- (t.next + 1) mod cap
-
-  let length t = t.stored
-  let dropped t = t.lost
-
-  let records t =
-    let cap = Array.length t.buf in
-    List.init t.stored (fun i ->
-        t.buf.((t.next - t.stored + i + cap + cap) mod cap))
-
-  let clear t =
-    t.next <- 0;
-    t.stored <- 0;
-    t.lost <- 0
-end
 
 (* ------------------------------------------------------------------ *)
 (* Enumerations: one name table each; a value's index is its binary code *)
@@ -373,8 +331,6 @@ let json_string = to_string add_json_string
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                                *)
-
-let ring_sink ring = { write = (fun r -> Ring.write ring r); close = (fun () -> ()) }
 
 let line_sink add oc =
   let b = Buffer.create 256 in

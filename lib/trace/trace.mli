@@ -139,8 +139,6 @@ val set_now : int -> unit
 (** Update the timestamp applied to subsequent events; called by the
     simulator as its clock advances. *)
 
-val now : unit -> int
-
 val install : sink -> unit
 (** Make [sink] the active recorder (closing any previous one) and
     reset the sequence counter and clock. *)
@@ -158,10 +156,11 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 (** {1 Recorder state multiplexing}
 
     The recorder state (active sink, sequence counter, clock) is one
-    per process.  {!swap_state} multiplexes several logical shards over
-    it: the shard executor swaps a shard's state in around running its
-    events and swaps the previous state back afterwards, so each shard
-    keeps an independent sink, monotone sequence counter and clock. *)
+    per process.  {!swap_state} multiplexes several simulations over
+    it: a cluster swaps a member device's state in around running its
+    events and swaps the previous state back afterwards, so each
+    member keeps an independent sink, monotone sequence counter and
+    clock. *)
 
 type state
 (** One recorder context: a sink (or none), its sequence counter and
@@ -175,30 +174,7 @@ val swap_state : state -> state
     the previously installed one.  All subsequent {!emit} /
     {!set_now} / {!install} calls act on [s] until the next swap. *)
 
-(** {1 Ring buffer} *)
-
-module Ring : sig
-  type t
-  (** Fixed-capacity ring keeping the {e most recent} records. *)
-
-  val create : capacity:int -> t
-  val capacity : t -> int
-  val write : t -> record -> unit
-  val length : t -> int
-
-  val dropped : t -> int
-  (** Records overwritten because the ring was full. *)
-
-  val records : t -> record list
-  (** Retained records, oldest first. *)
-
-  val clear : t -> unit
-end
-
 (** {1 Sinks} *)
-
-val ring_sink : Ring.t -> sink
-(** In-memory sink for tests: events land in the ring. *)
 
 val jsonl_sink : out_channel -> sink
 (** One JSON object per line; flushed on close.  The channel itself is

@@ -191,8 +191,7 @@ let fleet_drain () =
   let tenants = Netsim.Tenant.population ~n:2 ~base_dport:20000 in
   let cluster =
     C.create ~sim ~rng ~tenants ~devices:2
-      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2
-      ~trace_capacity:65536 ()
+      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2 ()
   in
   let plan : Faults.Plan.t =
     [
@@ -237,11 +236,6 @@ let fleet_drain () =
          C.rolling_replace cluster ~new_mode:Lb.Device.Reuseport ~poll:(ms 1)
            ~on_done:ignore ()));
   Engine.Sim.run_until sim ~limit:(ms 40);
-  List.iter
-    (fun (r : Trace.record) ->
-      Trace.set_now r.time;
-      Trace.emit r.event)
-    (C.merged_trace cluster);
   Printf.printf
     "# issued=%d established=%d dispatch_failed=%d served=%d closed=%d \
      resets=%d completed=%d size=%d\n"

@@ -74,9 +74,7 @@ let prop_bitmap_matches_ref =
 (* Golden traces must not move: both engines emit the same
    Sched_filter / Sched_result stream, cutoff floats included. *)
 let capture f =
-  let ring = Trace.Ring.create ~capacity:64 in
-  Trace.with_sink (Trace.ring_sink ring) f;
-  List.map (fun r -> Trace.render_event r.Trace.event) (Trace.Ring.records ring)
+  List.map (fun r -> Trace.render_event r.Trace.event) (Capture.records f)
 
 let prop_bitmap_matches_ref_trace =
   QCheck.Test.make ~name:"bitmap scheduler = Ref (trace events)" ~count:200

@@ -1,13 +1,13 @@
-(* Replay differential for the sharded cluster.
+(* Replay differential for the cluster.
 
    A cluster program — connects, drains, adds, removals, fault
    injections, all scheduled on the control simulator — must produce a
    byte-identical merged trace and identical control-side outcomes
-   every time it is replayed: schedules, trace sequence numbers and
-   message stamps depend on the logical decomposition (one process per
-   device plus the control process) and nothing else.  Random programs
-   come from qcheck; each is run twice and the renders are compared as
-   strings. *)
+   every time it is replayed: schedules and trace streams depend on
+   the member slots and nothing else.  The merged stream must also
+   read like one recorder's: times never decrease and [seq] counts
+   from 0.  Random programs come from qcheck; each is run twice and
+   the renders are compared as strings. *)
 
 module Sim = Engine.Sim
 module ST = Engine.Sim_time
@@ -65,8 +65,8 @@ let gen_prog =
 let arbitrary_prog = QCheck.make ~print:pp_prog gen_prog
 
 (* A small fault plan relative to the op's control-time instant; the
-   entries sit beyond the message-delivery latency so Inject.arm never
-   schedules into the device's past. *)
+   entries sit beyond the cluster's hop so Inject.arm never schedules
+   into the device's past. *)
 let plan_for ~at_us fault : Faults.Plan.t =
   let base = ST.add (ST.us at_us) (ST.ms 3) in
   match fault mod 4 with
@@ -89,12 +89,14 @@ let plan_for ~at_us fault : Faults.Plan.t =
    stamped with virtual time.  Compared across replays alongside the
    merged trace. *)
 let run_prog prog =
+  let sink, records = Capture.sink () in
+  Trace.with_sink sink @@ fun () ->
   let sim = Sim.create () in
   let rng = Engine.Rng.create prog.seed in
   let tenants = Netsim.Tenant.population ~n:2 ~base_dport:20000 in
   let cluster =
     Cluster.Lb_cluster.create ~sim ~rng ~tenants ~devices:prog.devices
-      ~mode:Lb.Device.Reuseport ~workers:prog.workers ~lookahead:(ST.ms 2) ~trace_capacity:65536 ()
+      ~mode:Lb.Device.Reuseport ~workers:prog.workers ()
   in
   let outcomes = ref [] in
   let push fmt =
@@ -156,38 +158,48 @@ let run_prog prog =
   in
   List.iter apply prog.ops;
   Sim.run_until sim ~limit:(ST.ms 80);
-  let trace =
-    String.concat "\n"
-      (List.map Trace.render (Cluster.Lb_cluster.merged_trace cluster))
-  in
+  let records = records () in
   let summary =
     Printf.sprintf "completed=%d dropped=%d size=%d"
       (Cluster.Lb_cluster.completed cluster)
       (Cluster.Lb_cluster.dropped cluster)
       (Cluster.Lb_cluster.size cluster)
   in
-  let drops = Cluster.Lb_cluster.trace_drops cluster in
-  (trace, String.concat "\n" (List.rev !outcomes), summary, drops)
+  (records, String.concat "\n" (List.rev !outcomes), summary)
 
-(* Replaying the same program must be bit-stable, and must never lose
-   records to a full ring (a truncated trace would compare equal on too
-   little). *)
+(* The first record out of order, if any: times must never decrease
+   and [seq] must be the record's index. *)
+let disorder records =
+  let rec go i prev = function
+    | [] -> None
+    | (r : Trace.record) :: rest ->
+      if r.seq <> i || r.time < prev then Some r else go (i + 1) r.time rest
+  in
+  go 0 0 records
+
+let render records = String.concat "\n" (List.map Trace.json_of_record records)
+
+(* Replaying the same program must be bit-stable, and the merged
+   stream must be in order. *)
 let prop_replay_stable =
-  QCheck.Test.make ~name:"same program, same shards => identical run" ~count:300
+  QCheck.Test.make ~name:"same program => identical run" ~count:300
     arbitrary_prog (fun prog ->
-      let trace, out, summary, drops = run_prog prog in
-      if drops > 0 then
-        QCheck.Test.fail_reportf "trace ring overflowed (%d drops)" drops;
-      let trace', out', summary', drops' = run_prog prog in
+      let records, out, summary = run_prog prog in
+      Option.iter
+        (fun r ->
+          QCheck.Test.fail_reportf "merged stream out of order at %s"
+            (Trace.json_of_record r))
+        (disorder records);
+      let trace = render records in
+      let records', out', summary' = run_prog prog in
+      let trace' = render records' in
       if trace <> trace' then
         QCheck.Test.fail_reportf "merged trace diverged (lengths %d vs %d)"
           (String.length trace) (String.length trace');
       if out <> out' then
         QCheck.Test.fail_reportf
           "control-side outcomes diverged:\n%s\n-- vs --\n%s" out out';
-      if summary <> summary' then
-        QCheck.Test.fail_reportf "%s vs %s" summary summary';
-      drops = drops')
+      summary = summary' || QCheck.Test.fail_reportf "%s vs %s" summary summary')
 
 let test_nonempty_traces () =
   (* Guard against the vacuous pass: a representative program must
@@ -209,9 +221,9 @@ let test_nonempty_traces () =
         ];
     }
   in
-  let trace, outcomes, summary, drops = run_prog prog in
-  Alcotest.(check int) "no ring drops" 0 drops;
-  Alcotest.(check bool) "trace has records" true (String.length trace > 200);
+  let records, outcomes, summary = run_prog prog in
+  Alcotest.(check bool) "merged stream in order" true (disorder records = None);
+  Alcotest.(check bool) "trace has records" true (List.length records > 20);
   Alcotest.(check bool)
     "connections established" true
     (String.length outcomes > 0
@@ -225,7 +237,7 @@ let test_nonempty_traces () =
     (Scanf.sscanf summary "completed=%d" (fun c -> c > 0))
 
 let () =
-  Alcotest.run "shard_diff"
+  Alcotest.run "fleet_replay"
     [
       ( "differential",
         [

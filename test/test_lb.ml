@@ -583,13 +583,14 @@ let test_device_probe_timeout_traced () =
     Lb.Device.crash_worker device w
   done;
   let calls = ref 0 in
-  let ring = Trace.Ring.create ~capacity:256 in
-  Trace.with_sink (Trace.ring_sink ring) (fun () ->
+  let records =
+    Capture.records (fun () ->
       Lb.Device.probe_once device ~tenant:0 ~timeout:(ms 300)
         ~on_result:(fun r ->
           incr calls;
           check Alcotest.bool "timeout reports None" true (r = None));
-      Engine.Sim.run_until sim ~limit:(Engine.Sim_time.sec 1));
+      Engine.Sim.run_until sim ~limit:(Engine.Sim_time.sec 1))
+  in
   check Alcotest.int "on_result exactly once" 1 !calls;
   let timeouts =
     List.filter_map
@@ -597,7 +598,7 @@ let test_device_probe_timeout_traced () =
         match r.Trace.event with
         | Trace.Probe_timeout { tenant; after } -> Some (tenant, after)
         | _ -> None)
-      (Trace.Ring.records ring)
+      records
   in
   check
     Alcotest.(list (pair int int))

@@ -1,4 +1,4 @@
-(* Trace subsystem tests: recorder/ring semantics, rendering stability
+(* Trace subsystem tests: recorder semantics, rendering stability
    (the golden-file format), and wakeup-order conformance driven
    through the full device stack — asserting the *sequence* of woken
    workers per policy, not just wake counts. *)
@@ -7,40 +7,24 @@ let check = Alcotest.check
 let ms = Engine.Sim_time.ms
 
 (* ------------------------------------------------------------------ *)
-(* Recorder and ring                                                    *)
+(* Recorder                                                             *)
 
 let test_disabled_by_default () =
   check Alcotest.bool "disabled" false (Trace.enabled ());
   (* emit without a sink is a no-op *)
   Trace.emit (Trace.Accept { worker = 0; conn = 1 })
 
-let test_ring_keeps_most_recent () =
-  let ring = Trace.Ring.create ~capacity:4 in
-  Trace.with_sink (Trace.ring_sink ring) (fun () ->
-      check Alcotest.bool "enabled inside" true (Trace.enabled ());
-      for i = 1 to 10 do
-        Trace.emit (Trace.Accept { worker = 0; conn = i })
-      done);
-  check Alcotest.bool "disabled after" false (Trace.enabled ());
-  check Alcotest.int "capacity" 4 (Trace.Ring.capacity ring);
-  check Alcotest.int "length" 4 (Trace.Ring.length ring);
-  check Alcotest.int "dropped" 6 (Trace.Ring.dropped ring);
-  let conns =
-    List.map
-      (fun r ->
-        match r.Trace.event with Trace.Accept { conn; _ } -> conn | _ -> -1)
-      (Trace.Ring.records ring)
-  in
-  check Alcotest.(list int) "most recent, oldest first" [ 7; 8; 9; 10 ] conns
-
 let test_seq_and_time_stamping () =
-  let ring = Trace.Ring.create ~capacity:16 in
-  Trace.with_sink (Trace.ring_sink ring) (fun () ->
-      Trace.set_now 100;
-      Trace.emit (Trace.Accept { worker = 1; conn = 1 });
-      Trace.set_now 250;
-      Trace.emit (Trace.Close { worker = 1; conn = 1; reset = false }));
-  match Trace.Ring.records ring with
+  let records =
+    Capture.records (fun () ->
+        check Alcotest.bool "enabled inside" true (Trace.enabled ());
+        Trace.set_now 100;
+        Trace.emit (Trace.Accept { worker = 1; conn = 1 });
+        Trace.set_now 250;
+        Trace.emit (Trace.Close { worker = 1; conn = 1; reset = false }))
+  in
+  check Alcotest.bool "disabled after" false (Trace.enabled ());
+  match records with
   | [ a; b ] ->
     check Alcotest.int "seq 0" 0 a.Trace.seq;
     check Alcotest.int "seq 1" 1 b.Trace.seq;
@@ -52,13 +36,14 @@ let test_seq_and_time_stamping () =
    stream: both see its records under one contiguous seq, and the
    outer sink is back, still open, afterwards. *)
 let test_nested_with_sink () =
-  let outer = Trace.Ring.create ~capacity:16 and inner = Trace.Ring.create ~capacity:16 in
+  let outer, outer_records = Capture.sink () in
+  let inner, inner_records = Capture.sink () in
   let inner_closed = ref false in
   let accept conn = Trace.emit (Trace.Accept { worker = 0; conn }) in
-  Trace.with_sink (Trace.ring_sink outer) (fun () ->
+  Trace.with_sink outer (fun () ->
       accept 1;
       Trace.with_sink
-        { (Trace.ring_sink inner) with close = (fun () -> inner_closed := true) }
+        { inner with close = (fun () -> inner_closed := true) }
         (fun () ->
           accept 2;
           accept 3);
@@ -66,20 +51,22 @@ let test_nested_with_sink () =
       check Alcotest.bool "outer still installed" true (Trace.enabled ());
       accept 4);
   check Alcotest.bool "disabled after" false (Trace.enabled ());
-  let seq_conn ring =
+  let seq_conn records =
     List.map
       (fun r ->
         match r.Trace.event with
         | Trace.Accept { conn; _ } -> (r.Trace.seq, conn)
         | _ -> (-1, -1))
-      (Trace.Ring.records ring)
+      (records ())
   in
   check
     Alcotest.(list (pair int int))
     "outer: every record, contiguous seq"
     [ (0, 1); (1, 2); (2, 3); (3, 4) ]
-    (seq_conn outer);
-  check Alcotest.(list (pair int int)) "inner: its scope" [ (1, 2); (2, 3) ] (seq_conn inner)
+    (seq_conn outer_records);
+  check
+    Alcotest.(list (pair int int))
+    "inner: its scope" [ (1, 2); (2, 3) ] (seq_conn inner_records)
 
 (* The text rendering is the golden-file format: pin it exactly so an
    accidental format change shows up here, not as a confusing golden
@@ -343,12 +330,13 @@ let test_binary_rejects_garbage () =
 (* Every golden scenario's records, encoded as one binary stream. *)
 let golden_stream =
   lazy
-    (let ring = Trace.Ring.create ~capacity:65536 in
-     List.iter
-       (fun s -> Trace.with_sink (Trace.ring_sink ring) s.Golden_scenarios.Scenarios.run)
-       Golden_scenarios.Scenarios.all;
+    (let records =
+       List.concat_map
+         (fun s -> Capture.records s.Golden_scenarios.Scenarios.run)
+         Golden_scenarios.Scenarios.all
+     in
      with_temp_file (fun path ->
-         write_binary path (Trace.Ring.records ring);
+         write_binary path records;
          In_channel.with_open_bin path In_channel.input_all))
 
 (* Truncated or bit-flipped streams either decode or raise [Corrupt] —
@@ -436,8 +424,8 @@ let test_binary_jsonl_equivalence () =
 (* Drive [conns] spaced connects through a 4-worker device and return
    the woken-worker list of every wait-queue traversal, in order. *)
 let wake_sequences mode ~conns ~spacing =
-  let ring = Trace.Ring.create ~capacity:65536 in
-  Trace.with_sink (Trace.ring_sink ring) (fun () ->
+  let records =
+    Capture.records (fun () ->
       let sim = Engine.Sim.create () in
       let rng = Engine.Rng.create 5 in
       let tenants = Netsim.Tenant.population ~n:1 ~base_dport:21000 in
@@ -449,14 +437,14 @@ let wake_sequences mode ~conns ~spacing =
                Lb.Device.connect device ~tenant:0
                  ~events:Lb.Device.null_conn_events))
       done;
-      Engine.Sim.run_until sim ~limit:(spacing * (conns + 2)));
-  check Alcotest.int "no ring overflow" 0 (Trace.Ring.dropped ring);
+      Engine.Sim.run_until sim ~limit:(spacing * (conns + 2)))
+  in
   List.filter_map
     (fun r ->
       match r.Trace.event with
       | Trace.Wq_wake { woken; _ } -> Some woken
       | _ -> None)
-    (Trace.Ring.records ring)
+    records
 
 let test_exclusive_is_lifo () =
   let seqs = wake_sequences Lb.Device.Exclusive ~conns:6 ~spacing:(ms 2) in
@@ -496,7 +484,6 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
-          Alcotest.test_case "ring keeps most recent" `Quick test_ring_keeps_most_recent;
           Alcotest.test_case "seq and time stamping" `Quick test_seq_and_time_stamping;
           Alcotest.test_case "nested with_sink tees" `Quick test_nested_with_sink;
           Alcotest.test_case "render stability" `Quick test_render_stability;
