@@ -20,6 +20,9 @@ type member = {
   trace : Trace.state;
   dev : Lb.Device.t;
   mutable draining : bool;
+  mutable connecting : int;
+      (* connects handed to the member and not yet answered with
+         [established] or [dispatch_failed] at the control side *)
 }
 
 type t = {
@@ -68,7 +71,8 @@ let spawn t ~mode ~workers =
         Lb.Device.start dev;
         dev)
   in
-  t.members <- t.members @ [ { slot; sim; trace; dev; draining = false } ];
+  t.members <-
+    t.members @ [ { slot; sim; trace; dev; draining = false; connecting = 0 } ];
   slot
 
 (* Forward the members' records into the caller's recorder, which
@@ -171,6 +175,8 @@ let null_events =
   }
 
 let dispatch t (m : member) ~tenant ~events =
+  m.connecting <- m.connecting + 1;
+  let answered () = m.connecting <- m.connecting - 1 in
   let wrap conn = { cluster = t; slot = m.slot; member = m.dev; conn } in
   (* Device -> control: one hop after the device-side event. *)
   let to_control action =
@@ -179,14 +185,20 @@ let dispatch t (m : member) ~tenant ~events =
   let dev_events =
     {
       Lb.Device.established =
-        (fun conn -> to_control (fun () -> events.established (wrap conn)));
+        (fun conn ->
+          to_control (fun () ->
+              answered ();
+              events.established (wrap conn)));
       request_done =
         (fun conn req ->
           to_control (fun () -> events.request_done (wrap conn) req));
       closed = (fun conn -> to_control (fun () -> events.closed (wrap conn)));
       reset = (fun conn -> to_control (fun () -> events.reset (wrap conn)));
       dispatch_failed =
-        (fun () -> to_control (fun () -> events.dispatch_failed ()));
+        (fun () ->
+          to_control (fun () ->
+              answered ();
+              events.dispatch_failed ()));
     }
   in
   post_to t ~slot:m.slot (fun () ->
@@ -229,6 +241,11 @@ let drain_device t slot = (member t slot).draining <- true
 let live_conns t slot =
   Array.fold_left ( + ) 0 (Lb.Device.conns_per_worker (device t slot))
 
+(* The device count alone misses a connection whose connect hop has not
+   landed or that still waits in an accept queue; the device check
+   stays for connections opened on a member device directly. *)
+let drained t slot = (member t slot).connecting = 0 && live_conns t slot = 0
+
 (* The member stops running; what it recorded is already pending. *)
 let remove t slot =
   let m = member t slot in
@@ -239,7 +256,7 @@ let remove t slot =
 let remove_when_drained t slot ?(poll = Sim_time.ms 100) ~on_removed () =
   let rec wait () =
     if find t slot = None then on_removed ()
-    else if live_conns t slot = 0 then begin
+    else if drained t slot then begin
       remove t slot;
       on_removed ()
     end
@@ -257,10 +274,11 @@ let rolling_replace t ~new_mode ?workers ?(poll = Sim_time.ms 100)
       drain_device t slot;
       let deadline = Sim_time.add (Sim.now t.sim) max_drain in
       let rec wait () =
-        if live_conns t slot = 0 || Sim.now t.sim >= deadline then begin
-          (* past the deadline the VM keeps draining out of rotation,
-             like the long-lived-client tail of Fig. 11; accounting-wise
-             it leaves the cluster now *)
+        if drained t slot || Sim.now t.sim >= deadline then begin
+          (* Past the deadline the member is removed with whatever it
+             still holds: it stops running, so those connections are
+             abandoned without a close or reset, like the long-lived
+             clients of Fig. 11's rollout tail. *)
           remove t slot;
           step rest
         end

@@ -126,8 +126,11 @@ val remove : t -> int -> unit
 val remove_when_drained :
   t -> int -> ?poll:Engine.Sim_time.t -> on_removed:(unit -> unit) -> unit ->
   unit
-(** Wait (polling) until the member has no connections, then remove
-    it.  Calls [on_removed] immediately if the slot is already gone. *)
+(** Wait (polling) until the member is drained, then remove it.  A
+    member is drained when every connection {!connect} handed it has
+    been answered at the control side ([established] or
+    [dispatch_failed]) and its device reports no live connection.
+    Calls [on_removed] immediately if the slot is already gone. *)
 
 val rolling_replace :
   t ->
@@ -139,9 +142,11 @@ val rolling_replace :
   unit ->
   unit
 (** Canary rollout: for each original member, add a new-[new_mode]
-    device, drain the old one, wait for it to empty (or [max_drain],
-    default 30 s, after which remaining connections are abandoned to
-    the removed VM, like long-lived IoT clients), remove it, continue. *)
+    device, drain the old one, wait until it is drained (as for
+    {!remove_when_drained}) or [max_drain] (default 30 s) has passed,
+    remove it, continue.  Connections still on a member removed at the
+    deadline are abandoned with it, like long-lived IoT clients: they
+    see no close or reset. *)
 
 val completed : t -> int
 (** Sum of completed requests over members, including removed ones. *)

@@ -236,6 +236,50 @@ let test_cluster_crash_mid_drain () =
   Engine.Sim.run_until sim ~limit:(Engine.Sim_time.add (sec 1) (ms 100));
   check Alcotest.bool "survivor serves" true !ok
 
+(* A rolling replacement that starts while a connection is still one
+   hop from the drained member, or waits in its accept queue, must not
+   lose it: every issued connect ends in exactly one of [established]
+   or [dispatch_failed], and every established connection in [closed]
+   or [reset].  One connection at 1 ms with one 200 us request; the
+   rollout starts anywhere from 1.000 to 1.200 ms. *)
+let test_cluster_drain_keeps_in_flight () =
+  for k = 0 to 20 do
+    let start = Engine.Sim_time.add (ms 1) (Engine.Sim_time.us (10 * k)) in
+    let cluster, sim = make_cluster ~devices:1 () in
+    let outcomes = ref [] in
+    let note s = outcomes := s :: !outcomes in
+    ignore
+      (Engine.Sim.schedule sim ~at:(ms 1) (fun () ->
+           Cluster.Lb_cluster.connect cluster ~tenant:0
+             ~events:
+               {
+                 established =
+                   (fun h ->
+                     note "established";
+                     Cluster.Lb_cluster.send h
+                       (Lb.Request.make ~id:(Cluster.Lb_cluster.fresh_id cluster)
+                          ~op:Lb.Request.Plain_proxy ~size:10
+                          ~cost:(Engine.Sim_time.us 200) ~tenant_id:0));
+                 request_done = (fun h _ -> Cluster.Lb_cluster.close h);
+                 closed = (fun _ -> note "closed");
+                 reset = (fun _ -> note "reset");
+                 dispatch_failed = (fun () -> note "dispatch_failed");
+               }));
+    let finished = ref false in
+    ignore
+      (Engine.Sim.schedule sim ~at:start (fun () ->
+           Cluster.Lb_cluster.rolling_replace cluster ~new_mode:Lb.Device.Reuseport
+             ~poll:(ms 1)
+             ~on_done:(fun () -> finished := true)
+             ()));
+    Engine.Sim.run_until sim ~limit:(ms 50);
+    let at = Engine.Sim_time.to_string start in
+    check Alcotest.(list string) ("one outcome each, rollout at " ^ at)
+      [ "established"; "closed" ] (List.rev !outcomes);
+    check Alcotest.bool ("rollout done, at " ^ at) true !finished;
+    check Alcotest.int ("one member, at " ^ at) 1 (Cluster.Lb_cluster.size cluster)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Trace persistence                                                    *)
 
@@ -325,6 +369,8 @@ let () =
           Alcotest.test_case "remove twice raises" `Quick
             test_cluster_remove_twice_raises;
           Alcotest.test_case "crash mid-drain" `Quick test_cluster_crash_mid_drain;
+          Alcotest.test_case "drain keeps in-flight connects" `Quick
+            test_cluster_drain_keeps_in_flight;
         ] );
       ( "trace",
         [
