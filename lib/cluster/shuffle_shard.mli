@@ -12,8 +12,6 @@ type t
 val create : vms:int -> shard_size:int -> rng:Engine.Rng.t -> t
 (** @raise Invalid_argument unless [0 < shard_size <= vms]. *)
 
-val shard_size : t -> int
-
 val shard_of : t -> tenant:int -> int array
 (** Deterministic shard for a tenant (memoized random draw). *)
 

@@ -31,7 +31,6 @@ let create ~workers ~group_size ~mode =
 
 let workers t = t.total_workers
 let group_count t = Array.length t.groups
-let mode t = t.sel_mode
 
 let group_of_worker t w =
   if w < 0 || w >= t.total_workers then

@@ -25,7 +25,6 @@ val create : workers:int -> group_size:int -> mode:select_mode -> t
 
 val workers : t -> int
 val group_count : t -> int
-val mode : t -> select_mode
 
 val group_of_worker : t -> int -> int * int
 (** [(group index, index within group)]. *)

@@ -35,7 +35,6 @@ let create ?(group_size = 64) ?(select_mode = Groups.By_flow_hash) ~config
   }
 
 let config t = t.cfg
-let workers t = Groups.workers t.grouping
 let groups t = t.grouping
 let hooks t w = t.metric_hooks.(w)
 

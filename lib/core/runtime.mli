@@ -21,7 +21,6 @@ val create :
     flow-hash level-1 selection. *)
 
 val config : t -> Config.t
-val workers : t -> int
 val groups : t -> Groups.t
 
 val hooks : t -> int -> Metrics.t

@@ -278,10 +278,7 @@ let run s ~(config : Config.t) ~wst ~now =
          { bitmap = bitmap_of s; passed = live_of s; total = n; after_time = s.at })
 
 let passed s = live_of s
-let total s = s.n
 let after_time s = s.at
-let bitmap s = bitmap_of s
-let cycles s = cycle_cost ~workers:s.n ~stages:s.stages
 
 let result s =
   {
@@ -289,7 +286,7 @@ let result s =
     passed = live_of s;
     total = s.n;
     after_time = s.at;
-    cycles = cycles s;
+    cycles = cycle_cost ~workers:s.n ~stages:s.stages;
   }
 
 let schedule ~config ~wst ~now =

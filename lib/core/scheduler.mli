@@ -40,14 +40,11 @@ val run : scratch -> config:Config.t -> wst:Wst.t -> now:Engine.Sim_time.t -> un
     two-level grouping), leaving the outcome in the scratch.  With
     tracing disabled this performs zero minor-heap allocation. *)
 
-(** Outcome of the last [run] on this scratch.  [bitmap] boxes its
-    [int64] on each call; the other accessors are allocation-free. *)
+(** Outcome of the last [run] on this scratch, read without
+    allocating. *)
 
-val bitmap : scratch -> int64
 val passed : scratch -> int
-val total : scratch -> int
 val after_time : scratch -> int
-val cycles : scratch -> int
 
 val result : scratch -> result
 (** The last [run]'s outcome as a fresh {!result} record. *)

@@ -24,8 +24,6 @@ let set_stall t w stalled =
     invalid_arg "Wst.set_stall: worker out of range";
   t.stalled.(w) <- stalled
 
-let stalled t w = t.stalled.(w)
-
 let set_avail t w ~now =
   if not t.stalled.(w) then begin
     Atomic.set t.avail.(w) now;

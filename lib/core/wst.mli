@@ -50,8 +50,6 @@ val set_stall : t -> int -> bool -> unit
     next [set_avail] lands and re-admits the worker.
     @raise Invalid_argument if [w] is out of range. *)
 
-val stalled : t -> int -> bool
-
 (** {1 Readers} *)
 
 val avail_ts : t -> int -> Engine.Sim_time.t

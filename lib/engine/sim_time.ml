@@ -20,7 +20,6 @@ let sub = ( - )
 let ( + ) = add
 let ( - ) = sub
 let min = Stdlib.min
-let max = Stdlib.max
 
 let pp fmt t =
   let a = abs t in

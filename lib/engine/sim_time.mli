@@ -32,7 +32,6 @@ val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 
 val min : t -> t -> t
-val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)

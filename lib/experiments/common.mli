@@ -8,8 +8,6 @@
 val seed : int
 (** Global default seed (every experiment derives from it). *)
 
-val default_workers : int
-
 val make_device :
   ?workers:int ->
   ?tenants:int ->

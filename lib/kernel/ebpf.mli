@@ -67,9 +67,6 @@ val copy_limit : int
 type verified
 (** A program that passed verification; the only runnable form. *)
 
-val max_insns : int
-(** 4096, as in pre-5.2 kernels. *)
-
 val verify : prog -> (verified, string) result
 (** Static checks: instruction budget, expression depth, non-empty
     name, and that every [Var] is bound by an enclosing [Let] — the

@@ -38,11 +38,9 @@ type state = {
   mutable dst_port : int;
 }
 
-type t = { st : state; entry : unit -> int; count : int }
+type t = { st : state; entry : unit -> int }
 
 exception Fault
-
-let insn_count t = t.count
 
 let ri = Ebpf_vm.int_of_reg
 
@@ -421,7 +419,7 @@ let compile (v : Ebpf_vm.verified) =
     in
     compiled.(pc) <- cl
   done;
-  { st; entry = (if len = 0 then fall_off else compiled.(0)); count = len }
+  { st; entry = (if len = 0 then fall_off else compiled.(0)) }
 
 let exec t ~flow_hash ~dst_port =
   let st = t.st in

@@ -36,8 +36,6 @@ val compile : Ebpf_vm.verified -> t
 (** Close the bytecode over its certificate.  O(insns), allocates all
     execution scratch up front. *)
 
-val insn_count : t -> int
-
 val exec : t -> flow_hash:int -> dst_port:int -> int
 (** Run the program on one packet without allocating: the result is
     the raw exit code ({!Ebpf_vm.pass_code} = 1 for a successful

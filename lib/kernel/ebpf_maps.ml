@@ -83,11 +83,6 @@ module Sockmap = struct
     Atomic.get t.slots.(key)
 
   let unsafe_get t key = Atomic.get t.slots.(key)
-
-  let iteri t f =
-    Array.iteri
-      (fun key cell -> match Atomic.get cell with None -> () | Some e -> f key e)
-      t.slots
 end
 
 module Syscall = struct

@@ -63,16 +63,11 @@ module Sockmap : sig
   val name : t -> string
   val size : t -> int
   val set : t -> int -> conn:int -> target:int -> unit
-  val clear : t -> int -> unit
   val get : t -> int -> entry option
 
   val unsafe_get : t -> int -> entry option
   (** [get] without the explicit range check, for accesses a
       {!Verifier} certificate proved in bounds. *)
-
-  val iteri : t -> (int -> entry -> unit) -> unit
-  (** Visit every occupied slot — teardown sweeps on worker
-      restart/isolation. *)
 end
 
 module Syscall : sig

@@ -42,7 +42,6 @@ let create ~worker_id =
     scan_cost = 0;
   }
 
-let worker_id t = t.owner
 let set_wakeup t f = t.wakeup <- f
 let find t fd = if fd < 0 then -1 else Conn_table.find_slot t.subs (fd + 1)
 

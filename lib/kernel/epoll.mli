@@ -35,7 +35,6 @@ type kind = Accept_ready | Readable
 type t
 
 val create : worker_id:int -> t
-val worker_id : t -> int
 
 val set_wakeup : t -> (unit -> unit) -> unit
 (** Callback fired on {!poke}, {!notify_readable} and

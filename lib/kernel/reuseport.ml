@@ -66,7 +66,6 @@ let create ~port ~slots =
     cyc_drop = 0;
   }
 
-let port t = t.group_port
 let slots t = Array.length t.members
 
 let rebuild_dense t =

@@ -26,7 +26,6 @@ val create : port:Netsim.Addr.port -> slots:int -> t
     index bits of the group's 64-bit live bitmap, exactly as worker
     ids index the scheduler's dispatch bitmap. *)
 
-val port : t -> Netsim.Addr.port
 val slots : t -> int
 
 val bind : t -> slot:int -> socket:Socket.t -> unit

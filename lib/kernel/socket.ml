@@ -38,7 +38,6 @@ let create_listen ?id ~port ~backlog () =
 
 let id t = t.sock_id
 let port t = t.listen_port
-let backlog t = t.backlog
 
 let set_backlog t n =
   if n <= 0 then invalid_arg "Socket.set_backlog: backlog must be positive";

@@ -34,8 +34,6 @@ val id : t -> int
 
 val port : t -> Netsim.Addr.port
 
-val backlog : t -> int
-
 val set_backlog : t -> int -> unit
 (** Change the accept-queue bound in place — the accept-queue-overflow
     fault clamps a victim socket to a tiny backlog so handshakes start

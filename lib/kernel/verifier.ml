@@ -844,11 +844,6 @@ let verify ?(name = "bytecode") ?(budget = default_budget)
           }));
   result
 
-let verify_exn ?name ?budget code =
-  match verify ?name ?budget code with
-  | Ok (v, _) -> v
-  | Error e -> invalid_arg ("Verifier.verify_exn: " ^ error_to_string e)
-
 let compile_and_verify ?budget (prog : Ebpf.prog) =
   match compile prog with
   | Error msg -> Error (Compile_failed msg)

@@ -84,9 +84,6 @@ val verify :
     event (backend ["bytecode"]) on both acceptance and rejection;
     [name] labels it. *)
 
-val verify_exn : ?name:string -> ?budget:int -> Ebpf_vm.program -> Ebpf_vm.verified
-(** @raise Invalid_argument on rejection. *)
-
 val compile_and_verify :
   ?budget:int -> Ebpf.prog -> (Ebpf_vm.verified, error) result
 (** {!Ebpf_vm.compile} followed by {!verify} under the program's own

@@ -48,8 +48,6 @@ let create queue_mode =
     woken = 0;
   }
 
-let mode t = t.queue_mode
-
 let link_after a w =
   w.prev <- a;
   w.next <- a.next;

@@ -38,7 +38,6 @@ type mode = Lifo_exclusive | Roundrobin_exclusive | Wake_all | Fifo_exclusive
 type t
 
 val create : mode -> t
-val mode : t -> mode
 
 val register : t -> id:int -> try_wake:(unit -> bool) -> unit
 (** [register t ~id ~try_wake] inserts at the {e head}, mirroring

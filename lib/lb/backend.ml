@@ -30,7 +30,6 @@ let create ~servers ~workers ~mode ?(idle_per_server = 2) () =
   }
 
 let server_count t = t.servers
-let mode t = t.pool_mode
 
 let pool_of t worker = match t.pool_mode with Per_worker -> worker | Shared -> 0
 

@@ -23,17 +23,12 @@ val create :
     pool (default 2). *)
 
 val server_count : t -> int
-val mode : t -> pool_mode
-
-val release : t -> worker:int -> server:int -> unit
-(** Return a connection to the pool after use; kept if there is idle
-    capacity. *)
 
 val forward_and_release : t -> worker:int -> int
 (** Route one request — round-robin server choice for this worker,
     then reuse an idle backend connection or open a new one (counted
-    as a handshake) — and immediately [release] the connection;
-    returns the server index. *)
+    as a handshake) — and immediately return the connection to the
+    pool, kept if there is idle capacity; returns the server index. *)
 
 val update_server_list :
   t -> ?servers:int -> randomize:Engine.Rng.t option -> unit -> unit

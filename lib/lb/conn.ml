@@ -44,12 +44,3 @@ let pop t =
   req
 
 let is_open t = t.state = Established
-
-let state_name = function
-  | Established -> "established"
-  | Closed -> "closed"
-  | Reset -> "reset"
-
-let pp fmt t =
-  Format.fprintf fmt "conn#%d fd=%d worker=%d tenant=%d %s" t.id t.fd
-    t.worker_id t.tenant_id (state_name t.state)

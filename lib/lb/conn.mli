@@ -42,4 +42,3 @@ val pop : t -> Request.t
     handler's drain).  @raise Queue.Empty if the inbox is empty. *)
 
 val is_open : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -14,53 +14,6 @@ let default_config =
     delayed_threshold = Sim_time.ms 200;
   }
 
-type t = {
-  sim : Sim.t;
-  cfg : config;
-  target : Device.t;
-  tenant : int;
-  mutable running : bool;
-  mutable sent_count : int;
-  mutable delayed_count : int;
-  mutable lost_count : int;
-}
-
-let rec tick t () =
-  if t.running then begin
-    t.sent_count <- t.sent_count + 1;
-    Device.probe_once t.target ~tenant:t.tenant ~timeout:t.cfg.timeout
-      ~on_result:(fun result ->
-        match result with
-        | None ->
-          t.lost_count <- t.lost_count + 1;
-          t.delayed_count <- t.delayed_count + 1
-        | Some delay ->
-          if delay > t.cfg.delayed_threshold then
-            t.delayed_count <- t.delayed_count + 1);
-    ignore (Sim.schedule_after t.sim ~delay:t.cfg.interval (tick t))
-  end
-
-let start ~sim ~config ~target ~tenant =
-  let t =
-    {
-      sim;
-      cfg = config;
-      target;
-      tenant;
-      running = true;
-      sent_count = 0;
-      delayed_count = 0;
-      lost_count = 0;
-    }
-  in
-  ignore (Sim.schedule_after sim ~delay:config.interval (tick t));
-  t
-
-let stop t = t.running <- false
-let sent t = t.sent_count
-let delayed t = t.delayed_count
-let lost t = t.lost_count
-
 module Per_worker = struct
   type pw = {
     sim : Sim.t;

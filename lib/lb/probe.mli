@@ -14,21 +14,6 @@ type config = {
 
 val default_config : config
 
-type t
-
-val start : sim:Engine.Sim.t -> config:config -> target:Device.t -> tenant:int -> t
-(** Begin probing a device's tenant port at the configured interval;
-    probes continue as long as the simulation is driven. *)
-
-val stop : t -> unit
-
-val sent : t -> int
-val delayed : t -> int
-(** Probes that exceeded the threshold or were lost. *)
-
-val lost : t -> int
-(** Subset of [delayed] that never completed at all. *)
-
 (** {1 Per-worker probing}
 
     "We periodically send probes to {e all workers}" — the prober

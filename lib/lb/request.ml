@@ -47,13 +47,6 @@ let op_of_name = function
   | "translate" -> Some Protocol_translate
   | _ -> None
 
-let pp fmt t =
-  match t.kind with
-  | Close -> Format.fprintf fmt "req#%d close" t.id
-  | Work op ->
-    Format.fprintf fmt "req#%d %s %dB cost=%a" t.id (op_name op) t.size
-      Engine.Sim_time.pp t.cost
-
 (* Base/per-KB costs per op class, loosely calibrated so a plain proxy
    request costs tens of microseconds while SSL handshakes and
    compression reach the millisecond scale of Table 1. *)

@@ -42,7 +42,6 @@ val op_name : op -> string
 val op_of_name : string -> op option
 (** Inverse of {!op_name}. *)
 
-val pp : Format.formatter -> t -> unit
 
 val default_cost : op -> size:int -> Engine.Sim_time.t
 (** A reasonable per-op cost when a generator does not impose its own

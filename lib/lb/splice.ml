@@ -77,11 +77,9 @@ let slots t = Kernel.Ebpf_maps.Sockmap.size t.map
 let attached t = Conn_table.Dense.length t.spliced
 let is_attached t ~conn = Conn_table.Dense.mem t.spliced conn
 let stats t = t.stats
-let strict t = t.strict
 let set_strict t v = t.strict <- v
 let set_desynced t ~worker v = t.desynced.(worker) <- v
 let residual_checks t = Kernel.Ebpf_vm.residual_checks t.verified
-let verified t = t.verified
 
 let key_of t ~flow_hash = flow_hash land (slots t - 1)
 

@@ -94,10 +94,6 @@ val attached : t -> int
 val slots : t -> int
 (** Sockmap capacity after power-of-two rounding. *)
 
-val key_of : t -> flow_hash:int -> int
-(** The slot a flow hash masks to. *)
-
-val strict : t -> bool
 val set_strict : t -> bool -> unit
 (** Toggle the userspace-directed verification (conn-id re-check and
     attach-outcome check).  Disabling it is only useful to let the
@@ -114,5 +110,3 @@ val residual_checks : t -> int
 (** Runtime checks the verifier could not discharge on the attached
     program — 0 by construction (see {!create}). *)
 
-val verified : t -> Kernel.Ebpf_vm.verified
-(** The attached program's certificate, for inspection in tests. *)

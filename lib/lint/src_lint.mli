@@ -13,10 +13,6 @@ type violation = {
   context : string;  (** the offending source line, trimmed *)
 }
 
-val strip : string -> string
-(** Comments (nested, string-aware), string / quoted-string / char
-    literals replaced by spaces; newlines preserved. *)
-
 val scan_source : file:string -> string -> violation list
 (** Lint one compilation unit's source text. *)
 

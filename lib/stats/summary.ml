@@ -76,8 +76,3 @@ let of_array xs =
       p90 = percentile xs 90.0;
       p99 = percentile xs 99.0;
     }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-    t.n t.mean t.stddev t.min t.p50 t.p90 t.p99 t.max

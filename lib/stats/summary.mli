@@ -41,4 +41,3 @@ type t = {
 val of_array : float array -> t
 (** All-zeros summary for an empty array. *)
 
-val pp : Format.formatter -> t -> unit

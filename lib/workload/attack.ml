@@ -16,8 +16,6 @@ type t = {
   mutable requests : int;
 }
 
-let kind t = t.attack
-let tenant t = t.target_tenant
 let conns_attempted t = t.conns
 let requests_sent t = t.requests
 let stop t = t.running <- false

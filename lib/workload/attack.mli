@@ -23,7 +23,5 @@ val launch :
 (** Start generating immediately; runs until [stop]. *)
 
 val stop : t -> unit
-val kind : t -> kind
-val tenant : t -> int
 val conns_attempted : t -> int
 val requests_sent : t -> int

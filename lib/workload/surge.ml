@@ -30,7 +30,6 @@ let establish ~device ~tenant ~count ~over =
   done;
   t
 
-let established t = t.conns
 let established_count t = List.length t.conns
 
 let burst t ~rng ~requests_per_conn ~cost ~size ~jitter =

@@ -18,7 +18,6 @@ val establish :
 (** Open [count] connections to [tenant], uniformly spread over [over].
     Connections stay open (no requests, no close) until burst/teardown. *)
 
-val established : t -> Lb.Conn.t list
 val established_count : t -> int
 
 val burst :
