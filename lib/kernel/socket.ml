@@ -17,8 +17,8 @@ type t = {
 }
 
 (* Fallback allocator only; callers that care about determinism
-   across simulation shards (Lb.Device) pass their own [?id] so no
-   cross-domain shared counter is involved. *)
+   across devices (Lb.Device) pass their own [?id] so no process-wide
+   counter is involved. *)
 let next_id = Atomic.make 0
 
 let create_listen ?id ~port ~backlog () =

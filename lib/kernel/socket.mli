@@ -24,8 +24,7 @@ val create_listen : ?id:int -> port:Netsim.Addr.port -> backlog:int -> unit -> t
     [id] names the socket explicitly; without it a process-wide atomic
     counter allocates one.  Devices pass their own per-instance ids so
     socket numbering is a function of one device's creation order
-    alone — independent of how devices interleave across simulation
-    shards and domains. *)
+    alone — independent of how the devices of a cluster interleave. *)
 
 val id : t -> int
 (** Unique socket id (think inode number); lets callers key tables by

@@ -77,7 +77,7 @@ type t = {
   mutable next_seq : int;
   mutable next_fd : int;
   mutable next_id : int;
-  mutable next_sock : int;  (* per-device socket ids: shard-independent *)
+  mutable next_sock : int;  (* per-device socket ids: independent of other devices *)
   lat : Stats.Histogram.t;
   estab_lat : Stats.Histogram.t;
   mutable completed_count : int;

@@ -426,7 +426,7 @@ let create ~sim ~id ~config ~alloc_fd ~callbacks ?hermes () =
       (* Per-worker band of a billion-based id space: ids stay unique
          within a device and depend only on (worker, adoption order),
          never on cross-worker or cross-device interleaving — the
-         sharded cluster's trace-determinism argument needs that. *)
+         cluster's trace-determinism argument needs that. *)
       synthetic_seq = 1_000_000_000 + (id * 1_000_000);
       worker_stats =
         {

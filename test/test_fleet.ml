@@ -213,7 +213,7 @@ let test_cluster_crash_mid_drain () =
   Engine.Sim.run_until sim ~limit:(ms 200);
   check Alcotest.bool "still draining on live conns" false !removed;
   (* crash both workers mid-drain through a lib/faults plan, delivered
-     to the member's own shard; the restarting processes reset their
+     to the member's own simulator; the restarting processes reset their
      surviving connections (draining keeps new ones away), the drain
      completes, the member leaves *)
   let plan : Faults.Plan.t =
