@@ -75,13 +75,17 @@ let spawn t ~mode ~workers =
     t.members @ [ { slot; sim; trace; dev; draining = false; connecting = 0 } ];
   slot
 
-(* Forward the members' records into the caller's recorder, which
-   stamps [seq].  Every record since the last tick is timed after the
-   last tick's, except a member spawned in between: its creation
-   records carry the previous horizon, but its slot is the largest, so
-   they still follow everything already forwarded. *)
+(* Forward the members' new records into the caller's recorder, which
+   stamps [seq].  Sorting one tick's records gives the order of one
+   global sort: they are all timed after the previous tick, except the
+   creation records of a member spawned since, which carry the previous
+   tick's time but the largest slot, so they still follow everything
+   already forwarded. *)
 let flush t =
-  if t.pending <> [] then begin
+  match t.pending with
+  | [] -> ()
+  | pending ->
+    t.pending <- [];
     let order (slot_a, (a : Trace.record)) (slot_b, (b : Trace.record)) =
       match compare a.time b.time with
       | 0 -> ( match compare slot_a slot_b with 0 -> compare a.seq b.seq | c -> c)
@@ -91,10 +95,8 @@ let flush t =
       (fun (_, (r : Trace.record)) ->
         Trace.set_now r.time;
         Trace.emit r.event)
-      (List.sort order t.pending);
-    t.pending <- [];
+      (List.sort order pending);
     Trace.set_now (Sim.now t.sim)
-  end
 
 (* Re-armed before the members run, so hops landing exactly one hop
    out sort behind the next tick deterministically. *)
