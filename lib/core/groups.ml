@@ -29,7 +29,6 @@ let create ~workers ~group_size ~mode =
     sel_map = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel" ~size:count;
   }
 
-let workers t = t.total_workers
 let group_count t = Array.length t.groups
 
 let group_of_worker t w =

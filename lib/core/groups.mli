@@ -23,7 +23,6 @@ val create : workers:int -> group_size:int -> mode:select_mode -> t
     @raise Invalid_argument unless [1 <= group_size <= 64] and
     [workers >= 1]. *)
 
-val workers : t -> int
 val group_count : t -> int
 
 val group_of_worker : t -> int -> int * int
