@@ -42,13 +42,11 @@ let with_trace_file file f =
 
 (* Run [f] recording into the [--trace] file, if any; [count] counts
    the records written. *)
-let with_trace ?count file f =
+let with_trace ?(count = ref 0) file f =
   with_trace_file file (fun sink ->
-      (match (sink, count) with
-      | None, _ -> f ()
-      | Some s, None -> Trace.with_sink s f
-      | Some s, Some n ->
-        Trace.with_sink { s with write = (fun r -> incr n; s.write r) } f);
+      (match sink with
+      | None -> f ()
+      | Some s -> Trace.with_sink { s with write = (fun r -> incr count; s.write r) } f);
       `Ok ())
 
 let list_cmd =

@@ -257,7 +257,7 @@ let remove t slot =
 
 let remove_when_drained t slot ?(poll = Sim_time.ms 100) ~on_removed () =
   let rec wait () =
-    if find t slot = None then on_removed ()
+    if Option.is_none (find t slot) then on_removed ()
     else if drained t slot then begin
       remove t slot;
       on_removed ()
