@@ -511,7 +511,9 @@ let cluster_cmd =
       Engine.Sim.run_until sim ~limit:(ST.ms duration_ms);
       let wall = Unix.gettimeofday () -. t0 in
       (* Everything on stdout is deterministic in the arguments;
-         wall-clock goes to stderr so replays can diff stdout too. *)
+         wall-clock goes to stderr so replays can diff stdout too.
+         [lookahead=] prints the hop under its old name: the cluster
+         golden pins this line. *)
       Printf.printf
         "cluster devices=%d workers=%d mode=%s seed=%d lookahead=%s \
          duration=%dms\n"
