@@ -4,7 +4,7 @@
 
    - [conn_open_close]: steady open/close churn through the SoA
      [Conn_table] vs the retired Hashtbl implementation
-     ([Conn_table.Ref]).  The gate requires exactly zero minor words
+     ([Oracles.Conn_table_ref]).  The gate requires exactly zero minor words
      per op on the SoA path — connection churn must not touch the GC.
    - [sock_owner]: dedicated-socket ownership lookups through the
      dense int side table ([Conn_table.Dense]) vs a Hashtbl mapping to
@@ -75,22 +75,22 @@ let churn_scenario ~window ~ops =
     !sum + T.length t
   in
   let base () =
-    let t = T.Ref.create ~dummy:"" ~capacity:window () in
+    let t = Oracles.Conn_table_ref.create ~dummy:"" ~capacity:window () in
     for k = 1 to window do
-      T.Ref.add t ~key:k ~aux:(2 * k) payload
+      Oracles.Conn_table_ref.add t ~key:k ~aux:(2 * k) payload
     done;
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      ignore (T.Ref.remove t (i + 1));
+      ignore (Oracles.Conn_table_ref.remove t (i + 1));
       let k = i + window + 1 in
-      T.Ref.add t ~key:k ~aux:(2 * k) payload;
+      Oracles.Conn_table_ref.add t ~key:k ~aux:(2 * k) payload;
       if i land 7 = 0 then begin
         let probe = i + 2 + (mix i land (window - 1)) in
-        let s = T.Ref.find_slot t probe in
-        if s >= 0 then sum := !sum + T.Ref.aux t s
+        let s = Oracles.Conn_table_ref.find_slot t probe in
+        if s >= 0 then sum := !sum + Oracles.Conn_table_ref.aux t s
       end
     done;
-    !sum + T.Ref.length t
+    !sum + Oracles.Conn_table_ref.length t
   in
   let words =
     let t = T.create ~dummy:"" ~capacity:window () in

@@ -8,11 +8,11 @@
      the incremental live bitmap vs the retired per-packet list build +
      [List.nth] walk;
    - [sched_8]/[sched_64]: one full Algo 1 cascade — the bitmap-native
-     engine on a reusable scratch vs [Scheduler.Ref]'s bool-array +
-     snapshot allocation;
+     engine on a reusable scratch vs the retired bool-array cascade
+     with its snapshot allocation ([Oracles.Scheduler_ref]);
    - [ebpf_jit_vm]/[ebpf_jit_ast]: the Algo 2 dispatch program under
      the closure JIT vs the checked bytecode interpreter
-     ([Ebpf_vm.run_checked], the JIT's oracle) / the expression
+     ([Oracles.Ebpf_vm_ref], the JIT's oracle) / the expression
      interpreter.
 
    Every scenario also reports minor-heap words per operation on the
@@ -110,7 +110,7 @@ let sched_scenario ~workers ~ops =
     let wst = sched_wst ~workers in
     let sum = ref 0 in
     for i = 1 to ops do
-      let r = Hermes.Scheduler.Ref.schedule ~config ~wst ~now in
+      let r = Oracles.Scheduler_ref.schedule ~config ~wst ~now in
       sum := !sum + r.Hermes.Scheduler.passed + (17 * r.after_time);
       Hermes.Wst.add_conn wst (i mod workers) 1
     done;
@@ -157,6 +157,7 @@ let ebpf_setup () =
 
 let ebpf_scenarios ~ops =
   let ast, vm, jit = ebpf_setup () in
+  let code = Kernel.Ebpf_vm.program_of vm in
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
@@ -174,7 +175,7 @@ let ebpf_scenarios ~ops =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
       let out, _ =
-        Kernel.Ebpf_vm.run_checked vm
+        Oracles.Ebpf_vm_ref.run_checked code
           { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
       in
       sum := !sum + outcome_code out

@@ -25,7 +25,6 @@ let families =
     Chaos_bench.family;
     Cluster_bench.family;
     Splice_bench.family;
-    Micro_bench.family;
   ]
 
 let fail code fmt = Printf.ksprintf (fun s -> prerr_endline s; exit code) fmt

@@ -2,7 +2,7 @@
 
    Each scenario is a pure function of an engine module, instantiated
    twice — once over the timing-wheel [Engine.Sim], once over the
-   retired binary heap [Engine.Ref_heap] — and timed in the same
+   retired binary heap [Oracles.Ref_heap] — and timed in the same
    process run.  The regression metric is the wheel/heap {e speedup
    ratio}, not absolute nanoseconds: the ratio is stable across
    machines and CI runners, so the committed sched rows of
@@ -146,7 +146,7 @@ module Scenarios (S : SCHED) = struct
 end
 
 module Wheel_runs = Scenarios (Engine.Sim)
-module Heap_runs = Scenarios (Engine.Ref_heap)
+module Heap_runs = Scenarios (Oracles.Ref_heap)
 
 let run ~quick =
   let size = Harness.Row.size ~quick in

@@ -2,7 +2,7 @@
 
    - [splice_redirect]: one sockmap redirect verdict through the
      closure JIT vs the checked bytecode interpreter
-     ([Ebpf_vm.run_checked]) on the same verified program
+     ([Oracles.Ebpf_vm_ref]) on the same verified program
      (certificate-directed guard elision means the JIT runs with zero
      residual checks).  The gate requires exactly zero minor
      words per op on the JIT path — the verdict runs per chunk, on the
@@ -44,6 +44,7 @@ let redirect_setup ~slots =
 
 let redirect_scenario ~slots ~ops =
   let vm, jit = redirect_setup ~slots in
+  let code = Kernel.Ebpf_vm.program_of vm in
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
@@ -63,7 +64,7 @@ let redirect_scenario ~slots ~ops =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
       let outcome, _cycles =
-        Kernel.Ebpf_vm.run_checked vm
+        Oracles.Ebpf_vm_ref.run_checked code
           { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
       in
       match outcome with

@@ -167,10 +167,10 @@ let verify_cmd =
   let src_root_arg =
     let doc =
       "Repo root for the source lints (any Atomic/Mutex/Condition/Domain \
-       use in lib/engine and lib/trace, and lib/ interface vals no \
-       other module names); \
-       skipped with a warning when the sources are not present \
-       (installed binary)."
+       use in lib/, and lib/ interface vals with no production caller), \
+       read from the compiler's annotation files under its _build/default \
+       (written by $(b,dune build @check)); skipped with a warning when \
+       there are none (installed binary)."
     in
     Arg.(value & opt string "." & info [ "src-root" ] ~docv:"DIR" ~doc)
   in
@@ -230,36 +230,34 @@ let verify_cmd =
               problems;
             failures := name :: !failures))
       plans;
-    (match Lint.Src_lint.scan_tree ~root:src_root with
-    | Error msg ->
-      Printf.printf "%-24s skipped: %s\n" "concurrency lint" msg
-    | Ok [] ->
-      Printf.printf
-        "%-24s ok (no concurrency primitive in lib/engine or lib/trace)\n"
-        "concurrency lint"
-    | Ok violations ->
-      List.iter
-        (fun (v : Lint.Src_lint.violation) ->
-          Printf.printf
-            "%-24s %s:%d %s (the engine and trace run on one domain)\n\
-            \                           | %s\n"
-            "concurrency lint" v.file v.line v.token v.context)
-        violations;
-      failures := "concurrency lint" :: !failures);
-    (match Lint.Src_lint.scan_dead_exports ~root:src_root with
-    | Error msg -> Printf.printf "%-24s skipped: %s\n" "dead exports" msg
-    | Ok [] ->
-      Printf.printf "%-24s ok (every lib/ val is used outside its module)\n"
-        "dead exports"
-    | Ok dead ->
-      List.iter
-        (fun (d : Lint.Src_lint.dead_export) ->
-          Printf.printf
-            "%-24s %s:%d val %s is named by no other .ml (delete it or \
-             drop it from the interface)\n"
-            "dead exports" d.mli d.line d.name)
-        dead;
-      failures := "dead exports" :: !failures);
+    (match Lint.Src_lint.scan ~root:src_root with
+    | Error msg -> Printf.printf "%-24s skipped: %s\n" "source lints" msg
+    | Ok { decls; uses } -> (
+      (match Lint.Src_lint.concurrency uses with
+      | [] ->
+        Printf.printf "%-24s ok (no concurrency primitive in lib/)\n"
+          "concurrency lint"
+      | violations ->
+        List.iter
+          (fun (u : Lint.Src_lint.use) ->
+            Printf.printf "%-24s %s:%d %s (the simulator runs on one domain)\n"
+              "concurrency lint" u.at.file u.at.line u.path)
+          violations;
+        failures := "concurrency lint" :: !failures);
+      match Lint.Src_lint.dead_exports decls uses with
+      | [] ->
+        Printf.printf "%-24s ok (every lib/ val has a production caller)\n"
+          "dead exports"
+      | dead ->
+        List.iter
+          (fun (d : Lint.Src_lint.decl) ->
+            Printf.printf
+              "%-24s %s:%d val %s has no caller outside its module and \
+               test/ (delete it, drop it from the interface, or mark it \
+               [@@test_only])\n"
+              "dead exports" d.site.file d.site.line d.name)
+          dead;
+        failures := "dead exports" :: !failures));
     match !failures with
     | [] -> `Ok ()
     | fs ->
@@ -270,13 +268,13 @@ let verify_cmd =
   in
   let doc =
     "Verify every shipped dispatch program with the abstract \
-     interpreter, lint fault plans against the device shape, lint the \
-     engine/trace sources for concurrency primitives, and lint lib/ \
-     interfaces for dead exports; fail unless each program is accepted \
-     loop-free with a complete certificate (zero residual runtime \
-     checks), each plan is well-formed, the engine and trace use no \
-     concurrency primitive, and every exported val is named by some \
-     other module."
+     interpreter, lint fault plans against the device shape, lint lib/ \
+     for concurrency primitives, and lint lib/ interfaces for dead \
+     exports; fail unless each program is accepted loop-free with a \
+     complete certificate (zero residual runtime checks), each plan is \
+     well-formed, lib/ uses no concurrency primitive, and every \
+     exported val has a caller outside its module and test/ or is \
+     marked [@@test_only]."
   in
   Cmd.v
     (Cmd.info "verify" ~doc)

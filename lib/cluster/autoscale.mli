@@ -41,6 +41,3 @@ val simulate : policy -> epoch array -> epoch_hours:float -> outcome
 (** Walk the epochs, applying scale-out/scale-in with hysteresis.
     @raise Invalid_argument on empty input or non-positive
     [epoch_hours]. *)
-
-val vms_needed : policy -> offered_cpu:float -> int
-(** Smallest VM count keeping utilization at or below the threshold. *)

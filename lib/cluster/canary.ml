@@ -24,9 +24,10 @@ let survival mix ~age_days =
   (mix.fast_fraction *. exp (-.age_h /. mix.fast_mean_hours))
   +. ((1.0 -. mix.fast_fraction) *. exp (-.age_h /. mix.slow_mean_hours))
 
-let residual_old_traffic cfg ~day ~rng =
-  if day < 0 then invalid_arg "Canary.residual_old_traffic: negative day";
-  ignore rng;
+(* Expected fraction of traffic still flowing to old-version VMs on
+   [day] (0-based): the undeployed fraction plus the undrained tail of
+   already-replaced VMs. *)
+let residual_old_traffic cfg ~day =
   let d = float_of_int day and total = float_of_int cfg.rollout_days in
   (* Fraction of the fleet not yet replaced. *)
   let undeployed = Float.max 0.0 (1.0 -. (d /. total)) in
@@ -40,9 +41,9 @@ let residual_old_traffic cfg ~day ~rng =
   done;
   Float.min 1.0 (undeployed +. !tail)
 
-let delayed_probes_series cfg ~days ~rng =
+let delayed_probes_series cfg ~days =
   if days <= 0 then invalid_arg "Canary.delayed_probes_series: days > 0";
   Array.init days (fun day ->
-      let old_share = residual_old_traffic cfg ~day ~rng in
+      let old_share = residual_old_traffic cfg ~day in
       (old_share *. cfg.old_hang_probes_per_day)
       +. ((1.0 -. old_share) *. cfg.new_hang_probes_per_day))

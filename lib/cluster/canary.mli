@@ -28,11 +28,6 @@ type config = {
   mix : client_mix;
 }
 
-val residual_old_traffic : config -> day:int -> rng:Engine.Rng.t -> float
-(** Expected fraction of traffic still flowing to old-version VMs on
-    [day] (0-based): the undeployed fraction plus the undrained tail of
-    already-replaced VMs, Monte-Carlo averaged. *)
-
-val delayed_probes_series : config -> days:int -> rng:Engine.Rng.t -> float array
+val delayed_probes_series : config -> days:int -> float array
 (** Fig. 11's series: expected delayed probes per day across the
     rollout, converging to the new-version floor. *)

@@ -141,7 +141,6 @@ let member t slot =
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Lb_cluster: slot %d removed" slot)
 
-let device t slot = (member t slot).dev
 let devices t = List.map (fun m -> (m.slot, m.dev)) t.members
 
 (* Control -> device: one hop from now, on the member's simulator.  A
@@ -166,15 +165,6 @@ type events = {
   reset : conn_ref -> unit;
   dispatch_failed : unit -> unit;
 }
-
-let null_events =
-  {
-    established = (fun _ -> ());
-    request_done = (fun _ _ -> ());
-    closed = (fun _ -> ());
-    reset = (fun _ -> ());
-    dispatch_failed = (fun () -> ());
-  }
 
 let dispatch t (m : member) ~tenant ~events =
   m.connecting <- m.connecting + 1;
@@ -241,7 +231,7 @@ let add_device t ~mode ?workers () =
 let drain_device t slot = (member t slot).draining <- true
 
 let live_conns t slot =
-  Array.fold_left ( + ) 0 (Lb.Device.conns_per_worker (device t slot))
+  Array.fold_left ( + ) 0 (Lb.Device.conns_per_worker (member t slot).dev)
 
 (* The device count alone misses a connection whose connect hop has not
    landed or that still waits in an accept queue; the device check

@@ -48,11 +48,8 @@ val size : t -> int
 (** Members currently in the cluster (serving or draining). *)
 
 val in_rotation : t -> int
+[@@test_only]
 (** Members accepting new connections. *)
-
-val device : t -> int -> Lb.Device.t
-(** Member by slot.
-    @raise Invalid_argument for a removed slot. *)
 
 val devices : t -> (int * Lb.Device.t) list
 (** Live [(slot, device)] pairs. *)
@@ -75,8 +72,6 @@ type events = {
 }
 (** Control-side connection callbacks.  They fire one {!hop} after
     the device-side event. *)
-
-val null_events : events
 
 val connect : t -> tenant:int -> events:events -> unit
 (** L4 spread: pick an in-rotation member pseudo-randomly and dispatch
@@ -102,20 +97,28 @@ val run_on : t -> slot:int -> (Lb.Device.t -> unit) -> unit
 val fresh_id : t -> int
 (** Cluster-wide request-id allocator (per-cluster counter). *)
 
+(** {1 Fleet steps}
+
+    {!rolling_replace} composes these; tests drive them one at a time. *)
+
 val add_device : t -> mode:Lb.Device.mode -> ?workers:int -> unit -> int
+[@@test_only]
 (** Bring up a new member (e.g. the new software version) at the
     clock of the last tick; returns its slot. *)
 
 val drain_device : t -> int -> unit
+[@@test_only]
 (** Take a member out of rotation; its established connections keep
     being served until they close.
     @raise Invalid_argument for a removed slot. *)
 
 val live_conns : t -> int -> int
+[@@test_only]
 (** Established connections still on a member, as of the last
     tick. *)
 
 val remove : t -> int -> unit
+[@@test_only]
 (** Remove a member immediately: its counters fold into the cluster
     aggregates, it stops running, and whatever is still in flight to
     it is dropped — abandoned along with the removed VM.
@@ -126,6 +129,7 @@ val remove : t -> int -> unit
 val remove_when_drained :
   t -> int -> ?poll:Engine.Sim_time.t -> on_removed:(unit -> unit) -> unit ->
   unit
+[@@test_only]
 (** Wait (polling) until the member is drained, then remove it.  A
     member is drained when every connection {!connect} handed it has
     been answered at the control side ([established] or

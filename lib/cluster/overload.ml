@@ -109,7 +109,6 @@ type monitor = {
   on_verdict : verdict -> unit;
   mutable running : bool;
   mutable prev_cpu : Sim_time.t array;
-  mutable log : verdict list; (* newest first *)
 }
 
 let rec tick m () =
@@ -128,13 +127,10 @@ let rec tick m () =
     (match verdict with
     | Not_overloaded -> ()
     | Syn_flood_suspected { tenant; _ } | Cc_suspected { tenant; _ } ->
-      m.log <- verdict :: m.log;
       m.on_verdict verdict;
       if not (Lb.Device.is_quarantined m.device ~tenant) then
         Lb.Device.quarantine_tenant m.device ~tenant
-    | Legit_surge ->
-      m.log <- verdict :: m.log;
-      m.on_verdict verdict);
+    | Legit_surge -> m.on_verdict verdict);
     ignore
       (Sim.schedule_after (Lb.Device.sim m.device) ~delay:m.check_every (tick m))
   end
@@ -148,7 +144,6 @@ let watch ~device ?(thresholds = default_thresholds) ~check_every ~on_verdict ()
       on_verdict;
       running = true;
       prev_cpu = Lb.Device.cpu_busy_per_worker device;
-      log = [];
     }
   in
   Lb.Device.reset_tenant_report device;
@@ -156,4 +151,3 @@ let watch ~device ?(thresholds = default_thresholds) ~check_every ~on_verdict ()
   m
 
 let unwatch m = m.running <- false
-let verdicts m = List.rev m.log

@@ -70,5 +70,3 @@ val watch :
     quarantined on the device immediately.  Runs until [unwatch]. *)
 
 val unwatch : monitor -> unit
-val verdicts : monitor -> verdict list
-(** All non-[Not_overloaded] verdicts so far, oldest first. *)

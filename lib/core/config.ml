@@ -47,11 +47,3 @@ let default =
     schedule_at_loop_end = true;
     kernel_jit = false;
   }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "{thr=%a theta=%.2f min_sel=%d timeout=%a max_ev=%d order=[%s] at_end=%b jit=%b}"
-    Engine.Sim_time.pp t.avail_threshold t.theta_ratio t.min_selected
-    Engine.Sim_time.pp t.epoll_timeout t.max_events
-    (String.concat ";" (List.map Trace.stage_name t.filter_order))
-    t.schedule_at_loop_end t.kernel_jit

@@ -66,5 +66,3 @@ type t = {
 }
 
 val default : t
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ type policy = {
   min_shed : int;
 }
 
-let default_policy = { util_threshold = 0.95; shed_fraction = 0.25; min_shed = 1 }
 
 let plan ~policy ~utilization ~conn_counts =
   if Array.length utilization <> Array.length conn_counts then
@@ -24,5 +23,3 @@ let plan ~policy ~utilization ~conn_counts =
       end)
     utilization;
   List.rev !out
-
-let total_shed p = List.fold_left (fun acc { shed; _ } -> acc + shed) 0 p

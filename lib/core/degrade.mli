@@ -22,12 +22,8 @@ type policy = {
   min_shed : int;  (** always reset at least this many when shedding *)
 }
 
-val default_policy : policy
-
 val plan :
   policy:policy -> utilization:float array -> conn_counts:int array -> plan
 (** Decide how much each worker should shed.  Workers below the
     threshold shed nothing; a worker with no connections sheds
     nothing.  @raise Invalid_argument if array lengths differ. *)
-
-val total_shed : plan -> int

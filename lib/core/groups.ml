@@ -29,15 +29,12 @@ let create ~workers ~group_size ~mode =
     sel_map = Kernel.Ebpf_maps.Array_map.create ~name:"M_Sel" ~size:count;
   }
 
-let group_count t = Array.length t.groups
 
 let group_of_worker t w =
   if w < 0 || w >= t.total_workers then
     invalid_arg "Groups.group_of_worker: worker out of range";
   (w / t.group_size, w mod t.group_size)
 
-let group_size_of t g = t.groups.(g).size
-let group_base t g = t.groups.(g).base
 let wst t g = t.groups.(g).g_wst
 let m_sel t = t.sel_map
 

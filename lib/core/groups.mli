@@ -23,14 +23,8 @@ val create : workers:int -> group_size:int -> mode:select_mode -> t
     @raise Invalid_argument unless [1 <= group_size <= 64] and
     [workers >= 1]. *)
 
-val group_count : t -> int
-
 val group_of_worker : t -> int -> int * int
 (** [(group index, index within group)]. *)
-
-val group_size_of : t -> int -> int
-val group_base : t -> int -> int
-(** Global worker id of the group's first member. *)
 
 val wst : t -> int -> Wst.t
 (** The group's private WST. *)

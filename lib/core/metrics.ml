@@ -2,7 +2,6 @@ type t = {
   wst : Wst.t;
   worker_idx : int;
   mutable cycle_acc : int;
-  mutable call_acc : int;
 }
 
 (* Cost estimates in cycles.  The WST cells are read by every worker's
@@ -14,28 +13,20 @@ let count_cost = 150
 let create ~wst ~worker =
   if worker < 0 || worker >= Wst.workers wst then
     invalid_arg "Metrics.create: worker out of range";
-  { wst; worker_idx = worker; cycle_acc = 0; call_acc = 0 }
-
-let worker t = t.worker_idx
+  { wst; worker_idx = worker; cycle_acc = 0 }
 
 let avail_update t ~now =
   Wst.set_avail t.wst t.worker_idx ~now;
-  t.cycle_acc <- t.cycle_acc + avail_cost;
-  t.call_acc <- t.call_acc + 1
+  t.cycle_acc <- t.cycle_acc + avail_cost
 
 let busy_count t delta =
   Wst.add_busy t.wst t.worker_idx delta;
-  t.cycle_acc <- t.cycle_acc + count_cost;
-  t.call_acc <- t.call_acc + 1
+  t.cycle_acc <- t.cycle_acc + count_cost
 
 let conn_count t delta =
   Wst.add_conn t.wst t.worker_idx delta;
-  t.cycle_acc <- t.cycle_acc + count_cost;
-  t.call_acc <- t.call_acc + 1
+  t.cycle_acc <- t.cycle_acc + count_cost
 
 let cycles t = t.cycle_acc
-let calls t = t.call_acc
 
-let reset_accounting t =
-  t.cycle_acc <- 0;
-  t.call_acc <- 0
+let reset_accounting t = t.cycle_acc <- 0

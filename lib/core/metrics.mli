@@ -13,8 +13,6 @@ val create : wst:Wst.t -> worker:int -> t
 (** [worker] is the index within [wst] (a within-group index under
     two-level grouping). *)
 
-val worker : t -> int
-
 val avail_update : t -> now:Engine.Sim_time.t -> unit
 (** Fig. 9 line 12: record entry into the event loop. *)
 
@@ -27,7 +25,5 @@ val conn_count : t -> int -> unit
 
 val cycles : t -> int
 (** Cumulative estimated cycles spent in these hooks. *)
-
-val calls : t -> int
 
 val reset_accounting : t -> unit

@@ -11,108 +11,11 @@ type result = {
 let cycle_cost ~workers ~stages = 60 + (workers * ((3 * 4) + (stages * 4)))
 
 (* ------------------------------------------------------------------ *)
-(* Bool-array cascade primitives.  These remain the unit-testable /
-   ablation-facing form of the two filters, and power [Ref] below.    *)
-(* ------------------------------------------------------------------ *)
-
-let filter_time ~threshold ~now ~times mask =
-  Array.iteri
-    (fun i alive ->
-      if alive && Engine.Sim_time.sub now times.(i) >= threshold then
-        mask.(i) <- false)
-    mask
-
-(* As [filter_count], but returns the cutoff it applied (None when no
-   worker was live) so the trace can expose the effective avg + θ. *)
-let filter_count_cutoff ~theta_ratio ~values mask =
-  let sum = ref 0 and live = ref 0 in
-  Array.iteri
-    (fun i alive ->
-      if alive then begin
-        sum := !sum + values.(i);
-        incr live
-      end)
-    mask;
-  if !live > 0 then begin
-    let avg = float_of_int !sum /. float_of_int !live in
-    (* theta scales with the average (Fig. 15's theta/Avg knob) but
-       never collapses below one unit of slack, so an idle system
-       (all counters zero) still passes everyone instead of
-       degenerating to the hash fallback. *)
-    let theta = Float.max 1.0 (theta_ratio *. avg) in
-    let cutoff = avg +. theta in
-    Array.iteri
-      (fun i alive -> if alive && float_of_int values.(i) >= cutoff then mask.(i) <- false)
-      mask;
-    Some cutoff
-  end
-  else None
-
-let filter_count ~theta_ratio ~values mask =
-  ignore (filter_count_cutoff ~theta_ratio ~values mask)
-
-let count_live mask =
-  Array.fold_left (fun acc alive -> if alive then acc + 1 else acc) 0 mask
-
-let mask_bits mask =
-  let bm = ref 0L in
-  Array.iteri (fun i alive -> if alive then bm := Kernel.Bitops.set_bit !bm i) mask;
-  !bm
-
-let trace_stage stage ~cutoff mask =
-  Trace.emit
-    (Trace.Sched_filter
-       { stage; cutoff; survivors = mask_bits mask; live = count_live mask })
-
-module Ref = struct
-  let schedule ~(config : Config.t) ~wst ~now =
-    let snapshot = Wst.read_all wst in
-    let total = Array.length snapshot.times in
-    let mask = Array.make total true in
-    let after_time = ref total in
-    List.iter
-      (fun filter ->
-        match filter with
-        | Config.By_time ->
-          filter_time ~threshold:config.avail_threshold ~now ~times:snapshot.times mask;
-          after_time := count_live mask;
-          if Trace.enabled () then
-            trace_stage filter ~cutoff:(float_of_int config.avail_threshold) mask
-        | Config.By_conn ->
-          let cutoff =
-            filter_count_cutoff ~theta_ratio:config.theta_ratio ~values:snapshot.conns
-              mask
-          in
-          if Trace.enabled () then
-            trace_stage filter ~cutoff:(Option.value cutoff ~default:0.0) mask
-        | Config.By_event ->
-          let cutoff =
-            filter_count_cutoff ~theta_ratio:config.theta_ratio ~values:snapshot.events
-              mask
-          in
-          if Trace.enabled () then
-            trace_stage filter ~cutoff:(Option.value cutoff ~default:0.0) mask)
-      config.filter_order;
-    let bitmap = mask_bits mask in
-    let passed = count_live mask in
-    if Trace.enabled () then
-      Trace.emit
-        (Trace.Sched_result { bitmap; passed; total; after_time = !after_time });
-    {
-      bitmap;
-      passed;
-      total;
-      after_time = !after_time;
-      cycles = cycle_cost ~workers:total ~stages:(List.length config.filter_order);
-    }
-end
-
-(* ------------------------------------------------------------------ *)
 (* Bitmap-native engine.
 
-   The per-event-loop path (§5.3.2) cannot afford Ref's per-invocation
-   garbage: three snapshot arrays, a bool mask, closures and refs at
-   every stage.  This engine keeps the survivor mask as two native-int
+   The per-event-loop path (§5.3.2) cannot afford per-invocation
+   garbage: snapshot arrays, a bool mask, closures and refs at every
+   stage.  This engine keeps the survivor mask as two native-int
    halves of the 64-bit dispatch bitmap (OCaml ints are 63-bit, so bit
    63 does not fit one immediate; an [int64] field would box on every
    store) inside a caller-owned [scratch], reads the WST through
@@ -122,11 +25,12 @@ end
    the [int64] bitmap is materialised only at observation points
    (tracing, [bitmap], [result]).
 
-   Equivalence with [Ref] is structural: identical integer sums,
-   identical float cutoff arithmetic (see the [Float.max] note below),
-   identical per-worker comparisons — so identical bitmaps and
-   identical trace events, which the qcheck differential suite and the
-   golden traces both pin. *)
+   The retired bool-array cascade survives as the test oracle
+   [Oracles.Scheduler_ref]: identical integer sums, identical float
+   cutoff arithmetic (see the [Float.max] note below), identical
+   per-worker comparisons — so identical bitmaps and identical trace
+   events, which the qcheck differential suite and the golden traces
+   both pin. *)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
@@ -199,7 +103,7 @@ let sum_live_into s (values : int array) =
 let cutoff_of s ~theta_ratio =
   let avg = float_of_int s.sum /. float_of_int s.live in
   let p = theta_ratio *. avg in
-  (* [if p > 1.0 then p else 1.0] is bit-identical to Ref's
+  (* [if p > 1.0 then p else 1.0] is bit-identical to the oracle's
      [Float.max 1.0 p] for the reachable inputs (finite, >= 0.) —
      written out because calling [Float.max] would box [p]. *)
   let theta = if p > 1.0 then p else 1.0 in
@@ -288,8 +192,3 @@ let result s =
     after_time = s.at;
     cycles = cycle_cost ~workers:s.n ~stages:s.stages;
   }
-
-let schedule ~config ~wst ~now =
-  let s = make_scratch () in
-  run s ~config ~wst ~now;
-  result s

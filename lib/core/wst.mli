@@ -3,12 +3,11 @@
     The WST is the shared-memory structure of §5.3.1: one column per
     worker, three rows — the timestamp of the worker's last entry into
     its epoll event loop, its pending-event count, and its accumulated
-    connection count.  The memory is partitioned by worker (each worker
-    writes only its own column) and every cell is an [Atomic.t], so
-    updates and the scheduler's full-table reads need no locks and
-    never observe torn values.  Readers may see a mix of old and new
-    columns — the benign inconsistency the paper argues is
-    acceptable. *)
+    connection count.  The memory is partitioned by worker: each worker
+    writes only its own column, so on real hardware a cell update is a
+    single atomic store and the scheduler's full-table read needs no
+    lock ({!Metrics} charges those atomic-update cycles).  The
+    simulator runs on one domain, so the cells are plain ints. *)
 
 type t
 
@@ -50,26 +49,12 @@ val set_stall : t -> int -> bool -> unit
     next [set_avail] lands and re-admits the worker.
     @raise Invalid_argument if [w] is out of range. *)
 
-(** {1 Readers} *)
-
-val avail_ts : t -> int -> Engine.Sim_time.t
-val busy : t -> int -> int
-val conn : t -> int -> int
-
-type snapshot = {
-  times : Engine.Sim_time.t array;
-  events : int array;
-  conns : int array;
-}
-
-val read_all : t -> snapshot
-(** The scheduler's Read_SHM (Algo 1 line 3): a lock-free sweep of all
-    columns.  Each cell read is individually atomic; the snapshot as a
-    whole is not, by design. *)
+(** {1 Reader} *)
 
 val read_into : t -> times:Engine.Sim_time.t array -> events:int array -> conns:int array -> int
-(** [read_all] into caller-owned buffers — the allocation-free sweep
-    the per-event-loop scheduler pass uses with its reusable scratch.
+(** The scheduler's Read_SHM (Algo 1 line 3): a sweep of all columns
+    into caller-owned buffers — the allocation-free read the
+    per-event-loop scheduler pass makes with its reusable scratch.
     Fills index [0..workers-1] of each buffer and returns the worker
     count; slack beyond that is left untouched.
     @raise Invalid_argument if any buffer is shorter than the table. *)

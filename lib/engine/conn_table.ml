@@ -86,7 +86,6 @@ let create ~dummy ?(capacity = 1024) () =
   }
 
 let length t = t.count
-let capacity t = t.mask + 1
 
 let find_slot t key = probe_find t.keys t.islots t.mask key (home t key)
 
@@ -94,7 +93,6 @@ let mem t key = find_slot t key >= 0
 let payload t slot = t.payloads.(slot)
 let aux t slot = Bigarray.Array1.get t.slot_aux slot
 let set_aux t slot v = Bigarray.Array1.set t.slot_aux slot v
-let key_of_slot t slot = Bigarray.Array1.get t.slot_key slot
 
 (* Insert into the index only (slot already filled). *)
 let index_insert t key slot =
@@ -185,105 +183,6 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun ~key ~slot -> acc := f !acc ~key ~slot);
   !acc
-
-let keys_sorted t =
-  let ks = fold t ~init:[] ~f:(fun acc ~key ~slot:_ -> key :: acc) in
-  List.sort compare ks
-
-let clear t =
-  Bigarray.Array1.fill t.keys 0;
-  Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
-  t.count <- 0;
-  t.free_head <- -1;
-  t.slot_limit <- 0
-
-module Ref = struct
-  type 'a t = {
-    dummy : 'a;
-    tbl : (int, int) Hashtbl.t; (* key -> slot *)
-    mutable slot_key : int array;
-    mutable slot_aux : int array;
-    mutable payloads : 'a array;
-    mutable free : int list;
-    mutable slot_limit : int;
-  }
-
-  let create ~dummy ?(capacity = 1024) () =
-    {
-      dummy;
-      tbl = Hashtbl.create capacity;
-      slot_key = Array.make (max 8 capacity) 0;
-      slot_aux = Array.make (max 8 capacity) 0;
-      payloads = Array.make (max 8 capacity) dummy;
-      free = [];
-      slot_limit = 0;
-    }
-
-  let length t = Hashtbl.length t.tbl
-
-  let find_slot t key = match Hashtbl.find_opt t.tbl key with Some s -> s | None -> -1
-  let mem t key = Hashtbl.mem t.tbl key
-  let payload t slot = t.payloads.(slot)
-  let aux t slot = t.slot_aux.(slot)
-  let set_aux t slot v = t.slot_aux.(slot) <- v
-  let key_of_slot t slot = t.slot_key.(slot)
-
-  let ensure t n =
-    if n >= Array.length t.payloads then begin
-      let cap = max (n + 1) (Array.length t.payloads * 2) in
-      let grow_int a =
-        let b = Array.make cap 0 in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      t.slot_key <- grow_int t.slot_key;
-      t.slot_aux <- grow_int t.slot_aux;
-      let p = Array.make cap t.dummy in
-      Array.blit t.payloads 0 p 0 (Array.length t.payloads);
-      t.payloads <- p
-    end
-
-  let add t ~key ~aux v =
-    if key <= 0 then invalid_arg "Conn_table.Ref.add: key must be > 0";
-    match Hashtbl.find_opt t.tbl key with
-    | Some slot ->
-      t.slot_aux.(slot) <- aux;
-      t.payloads.(slot) <- v
-    | None ->
-      let slot =
-        match t.free with
-        | s :: rest ->
-          t.free <- rest;
-          s
-        | [] ->
-          let s = t.slot_limit in
-          t.slot_limit <- s + 1;
-          ensure t s;
-          s
-      in
-      t.slot_key.(slot) <- key;
-      t.slot_aux.(slot) <- aux;
-      t.payloads.(slot) <- v;
-      Hashtbl.replace t.tbl key slot
-
-  let remove t key =
-    match Hashtbl.find_opt t.tbl key with
-    | None -> false
-    | Some slot ->
-      Hashtbl.remove t.tbl key;
-      t.payloads.(slot) <- t.dummy;
-      t.free <- slot :: t.free;
-      true
-
-  let keys_sorted t =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
-
-  let clear t =
-    Hashtbl.reset t.tbl;
-    Array.fill t.payloads 0 (Array.length t.payloads) t.dummy;
-    t.free <- [];
-    t.slot_limit <- 0
-end
 
 module Dense = struct
   type t = {

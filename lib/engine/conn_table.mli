@@ -16,7 +16,8 @@
     free list, so the open/close hot path allocates {e zero} minor
     words once the table has reached its working size
     (see [bench/conn_bench.ml], gated by the [conn] rows of
-    [bench/baseline.json]).
+    [bench/baseline.json], which time it against the test suite's
+    [Hashtbl]-backed oracle).
 
     Layout: an open-addressing index (linear probing, power-of-two
     capacity, backward-shift deletion) maps a positive int key to a
@@ -39,10 +40,6 @@ val create : dummy:'a -> ?capacity:int -> unit -> 'a t
 val length : 'a t -> int
 (** Live entries. *)
 
-val capacity : 'a t -> int
-(** Current index capacity (entries before the next doubling exceed
-    3/4 of this). *)
-
 val add : 'a t -> key:int -> aux:int -> 'a -> unit
 (** Insert or overwrite the entry for [key].  Replacing an existing
     key updates its slot in place.  @raise Invalid_argument on
@@ -61,8 +58,6 @@ val payload : 'a t -> int -> 'a
 val aux : 'a t -> int -> int
 val set_aux : 'a t -> int -> int -> unit
 
-val key_of_slot : 'a t -> int -> int
-
 val remove : 'a t -> int -> bool
 (** Delete a key; the freed slot's payload is reset to [dummy].
     Returns whether the key was present. *)
@@ -73,38 +68,6 @@ val iter : 'a t -> (key:int -> slot:int -> unit) -> unit
     callback must not add or remove entries. *)
 
 val fold : 'a t -> init:'b -> f:('b -> key:int -> slot:int -> 'b) -> 'b
-
-val keys_sorted : 'a t -> int list
-(** Live keys in increasing order — for iteration sites whose visit
-    order is observable (trace emission, restart sweeps).  Allocates;
-    control-plane use only. *)
-
-val clear : 'a t -> unit
-(** Drop all entries (payloads reset to [dummy]); capacity is kept. *)
-
-(** {1 Reference implementation}
-
-    A [Hashtbl]-backed table with the identical signature, kept for
-    the qcheck differential in [test/test_conn_table.ml]: random
-    operation programs must leave both implementations with the same
-    observable contents. *)
-
-module Ref : sig
-  type 'a t
-
-  val create : dummy:'a -> ?capacity:int -> unit -> 'a t
-  val length : 'a t -> int
-  val add : 'a t -> key:int -> aux:int -> 'a -> unit
-  val find_slot : 'a t -> int -> int
-  val mem : 'a t -> int -> bool
-  val payload : 'a t -> int -> 'a
-  val aux : 'a t -> int -> int
-  val set_aux : 'a t -> int -> int -> unit
-  val key_of_slot : 'a t -> int -> int
-  val remove : 'a t -> int -> bool
-  val keys_sorted : 'a t -> int list
-  val clear : 'a t -> unit
-end
 
 (** {1 Dense int-keyed side table}
 

@@ -10,12 +10,11 @@ type t =
   | Constant of float
   | Uniform of { lo : float; width : float }
   | Exponential of { mean : float }
-  | Pareto of { scale : float; inv_shape : float }
   | Bounded_pareto of { la : float; ha : float; inv_shape : float }
   | Lognormal of { mu : float; sigma : float }
   | Mixture of { total : float; weights : float array; parts : t array }
 
-(* Uniform in [0,1): the same double as [Rng.unit_float]. *)
+(* Uniform in [0,1), from the 53 high bits of one raw draw. *)
 let[@inline] unit rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
 
 (* The first index whose left-to-right running weight sum exceeds a
@@ -38,7 +37,6 @@ let rec sample d rng =
   | Exponential { mean } ->
     (* Inverse transform; 1 - u avoids log 0. *)
     -.mean *. log (1.0 -. unit rng)
-  | Pareto { scale; inv_shape } -> scale /. ((1.0 -. unit rng) ** inv_shape)
   | Bounded_pareto { la; ha; inv_shape } ->
     (* Inverse transform of the truncated Pareto CDF. *)
     let u = unit rng in
@@ -63,7 +61,6 @@ let mean_of d rng n =
 let constant v = Constant v
 let uniform ~lo ~hi = Uniform { lo; width = hi -. lo }
 let exponential ~mean = Exponential { mean }
-let pareto ~shape ~scale = Pareto { scale; inv_shape = 1.0 /. shape }
 
 let bounded_pareto ~shape ~lo ~hi =
   Bounded_pareto { la = lo ** shape; ha = hi ** shape; inv_shape = 1.0 /. shape }
@@ -90,7 +87,7 @@ let mixture parts =
     }
 
 module Zipf = struct
-  type t = { cumulative : float array; weights : float array }
+  type t = { cumulative : float array }
 
   let create ~n ~s =
     if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -104,7 +101,7 @@ module Zipf = struct
         acc := !acc +. w;
         cumulative.(i) <- !acc)
       weights;
-    { cumulative; weights }
+    { cumulative }
 
   let sample t rng =
     let x = unit rng in
@@ -116,7 +113,6 @@ module Zipf = struct
     done;
     !lo
 
-  let probability t k = t.weights.(k)
 end
 
 let categorical weights rng =

@@ -32,9 +32,6 @@ val uniform : lo:float -> hi:float -> t
 val exponential : mean:float -> t
 (** Exponential with the given mean. *)
 
-val pareto : shape:float -> scale:float -> t
-(** Pareto type I: support [\[scale, inf)], tail index [shape]. *)
-
 val bounded_pareto : shape:float -> lo:float -> hi:float -> t
 (** Pareto truncated to [\[lo, hi\]]; keeps heavy tails while avoiding
     unbounded simulated processing times. *)
@@ -58,8 +55,6 @@ module Zipf : sig
 
   val create : n:int -> s:float -> t
   val sample : t -> Rng.t -> int
-  val probability : t -> int -> float
-  (** [probability z k] is the exact probability of rank [k]. *)
 end
 
 val categorical : float array -> Rng.t -> int

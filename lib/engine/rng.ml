@@ -21,7 +21,6 @@ let of_state s =
   t
 
 let create seed = of_state (mix64 (Int64.of_int seed))
-let copy = Bytes.copy
 
 (* Advance the state and mix it: the next raw output.  Inlined, so the
    int64 stays unboxed in every caller below. *)
@@ -30,7 +29,6 @@ let[@inline] next t =
   set_state t 0 s;
   mix64 s
 
-let next_int64 t = next t
 let split t = of_state (mix64 (next t))
 let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
@@ -45,18 +43,4 @@ let int t bound =
   draw t bound
 
 (* 53 high-quality bits -> [0,1). *)
-let[@inline] unit_float t = float_of_int (bits53 t) *. 0x1p-53
-let float t bound = unit_float t *. bound
-let bool t = Int64.to_int (next t) land 1 = 1
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
+let float t bound = float_of_int (bits53 t) *. 0x1p-53 *. bound

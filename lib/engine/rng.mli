@@ -15,40 +15,20 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal
     seeds yield equal streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy and the original
-    then evolve independently. *)
-
 val split : t -> t
 (** [split t] derives a new generator whose stream is statistically
     independent of [t]'s future output.  Advances [t]. *)
-
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val bits53 : t -> int
 (** [bits53 t] is the 53 high bits of the next raw output, in
     [\[0, 2^53)].  Other modules build their floats from this draw:
     dev builds compile with [-opaque], so nothing is inlined across
     modules and a float returned from here would be boxed.
-    [float_of_int (bits53 t) *. 0x1p-53] is the double {!unit_float}
-    returns. *)
+    [float_of_int (bits53 t) *. 0x1p-53] is a uniform double in
+    [\[0, 1)]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val unit_float : t -> float
-(** Uniform in [\[0, 1)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array.  @raise Invalid_argument on
-    an empty array. *)

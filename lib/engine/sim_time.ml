@@ -5,11 +5,9 @@ let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
-let minutes n = n * 60_000_000_000
 let hours n = n * 3_600_000_000_000
 
 let of_sec_f s = int_of_float (Float.round (s *. 1e9))
-let of_ms_f m = int_of_float (Float.round (m *. 1e6))
 let of_us_f u = int_of_float (Float.round (u *. 1e3))
 let to_sec_f t = float_of_int t /. 1e9
 let to_ms_f t = float_of_int t /. 1e6
@@ -17,8 +15,6 @@ let to_us_f t = float_of_int t /. 1e3
 
 let add = ( + )
 let sub = ( - )
-let ( + ) = add
-let ( - ) = sub
 let min = Stdlib.min
 
 let pp fmt t =

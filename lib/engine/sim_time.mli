@@ -15,25 +15,19 @@ val ns : int -> t
 val us : int -> t
 val ms : int -> t
 val sec : int -> t
-val minutes : int -> t
 val hours : int -> t
 
 val of_sec_f : float -> t
 (** Convert fractional seconds, rounding to the nearest nanosecond. *)
 
-val of_ms_f : float -> t
 val of_us_f : float -> t
 val to_sec_f : t -> float
 val to_us_f : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
 
 val min : t -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)
-
 val to_string : t -> string
+(** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)

@@ -65,6 +65,7 @@ val live_count : t -> int
 (** Number of live entries — O(1). *)
 
 val capacity : t -> int
+[@@test_only]
 (** Entry indices allocated: at least the high-water mark of live
     entries, grown by doubling, never shrunk.  Exposed for the
     cancellation-churn regression test. *)

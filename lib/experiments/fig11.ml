@@ -73,7 +73,6 @@ let run ?(quick = false) () =
   in
   Printf.printf "  reduction: %.1f%% (paper: 99.8%% / 99%%)\n" reduction;
   (* Canary rollout overlay. *)
-  let rng = Engine.Rng.create Common.seed in
   let series_of mix rollout_days =
     Cluster.Canary.delayed_probes_series
       {
@@ -82,7 +81,7 @@ let run ?(quick = false) () =
         new_hang_probes_per_day = after;
         mix;
       }
-      ~days:15 ~rng
+      ~days:15
   in
   let region1 = series_of Cluster.Canary.iot_heavy 4 in
   let region2 = series_of Cluster.Canary.mobile_heavy 4 in

@@ -89,6 +89,7 @@ val stops_availability : Trace.fault -> bool
 val to_string : t -> string
 
 val parse : string -> (t, string) result
+[@@test_only]
 (** Parse a whole plan file.  Errors carry the 1-based line number.
     Entries are returned sorted by [at] (stable).  A time whose value
     does not fit in a nanosecond count is an error, not a wrapped

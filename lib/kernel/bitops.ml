@@ -44,7 +44,6 @@ let reciprocal_scale ~hash ~n =
   let h = hash land 0xFFFFFFFF in
   (h * n) lsr 32
 
-let bit_is_set bm i = Int64.logand (Int64.shift_right_logical bm i) 1L = 1L
 let set_bit bm i = Int64.logor bm (Int64.shift_left 1L i)
 let clear_bit bm i = Int64.logand bm (Int64.lognot (Int64.shift_left 1L i))
 
@@ -54,10 +53,3 @@ let bits_of_list positions =
       if p < 0 || p > 63 then invalid_arg "Bitops.bits_of_list: position out of range";
       set_bit acc p)
     0L positions
-
-let list_of_bits bm =
-  let rec collect i acc =
-    if i < 0 then acc
-    else collect (i - 1) (if bit_is_set bm i then i :: acc else acc)
-  in
-  collect 63 []

@@ -28,13 +28,9 @@ val reciprocal_scale : hash:int -> n:int -> int
     kernel's use in reuseport socket selection.  @raise Invalid_argument
     if [n <= 0]. *)
 
-val bit_is_set : int64 -> int -> bool
 val set_bit : int64 -> int -> int64
 val clear_bit : int64 -> int -> int64
 
 val bits_of_list : int list -> int64
 (** Bitmap with the listed positions set.  @raise Invalid_argument for
     positions outside [0, 63]. *)
-
-val list_of_bits : int64 -> int list
-(** Set positions in increasing order. *)

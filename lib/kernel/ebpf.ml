@@ -126,7 +126,6 @@ let verify_exn prog =
   | Error msg -> invalid_arg ("Ebpf.verify_exn: " ^ msg)
 
 let name v = v.vname
-let insn_count v = v.insns
 
 type ctx = { flow_hash : int; dst_port : int }
 

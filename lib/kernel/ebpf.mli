@@ -67,18 +67,16 @@ val copy_limit : int
 type verified
 (** A program that passed verification; the only runnable form. *)
 
-val verify : prog -> (verified, string) result
+val verify_exn : prog -> verified
 (** Static checks: instruction budget, expression depth, non-empty
     name, and that every [Var] is bound by an enclosing [Let] — the
     analogue of the kernel verifier rejecting reads of uninitialized
     registers.  (Loops and helper calls outside the whitelist are
-    unrepresentable.) *)
-
-val verify_exn : prog -> verified
-(** @raise Invalid_argument with the verifier message on rejection. *)
+    unrepresentable.)
+    @raise Invalid_argument ["Ebpf.verify_exn: " ^ reason] on
+    rejection. *)
 
 val name : verified -> string
-val insn_count : verified -> int
 
 type ctx = { flow_hash : int; dst_port : int }
 

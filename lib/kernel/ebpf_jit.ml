@@ -435,20 +435,3 @@ let selected t = t.st.sel
 let redirected t = t.st.redir
 let copy_len t = t.st.copy_len
 let last_cycles t = t.st.cycles
-
-let run t (ctx : Ebpf.ctx) =
-  let code = exec t ~flow_hash:ctx.Ebpf.flow_hash ~dst_port:ctx.Ebpf.dst_port in
-  let outcome =
-    if code = 1 then
-      match t.st.sel with
-      | Some s -> Ebpf.Selected s
-      | None -> Ebpf.Fell_back
-    else if code = 2 then Ebpf.Dropped
-    else if code = 3 then
-      match t.st.redir with
-      | Some { Ebpf_maps.Sockmap.conn; target } ->
-        Ebpf.Redirected { conn; target; copy = t.st.copy_len }
-      | None -> Ebpf.Fell_back
-    else Ebpf.Fell_back
-  in
-  (outcome, t.st.cycles)

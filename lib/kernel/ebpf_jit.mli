@@ -62,12 +62,5 @@ val copy_len : t -> int
 
 val last_cycles : t -> int
 (** Cycle estimate of the last [exec]: instructions executed, helper
-    calls costing 4 extra — the same accounting as
-    {!Ebpf_vm.run_checked}. *)
-
-val run : t -> Ebpf.ctx -> Ebpf.outcome * int
-(** Interpreter-compatible convenience wrapper over [exec] (this one
-    does allocate its result, like {!Ebpf_vm.run_checked}); used by the
-    differential tests and anywhere per-packet allocation is not at a
-    premium.  Does not emit a trace event — {!Reuseport.select} owns
-    the [Prog_run] emission for attached programs. *)
+    calls costing 4 extra — the same accounting as the test suite's
+    checked reference interpreter. *)

@@ -4,14 +4,14 @@
     loop: a one-element [BPF_MAP_TYPE_ARRAY] carries the 64-bit worker
     bitmap ({i M_Sel} in Algo 1/2), and a
     [BPF_MAP_TYPE_REUSEPORT_SOCKARRAY] maps worker ids to their
-    listening sockets ({i M_socket}).  Array values are held in
-    [Atomic.t] cells, so concurrent userspace updates and kernel-side
-    lookups are lock-free and never observe torn values — the property
-    §5.4 relies on.
+    listening sockets ({i M_socket}).  On real hardware a userspace
+    update and a kernel-side lookup race without a lock and never see
+    a torn value, the property §5.4 relies on; the simulator runs on
+    one domain, so the cells are plain array slots.
 
-    Userspace access goes through {!Syscall}, which counts
-    [bpf(BPF_MAP_UPDATE_ELEM)] invocations: Table 5 charges these
-    system calls separately from the in-kernel dispatcher. *)
+    Userspace writes go through {!Syscall}; each bitmap push emits a
+    [Map_update] trace record, and Table 5 charges the system calls
+    separately from the in-kernel dispatcher. *)
 
 module Array_map : sig
   type t
@@ -73,20 +73,11 @@ end
 module Syscall : sig
   val update_elem : Array_map.t -> int -> int64 -> unit
   (** Userspace [bpf(BPF_MAP_UPDATE_ELEM)]: performs the store and
-      counts one syscall. *)
-
-  val read_elem : Array_map.t -> int -> int64
-  (** Userspace [bpf(BPF_MAP_LOOKUP_ELEM)]. *)
+      emits a [Map_update] trace record. *)
 
   val sock_update : Sockmap.t -> int -> conn:int -> target:int -> unit
-  (** Userspace sockmap attach ([BPF_MAP_UPDATE_ELEM] on a sockmap):
-      performs the store and counts one syscall. *)
+  (** Userspace sockmap attach ([BPF_MAP_UPDATE_ELEM] on a sockmap). *)
 
   val sock_delete : Sockmap.t -> int -> unit
   (** Userspace sockmap teardown ([BPF_MAP_DELETE_ELEM]). *)
-
-  val count : unit -> int
-  (** Total map syscalls issued since start (or last reset). *)
-
-  val reset : unit -> unit
 end

@@ -20,18 +20,13 @@
     safety checks (shift range, mod-by-zero, map/sockarray index) were
     proved unnecessary.  Verified bytecode has one executor, the
     closure JIT of {!Ebpf_jit}, which compiles out every check the
-    certificate discharges.  [run_checked] ignores the certificate and
-    keeps every check armed: it is the oracle the JIT is tested
-    against, and serves no traffic.
-
-    The differential property tests in the suite check that compiled
-    programs agree with the {!Ebpf} evaluator, and the JIT with
-    [run_checked], on random inputs. *)
+    certificate discharges.  The test suite keeps a checked reference
+    interpreter that ignores the certificate and keeps every check
+    armed; its differential property tests check that compiled
+    programs agree with the {!Ebpf} evaluator, and the JIT with that
+    interpreter, on random inputs. *)
 
 type reg = R0 | R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
-
-val reg_of_int : int -> reg
-(** @raise Invalid_argument outside 0..9 *)
 
 val int_of_reg : reg -> int
 
@@ -102,8 +97,8 @@ val certify : program -> proved:bool array -> verified
 (** Package a program with its certificate; [proved.(pc)] asserts the
     dynamic safety checks of instruction [pc] can never fire.  This is
     {!Verifier}'s constructor — calling it with an unsound certificate
-    makes the JIT skip a needed check, so a run can diverge from
-    [run_checked]. *)
+    makes the JIT skip a needed check, so a run can diverge from the
+    checked reference interpreter. *)
 
 val insn_count : verified -> int
 
@@ -119,14 +114,3 @@ val certificate : verified -> bool array
 val fully_proved : verified -> bool
 (** Every potentially-faulting site was discharged: the JIT runs the
     program with no armed check. *)
-
-val residual_checks : verified -> int
-(** Number of instructions whose dynamic checks remain armed. *)
-
-val run_checked : verified -> Ebpf.ctx -> Ebpf.outcome * int
-(** Execute with {e every} dynamic check armed, ignoring the
-    certificate; the count is instructions executed (helpers cost 4
-    extra).  A firing check, an empty socket slot or a non-positive
-    [reciprocal_scale] divisor makes the program fall back, as the
-    kernel ignores a failing program.  The reference the JIT is
-    differential-tested against; emits no trace event. *)

@@ -67,18 +67,6 @@ let add_listening t ~fd ~socket ~shared =
 
 let remove_conn t ~fd = if fd >= 0 then ignore (Conn_table.remove t.subs (fd + 1))
 
-let remove_listening t ~fd =
-  remove_conn t ~fd;
-  let kept = ref 0 in
-  for i = 0 to t.shared_len - 1 do
-    let ((f, _) as entry) = t.shared.(i) in
-    if f <> fd then begin
-      t.shared.(!kept) <- entry;
-      incr kept
-    end
-  done;
-  t.shared_len <- !kept
-
 let add_conn t ~fd = subscribe t ~fd Conn ~what:"Epoll.add_conn"
 
 let count_subs t p =
@@ -133,8 +121,6 @@ let notify_accept_ready t ~fd =
       push t slot fd 1;
       t.wakeup ()
     | Shared_listen _ | Conn -> ()
-
-let poke t = t.wakeup ()
 
 let record t i fd kind units =
   t.ev_fd.(i) <- fd;

@@ -48,10 +48,6 @@ val add_listening : t -> fd:int -> socket:Socket.t -> shared:bool -> unit
     Amortized O(1).  @raise Invalid_argument on a duplicate or
     negative fd. *)
 
-val remove_listening : t -> fd:int -> unit
-(** EPOLL_CTL_DEL; the remaining shared subscriptions keep their scan
-    order.  O(shared subscriptions). *)
-
 val add_conn : t -> fd:int -> unit
 (** Register an accepted connection fd.
     @raise Invalid_argument on a duplicate or negative fd. *)
@@ -63,7 +59,11 @@ val remove_conn : t -> fd:int -> unit
     readiness is delivered there. *)
 
 val conn_count : t -> int
+[@@test_only]
+
 val listening_count : t -> int
+[@@test_only]
+(** Registered subscriptions of each kind. *)
 
 val notify_readable : t -> fd:int -> units:int -> unit
 (** Data arrived on a registered connection fd; accumulates [units]
@@ -73,9 +73,6 @@ val notify_readable : t -> fd:int -> units:int -> unit
 val notify_accept_ready : t -> fd:int -> unit
 (** The dispatcher queued one connection on a dedicated listening
     socket.  Unknown fds are ignored. *)
-
-val poke : t -> unit
-(** Fire the wakeup callback without marking anything ready. *)
 
 val wait : t -> max_events:int -> int
 (** Non-blocking poll: pushed events in arrival order (FIFO over fds),
@@ -103,6 +100,7 @@ val last_scan_cost : t -> int
     worker charges virtual CPU for the scan. *)
 
 val pending_units : t -> int
+[@@test_only]
 (** Total undelivered pushed units (diagnostics). *)
 
 val rearm : t -> unit

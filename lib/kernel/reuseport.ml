@@ -106,7 +106,6 @@ let unbind t ~slot =
   rebuild_dense t
 
 let member t ~slot = t.members.(slot)
-let live_count t = Bitops.popcount64 t.live_bm
 let live_bitmap t = t.live_bm
 
 let attach_ebpf t prog =

@@ -36,12 +36,13 @@ val unbind : t -> slot:int -> unit
 (** Remove a member (socket closed, e.g. worker process exited). *)
 
 val member : t -> slot:int -> Socket.t option
-val live_count : t -> int
 
 val live_bitmap : t -> int64
+[@@test_only]
 (** Bit [i] set iff slot [i] is bound. *)
 
 val slot_of_socket : t -> Socket.t -> int
+[@@test_only]
 (** Member slot of a bound socket (O(1)); [-1] if not a member. *)
 
 val attach_ebpf : t -> Ebpf.verified -> unit

@@ -50,12 +50,8 @@ val accept : t -> pending_conn option
     empty (a spurious wakeup). *)
 
 val backlog_len : t -> int
-val total_dropped : t -> int
-val total_accepted : t -> int
 
 val close : t -> pending_conn list
 (** Mark the socket dead and drain the queue; the caller decides what
     to do with the orphaned connections (e.g. count them as reset when
     a worker crashes). *)
-
-val is_closed : t -> bool

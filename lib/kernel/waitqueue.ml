@@ -23,7 +23,6 @@ type t = {
   mutable walk_depth : int; (* > 0 while a wake traversal runs *)
   mutable deferred : waiter list; (* unlinks postponed to walk end *)
   mutable steps : int;
-  mutable woken : int;
 }
 
 let create queue_mode =
@@ -45,7 +44,6 @@ let create queue_mode =
     walk_depth = 0;
     deferred = [];
     steps = 0;
-    woken = 0;
   }
 
 let link_after a w =
@@ -160,7 +158,6 @@ let wake t =
     List.iter unlink t.deferred;
     t.deferred <- []
   end;
-  t.woken <- t.woken + woken;
   if Trace.enabled () then
     Trace.emit
       (Trace.Wq_wake
@@ -171,6 +168,3 @@ let wake t =
            steps = t.steps - steps_before;
          });
   woken
-
-let traversal_steps t = t.steps
-let wakeups t = t.woken

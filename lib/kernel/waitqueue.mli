@@ -55,14 +55,3 @@ val wake : t -> int
     (0 if all were busy — the event then waits in the accept queue
     until some worker polls).  Visits only the waiters registered
     before the call (see snapshot semantics above). *)
-
-val order : t -> int list
-(** Current traversal order (head first) — exposed for tests that pin
-    down the LIFO/RR semantics. *)
-
-val traversal_steps : t -> int
-(** Cumulative number of waiter callbacks invoked across all [wake]
-    calls: the O(#waiters) dispatch cost of the shared-socket modes. *)
-
-val wakeups : t -> int
-(** Cumulative number of successful wakeups. *)

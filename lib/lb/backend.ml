@@ -9,7 +9,6 @@ type t = {
   mutable idle : int array array; (* [pool][server] idle conn count *)
   mutable request_counts : int array;
   mutable handshake_count : int;
-  mutable forward_count : int;
 }
 
 let pool_count ~mode ~workers = match mode with Per_worker -> workers | Shared -> 1
@@ -26,10 +25,8 @@ let create ~servers ~workers ~mode ?(idle_per_server = 2) () =
     idle = Array.make_matrix (pool_count ~mode ~workers) servers 0;
     request_counts = Array.make servers 0;
     handshake_count = 0;
-    forward_count = 0;
   }
 
-let server_count t = t.servers
 
 let pool_of t worker = match t.pool_mode with Per_worker -> worker | Shared -> 0
 
@@ -40,7 +37,6 @@ let pick t ~worker =
 
 let forward_to t ~worker ~server =
   t.request_counts.(server) <- t.request_counts.(server) + 1;
-  t.forward_count <- t.forward_count + 1;
   let pool = pool_of t worker in
   if t.idle.(pool).(server) > 0 then
     t.idle.(pool).(server) <- t.idle.(pool).(server) - 1
@@ -75,13 +71,6 @@ let update_server_list t ?servers ~randomize () =
 let requests_per_server t = Array.copy t.request_counts
 let handshakes t = t.handshake_count
 
-let reuse_ratio t =
-  if t.forward_count = 0 then 0.0
-  else
-    float_of_int (t.forward_count - t.handshake_count)
-    /. float_of_int t.forward_count
-
 let reset_counters t =
   Array.fill t.request_counts 0 t.servers 0;
-  t.handshake_count <- 0;
-  t.forward_count <- 0
+  t.handshake_count <- 0

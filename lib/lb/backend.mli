@@ -22,8 +22,6 @@ val create :
 (** [idle_per_server] bounds idle kept-alive connections per server per
     pool (default 2). *)
 
-val server_count : t -> int
-
 val forward_and_release : t -> worker:int -> int
 (** Route one request — round-robin server choice for this worker,
     then reuse an idle backend connection or open a new one (counted
@@ -39,8 +37,5 @@ val update_server_list :
 
 val requests_per_server : t -> int array
 val handshakes : t -> int
-
-val reuse_ratio : t -> float
-(** Fraction of forwards that reused a pooled connection. *)
 
 val reset_counters : t -> unit

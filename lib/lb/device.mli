@@ -104,6 +104,7 @@ val close_conn : t -> Conn.t -> unit
 val probe_once :
   t -> tenant:int -> timeout:Engine.Sim_time.t ->
   on_result:(Engine.Sim_time.t option -> unit) -> unit
+[@@test_only]
 (** Health probe: connect, send one trivial request, report the
     SYN-to-completion delay, or [None] on timeout/reset/drop. *)
 
@@ -156,6 +157,7 @@ val set_splice_desync : t -> worker:int -> bool -> unit
     non-splice modes. *)
 
 val set_splice_strict : t -> bool -> unit
+[@@test_only]
 (** Toggle the splice plane's userspace-directed verification
     ({!Splice.set_strict}).  No-op in non-splice modes. *)
 

@@ -102,81 +102,3 @@ let path req =
   match String.index_opt req.target '?' with
   | None -> req.target
   | Some i -> String.sub req.target 0 i
-
-let content_length req =
-  match header req "content-length" with
-  | None -> 0
-  | Some v -> ( try int_of_string (String.trim v) with _ -> -1)
-
-let token_list v =
-  String.split_on_char ',' v
-  |> List.map (fun t -> String.lowercase_ascii (String.trim t))
-
-let is_websocket_upgrade req =
-  (match header req "connection" with
-  | Some v -> List.mem "upgrade" (token_list v)
-  | None -> false)
-  &&
-  match header req "upgrade" with
-  | Some v -> List.mem "websocket" (token_list v)
-  | None -> false
-
-type response = {
-  status : int;
-  reason : string;
-  resp_headers : (string * string) list;
-  resp_body : string;
-}
-
-let status_reason = function
-  | 100 -> "Continue"
-  | 101 -> "Switching Protocols"
-  | 200 -> "OK"
-  | 201 -> "Created"
-  | 204 -> "No Content"
-  | 301 -> "Moved Permanently"
-  | 302 -> "Found"
-  | 304 -> "Not Modified"
-  | 400 -> "Bad Request"
-  | 403 -> "Forbidden"
-  | 404 -> "Not Found"
-  | 408 -> "Request Timeout"
-  | 429 -> "Too Many Requests"
-  | 499 -> "Client Closed Request"
-  | 500 -> "Internal Server Error"
-  | 502 -> "Bad Gateway"
-  | 503 -> "Service Unavailable"
-  | 504 -> "Gateway Timeout"
-  | _ -> "Unknown"
-
-let response ?(headers = []) ?(body = "") status =
-  let headers =
-    headers @ [ ("content-length", string_of_int (String.length body)) ]
-  in
-  { status; reason = status_reason status; resp_headers = headers; resp_body = body }
-
-let serialize_headers buf headers =
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buf name;
-      Buffer.add_string buf ": ";
-      Buffer.add_string buf value;
-      Buffer.add_string buf "\r\n")
-    headers
-
-let serialize_response r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status r.reason);
-  serialize_headers buf r.resp_headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf r.resp_body;
-  Buffer.contents buf
-
-let serialize_request req =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %s %s\r\n" (meth_to_string req.meth) req.target req.version);
-  serialize_headers buf req.headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf req.body;
-  Buffer.contents buf

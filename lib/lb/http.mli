@@ -1,12 +1,11 @@
-(** Minimal HTTP/1.1 codec.
+(** Minimal HTTP/1.1 request parser.
 
     The simulation moves request descriptors, but a reverse proxy's
     examples and routing substrate still need real message handling:
-    this module parses request heads (request line + headers),
-    serializes responses, and answers the questions the L7 LB asks of a
-    message (host, path, upgrade intent, content length).  It
-    implements the subset of RFC 9112 the examples exercise; it is not
-    a general-purpose server codec. *)
+    this module parses request heads (request line + headers, plus a
+    content-length body) and answers the questions the L7 router asks
+    of a message (host, path).  It implements the subset of RFC 9112
+    the examples exercise; it is not a general-purpose server codec. *)
 
 type meth = GET | HEAD | POST | PUT | DELETE | OPTIONS | PATCH
 
@@ -31,34 +30,8 @@ val parse_request : string -> (request * int, parse_error) result
     the request and the number of bytes consumed (head plus
     content-length body). *)
 
-val header : request -> string -> string option
-(** Case-insensitive single-header lookup. *)
-
 val host : request -> string option
+(** The Host header, looked up case-insensitively. *)
+
 val path : request -> string
 (** Target without the query string. *)
-
-val content_length : request -> int
-(** 0 when absent; -1 on a malformed value. *)
-
-val is_websocket_upgrade : request -> bool
-(** Connection: upgrade + Upgrade: websocket — the request class that
-    triggered the HTTP/2 crash anecdote of §7. *)
-
-type response = {
-  status : int;
-  reason : string;
-  resp_headers : (string * string) list;
-  resp_body : string;
-}
-
-val response : ?headers:(string * string) list -> ?body:string -> int -> response
-(** Build a response; the reason phrase is derived from the status and
-    a Content-Length header is added. *)
-
-val serialize_response : response -> string
-val serialize_request : request -> string
-
-val status_reason : int -> string
-(** "OK", "Bad Gateway", ... ; "Unknown" for unlisted codes.  Includes
-    499, the client-closed-request status §6.2 mentions. *)

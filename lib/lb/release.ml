@@ -20,7 +20,6 @@ type t = {
   mutable forced : int;
 }
 
-let in_progress t = t.active <> None || t.next < Device.worker_count t.device
 
 let finish t =
   t.active <- None;

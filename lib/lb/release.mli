@@ -39,5 +39,3 @@ val start :
     (default 50 ms) is the drain-check cadence.  The device must be in
     a dedicated-socket mode (reuseport or Hermes).
     @raise Invalid_argument in shared-socket modes. *)
-
-val in_progress : t -> bool

@@ -28,28 +28,6 @@ let close_marker ~id ~tenant_id =
 
 let is_close t = match t.kind with Close -> true | Work _ -> false
 
-let op_name = function
-  | Plain_proxy -> "plain"
-  | Ssl_handshake -> "ssl-handshake"
-  | Ssl_record -> "ssl-record"
-  | Compress -> "compress"
-  | Regex_route -> "regex-route"
-  | Websocket_frame -> "websocket"
-  | Protocol_translate -> "translate"
-
-let op_of_name = function
-  | "plain" -> Some Plain_proxy
-  | "ssl-handshake" -> Some Ssl_handshake
-  | "ssl-record" -> Some Ssl_record
-  | "compress" -> Some Compress
-  | "regex-route" -> Some Regex_route
-  | "websocket" -> Some Websocket_frame
-  | "translate" -> Some Protocol_translate
-  | _ -> None
-
-(* Base/per-KB costs per op class, loosely calibrated so a plain proxy
-   request costs tens of microseconds while SSL handshakes and
-   compression reach the millisecond scale of Table 1. *)
 let default_cost op ~size =
   let us = Engine.Sim_time.us in
   match op with

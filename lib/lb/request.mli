@@ -38,10 +38,6 @@ val close_marker : id:int -> tenant_id:int -> t
 
 val is_close : t -> bool
 
-val op_name : op -> string
-val op_of_name : string -> op option
-(** Inverse of {!op_name}. *)
-
 
 val default_cost : op -> size:int -> Engine.Sim_time.t
 (** A reasonable per-op cost when a generator does not impose its own

@@ -22,11 +22,9 @@ val create : rule list -> t
 
 val rule_count : t -> int
 
-val route : t -> host:string option -> path:string -> string option
-(** Backend group for a request, [None] when no rule matches (the LB
-    answers 404). *)
-
 val route_request : t -> Http.request -> string option
+(** Backend group for a request, by its host and path; [None] when no
+    rule matches (the LB answers 404). *)
 
 val matching_cost : t -> Engine.Sim_time.t
 (** Virtual CPU cost of evaluating this rule table once — grows with

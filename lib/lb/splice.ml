@@ -24,7 +24,6 @@ type decision =
 type t = {
   map : Kernel.Ebpf_maps.Sockmap.t;
   jit : Kernel.Ebpf_jit.t;
-  verified : Kernel.Ebpf_vm.verified;
   (* conn id -> (sockmap key, worker): what userspace believes is
      installed.  The differential against the map itself is the whole
      point — desync faults make them disagree. *)
@@ -54,7 +53,6 @@ let create ~workers ?(slots = 4096) ?(copy = 0) () =
     {
       map;
       jit = Kernel.Ebpf_jit.compile verified;
-      verified;
       spliced = Conn_table.Dense.create ~capacity:1024 ();
       desynced = Array.make workers false;
       strict = true;
@@ -73,15 +71,14 @@ let create ~workers ?(slots = 4096) ?(copy = 0) () =
         };
     }
 
-let slots t = Kernel.Ebpf_maps.Sockmap.size t.map
 let attached t = Conn_table.Dense.length t.spliced
 let is_attached t ~conn = Conn_table.Dense.mem t.spliced conn
 let stats t = t.stats
 let set_strict t v = t.strict <- v
 let set_desynced t ~worker v = t.desynced.(worker) <- v
-let residual_checks t = Kernel.Ebpf_vm.residual_checks t.verified
 
-let key_of t ~flow_hash = flow_hash land (slots t - 1)
+let key_of t ~flow_hash =
+  flow_hash land (Kernel.Ebpf_maps.Sockmap.size t.map - 1)
 
 let attach t ~conn ~flow_hash ~worker =
   if conn <= 0 then invalid_arg "Splice.attach: conn id must be positive";

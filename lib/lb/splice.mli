@@ -91,9 +91,6 @@ val is_attached : t -> conn:int -> bool
 val attached : t -> int
 (** Live attachments in the userspace view. *)
 
-val slots : t -> int
-(** Sockmap capacity after power-of-two rounding. *)
-
 val set_strict : t -> bool -> unit
 (** Toggle the userspace-directed verification (conn-id re-check and
     attach-outcome check).  Disabling it is only useful to let the
@@ -105,8 +102,4 @@ val set_desynced : t -> worker:int -> bool -> unit
     (the [splice_desync] fault class). *)
 
 val stats : t -> stats
-
-val residual_checks : t -> int
-(** Runtime checks the verifier could not discharge on the attached
-    program — 0 by construction (see {!create}). *)
 

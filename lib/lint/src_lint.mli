@@ -1,44 +1,56 @@
-(** Source lints, run by [hermes_sim verify] and CI.
+(** Source lints over the compiler's typed tree, run by [hermes_sim
+    verify] and CI.
 
-    - Concurrency: forbid every use of [Atomic.], [Mutex.],
-      [Condition.] and [Domain.] in [lib/engine] and [lib/trace],
-      which run on one domain.
-    - Dead exports: every [val] of a [lib/] interface must be named by
-      some implementation other than its own. *)
+    - Concurrency: no [lib/] unit names anything in [Stdlib]'s
+      [Atomic], [Mutex], [Condition] or [Domain]; the simulator runs
+      on one domain.
+    - Dead exports: every [val] of a [lib/] interface has a production
+      caller, unless it carries the [[\@\@test_only]] marker.
 
-type violation = {
-  file : string;
-  line : int;  (** 1-based *)
-  token : string;  (** the forbidden module, e.g. ["Atomic"] *)
-  context : string;  (** the offending source line, trimmed *)
-}
+    The scan reads the [.cmt]/[.cmti] files of a build ([dune build
+    \@check] writes them all); the rules are pure functions of what it
+    returns. *)
 
-val scan_source : file:string -> string -> violation list
-(** Lint one compilation unit's source text. *)
+type site = { file : string; line : int  (** 1-based *) }
+(** A source position; [file] is relative to the repo root
+    (["lib/engine/rng.mli"]). *)
 
-val scan_tree : root:string -> (violation list, string) result
-(** Lint every [.ml]/[.mli] under [root]'s [lib/engine] and
-    [lib/trace].  [Error] if neither directory exists (wrong
-    [--src-root]). *)
-
-(** {1 Dead exports} *)
-
-type dead_export = {
-  mli : string;
-  line : int;  (** 1-based line of the [val] *)
+type decl = {
+  site : site;  (** the [val]'s line in its interface *)
   name : string;
+  marked : bool;  (** carries [[\@\@test_only]] *)
 }
 
-val dead_exports :
-  mlis:(string * string) list -> mls:(string * string) list -> dead_export list
-(** [dead_exports ~mlis ~mls] takes (path, source) pairs and returns
-    each [val] in an interface of [mlis] whose name, as an identifier
-    in comment- and string-stripped source, appears in no implementation
-    of [mls] other than the interface's own ([x.mli]'s [x.ml]).
-    Operator [val]s are not checked. *)
+type use = {
+  at : site;  (** where the code names it *)
+  path : string;  (** the resolved path, e.g. ["Stdlib.Atomic.make"] *)
+  target : site option;
+      (** for a value: its declaration, the [val]'s line when it comes
+          from another unit's interface *)
+}
 
-val scan_dead_exports : root:string -> (dead_export list, string) result
-(** {!dead_exports} over every [.mli] under [root]'s [lib/], against
-    every [.ml] under its [lib/], [bin/], [bench/], [perfbench/],
-    [examples/] and [test/] (build and hidden directories skipped).
-    [Error] if [lib/] holds no interface (wrong [--src-root]). *)
+val dead_exports : decl list -> use list -> decl list
+(** The unmarked declarations no production caller uses.  A caller is
+    a use resolving to the declaration from a [lib/] unit other than
+    the val's own, or from [bin/], [bench/], [perfbench/] or
+    [examples/]; [test/] never counts.  A module passed whole to a
+    functor or sealed by a signature uses each value it hands over. *)
+
+val concurrency : use list -> use list
+(** The uses in [lib/] whose path goes through [Stdlib]'s [Atomic],
+    [Mutex], [Condition] or [Domain]. *)
+
+val uses_of_source : file:string -> string -> use list
+[@@test_only]
+(** Type-check one implementation's source against the standard
+    library alone and read its uses as {!scan} reads a built unit's.
+    Lets the tests drive the typed-tree reading on small programs. *)
+
+type scan = { decls : decl list; uses : use list }
+
+val scan : root:string -> (scan, string) result
+(** Read every annotation file under the build tree of [root] (its
+    [_build/default] when present, else [root] itself): the [val]s of
+    each [lib/] interface, and the uses in every implementation under
+    [lib/], [bin/], [bench/], [perfbench/], [examples/] and [test/].
+    [Error] when no [lib/] interface annotation is found. *)

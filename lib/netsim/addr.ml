@@ -35,8 +35,4 @@ let pp_four_tuple fmt t =
   Format.fprintf fmt "%s:%d -> %s:%d" (ip_to_string t.src_ip) t.src_port
     (ip_to_string t.dst_ip) t.dst_port
 
-let equal_four_tuple a b =
-  a.src_ip = b.src_ip && a.src_port = b.src_port && a.dst_ip = b.dst_ip
-  && a.dst_port = b.dst_port
-
 let https_port = 443

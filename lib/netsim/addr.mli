@@ -13,10 +13,6 @@ val ip_of_string : string -> ip
 (** Parse dotted-quad notation.  @raise Invalid_argument on malformed
     input. *)
 
-val ip_to_string : ip -> string
-
-val ip_of_octets : int -> int -> int -> int -> ip
-
 type four_tuple = {
   src_ip : ip;
   src_port : port;
@@ -25,8 +21,7 @@ type four_tuple = {
 }
 
 val pp_four_tuple : Format.formatter -> four_tuple -> unit
-
-val equal_four_tuple : four_tuple -> four_tuple -> bool
+(** [src_ip:src_port -> dst_ip:dst_port], addresses in dotted-quad. *)
 
 val https_port : port
 (** 443 *)

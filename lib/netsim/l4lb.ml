@@ -1,7 +1,6 @@
 type t = {
   by_vni : (int, Tenant.t) Hashtbl.t;
   by_dport : (Addr.port, Tenant.t) Hashtbl.t;
-  mutable drop_count : int;
 }
 
 let create tenants =
@@ -13,9 +12,7 @@ let create tenants =
       Hashtbl.replace by_vni tn.vni tn;
       Hashtbl.replace by_dport tn.dport tn)
     tenants;
-  { by_vni; by_dport; drop_count = 0 }
-
-let tenant_count t = Hashtbl.length t.by_vni
+  { by_vni; by_dport }
 
 let process t (p : Packet.t) =
   let tenant =
@@ -24,15 +21,10 @@ let process t (p : Packet.t) =
     | None -> Hashtbl.find_opt t.by_dport p.tuple.dst_port
   in
   match tenant with
-  | None ->
-    t.drop_count <- t.drop_count + 1;
-    None
+  | None -> None
   | Some tn ->
     let p = Packet.decapsulate p in
     let tuple = { p.tuple with dst_port = tn.dport } in
     (* The flow hash is recomputed after rewriting, as the L7 host's
        kernel sees the NATted tuple. *)
     Some (Packet.make ~tuple ~kind:p.kind, tn)
-
-let dropped t = t.drop_count
-let tenant_of_dport t dport = Hashtbl.find_opt t.by_dport dport

@@ -11,14 +11,7 @@ val create : Tenant.t array -> t
 (** Build the NAT table from the tenant population; tenants are keyed
     by VNI.  @raise Invalid_argument on duplicate VNIs. *)
 
-val tenant_count : t -> int
-
 val process : t -> Packet.t -> (Packet.t * Tenant.t) option
 (** Decapsulate and rewrite the destination port.  [None] if the
     packet's VNI (or, for bare packets, destination port) matches no
-    tenant — such traffic is dropped, and counted. *)
-
-val dropped : t -> int
-
-val tenant_of_dport : t -> Addr.port -> Tenant.t option
-(** Reverse lookup used by the L7 LB when attributing connections. *)
+    tenant — such traffic is dropped. *)

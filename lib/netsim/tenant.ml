@@ -1,12 +1,8 @@
 type t = { id : int; name : string; vni : int; dport : Addr.port }
 
-let make ~id ?name ~vni ~dport () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "tenant-%d" id in
-  { id; name; vni; dport }
-
 let population ~n ~base_dport =
   Array.init n (fun i ->
-      make ~id:i ~vni:(0x1000 + i) ~dport:(base_dport + i) ())
+      { id = i; name = Printf.sprintf "tenant-%d" i; vni = 0x1000 + i; dport = base_dport + i })
 
 let pp fmt t =
   Format.fprintf fmt "%s(vni=%#x dport=%d)" t.name t.vni t.dport

@@ -12,8 +12,6 @@ type t = {
   dport : Addr.port; (** Dport assigned by the L4 LB's NAT stage. *)
 }
 
-val make : id:int -> ?name:string -> vni:int -> dport:Addr.port -> unit -> t
-
 val population : n:int -> base_dport:Addr.port -> t array
 (** [population ~n ~base_dport] builds [n] tenants with consecutive
     VNIs and Dports — the standard fixture for multi-tenant

@@ -48,31 +48,3 @@ let jain_fairness xs =
     let s2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if s2 = 0.0 then 1.0 else s *. s /. (float_of_int n *. s2)
   end
-
-type t = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-let of_array xs =
-  let n = Array.length xs in
-  if n = 0 then
-    { n = 0; mean = 0.; stddev = 0.; min = 0.; max = 0.; p50 = 0.; p90 = 0.; p99 = 0. }
-  else
-    let lo, hi = min_max xs in
-    {
-      n;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = lo;
-      max = hi;
-      p50 = percentile xs 50.0;
-      p90 = percentile xs 90.0;
-      p99 = percentile xs 99.0;
-    }

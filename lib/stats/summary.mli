@@ -26,18 +26,3 @@ val jain_fairness : float array -> float
 (** Jain's fairness index [(sum x)^2 / (n * sum x^2)]: 1.0 is perfectly
     balanced, 1/n is maximally skewed.  Used as an extra balance metric
     alongside the paper's standard deviations. *)
-
-type t = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-val of_array : float array -> t
-(** All-zeros summary for an empty array. *)
-

@@ -14,6 +14,9 @@ val add_separator : t -> unit
 (** Insert a horizontal rule between row groups. *)
 
 val render : t -> string
+[@@test_only]
+(** The table as text: what {!print} writes. *)
+
 val print : t -> unit
 (** [render] followed by [print_string]. *)
 

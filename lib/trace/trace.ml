@@ -149,7 +149,6 @@ let name e v = snd e.(code e v)
 let of_name (e : _ enum) s =
   Array.find_map (fun (v, n) -> if String.equal n s then Some v else None) e
 
-let stage_name = name stages
 let fault_name = name faults
 let fault_of_name = of_name faults
 
@@ -624,15 +623,6 @@ module Binary = struct
         end
       end
     done
-
-  let read_channel ic =
-    let acc = ref [] in
-    iter_channel ic (fun r -> acc := r :: !acc);
-    List.rev !acc
-
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
 end
 
 let file_sink path =

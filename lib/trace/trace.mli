@@ -41,9 +41,6 @@ type fault =
   | Crash | Isolate | Recover | Hang | Gc_pause | Slowdown | Wst_stall | Map_sync_delay
   | Ebpf_fail | Probe_loss | Accept_overflow | Splice_desync
 
-val stage_name : stage -> string
-(** ["time"], ["conn"], ["event"]. *)
-
 val fault_name : fault -> string
 (** The stable fault-class name used in traces and plan files:
     ["crash"], ["hang"], ["wst_stall"], ["ebpf_fail"], … *)
@@ -206,17 +203,15 @@ val file_sink : string -> sink
     {!text_sink}). *)
 
 module Binary : sig
-  val magic : string
-  (** ["HTRCBIN2"] — the stream's first 8 bytes.  Streams of the
-      earlier [HTRCBIN1] layout are rejected as {!Corrupt}. *)
-
   exception Corrupt of string
   (** Raised by the decoder on truncation, unknown tags, undefined
       string ids, out-of-range enum codes, or a record whose payload
       is not exactly its event's fields. *)
 
   val sink : out_channel -> sink
-  (** Writes the magic immediately, then one framed record per
+  (** Writes the magic ["HTRCBIN2"] (the stream's first 8 bytes;
+      streams of the earlier [HTRCBIN1] layout are rejected as
+      {!Corrupt}) immediately, then one framed record per
       {!emit}, buffered and handed to the channel in 64 KiB chunks.
       Writing an event without string fields allocates nothing.
       Flushes on close; the channel itself is not closed. *)
@@ -225,17 +220,21 @@ module Binary : sig
   (** Decode records in stream order, calling the callback on each
       event record (string-definition records are consumed
       internally).  @raise Corrupt on malformed input. *)
-
-  val read_file : string -> record list
 end
 
 (** {1 Rendering} *)
 
 val render_event : event -> string
+[@@test_only]
+
 val render : record -> string
-(** Stable single-line form: right-aligned timestamp, then the event. *)
+[@@test_only]
+(** Stable single-line form: right-aligned timestamp, then the event —
+    one {!text_sink} line. *)
 
 val json_of_record : record -> string
+[@@test_only]
+(** One {!jsonl_sink} line. *)
 
 val json_string : string -> string
 (** RFC 8259 quoted string literal, as trace JSON writes strings. *)

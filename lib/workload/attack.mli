@@ -23,5 +23,10 @@ val launch :
 (** Start generating immediately; runs until [stop]. *)
 
 val stop : t -> unit
+
 val conns_attempted : t -> int
+[@@test_only]
+
 val requests_sent : t -> int
+[@@test_only]
+(** Connections attempted and requests sent so far. *)

@@ -8,8 +8,6 @@ let name = function
   | Case3 -> "case3"
   | Case4 -> "case4"
 
-let cps_class = function Case1 | Case2 -> `High | Case3 | Case4 -> `Low
-let processing_class = function Case1 | Case3 -> `Low | Case2 | Case4 -> `High
 
 type splice_axis = Short_rpc | Long_streaming
 

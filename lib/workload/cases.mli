@@ -20,8 +20,6 @@ type case = Case1 | Case2 | Case3 | Case4
 
 val all : case list
 val name : case -> string
-val cps_class : case -> [ `High | `Low ]
-val processing_class : case -> [ `High | `Low ]
 
 (** {1 Splice workload axis}
 

@@ -114,14 +114,6 @@ type report = {
   duration_s : float;
 }
 
-let report_row r =
-  [
-    r.label;
-    Stats.Table.cell_f r.avg_ms;
-    Stats.Table.cell_f r.p99_ms;
-    Stats.Table.cell_f r.throughput_krps;
-  ]
-
 let run ~device ~profile ~rng ~warmup ~measure ?(reconnect_on_reset = false) () =
   let sim = Lb.Device.sim device in
   Lb.Device.start device;

@@ -22,8 +22,13 @@ val start :
     degradation. *)
 
 val stop : t -> unit
+
 val conns_opened : t -> int
+[@@test_only]
+
 val requests_sent : t -> int
+[@@test_only]
+(** Connections opened and requests sent so far. *)
 
 type report = {
   label : string;
@@ -36,9 +41,6 @@ type report = {
   resets : int;
   duration_s : float;
 }
-
-val report_row : report -> string list
-(** [label; avg; p99; thr] cells, Table 3's column shape. *)
 
 val run :
   device:Lb.Device.t ->

@@ -13,12 +13,6 @@ let scale_rate t k =
   if k <= 0.0 then invalid_arg "Profile.scale_rate: factor must be positive";
   { t with cps = t.cps *. k; name = Printf.sprintf "%s x%.1f" t.name k }
 
-let mean_processing_time t rng = Engine.Dist.mean_of t.processing_time rng 2000
-
-let offered_load t rng =
-  let reqs = Engine.Dist.mean_of t.requests_per_conn rng 2000 in
-  t.cps *. reqs *. mean_processing_time t rng
-
 let op_picker t rng =
   let weights = Array.of_list (List.map fst t.op_mix) in
   let ops = Array.of_list (List.map snd t.op_mix) in

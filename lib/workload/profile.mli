@@ -25,14 +25,6 @@ val scale_rate : t -> float -> t
 (** Multiply the connection arrival rate — the paper's 2x / 3x replay
     ("medium" and "heavy"). *)
 
-val mean_processing_time : t -> Engine.Rng.t -> float
-(** Empirical mean of the processing-time distribution (calibration &
-    tests). *)
-
-val offered_load : t -> Engine.Rng.t -> float
-(** Estimated CPU-seconds per second demanded of the whole device:
-    cps * E[requests_per_conn] * E[processing_time]. *)
-
 val op_picker : t -> Engine.Rng.t -> unit -> Lb.Request.op
 (** Op-class picker over [op_mix], its weight and op tables built once;
     each pick is one {!Engine.Dist.categorical} draw. *)

@@ -66,15 +66,3 @@ let sample_case t rng =
   | 1 -> Cases.Case2
   | 2 -> Cases.Case3
   | _ -> Cases.Case4
-
-let mixture_profile t ~workers _rng =
-  List.concat
-    (List.mapi
-       (fun i case ->
-         let w = t.case_weights.(i) in
-         if w <= 0.0 then []
-         else begin
-           let p = Cases.profile case ~workers in
-           [ { p with Profile.cps = p.Profile.cps *. w } ]
-         end)
-       Cases.all)

@@ -14,14 +14,8 @@ type t = {
   case_weights : float array;  (** Table 4 row: weight of Case1..4 *)
 }
 
-val region1 : t
-val region2 : t
 val all : t array
+(** Regions 1 to 4, in order. *)
 
 val sample_case : t -> Engine.Rng.t -> Cases.case
 (** Draw a case according to the region's Table 4 mixture. *)
-
-val mixture_profile : t -> workers:int -> Engine.Rng.t -> Profile.t list
-(** The region's traffic as its weighted list of case profiles, each
-    case's CPS scaled by the region weight (used for region-level
-    simulations). *)

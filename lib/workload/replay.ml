@@ -66,8 +66,6 @@ let record ~profile ~tenants ~duration ~rng =
   in
   { script; conn_count = !key }
 
-let length t = Array.length t.script
-let connections t = t.conn_count
 let ops t = Array.to_list t.script
 
 (* Client-side view of one connection during replay. *)
@@ -146,95 +144,3 @@ let replay t ~device ~rate =
                | Some conn when not s.dead -> Lb.Device.close_conn device conn
                | _ -> s.want_close <- true)))
     t.script
-
-(* --- persistence: "hermes-trace v1", one op per line ---------------- *)
-
-let header = "# hermes-trace v1"
-
-let to_string t =
-  let buf = Buffer.create (64 * Array.length t.script) in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "conns %d\n" t.conn_count);
-  Array.iter
-    (fun op ->
-      (match op with
-      | Connect { at; key; tenant } ->
-        Buffer.add_string buf (Printf.sprintf "C %d %d %d" at key tenant)
-      | Send { at; key; op_class; size; cost } ->
-        Buffer.add_string buf
-          (Printf.sprintf "S %d %d %s %d %d" at key
-             (Lb.Request.op_name op_class) size cost)
-      | Close { at; key } ->
-        Buffer.add_string buf (Printf.sprintf "X %d %d" at key));
-      Buffer.add_char buf '\n')
-    t.script;
-  Buffer.contents buf
-
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | h :: rest when String.equal h header -> (
-    let parse_line acc line =
-      match acc with
-      | Error _ -> acc
-      | Ok (conns, ops) -> (
-        if String.length line = 0 then acc
-        else
-          match String.split_on_char ' ' line with
-          | [ "conns"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n >= 0 -> Ok (Some n, ops)
-            | _ -> Error (Printf.sprintf "bad conns line: %S" line))
-          | [ "C"; at; key; tenant ] -> (
-            match
-              (int_of_string_opt at, int_of_string_opt key, int_of_string_opt tenant)
-            with
-            | Some at, Some key, Some tenant ->
-              Ok (conns, Connect { at; key; tenant } :: ops)
-            | _ -> Error (Printf.sprintf "bad connect line: %S" line))
-          | [ "S"; at; key; op; size; cost ] -> (
-            match
-              ( int_of_string_opt at,
-                int_of_string_opt key,
-                Lb.Request.op_of_name op,
-                int_of_string_opt size,
-                int_of_string_opt cost )
-            with
-            | Some at, Some key, Some op_class, Some size, Some cost ->
-              Ok (conns, Send { at; key; op_class; size; cost } :: ops)
-            | _ -> Error (Printf.sprintf "bad send line: %S" line))
-          | [ "X"; at; key ] -> (
-            match (int_of_string_opt at, int_of_string_opt key) with
-            | Some at, Some key -> Ok (conns, Close { at; key } :: ops)
-            | _ -> Error (Printf.sprintf "bad close line: %S" line))
-          | _ -> Error (Printf.sprintf "unrecognized line: %S" line))
-    in
-    match List.fold_left parse_line (Ok (None, [])) rest with
-    | Error e -> Error e
-    | Ok (None, _) -> Error "missing conns line"
-    | Ok (Some conn_count, ops) ->
-      let script =
-        Array.of_list
-          (List.stable_sort
-             (fun a b -> compare (at_of a) (at_of b))
-             (List.rev ops))
-      in
-      Ok { script; conn_count })
-  | _ -> Error "not a hermes-trace v1 file"
-
-let save t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let load ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        of_string (really_input_string ic len))

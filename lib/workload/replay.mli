@@ -31,27 +31,12 @@ val record :
     and per-connection request scripts per the profile, truncated at
     [duration]. *)
 
-val length : trace -> int
-val connections : trace -> int
 val ops : trace -> op list
-(** In timestamp order. *)
+[@@test_only]
+(** In timestamp order.  The recorded script, for tests. *)
 
 val replay : trace -> device:Lb.Device.t -> rate:float -> unit
 (** Schedule the whole trace onto the device's simulator, timestamps
     scaled by [1/rate].  Requests addressed to connections that are not
     yet established are buffered client-side and flushed on
     establishment; requests to reset connections are dropped. *)
-
-(** {1 Persistence}
-
-    Traces serialize to a line-oriented text format ("hermes-trace
-    v1") so a recorded workload can be stored and replayed across
-    processes — the collect-once/replay-many methodology of §6.2. *)
-
-val to_string : trace -> string
-
-val of_string : string -> (trace, string) result
-(** Parse; the error names the offending line. *)
-
-val save : trace -> path:string -> unit
-val load : path:string -> (trace, string) result

@@ -19,6 +19,8 @@ val establish :
     Connections stay open (no requests, no close) until burst/teardown. *)
 
 val established_count : t -> int
+[@@test_only]
+(** Connections of the surge established so far. *)
 
 val burst :
   t ->

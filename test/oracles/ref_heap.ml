@@ -3,7 +3,7 @@
    ref_heap.mli for why the leaky [cancel] is intentional. *)
 
 type event = {
-  time : Sim_time.t;
+  time : Engine.Sim_time.t;
   seq : int;
   action : unit -> unit;
   mutable cancelled : bool;
@@ -15,7 +15,7 @@ type handle = event
 type t = {
   mutable heap : event array;
   mutable size : int;
-  mutable clock : Sim_time.t;
+  mutable clock : Engine.Sim_time.t;
   mutable seq : int;
   mutable stopping : bool;
   mutable fired : int;
@@ -91,7 +91,7 @@ let schedule t ~at action =
 
 let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Sim.schedule_after: negative delay";
-  schedule t ~at:(Sim_time.add t.clock delay) action
+  schedule t ~at:(Engine.Sim_time.add t.clock delay) action
 
 let cancel _t ev = ev.cancelled <- true
 let is_pending _t ev = not ev.cancelled

@@ -27,9 +27,9 @@ type t
 type handle
 
 val create : unit -> t
-val now : t -> Sim_time.t
-val schedule : t -> at:Sim_time.t -> (unit -> unit) -> handle
-val schedule_after : t -> delay:Sim_time.t -> (unit -> unit) -> handle
+val now : t -> Engine.Sim_time.t
+val schedule : t -> at:Engine.Sim_time.t -> (unit -> unit) -> handle
+val schedule_after : t -> delay:Engine.Sim_time.t -> (unit -> unit) -> handle
 val cancel : t -> handle -> unit
 val is_pending : t -> handle -> bool
 
@@ -39,6 +39,6 @@ val pending_count : t -> int
 
 val step : t -> bool
 val run : t -> unit
-val run_until : t -> limit:Sim_time.t -> unit
+val run_until : t -> limit:Engine.Sim_time.t -> unit
 val stop : t -> unit
 val events_fired : t -> int

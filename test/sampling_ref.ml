@@ -13,7 +13,6 @@ module Rng = struct
     Int64.logxor z (Int64.shift_right_logical z 31)
 
   let create seed = { state = mix64 (Int64.of_int seed) }
-  let copy t = { state = t.state }
 
   let next_int64 t =
     t.state <- Int64.add t.state golden_gamma;
@@ -38,33 +37,12 @@ module Rng = struct
     Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
   let float t bound = unit_float t *. bound
-  let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-  let shuffle t arr =
-    for i = Array.length arr - 1 downto 1 do
-      let j = int t (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done
-
-  let pick t arr =
-    if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-    arr.(int t (Array.length arr))
 end
 
 module Dist = struct
   type t = Rng.t -> float
 
   let sample d rng = d rng
-
-  let mean_of d rng n =
-    if n <= 0 then invalid_arg "Dist.mean_of: n must be positive";
-    let acc = ref 0.0 in
-    for _ = 1 to n do
-      acc := !acc +. d rng
-    done;
-    !acc /. float_of_int n
 
   let constant v _ = v
 
@@ -74,10 +52,6 @@ module Dist = struct
     (* Inverse transform; 1 - u avoids log 0. *)
     let u = Rng.unit_float rng in
     -.mean *. log (1.0 -. u)
-
-  let pareto ~shape ~scale rng =
-    let u = Rng.unit_float rng in
-    scale /. ((1.0 -. u) ** (1.0 /. shape))
 
   let bounded_pareto ~shape ~lo ~hi rng =
     (* Inverse transform of the truncated Pareto CDF. *)
@@ -145,7 +119,6 @@ module Dist = struct
       done;
       !lo
 
-    let probability t k = t.weights.(k)
   end
 
   let categorical weights rng =

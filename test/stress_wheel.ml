@@ -73,13 +73,13 @@ let wheel_engine () =
   }
 
 let heap_engine () =
-  let sim = Engine.Ref_heap.create () in
+  let sim = Oracles.Ref_heap.create () in
   {
-    schedule = (fun ~at f -> Engine.Ref_heap.schedule sim ~at f);
-    cancel = (fun h -> Engine.Ref_heap.cancel sim h);
-    run_until = (fun ~limit -> Engine.Ref_heap.run_until sim ~limit);
-    now = (fun () -> Engine.Ref_heap.now sim);
-    pending = (fun () -> Engine.Ref_heap.pending_count sim);
+    schedule = (fun ~at f -> Oracles.Ref_heap.schedule sim ~at f);
+    cancel = (fun h -> Oracles.Ref_heap.cancel sim h);
+    run_until = (fun ~limit -> Oracles.Ref_heap.run_until sim ~limit);
+    now = (fun () -> Oracles.Ref_heap.now sim);
+    pending = (fun () -> Oracles.Ref_heap.pending_count sim);
   }
 
 let test_stress () =

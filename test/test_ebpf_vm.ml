@@ -3,6 +3,15 @@
    (verified bytecode's one executor) and the checked reference
    interpreter against the expression-level interpreter. *)
 
+(* The structural verifier's verdict, with [verify_exn]'s reason. *)
+let ast_verify p =
+  match Kernel.Ebpf.verify_exn p with
+  | v -> Ok v
+  | exception Invalid_argument m ->
+    let prefix = "Ebpf.verify_exn: " in
+    let n = String.length prefix in
+    Error (String.sub m n (String.length m - n))
+
 let check = Alcotest.check
 
 let ctx = { Kernel.Ebpf.flow_hash = 0x1234_5678; dst_port = 8080 }
@@ -12,7 +21,7 @@ let compile_exn prog =
   | Ok code -> code
   | Error e -> Alcotest.fail e
 
-let run_jit v ctx = fst (Kernel.Ebpf_jit.run (Kernel.Ebpf_jit.compile v) ctx)
+let run_jit v ctx = fst (Oracles.Ebpf_vm_ref.run_jit (Kernel.Ebpf_jit.compile v) ctx)
 
 let run_prog prog ctx =
   match Kernel.Verifier.compile_and_verify prog with
@@ -76,7 +85,7 @@ let test_vm_dispatch_program () =
     let ctx =
       { Kernel.Ebpf.flow_hash = Engine.Rng.int rng 0xFFFFFFFF; dst_port = 80 }
     in
-    match fst (Kernel.Ebpf_jit.run jit ctx) with
+    match fst (Oracles.Ebpf_vm_ref.run_jit jit ctx) with
     | Kernel.Ebpf.Selected sock ->
       let slot = ref (-1) in
       Array.iteri
@@ -300,11 +309,11 @@ let prop_vm_matches_ast =
           (Int64.of_int ((hash_seed * (k + 3)) land 0xFFFF))
       done;
       let ctx = { Kernel.Ebpf.flow_hash = hash_seed * 2654435761; dst_port = port } in
-      match (Kernel.Ebpf.verify prog, Kernel.Verifier.compile_and_verify prog) with
+      match (ast_verify prog, Kernel.Verifier.compile_and_verify prog) with
       | Ok ast, Ok vm ->
         let ast_out = fst (Kernel.Ebpf.run ast ctx) in
         outcome_equal ast_out (run_jit vm ctx)
-        && outcome_equal ast_out (fst (Kernel.Ebpf_vm.run_checked vm ctx))
+        && outcome_equal ast_out (fst (Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of vm) ctx))
       | Error _, _ -> QCheck.assume_fail ()
       | _, Error _ ->
         (* register exhaustion on a deep random expression is legal *)

@@ -10,36 +10,23 @@ let checkf msg = Alcotest.(check (float 1e-9)) msg
 let test_rng_determinism () =
   let a = Engine.Rng.create 42 and b = Engine.Rng.create 42 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Engine.Rng.next_int64 a)
-      (Engine.Rng.next_int64 b)
+    check Alcotest.int "same stream" (Engine.Rng.bits53 a) (Engine.Rng.bits53 b)
   done
 
 let test_rng_seed_sensitivity () =
   let a = Engine.Rng.create 1 and b = Engine.Rng.create 2 in
   let differ = ref false in
   for _ = 1 to 10 do
-    if not (Int64.equal (Engine.Rng.next_int64 a) (Engine.Rng.next_int64 b))
-    then differ := true
+    if Engine.Rng.bits53 a <> Engine.Rng.bits53 b then differ := true
   done;
   check Alcotest.bool "streams differ" true !differ
-
-let test_rng_copy_independent () =
-  let a = Engine.Rng.create 7 in
-  let b = Engine.Rng.copy a in
-  let xa = Engine.Rng.next_int64 a in
-  let xb = Engine.Rng.next_int64 b in
-  check Alcotest.int64 "copy continues identically" xa xb;
-  ignore (Engine.Rng.next_int64 a);
-  (* b lags behind a now; next outputs differ in general *)
-  ignore (Engine.Rng.next_int64 b)
 
 let test_rng_split_differs () =
   let a = Engine.Rng.create 7 in
   let b = Engine.Rng.split a in
   let same = ref 0 in
   for _ = 1 to 50 do
-    if Int64.equal (Engine.Rng.next_int64 a) (Engine.Rng.next_int64 b) then
-      incr same
+    if Engine.Rng.bits53 a = Engine.Rng.bits53 b then incr same
   done;
   check Alcotest.bool "split stream is distinct" true (!same < 5)
 
@@ -58,7 +45,7 @@ let test_rng_int_invalid () =
 let test_rng_unit_float_range () =
   let rng = Engine.Rng.create 5 in
   for _ = 1 to 10_000 do
-    let v = Engine.Rng.unit_float rng in
+    let v = Engine.Rng.float rng 1.0 in
     check Alcotest.bool "in [0,1)" true (v >= 0.0 && v < 1.0)
   done
 
@@ -77,23 +64,6 @@ let test_rng_uniformity () =
       check Alcotest.bool "bucket near expected" true
         (abs (c - (n / 10)) < n / 50))
     buckets
-
-let test_rng_shuffle_permutation () =
-  let rng = Engine.Rng.create 13 in
-  let arr = Array.init 50 (fun i -> i) in
-  Engine.Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check Alcotest.(array int) "still a permutation" (Array.init 50 (fun i -> i)) sorted
-
-let test_rng_pick () =
-  let rng = Engine.Rng.create 17 in
-  let arr = [| 1; 2; 3 |] in
-  for _ = 1 to 100 do
-    check Alcotest.bool "picked member" true (Array.mem (Engine.Rng.pick rng arr) arr)
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Engine.Rng.pick rng [||]))
 
 (* ------------------------------------------------------------------ *)
 (* Dist                                                                 *)
@@ -116,13 +86,6 @@ let test_dist_uniform_bounds () =
   for _ = 1 to 1000 do
     let v = Engine.Dist.sample d rng in
     check Alcotest.bool "in [2,5)" true (v >= 2.0 && v < 5.0)
-  done
-
-let test_dist_pareto_support () =
-  let rng = Engine.Rng.create 4 in
-  let d = Engine.Dist.pareto ~shape:2.0 ~scale:1.5 in
-  for _ = 1 to 1000 do
-    check Alcotest.bool ">= scale" true (Engine.Dist.sample d rng >= 1.5)
   done
 
 let test_dist_bounded_pareto () =
@@ -163,13 +126,6 @@ let test_dist_mixture_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Dist.mixture: empty")
     (fun () -> ignore (Engine.Dist.mixture []))
 
-let test_zipf_probabilities () =
-  let z = Engine.Dist.Zipf.create ~n:4 ~s:1.0 in
-  (* weights proportional to 1, 1/2, 1/3, 1/4 *)
-  let total = 1.0 +. 0.5 +. (1.0 /. 3.0) +. 0.25 in
-  checkf "p0" (1.0 /. total) (Engine.Dist.Zipf.probability z 0);
-  checkf "p3" (0.25 /. total) (Engine.Dist.Zipf.probability z 3)
-
 let test_zipf_sampling () =
   let z = Engine.Dist.Zipf.create ~n:10 ~s:1.2 in
   let rng = Engine.Rng.create 9 in
@@ -207,16 +163,10 @@ module type SAMPLER = sig
     type t
 
     val create : int -> t
-    val copy : t -> t
     val split : t -> t
-    val next_int64 : t -> int64
     val bits53 : t -> int
     val int : t -> int -> int
     val float : t -> float -> float
-    val unit_float : t -> float
-    val bool : t -> bool
-    val shuffle : t -> 'a array -> unit
-    val pick : t -> 'a array -> 'a
   end
 
   module Dist : sig
@@ -226,7 +176,6 @@ module type SAMPLER = sig
     val constant : float -> t
     val uniform : lo:float -> hi:float -> t
     val exponential : mean:float -> t
-    val pareto : shape:float -> scale:float -> t
     val bounded_pareto : shape:float -> lo:float -> hi:float -> t
     val lognormal_of_quantiles : p50:float -> p99:float -> t
     val mixture : (float * t) list -> t
@@ -246,7 +195,6 @@ type dspec =
   | Const of float
   | Unif of float * float (* lo, hi *)
   | Expo of float (* mean *)
-  | Par of float * float (* shape, scale *)
   | Bpar of float * float * float (* shape, lo, hi *)
   | Logn of float * float (* p50, p99 *)
   | Mix of (float * dspec) list
@@ -257,13 +205,8 @@ type sop =
   | Zipf of int * float * int (* n, s, draws *)
   | Int of int (* bound *)
   | Float of float (* bound *)
-  | Unit_float
   | Bits53
-  | Bool
-  | Shuffle of int (* length *)
-  | Pick of int (* length *)
   | Split (* later ops draw from the child *)
-  | Copy (* later ops draw from the copy *)
 
 type out = Bits of int64 | Raised of string
 
@@ -272,12 +215,11 @@ module Run (S : SAMPLER) = struct
     | Const v -> S.Dist.constant v
     | Unif (lo, hi) -> S.Dist.uniform ~lo ~hi
     | Expo mean -> S.Dist.exponential ~mean
-    | Par (shape, scale) -> S.Dist.pareto ~shape ~scale
     | Bpar (shape, lo, hi) -> S.Dist.bounded_pareto ~shape ~lo ~hi
     | Logn (p50, p99) -> S.Dist.lognormal_of_quantiles ~p50 ~p99
     | Mix parts -> S.Dist.mixture (List.map (fun (w, d) -> (w, dist d)) parts)
 
-  (* Every draw as its bit pattern, then one [next_int64] of every
+  (* Every draw as its bit pattern, then one [bits53] of every
      generator the run made, the original included. *)
   let run seed ops =
     let out = ref [] in
@@ -302,19 +244,11 @@ module Run (S : SAMPLER) = struct
             done
           | Int bound -> int (S.Rng.int g bound)
           | Float bound -> float (S.Rng.float g bound)
-          | Unit_float -> float (S.Rng.unit_float g)
           | Bits53 -> int (S.Rng.bits53 g)
-          | Bool -> int (Bool.to_int (S.Rng.bool g))
-          | Shuffle n ->
-            let a = Array.init n Fun.id in
-            S.Rng.shuffle g a;
-            Array.iter int a
-          | Pick n -> int (S.Rng.pick g (Array.init n Fun.id))
           | Split -> gens := S.Rng.split g :: !gens
-          | Copy -> gens := S.Rng.copy g :: !gens
         with Invalid_argument m -> out := Raised m :: !out)
       ops;
-    List.iter (fun g -> out := Bits (S.Rng.next_int64 g) :: !out) !gens;
+    List.iter (fun g -> out := Bits (Int64.of_int (S.Rng.bits53 g)) :: !out) !gens;
     List.rev !out
 end
 
@@ -334,7 +268,6 @@ let rec print_dspec = function
   | Const v -> Printf.sprintf "constant %h" v
   | Unif (lo, hi) -> Printf.sprintf "uniform %h %h" lo hi
   | Expo m -> Printf.sprintf "exponential %h" m
-  | Par (a, s) -> Printf.sprintf "pareto %h %h" a s
   | Bpar (a, lo, hi) -> Printf.sprintf "bounded_pareto %h %h %h" a lo hi
   | Logn (p50, p99) -> Printf.sprintf "lognormal %h %h" p50 p99
   | Mix parts ->
@@ -350,13 +283,8 @@ let print_sop = function
   | Zipf (n, s, draws) -> Printf.sprintf "zipf n=%d s=%h x%d" n s draws
   | Int b -> Printf.sprintf "int %d" b
   | Float b -> Printf.sprintf "float %h" b
-  | Unit_float -> "unit_float"
   | Bits53 -> "bits53"
-  | Bool -> "bool"
-  | Shuffle n -> Printf.sprintf "shuffle %d" n
-  | Pick n -> Printf.sprintf "pick %d" n
   | Split -> "split"
-  | Copy -> "copy"
 
 let gen_dspec =
   let open QCheck.Gen in
@@ -367,7 +295,6 @@ let gen_dspec =
         map (fun v -> Const v) (float_range (-1e3) 1e3);
         map2 (fun lo w -> Unif (lo, lo +. w)) (float_range (-1e3) 1e3) (pos 0.0 1e3);
         map (fun m -> Expo m) (pos 1e-6 1e3);
-        map2 (fun a s -> Par (a, s)) (pos 0.1 5.0) (pos 1e-3 1e3);
         map3
           (fun a lo r -> Bpar (a, lo, lo *. (1.0 +. r)))
           (pos 0.1 3.0) (pos 1e-3 100.0) (pos 1e-3 1e4);
@@ -413,13 +340,8 @@ let gen_sop =
           (int_range 1 10) );
       (3, map (fun b -> Int b) bound);
       (1, map (fun b -> Float b) (float_range (-1e6) 1e6));
-      (1, return Unit_float);
       (1, return Bits53);
-      (1, return Bool);
-      (1, map (fun n -> Shuffle n) (int_range 0 20));
-      (1, map (fun n -> Pick n) (int_range 0 5));
       (1, return Split);
-      (1, return Copy);
     ]
 
 (* Every draw is compared bit for bit. The name is short enough that
@@ -441,14 +363,12 @@ let test_time_units () =
   check Alcotest.int "us" 1_000 (Engine.Sim_time.us 1);
   check Alcotest.int "ms" 1_000_000 (Engine.Sim_time.ms 1);
   check Alcotest.int "sec" 1_000_000_000 (Engine.Sim_time.sec 1);
-  check Alcotest.int "minutes" (60 * 1_000_000_000) (Engine.Sim_time.minutes 1);
   check Alcotest.int "hours" (3600 * 1_000_000_000) (Engine.Sim_time.hours 1)
 
 let test_time_float_conversions () =
   checkf "to_sec_f" 1.5 (Engine.Sim_time.to_sec_f (Engine.Sim_time.ms 1500));
   check Alcotest.int "of_sec_f" (Engine.Sim_time.ms 1500)
     (Engine.Sim_time.of_sec_f 1.5);
-  check Alcotest.int "of_ms_f rounds" 1_500_000 (Engine.Sim_time.of_ms_f 1.5);
   check Alcotest.int "of_us_f" 2_500 (Engine.Sim_time.of_us_f 2.5)
 
 let test_time_pp () =
@@ -594,7 +514,7 @@ struct
 end
 
 module Wheel_stop = Stop_regression (Engine.Sim)
-module Heap_stop = Stop_regression (Engine.Ref_heap)
+module Heap_stop = Stop_regression (Oracles.Ref_heap)
 
 let test_sim_stop_run_until () =
   Wheel_stop.run ();
@@ -779,7 +699,6 @@ let test_sample_one_box () =
         ("constant", Engine.Dist.constant 1.0);
         ("uniform", Engine.Dist.uniform ~lo:100.0 ~hi:300.0);
         ("exponential", Engine.Dist.exponential ~mean:0.05);
-        ("pareto", Engine.Dist.pareto ~shape:1.5 ~scale:1.0);
         ("bounded_pareto", Engine.Dist.bounded_pareto ~shape:0.7 ~lo:1.0 ~hi:5000.0);
         ("lognormal", lognormal);
         ( "mixture",
@@ -873,7 +792,7 @@ struct
 end
 
 module Wheel_replay = Replay (Engine.Sim)
-module Heap_replay = Replay (Engine.Ref_heap)
+module Heap_replay = Replay (Oracles.Ref_heap)
 
 let prop_wheel_matches_heap =
   let gen =
@@ -923,27 +842,22 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split_differs;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
           Alcotest.test_case "unit_float range" `Quick test_rng_unit_float_range;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
       ( "dist",
         [
           Alcotest.test_case "constant" `Quick test_dist_constant;
           Alcotest.test_case "exponential mean" `Quick test_dist_exponential_mean;
           Alcotest.test_case "uniform bounds" `Quick test_dist_uniform_bounds;
-          Alcotest.test_case "pareto support" `Quick test_dist_pareto_support;
           Alcotest.test_case "bounded pareto" `Quick test_dist_bounded_pareto;
           Alcotest.test_case "lognormal quantile fit" `Quick test_dist_lognormal_quantiles;
           Alcotest.test_case "lognormal invalid" `Quick test_dist_lognormal_invalid;
           Alcotest.test_case "mixture weights" `Quick test_dist_mixture_weights;
           Alcotest.test_case "mixture invalid" `Quick test_dist_mixture_invalid;
-          Alcotest.test_case "zipf probabilities" `Quick test_zipf_probabilities;
           Alcotest.test_case "zipf sampling" `Quick test_zipf_sampling;
           Alcotest.test_case "categorical" `Quick test_categorical;
         ] );

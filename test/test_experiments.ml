@@ -68,8 +68,8 @@ let test_common_device_factory () =
     Experiments.Common.make_device ~workers:2 ~tenants:2 ~mode:Lb.Device.Reuseport ()
   in
   ignore device2;
-  check Alcotest.int64 "workload rng deterministic" (Engine.Rng.next_int64 rng)
-    (Engine.Rng.next_int64 rng2)
+  check Alcotest.int "workload rng deterministic" (Engine.Rng.bits53 rng)
+    (Engine.Rng.bits53 rng2)
 
 let test_modes_lists () =
   check Alcotest.int "three compared" 3 (List.length Experiments.Common.compared_modes);

@@ -5,6 +5,12 @@
    qcheck replay property (same plan + same seed => byte-identical
    trace streams). *)
 
+(* One production scheduler pass on a fresh scratch. *)
+let schedule ~config ~wst ~now =
+  let s = Hermes.Scheduler.make_scratch () in
+  Hermes.Scheduler.run s ~config ~wst ~now;
+  Hermes.Scheduler.result s
+
 let check = Alcotest.check
 
 module ST = Engine.Sim_time
@@ -152,7 +158,7 @@ let test_frozen_timestamp_excluded_next_pass () =
   let bit w bitmap = Int64.logand (Int64.shift_right_logical bitmap w) 1L in
   let pass ~now =
     List.iter (fun w -> Hermes.Wst.set_avail wst w ~now) [ 0; 1; 3 ];
-    Hermes.Scheduler.schedule ~config ~wst ~now
+    schedule ~config ~wst ~now
   in
   (* One instant before the threshold: still included. *)
   let r = pass ~now:(t0 + threshold - 1) in
@@ -163,7 +169,7 @@ let test_frozen_timestamp_excluded_next_pass () =
   check Alcotest.int "others survive" 3 r.Hermes.Scheduler.passed;
   (* The reference engine agrees on the boundary. *)
   let r_ref =
-    Hermes.Scheduler.Ref.schedule ~config ~wst ~now:(t0 + threshold)
+    Oracles.Scheduler_ref.schedule ~config ~wst ~now:(t0 + threshold)
   in
   check Alcotest.int64 "ref engine agrees" 0L (bit 2 r_ref.Hermes.Scheduler.bitmap);
   (* Recovery: the moment the timestamp advances again, re-admitted. *)
@@ -173,17 +179,18 @@ let test_frozen_timestamp_excluded_next_pass () =
 
 let test_wst_stall_gates_avail_only () =
   let wst = Hermes.Wst.create ~workers:2 in
+  let cell f = let t, e, c = Oracles.Scheduler_ref.read_all wst in (f (t, e, c)).(0) in
   Hermes.Wst.set_avail wst 0 ~now:(ST.ms 1);
   Hermes.Wst.set_stall wst 0 true;
   Hermes.Wst.set_avail wst 0 ~now:(ST.ms 50);
-  check Alcotest.int "avail frozen" (ST.ms 1) (Hermes.Wst.avail_ts wst 0);
+  check Alcotest.int "avail frozen" (ST.ms 1) (cell (fun (t, _, _) -> t));
   Hermes.Wst.add_busy wst 0 3;
   Hermes.Wst.add_conn wst 0 1;
-  check Alcotest.int "busy still lands" 3 (Hermes.Wst.busy wst 0);
-  check Alcotest.int "conn still lands" 1 (Hermes.Wst.conn wst 0);
+  check Alcotest.int "busy still lands" 3 (cell (fun (_, e, _) -> e));
+  check Alcotest.int "conn still lands" 1 (cell (fun (_, _, c) -> c));
   Hermes.Wst.set_stall wst 0 false;
   Hermes.Wst.set_avail wst 0 ~now:(ST.ms 60);
-  check Alcotest.int "avail resumes" (ST.ms 60) (Hermes.Wst.avail_ts wst 0)
+  check Alcotest.int "avail resumes" (ST.ms 60) (cell (fun (t, _, _) -> t))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end chaos invariants *)

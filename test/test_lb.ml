@@ -25,7 +25,6 @@ let test_http_parse_body () =
   match Lb.Http.parse_request raw with
   | Ok (req, consumed) ->
     check Alcotest.string "body" "hello" req.Lb.Http.body;
-    check Alcotest.int "content length" 5 (Lb.Http.content_length req);
     check Alcotest.int "consumed" (String.length raw) consumed
   | Error _ -> Alcotest.fail "parse failed"
 
@@ -53,11 +52,11 @@ let test_http_bad_inputs () =
   | _ -> Alcotest.fail "should reject header"
 
 let test_http_header_case_insensitive () =
-  let raw = "GET / HTTP/1.1\r\nX-Thing: 42\r\n\r\n" in
+  let raw = "GET / HTTP/1.1\r\nhOsT: example.com\r\n\r\n" in
   match Lb.Http.parse_request raw with
   | Ok (req, _) ->
-    check Alcotest.(option string) "lookup mixed case" (Some "42")
-      (Lb.Http.header req "x-ThInG")
+    check Alcotest.(option string) "lookup mixed case" (Some "example.com")
+      (Lb.Http.host req)
   | Error _ -> Alcotest.fail "parse failed"
 
 let test_http_path_query () =
@@ -70,34 +69,26 @@ let test_http_websocket_upgrade () =
   let raw =
     "GET /chat HTTP/1.1\r\nConnection: keep-alive, Upgrade\r\nUpgrade: websocket\r\n\r\n"
   in
-  (match Lb.Http.parse_request raw with
+  match Lb.Http.parse_request raw with
   | Ok (req, _) ->
-    check Alcotest.bool "upgrade" true (Lb.Http.is_websocket_upgrade req)
-  | Error _ -> Alcotest.fail "parse failed");
-  match Lb.Http.parse_request "GET / HTTP/1.1\r\nConnection: close\r\n\r\n" with
-  | Ok (req, _) ->
-    check Alcotest.bool "no upgrade" false (Lb.Http.is_websocket_upgrade req)
+    check Alcotest.(list (pair string string)) "upgrade headers, names lower-cased"
+      [ ("connection", "keep-alive, Upgrade"); ("upgrade", "websocket") ]
+      req.Lb.Http.headers
   | Error _ -> Alcotest.fail "parse failed"
 
-let test_http_response_serialize () =
-  let r = Lb.Http.response ~body:"ok" 200 in
-  let s = Lb.Http.serialize_response r in
-  check Alcotest.bool "status line" true
-    (String.length s > 17 && String.sub s 0 17 = "HTTP/1.1 200 OK\r\n");
-  check Alcotest.bool "has body" true
-    (String.length s >= 2 && String.sub s (String.length s - 2) 2 = "ok")
+(* A request's wire form, as a client writes it. *)
+let serialize_request (req : Lb.Http.request) =
+  Printf.sprintf "%s %s %s\r\n%s\r\n%s" (Lb.Http.meth_to_string req.meth) req.target
+    req.version
+    (String.concat "" (List.map (fun (n, v) -> n ^ ": " ^ v ^ "\r\n") req.headers))
+    req.body
 
 let test_http_request_roundtrip () =
   let raw = "PUT /x HTTP/1.1\r\nhost: h\r\ncontent-length: 3\r\n\r\nabc" in
   match Lb.Http.parse_request raw with
   | Ok (req, _) ->
-    check Alcotest.string "roundtrip" raw (Lb.Http.serialize_request req)
+    check Alcotest.string "roundtrip" raw (serialize_request req)
   | Error _ -> Alcotest.fail "parse failed"
-
-let test_http_status_reasons () =
-  check Alcotest.string "499" "Client Closed Request" (Lb.Http.status_reason 499);
-  check Alcotest.string "502" "Bad Gateway" (Lb.Http.status_reason 502);
-  check Alcotest.string "unknown" "Unknown" (Lb.Http.status_reason 299)
 
 (* Property: any serialized request parses back to itself. *)
 let gen_request =
@@ -122,7 +113,7 @@ let gen_request =
 let prop_http_roundtrip =
   QCheck.Test.make ~name:"http serialize/parse roundtrip" ~count:200
     (QCheck.make gen_request) (fun req ->
-      match Lb.Http.parse_request (Lb.Http.serialize_request req) with
+      match Lb.Http.parse_request (serialize_request req) with
       | Ok (req', _) ->
         req'.Lb.Http.meth = req.Lb.Http.meth
         && String.equal req'.Lb.Http.target req.Lb.Http.target
@@ -131,6 +122,17 @@ let prop_http_roundtrip =
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                               *)
+
+(* Route a GET for [path], with a Host header when [host] is given. *)
+let route t ~host ~path =
+  Lb.Router.route_request t
+    {
+      Lb.Http.meth = GET;
+      target = path;
+      version = "HTTP/1.1";
+      headers = (match host with Some h -> [ ("host", h) ] | None -> []);
+      body = "";
+    }
 
 let rule ?host path backend_group = { Lb.Router.matcher = { host; path }; backend_group }
 
@@ -145,13 +147,13 @@ let test_router_specificity () =
       ]
   in
   check Alcotest.(option string) "exact wins" (Some "users")
-    (Lb.Router.route r ~host:None ~path:"/api/v1/users");
+    (route r ~host:None ~path:"/api/v1/users");
   check Alcotest.(option string) "longest prefix" (Some "v1")
-    (Lb.Router.route r ~host:None ~path:"/api/v1/items");
+    (route r ~host:None ~path:"/api/v1/items");
   check Alcotest.(option string) "short prefix" (Some "api")
-    (Lb.Router.route r ~host:None ~path:"/api/other");
+    (route r ~host:None ~path:"/api/other");
   check Alcotest.(option string) "catchall" (Some "catchall")
-    (Lb.Router.route r ~host:None ~path:"/elsewhere")
+    (route r ~host:None ~path:"/elsewhere")
 
 let test_router_host () =
   let r =
@@ -159,15 +161,15 @@ let test_router_host () =
       [ rule ~host:"a.example" (`Prefix "/") "tenant-a"; rule (`Prefix "/") "any" ]
   in
   check Alcotest.(option string) "host match" (Some "tenant-a")
-    (Lb.Router.route r ~host:(Some "a.example") ~path:"/x");
+    (route r ~host:(Some "a.example") ~path:"/x");
   check Alcotest.(option string) "other host" (Some "any")
-    (Lb.Router.route r ~host:(Some "b.example") ~path:"/x");
+    (route r ~host:(Some "b.example") ~path:"/x");
   check Alcotest.(option string) "no host" (Some "any")
-    (Lb.Router.route r ~host:None ~path:"/x")
+    (route r ~host:None ~path:"/x")
 
 let test_router_no_match () =
   let r = Lb.Router.create [ rule (`Exact "/only") "x" ] in
-  check Alcotest.(option string) "miss" None (Lb.Router.route r ~host:None ~path:"/other")
+  check Alcotest.(option string) "miss" None (route r ~host:None ~path:"/other")
 
 let test_router_request_and_cost () =
   let r = Lb.Router.create [ rule (`Prefix "/") "all" ] in
@@ -269,14 +271,12 @@ let test_backend_pool_modes () =
   for i = 0 to 7 do
     ignore (Lb.Backend.forward_and_release per ~worker:(i mod 4))
   done;
-  check Alcotest.int "per-worker: 8 handshakes" 8 (Lb.Backend.handshakes per);
-  check Alcotest.bool "reuse ratio ordering" true
-    (Lb.Backend.reuse_ratio shared > Lb.Backend.reuse_ratio per)
+  check Alcotest.int "per-worker: 8 handshakes" 8 (Lb.Backend.handshakes per)
 
 let test_backend_resize () =
   let b = Lb.Backend.create ~servers:2 ~workers:1 ~mode:Lb.Backend.Shared () in
   Lb.Backend.update_server_list b ~servers:5 ~randomize:None ();
-  check Alcotest.int "resized" 5 (Lb.Backend.server_count b);
+  check Alcotest.int "resized" 5 (Array.length (Lb.Backend.requests_per_server b));
   for _ = 1 to 5 do
     ignore (Lb.Backend.forward_and_release b ~worker:0)
   done;
@@ -734,9 +734,7 @@ let () =
           Alcotest.test_case "header case" `Quick test_http_header_case_insensitive;
           Alcotest.test_case "path query" `Quick test_http_path_query;
           Alcotest.test_case "websocket upgrade" `Quick test_http_websocket_upgrade;
-          Alcotest.test_case "response serialize" `Quick test_http_response_serialize;
           Alcotest.test_case "request roundtrip" `Quick test_http_request_roundtrip;
-          Alcotest.test_case "status reasons" `Quick test_http_status_reasons;
           QCheck_alcotest.to_alcotest prop_http_roundtrip;
         ] );
       ( "router",

@@ -2,6 +2,12 @@
    readiness bookkeeping, scheduler invariants over random WSTs, and
    waitqueue policy laws. *)
 
+(* One production scheduler pass on a fresh scratch. *)
+let schedule ~config ~wst ~now =
+  let s = Hermes.Scheduler.make_scratch () in
+  Hermes.Scheduler.run s ~config ~wst ~now;
+  Hermes.Scheduler.result s
+
 let ms = Engine.Sim_time.ms
 
 (* ------------------------------------------------------------------ *)
@@ -95,12 +101,12 @@ let prop_scheduler_bitmap_consistent =
     ~count:300 (QCheck.make gen_wst_state) (fun state ->
       let now = ms 1000 in
       let wst = build_wst state now in
-      let r = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
+      let r = schedule ~config:Hermes.Config.default ~wst ~now in
       Kernel.Bitops.popcount64 r.Hermes.Scheduler.bitmap = r.Hermes.Scheduler.passed
       && r.Hermes.Scheduler.passed <= r.Hermes.Scheduler.total
       && List.for_all
            (fun b -> b < List.length state)
-           (Kernel.Bitops.list_of_bits r.Hermes.Scheduler.bitmap))
+           (Bitmap.to_list r.Hermes.Scheduler.bitmap))
 
 let prop_scheduler_excludes_hung =
   QCheck.Test.make ~name:"scheduler: stale workers never selected" ~count:300
@@ -108,20 +114,21 @@ let prop_scheduler_excludes_hung =
       let now = ms 1000 in
       let wst = build_wst state now in
       let threshold = Hermes.Config.default.Hermes.Config.avail_threshold in
-      let r = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
+      let r = schedule ~config:Hermes.Config.default ~wst ~now in
+      let times, _, _ = Oracles.Scheduler_ref.read_all wst in
       List.for_all
         (fun b ->
-          let age = Engine.Sim_time.sub now (Hermes.Wst.avail_ts wst b) in
+          let age = Engine.Sim_time.sub now times.(b) in
           age < threshold)
-        (Kernel.Bitops.list_of_bits r.Hermes.Scheduler.bitmap))
+        (Bitmap.to_list r.Hermes.Scheduler.bitmap))
 
 let prop_scheduler_deterministic =
   QCheck.Test.make ~name:"scheduler: deterministic" ~count:100
     (QCheck.make gen_wst_state) (fun state ->
       let now = ms 1000 in
       let wst = build_wst state now in
-      let r1 = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
-      let r2 = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
+      let r1 = schedule ~config:Hermes.Config.default ~wst ~now in
+      let r2 = schedule ~config:Hermes.Config.default ~wst ~now in
       Int64.equal r1.Hermes.Scheduler.bitmap r2.Hermes.Scheduler.bitmap)
 
 (* The coarse filter can never empty the bitmap while at least one
@@ -137,7 +144,7 @@ let prop_scheduler_bitmap_never_empty_with_fresh_worker =
       (* build_wst stamps worker avail at [now - age], so fresh iff the
          age is under FilterTime's staleness threshold *)
       let fresh = List.exists (fun (age, _, _) -> ms age < threshold) state in
-      let r = Hermes.Scheduler.schedule ~config:cfg ~wst ~now in
+      let r = schedule ~config:cfg ~wst ~now in
       (not fresh) || r.Hermes.Scheduler.passed > 0)
 
 (* The theta floor (max 1.0 slack) must keep an all-idle group fully
@@ -151,7 +158,7 @@ let prop_scheduler_all_idle_fully_selected =
       for w = 0 to workers - 1 do
         Hermes.Wst.set_avail wst w ~now
       done;
-      let r = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
+      let r = schedule ~config:Hermes.Config.default ~wst ~now in
       r.Hermes.Scheduler.passed = workers
       && Kernel.Bitops.popcount64 r.Hermes.Scheduler.bitmap = workers)
 
@@ -178,7 +185,7 @@ let prop_scheduler_passed_is_popcount_all_orders =
       in
       let now = ms 1000 in
       let wst = build_wst state now in
-      let r = Hermes.Scheduler.schedule ~config ~wst ~now in
+      let r = schedule ~config ~wst ~now in
       Kernel.Bitops.popcount64 r.Hermes.Scheduler.bitmap = r.Hermes.Scheduler.passed)
 
 (* A fresh, idle worker among loaded ones must always be selected: it
@@ -189,8 +196,8 @@ let prop_scheduler_idle_always_in =
       let now = ms 1000 in
       let state = (0, 0, 0) :: state in
       let wst = build_wst state now in
-      let r = Hermes.Scheduler.schedule ~config:Hermes.Config.default ~wst ~now in
-      Kernel.Bitops.bit_is_set r.Hermes.Scheduler.bitmap 0)
+      let r = schedule ~config:Hermes.Config.default ~wst ~now in
+      Bitmap.is_set r.Hermes.Scheduler.bitmap 0)
 
 (* ------------------------------------------------------------------ *)
 (* Waitqueue policy laws                                                *)

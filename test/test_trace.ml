@@ -3,6 +3,16 @@
    through the full device stack — asserting the *sequence* of woken
    workers per policy, not just wake counts. *)
 
+(* Every record of a binary trace file, in stream order. *)
+let read_bin path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let acc = ref [] in
+      Trace.Binary.iter_channel ic (fun r -> acc := r :: !acc);
+      List.rev !acc)
+
 let check = Alcotest.check
 let ms = Engine.Sim_time.ms
 
@@ -264,7 +274,7 @@ let write_binary path records =
 let test_binary_roundtrip_all_constructors () =
   with_temp_file (fun path ->
       write_binary path all_constructor_records;
-      let decoded = Trace.Binary.read_file path in
+      let decoded = read_bin path in
       check Alcotest.int "record count"
         (List.length all_constructor_records)
         (List.length decoded);
@@ -306,15 +316,15 @@ let test_binary_rejects_garbage () =
       let oc = open_out_bin path in
       output_string oc "NOTATRACE-------";
       close_out oc;
-      (match Trace.Binary.read_file path with
+      (match read_bin path with
       | exception Trace.Binary.Corrupt _ -> ()
       | _ -> Alcotest.fail "bad magic accepted");
       (* valid magic, truncated record header *)
       let oc = open_out_bin path in
-      output_string oc Trace.Binary.magic;
+      output_string oc "HTRCBIN2";
       output_string oc "abc";
       close_out oc;
-      (match Trace.Binary.read_file path with
+      (match read_bin path with
       | exception Trace.Binary.Corrupt _ -> ()
       | _ -> Alcotest.fail "truncated header accepted");
       (* a stream in the earlier layout *)
@@ -323,7 +333,7 @@ let test_binary_rejects_garbage () =
       Out_channel.with_open_bin path (fun oc ->
           output_string oc "HTRCBIN1";
           output_string oc (String.sub data 8 (String.length data - 8)));
-      match Trace.Binary.read_file path with
+      match read_bin path with
       | exception Trace.Binary.Corrupt _ -> ()
       | _ -> Alcotest.fail "HTRCBIN1 stream accepted")
 
@@ -365,7 +375,7 @@ let test_binary_fuzz =
     (fun data ->
       with_temp_file (fun path ->
           Out_channel.with_open_bin path (fun oc -> output_string oc data);
-          match Trace.Binary.read_file path with
+          match read_bin path with
           | _ -> true
           | exception Trace.Binary.Corrupt _ -> true))
 
@@ -401,7 +411,7 @@ let test_binary_jsonl_equivalence () =
             go []
           in
           let decoded =
-            List.map Trace.json_of_record (Trace.Binary.read_file bin_path)
+            List.map Trace.json_of_record (read_bin bin_path)
           in
           check Alcotest.int
             (s.Golden_scenarios.Scenarios.name ^ ": event count")

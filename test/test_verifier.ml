@@ -5,6 +5,22 @@
    same JIT with every check armed) against the fully-checked
    interpreter on random bytecode. *)
 
+(* The structural verifier's verdict, with [verify_exn]'s reason. *)
+(* Instructions whose dynamic checks the certificate leaves armed. *)
+let residual_checks v =
+  Array.fold_left (fun n proved -> if proved then n else n + 1) 0
+    (Kernel.Ebpf_vm.certificate v)
+
+let ast_verify p =
+  match Kernel.Ebpf.verify_exn p with
+  | v -> Ok v
+  | exception Invalid_argument m ->
+    let prefix = "Ebpf.verify_exn: " in
+    let n = String.length prefix in
+    Error (String.sub m n (String.length m - n))
+
+let reg_of_int i = Kernel.Ebpf_vm.[| R0; R1; R2; R3; R4; R5; R6; R7; R8; R9 |].(i)
+
 let check = Alcotest.check
 
 let ctx = { Kernel.Ebpf.flow_hash = 0x1234_5678; dst_port = 8080 }
@@ -17,7 +33,7 @@ let contains s sub =
   go 0
 
 (* Verified bytecode runs on the closure JIT, its one executor. *)
-let run_jit v ctx = fst (Kernel.Ebpf_jit.run (Kernel.Ebpf_jit.compile v) ctx)
+let run_jit v ctx = fst (Oracles.Ebpf_vm_ref.run_jit (Kernel.Ebpf_jit.compile v) ctx)
 
 let verify_ok code =
   match Kernel.Verifier.verify code with
@@ -144,7 +160,7 @@ let test_unmasked_shift_residual () =
   in
   check Alcotest.bool "unproved" false (Kernel.Ebpf_vm.fully_proved v);
   check Alcotest.int "one residual site" 1 r.Kernel.Verifier.residual;
-  check Alcotest.int "residual checks armed" 1 (Kernel.Ebpf_vm.residual_checks v);
+  check Alcotest.int "residual checks armed" 1 (residual_checks v);
   (* the armed check fires (flow_hash is way over 63) and the program
      falls back instead of faulting the kernel *)
   match run_jit v ctx with
@@ -216,7 +232,7 @@ let test_unmasked_sockmap_key_residual () =
          && s.Kernel.Verifier.status = Kernel.Verifier.Runtime_check)
        r.Kernel.Verifier.sites);
   check Alcotest.bool "residual checks armed" true
-    (Kernel.Ebpf_vm.residual_checks v > 0);
+    (residual_checks v > 0);
   (* ctx.flow_hash = 0x12345678 >= 8: the armed check fires *)
   match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
@@ -302,13 +318,13 @@ let test_splice_prog_full_certificate () =
 let sa_small = Kernel.Ebpf_maps.Sockarray.create ~name:"vt_sa" ~size:2
 
 let test_ast_rejects_unnamed () =
-  match Kernel.Ebpf.verify { Kernel.Ebpf.name = ""; body = Kernel.Ebpf.Fallback } with
+  match ast_verify { Kernel.Ebpf.name = ""; body = Kernel.Ebpf.Fallback } with
   | Error msg -> check Alcotest.bool "mentions naming" true (contains msg "named")
   | Ok _ -> Alcotest.fail "unnamed program accepted"
 
 let test_ast_rejects_unbound_var () =
   match
-    Kernel.Ebpf.verify
+    ast_verify
       {
         Kernel.Ebpf.name = "unbound";
         body = Kernel.Ebpf.Select (sa_small, Kernel.Ebpf.Var "nope");
@@ -326,7 +342,7 @@ let test_ast_rejects_insn_budget () =
     else Kernel.Ebpf.Add (tree (d - 1), tree (d - 1))
   in
   match
-    Kernel.Ebpf.verify
+    ast_verify
       {
         Kernel.Ebpf.name = "wide";
         body =
@@ -346,7 +362,7 @@ let test_ast_rejects_depth_limit () =
     else Kernel.Ebpf.Add (chain (n - 1), Kernel.Ebpf.Const 1L)
   in
   match
-    Kernel.Ebpf.verify
+    ast_verify
       {
         Kernel.Ebpf.name = "deep";
         body =
@@ -388,7 +404,7 @@ let qsm =
    constrains accepted ones. *)
 let gen_vm_prog =
   let open QCheck.Gen in
-  let reg = map Kernel.Ebpf_vm.reg_of_int (int_range 0 9) in
+  let reg = map reg_of_int (int_range 0 9) in
   let alu =
     oneofl Kernel.Ebpf_vm.[ Add; Sub; Mul; And; Or; Xor; Lsh; Rsh; Mod ]
   in
@@ -468,7 +484,7 @@ let gen_vm_prog =
   let prelude =
     List.init 10 (fun i ->
         Kernel.Ebpf_vm.Mov_imm
-          (Kernel.Ebpf_vm.reg_of_int i, Int64.of_int (i * 3)))
+          (reg_of_int i, Int64.of_int (i * 3)))
     @ Kernel.Ebpf_vm.
         [ St_stack (0, R0); St_stack (1, R1); St_stack (2, R2) ]
   in
@@ -518,8 +534,8 @@ let prop_fast_matches_checked =
               dst_port = Engine.Rng.int rng 0xFFFF;
             }
           in
-          let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
-          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
+          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
+          let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
           ok :=
             !ok && outcome_equal jit_out chk_out && jit_cycles = chk_cycles
         done;
@@ -556,9 +572,9 @@ let prop_jit_matches_interpreters =
               dst_port = Engine.Rng.int rng 0xFFFF;
             }
           in
-          let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
-          let arm_out, arm_cycles = Kernel.Ebpf_jit.run armed ctx in
-          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
+          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
+          let arm_out, arm_cycles = Oracles.Ebpf_vm_ref.run_jit armed ctx in
+          let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
           ok :=
             !ok
             && outcome_equal jit_out arm_out
@@ -600,8 +616,8 @@ let prop_redirect_engines_agree =
             { Kernel.Ebpf.flow_hash = Engine.Rng.int rng 0x7FFFFFFF; dst_port = 80 }
           in
           let ast_out = fst (Kernel.Ebpf.run ast ctx) in
-          let chk_out, chk_cycles = Kernel.Ebpf_vm.run_checked v ctx in
-          let jit_out, jit_cycles = Kernel.Ebpf_jit.run jit ctx in
+          let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
+          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
           ok :=
             !ok
             && outcome_equal ast_out chk_out
