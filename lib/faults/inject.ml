@@ -1,7 +1,6 @@
 module Sim = Engine.Sim
 module Sim_time = Engine.Sim_time
 module Device = Lb.Device
-module Worker = Lb.Worker
 
 let slowdown_period = Sim_time.ms 5
 
@@ -19,11 +18,6 @@ let set_wst_stall device ~worker on =
     let groups = Hermes.Runtime.groups rt in
     let g, within = Hermes.Groups.group_of_worker groups worker in
     Hermes.Wst.set_stall (Hermes.Groups.wst groups g) within on
-
-let stall ~device ~worker ~cost =
-  ignore
-    (Worker.inject_stall (Device.worker device worker) ~req_id:(Device.fresh_id device)
-       ~cost)
 
 let fire ~device (entry : Plan.entry) =
   let sim = Device.sim device in
@@ -49,13 +43,13 @@ let fire ~device (entry : Plan.entry) =
     (* The matching end of the [crash] window, for the monitors. *)
     emit_clear ~fault:Trace.Crash ~worker
   | Plan.Hang { worker; duration } | Plan.Gc_pause { worker; duration } ->
-    stall ~device ~worker ~cost:duration;
+    Device.inject_hang device ~worker ~duration;
     clear_after duration (fun () -> ())
   | Plan.Slowdown { worker; factor; duration } ->
     let burn = slowdown_period * (factor - 1) / factor in
     let rec tick remaining =
       if remaining > 0 then begin
-        stall ~device ~worker ~cost:(Sim_time.min burn remaining);
+        Device.inject_hang device ~worker ~duration:(Sim_time.min burn remaining);
         ignore
           (Sim.schedule_after sim ~delay:slowdown_period (fun () ->
                tick (remaining - slowdown_period)))

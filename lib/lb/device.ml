@@ -646,14 +646,7 @@ let recover_worker t w =
   end
 
 let inject_hang t ~worker ~duration =
-  let w = t.workers_arr.(worker) in
-  let tenant_id = t.tenant_arr.(0).id in
-  let conn = Worker.adopt_conn w ~tenant_id in
-  let req =
-    Request.make ~id:(fresh_id t) ~op:Request.Websocket_frame ~size:0
-      ~cost:duration ~tenant_id
-  in
-  ignore (Worker.deliver w conn req)
+  ignore (Worker.inject_stall t.workers_arr.(worker) ~req_id:(fresh_id t) ~cost:duration)
 
 let cpu_busy_per_worker t = Array.map Worker.cpu_busy t.workers_arr
 

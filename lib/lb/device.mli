@@ -126,8 +126,10 @@ val recover_worker : t -> int -> unit
     isolated. *)
 
 val inject_hang : t -> worker:int -> duration:Engine.Sim_time.t -> unit
-(** Hand the worker one request costing [duration] — the stuck-drain
-    hang of Appendix C. *)
+(** Stall the worker's event loop for [duration] — the stuck-drain
+    hang of Appendix C, and every stall of a fault plan.  The work
+    rides {!Worker.inject_stall}'s carrier, so it counts neither as
+    traffic nor as a live connection.  No-op on a crashed worker. *)
 
 val set_probe_loss : t -> bool -> unit
 (** While set, [probe_once] drops the probe SYN on the wire: the

@@ -123,7 +123,15 @@ let cpu_busy_at t time =
   t.cpu_committed + in_progress
 
 let cpu_busy t = cpu_busy_at t (Sim.now t.sim)
-let conn_count t = Conn_table.length t.conn_table
+(* The fault carrier, once created, sits in the table for good; it is
+   no connection a client holds, so it is not counted. *)
+let conn_count t =
+  let carrier =
+    match t.fault_conn with
+    | Some c when Conn_table.mem t.conn_table c.Conn.fd -> 1
+    | Some _ | None -> 0
+  in
+  Conn_table.length t.conn_table - carrier
 
 (* Sorted by fd (monotonic, so effectively accept order): iteration
    sites — degradation shedding, restart resets — behave independently

@@ -97,7 +97,11 @@ val inject_stall : t -> req_id:int -> cost:Engine.Sim_time.t -> bool
     Returns false (and injects nothing) if the worker is crashed. *)
 
 val conns : t -> Conn.t list
+
 val conn_count : t -> int
+(** Connections held for clients: the {!inject_stall} carrier is not
+    one. *)
+
 val cpu_busy : t -> Engine.Sim_time.t
 (** Cumulative CPU time consumed by this worker's core up to now;
     a charge in progress counts only its elapsed part. *)

@@ -330,6 +330,22 @@ let test_different_seed_differs () =
   let t2, _ = render_run ~plan ~seed:2 in
   check Alcotest.bool "different seeds diverge" false (String.equal t1 t2)
 
+(* A plan's stall rides a carrier connection that outlives it; once
+   the stall lifts the worker holds no live connection. *)
+let test_stall_leaves_no_live_conn () =
+  let sim = Engine.Sim.create () in
+  let device =
+    Lb.Device.create ~sim ~rng:(Engine.Rng.create 5)
+      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2
+      ~tenants:(Netsim.Tenant.population ~n:1 ~base_dport:20000) ()
+  in
+  Lb.Device.start device;
+  Faults.Inject.arm ~device
+    ~plan:[ { Plan.at = ST.ms 1; action = Plan.Hang { worker = 0; duration = ST.ms 2 } } ];
+  Engine.Sim.run_until sim ~limit:(ST.ms 10);
+  check Alcotest.(array int) "no live connection" [| 0; 0 |]
+    (Lb.Device.conns_per_worker device)
+
 let () =
   Alcotest.run "faults"
     [
@@ -340,6 +356,8 @@ let () =
           Alcotest.test_case "lint rejects bad targets" `Quick test_plan_lint;
           Alcotest.test_case "builtin plan lints clean" `Quick
             test_builtin_plan_lints_clean;
+          Alcotest.test_case "stall leaves no live connection" `Quick
+            test_stall_leaves_no_live_conn;
           QCheck_alcotest.to_alcotest test_plan_roundtrip_property;
           QCheck_alcotest.to_alcotest test_plan_fuzz;
         ] );

@@ -138,6 +138,29 @@ let test_cluster_rolling_replace () =
         (Lb.Device.hermes_runtime dev <> None))
     (Cluster.Lb_cluster.devices cluster)
 
+(* A member that stalled drains at once: the stall's carrier is no
+   connection, so a rollout on an idle fleet ends well inside
+   max_drain. *)
+let test_cluster_rolling_replace_after_hang () =
+  let cluster, sim =
+    make_cluster ~devices:1 ~mode:(Lb.Device.Hermes Hermes.Config.default) ()
+  in
+  let plan =
+    [ { Faults.Plan.at = ms 1; action = Faults.Plan.Hang { worker = 0; duration = ms 2 } } ]
+  in
+  Cluster.Lb_cluster.run_on cluster ~slot:0 (fun dev -> Faults.Inject.arm ~device:dev ~plan);
+  let finished = ref None in
+  ignore
+    (Engine.Sim.schedule sim ~at:(ms 20) (fun () ->
+         Cluster.Lb_cluster.rolling_replace cluster ~new_mode:Lb.Device.Reuseport
+           ~poll:(ms 1)
+           ~on_done:(fun () -> finished := Some (Engine.Sim.now sim))
+           ()));
+  Engine.Sim.run_until sim ~limit:(sec 1);
+  match !finished with
+  | Some at -> check Alcotest.bool "done within 100 ms" true (at < ms 100)
+  | None -> Alcotest.fail "rollout still waiting on the member that hung"
+
 let test_cluster_empty_rotation_fails () =
   let cluster, _sim = make_cluster ~devices:1 () in
   Cluster.Lb_cluster.drain_device cluster 0;
@@ -301,6 +324,8 @@ let () =
           Alcotest.test_case "drain excludes" `Quick test_cluster_drain_excludes;
           Alcotest.test_case "remove when drained" `Quick test_cluster_remove_when_drained;
           Alcotest.test_case "rolling replace" `Quick test_cluster_rolling_replace;
+          Alcotest.test_case "rolling replace after a hang" `Quick
+            test_cluster_rolling_replace_after_hang;
           Alcotest.test_case "empty rotation" `Quick test_cluster_empty_rotation_fails;
           Alcotest.test_case "drain last in rotation" `Quick
             test_cluster_drain_last_in_rotation;

@@ -516,6 +516,20 @@ let test_device_hang_injection_and_probe () =
   check Alcotest.bool "hung worker delayed" true (per.(1) >= 2);
   check Alcotest.int "healthy worker clean" 0 per.(0)
 
+(* A hang is a stall, not a request: it shows in no accept, completion,
+   latency or live-connection figure. *)
+let test_device_hang_is_not_traffic () =
+  let device, sim = make_device (Lb.Device.Hermes Hermes.Config.default) in
+  Lb.Device.inject_hang device ~worker:0 ~duration:(Engine.Sim_time.ms 100);
+  Engine.Sim.run_until sim ~limit:(Engine.Sim_time.ms 200);
+  check Alcotest.(array int) "accepted" [| 0; 0; 0; 0 |]
+    (Lb.Device.accepted_per_worker device);
+  check Alcotest.int "completed" 0 (Lb.Device.completed device);
+  check Alcotest.int "latency samples" 0
+    (Stats.Histogram.count (Lb.Device.latency_hist device));
+  check Alcotest.(array int) "live connections" [| 0; 0; 0; 0 |]
+    (Lb.Device.conns_per_worker device)
+
 let test_device_hermes_avoids_hung_worker () =
   let device, sim = make_device (Lb.Device.Hermes Hermes.Config.default) in
   (* warm the loop so every worker has a fresh avail timestamp *)
@@ -774,6 +788,7 @@ let () =
             test_device_isolation_stops_hashing_to_dead;
           Alcotest.test_case "hang + per-worker probe" `Quick
             test_device_hang_injection_and_probe;
+          Alcotest.test_case "hang is not traffic" `Quick test_device_hang_is_not_traffic;
           Alcotest.test_case "hermes avoids hung worker" `Quick
             test_device_hermes_avoids_hung_worker;
           Alcotest.test_case "degradation sheds" `Quick test_device_degradation_sheds;
