@@ -29,8 +29,9 @@
                       hash fallback, then re-engages), a hang, and
                       health probes that time out behind it
    - [fleet_drain]    a two-device fleet's merged trace across a fault
-                      plan and a rolling replacement that starts while
-                      one connection is still on its way to a member *)
+                      plan (a hang among its faults) and a rolling
+                      replacement that starts while one connection is
+                      still on its way to a member *)
 
 let ms = Engine.Sim_time.ms
 let us = Engine.Sim_time.us
@@ -196,6 +197,7 @@ let fleet_drain () =
   let plan : Faults.Plan.t =
     [
       { at = ms 5; action = Ebpf_fail { duration = ms 3 } };
+      { at = ms 5; action = Hang { worker = 0; duration = ms 2 } };
       { at = ms 12; action = Crash { worker = 1 } };
       { at = ms 16; action = Recover { worker = 1 } };
     ]
@@ -282,8 +284,8 @@ let all =
     {
       name = "fleet_drain";
       header =
-        "# scenario fleet_drain: 2 Hermes members, fault plan, rolling \
-         replace to reuseport at 20ms with a connect in flight";
+        "# scenario fleet_drain: 2 Hermes members, fault plan with a hang, \
+         rolling replace to reuseport at 20ms with a connect in flight";
       run = fleet_drain;
     };
   ]
