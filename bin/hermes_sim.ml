@@ -257,6 +257,10 @@ let verify_cmd =
                [@@test_only])\n"
               "dead exports" d.site.file d.site.line d.name)
           dead;
+        Printf.printf
+          "%-24s (uses are read from the .cmt files that `dune build \
+           @check` writes; a unit built without them shows no use)\n"
+          "dead exports";
         failures := "dead exports" :: !failures));
     match !failures with
     | [] -> `Ok ()
