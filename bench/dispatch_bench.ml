@@ -232,7 +232,8 @@ let run ~quick =
      speedup ratio (except [ebpf_jit_ast], an informational row whose
      AST-walker baseline is too warmup-sensitive to gate on);
    - the headline floors hold outright: JIT >= 1.3x over the checked
-     bytecode interpreter, bitmap scheduler >= 1.5x over Ref;
+     bytecode interpreter, bitmap scheduler >= 1.5x over the
+     bool-array oracle;
    - the fast paths allocate exactly zero minor words per op (when the
      runtime supports the measurement). *)
 let gates (r : Harness.Row.t) =

@@ -5,9 +5,10 @@
 
    The wheel reproduces the retired binary heap's exact (time, seq)
    firing order — the golden-trace conformance harness depends on it,
-   and test/test_engine.ml proves it differentially against
-   [Ref_heap] — while making [cancel] O(1) (the entry is unlinked and
-   its closure dropped at once, where the heap leaked it until drain)
+   and test/test_engine.ml proves it differentially against the
+   retired heap, [Oracles.Ref_heap] — while making [cancel] O(1) (the
+   entry is unlinked and its closure dropped at once, where the heap
+   leaked it until drain)
    and [pending_count] O(1).  A handle is the wheel's integer entry
    handle, so scheduling, cancelling and firing allocate nothing
    beyond the caller's closure. *)

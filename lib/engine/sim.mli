@@ -11,8 +11,8 @@
     immediately, and O(1) {!pending_count}.  Past the wheel's
     high-water mark, scheduling, firing and cancelling allocate
     nothing beyond the caller's closure.  The retired binary-heap
-    engine survives as {!Ref_heap} for differential tests and the
-    scheduler benchmarks. *)
+    engine survives in the test suite's oracles, for differential
+    tests and the scheduler benchmarks. *)
 
 type t
 

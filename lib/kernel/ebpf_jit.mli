@@ -21,9 +21,9 @@
     through one cell of indirection tied after the reverse-order
     compile.
 
-    Outcomes and cycle counts are bit-identical to
-    {!Ebpf_vm.run_checked}, which keeps every check armed, on every
-    verified program — the qcheck differential suite pins this on
+    Outcomes and cycle counts are bit-identical to the test suite's
+    checked reference interpreter, which keeps every check armed, on
+    every verified program — the qcheck differential suite pins this on
     random certified bytecode. *)
 
 type t

@@ -90,7 +90,4 @@ module Syscall = struct
     Array_map.kernel_update map key v;
     if Trace.enabled () then
       Trace.emit (Trace.Map_update { map = Array_map.name map; key; value = v })
-
-  let sock_update map key ~conn ~target = Sockmap.set map key ~conn ~target
-  let sock_delete map key = Sockmap.clear map key
 end

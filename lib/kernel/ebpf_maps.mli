@@ -9,8 +9,8 @@
     a torn value, the property §5.4 relies on; the simulator runs on
     one domain, so the cells are plain array slots.
 
-    Userspace writes go through {!Syscall}; each bitmap push emits a
-    [Map_update] trace record, and Table 5 charges the system calls
+    Userspace bitmap pushes go through {!Syscall}, each emitting a
+    [Map_update] trace record; Table 5 charges the system calls
     separately from the in-kernel dispatcher. *)
 
 module Array_map : sig
@@ -63,6 +63,11 @@ module Sockmap : sig
   val name : t -> string
   val size : t -> int
   val set : t -> int -> conn:int -> target:int -> unit
+  (** Userspace sockmap attach ([BPF_MAP_UPDATE_ELEM] on a sockmap). *)
+
+  val clear : t -> int -> unit
+  (** Userspace sockmap teardown ([BPF_MAP_DELETE_ELEM]). *)
+
   val get : t -> int -> entry option
 
   val unsafe_get : t -> int -> entry option
@@ -74,10 +79,4 @@ module Syscall : sig
   val update_elem : Array_map.t -> int -> int64 -> unit
   (** Userspace [bpf(BPF_MAP_UPDATE_ELEM)]: performs the store and
       emits a [Map_update] trace record. *)
-
-  val sock_update : Sockmap.t -> int -> conn:int -> target:int -> unit
-  (** Userspace sockmap attach ([BPF_MAP_UPDATE_ELEM] on a sockmap). *)
-
-  val sock_delete : Sockmap.t -> int -> unit
-  (** Userspace sockmap teardown ([BPF_MAP_DELETE_ELEM]). *)
 end

@@ -20,8 +20,8 @@
 
     Blocking is the {e worker's} concern: [wait] never blocks; when it
     returns no events the worker parks itself and is resumed by a
-    wait-queue wakeup (shared socket), a {!poke}, or its epoll
-    timeout.
+    wait-queue wakeup (shared socket), a readiness notification, or
+    its epoll timeout.
 
     The per-event path hashes nothing polymorphically and allocates
     nothing: one [Engine.Conn_table] keyed by fd holds each
@@ -37,9 +37,8 @@ type t
 val create : worker_id:int -> t
 
 val set_wakeup : t -> (unit -> unit) -> unit
-(** Callback fired on {!poke}, {!notify_readable} and
-    {!notify_accept_ready}; the worker uses it to leave the blocked
-    state. *)
+(** Callback fired on {!notify_readable} and {!notify_accept_ready};
+    the worker uses it to leave the blocked state. *)
 
 val add_listening : t -> fd:int -> socket:Socket.t -> shared:bool -> unit
 (** Register a listening socket (EPOLL_CTL_ADD).  [shared = true]

@@ -100,7 +100,7 @@ let attach t ~conn ~flow_hash ~worker =
         Some key
       end
     | Some _ | None ->
-      Kernel.Ebpf_maps.Syscall.sock_update t.map key ~conn ~target:worker;
+      Kernel.Ebpf_maps.Sockmap.set t.map key ~conn ~target:worker;
       Conn_table.Dense.set t.spliced ~key:conn ~a:key ~b:worker;
       t.stats.attaches <- t.stats.attaches + 1;
       Some key
@@ -120,7 +120,7 @@ let teardown t ~conn =
     (if not t.desynced.(worker) then
        match Kernel.Ebpf_maps.Sockmap.get t.map key with
        | Some e when e.Kernel.Ebpf_maps.Sockmap.conn = conn ->
-         Kernel.Ebpf_maps.Syscall.sock_delete t.map key
+         Kernel.Ebpf_maps.Sockmap.clear t.map key
        | Some _ | None -> ());
     Some (key, worker)
   end

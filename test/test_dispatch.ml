@@ -11,11 +11,7 @@
      backends or when a known-zero-alloc calibration loop reports
      allocation, as instrumented runtimes make minor_words lie) *)
 
-(* One production scheduler pass on a fresh scratch. *)
-let schedule ~config ~wst ~now =
-  let s = Hermes.Scheduler.make_scratch () in
-  Hermes.Scheduler.run s ~config ~wst ~now;
-  Hermes.Scheduler.result s
+let schedule = Drive.schedule
 
 let check = Alcotest.check
 

@@ -3,14 +3,7 @@
    (verified bytecode's one executor) and the checked reference
    interpreter against the expression-level interpreter. *)
 
-(* The structural verifier's verdict, with [verify_exn]'s reason. *)
-let ast_verify p =
-  match Kernel.Ebpf.verify_exn p with
-  | v -> Ok v
-  | exception Invalid_argument m ->
-    let prefix = "Ebpf.verify_exn: " in
-    let n = String.length prefix in
-    Error (String.sub m n (String.length m - n))
+let ast_verify = Drive.ast_verify
 
 let check = Alcotest.check
 

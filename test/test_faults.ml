@@ -5,11 +5,7 @@
    qcheck replay property (same plan + same seed => byte-identical
    trace streams). *)
 
-(* One production scheduler pass on a fresh scratch. *)
-let schedule ~config ~wst ~now =
-  let s = Hermes.Scheduler.make_scratch () in
-  Hermes.Scheduler.run s ~config ~wst ~now;
-  Hermes.Scheduler.result s
+let schedule = Drive.schedule
 
 let check = Alcotest.check
 

@@ -2,11 +2,7 @@
    the Algo 2 dispatch program, grouping, the runtime, and proactive
    degradation. *)
 
-(* One production scheduler pass on a fresh scratch. *)
-let schedule ~config ~wst ~now =
-  let s = Hermes.Scheduler.make_scratch () in
-  Hermes.Scheduler.run s ~config ~wst ~now;
-  Hermes.Scheduler.result s
+let schedule = Drive.schedule
 
 let check = Alcotest.check
 let ms = Engine.Sim_time.ms

@@ -1,14 +1,7 @@
 (* Tests for the kernel library: bit twiddling, wait queues, sockets,
    epoll, the eBPF model, maps, and reuseport groups. *)
 
-(* The structural verifier's verdict, with [verify_exn]'s reason. *)
-let ast_verify p =
-  match Kernel.Ebpf.verify_exn p with
-  | v -> Ok v
-  | exception Invalid_argument m ->
-    let prefix = "Ebpf.verify_exn: " in
-    let n = String.length prefix in
-    Error (String.sub m n (String.length m - n))
+let ast_verify = Drive.ast_verify
 
 let check = Alcotest.check
 

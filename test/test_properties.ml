@@ -2,11 +2,7 @@
    readiness bookkeeping, scheduler invariants over random WSTs, and
    waitqueue policy laws. *)
 
-(* One production scheduler pass on a fresh scratch. *)
-let schedule ~config ~wst ~now =
-  let s = Hermes.Scheduler.make_scratch () in
-  Hermes.Scheduler.run s ~config ~wst ~now;
-  Hermes.Scheduler.result s
+let schedule = Drive.schedule
 
 let ms = Engine.Sim_time.ms
 

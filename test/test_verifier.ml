@@ -5,19 +5,12 @@
    same JIT with every check armed) against the fully-checked
    interpreter on random bytecode. *)
 
-(* The structural verifier's verdict, with [verify_exn]'s reason. *)
 (* Instructions whose dynamic checks the certificate leaves armed. *)
 let residual_checks v =
   Array.fold_left (fun n proved -> if proved then n else n + 1) 0
     (Kernel.Ebpf_vm.certificate v)
 
-let ast_verify p =
-  match Kernel.Ebpf.verify_exn p with
-  | v -> Ok v
-  | exception Invalid_argument m ->
-    let prefix = "Ebpf.verify_exn: " in
-    let n = String.length prefix in
-    Error (String.sub m n (String.length m - n))
+let ast_verify = Drive.ast_verify
 
 let reg_of_int i = Kernel.Ebpf_vm.[| R0; R1; R2; R3; R4; R5; R6; R7; R8; R9 |].(i)
 
