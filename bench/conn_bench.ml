@@ -19,10 +19,6 @@
      it against the committed baseline, which is what catches a
      reintroduced per-connection or per-sample leak. *)
 
-(* Local to each family on purpose: the timed loops call it per op, and
-   only a same-module definition gets inlined there. *)
-let mix i = (i * 0x61C88647) lxor (i lsr 7)
-
 (* VmHWM from /proc/self/status: the peak resident set over the whole
    process lifetime, in kB.  None where procfs is unavailable. *)
 let max_rss_kb () =
@@ -67,7 +63,7 @@ let churn_scenario ~window ~ops =
       let k = i + window + 1 in
       T.add t ~key:k ~aux:(2 * k) payload;
       if i land 7 = 0 then begin
-        let probe = i + 2 + (mix i land (window - 1)) in
+        let probe = i + 2 + (Harness.mix i land (window - 1)) in
         let s = T.find_slot t probe in
         if s >= 0 then sum := !sum + T.aux t s
       end
@@ -85,7 +81,7 @@ let churn_scenario ~window ~ops =
       let k = i + window + 1 in
       Oracles.Conn_table_ref.add t ~key:k ~aux:(2 * k) payload;
       if i land 7 = 0 then begin
-        let probe = i + 2 + (mix i land (window - 1)) in
+        let probe = i + 2 + (Harness.mix i land (window - 1)) in
         let s = Oracles.Conn_table_ref.find_slot t probe in
         if s >= 0 then sum := !sum + Oracles.Conn_table_ref.aux t s
       end
@@ -121,7 +117,7 @@ let sock_owner_scenario ~window ~ops =
     done;
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let k = 1 + (mix i land (window - 1)) in
+      let k = 1 + (Harness.mix i land (window - 1)) in
       sum := !sum + D.get_a d k + D.get_b d k;
       if i land 15 = 0 then begin
         D.remove d k;
@@ -137,7 +133,7 @@ let sock_owner_scenario ~window ~ops =
     done;
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let k = 1 + (mix i land (window - 1)) in
+      let k = 1 + (Harness.mix i land (window - 1)) in
       (match Hashtbl.find_opt h k with
       | Some (a, b) -> sum := !sum + a + b
       | None -> ());
@@ -155,7 +151,7 @@ let sock_owner_scenario ~window ~ops =
     done;
     fun () ->
       for i = 0 to ops - 1 do
-        let k = 1 + (mix i land (window - 1)) in
+        let k = 1 + (Harness.mix i land (window - 1)) in
         ignore (D.get_a d k + D.get_b d k);
         if i land 15 = 0 then begin
           D.remove d k;
@@ -176,7 +172,7 @@ let trace_records n =
         match i mod 4 with
         | 0 ->
           Trace.Rp_select
-            { port = 80; flow_hash = mix i; via = Trace.Prog; slot = i land 7 }
+            { port = 80; flow_hash = Harness.mix i; via = Trace.Prog; slot = i land 7 }
         | 1 -> Trace.Accept { worker = i land 7; conn = i }
         | 2 ->
           Trace.Wst_write { worker = i land 7; column = Trace.Conn; value = i }

@@ -20,10 +20,6 @@
    a few words — anything a single op allocates shows up as >= ops
    words and fails). *)
 
-(* Local to each family on purpose: the timed loops call it per op, and
-   only a same-module definition gets inlined there. *)
-let mix i = (i * 0x61C88647) lxor (i lsr 7)
-
 (* ------------------------------------------------------------------ *)
 (* Reuseport fallback select                                            *)
 
@@ -41,7 +37,7 @@ let select_scenario ~workers ~ops =
   let fast () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      match Kernel.Reuseport.select g ~flow_hash:(mix i) with
+      match Kernel.Reuseport.select g ~flow_hash:(Harness.mix i) with
       | Some s -> sum := !sum + Kernel.Socket.id s
       | None -> ()
     done;
@@ -63,7 +59,7 @@ let select_scenario ~workers ~ops =
       | live ->
         let n = List.length live in
         let _, s =
-          List.nth live (Kernel.Bitops.reciprocal_scale ~hash:(mix i) ~n)
+          List.nth live (Kernel.Bitops.reciprocal_scale ~hash:(Harness.mix i) ~n)
         in
         sum := !sum + Kernel.Socket.id s
     done;
@@ -71,7 +67,7 @@ let select_scenario ~workers ~ops =
   in
   let words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Reuseport.select g ~flow_hash:(mix i))
+      ignore (Kernel.Reuseport.select g ~flow_hash:(Harness.mix i))
     done
   in
   (fast, base, words)
@@ -161,7 +157,7 @@ let ebpf_scenarios ~ops =
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(mix i) ~dst_port:80 in
+      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
       let sel =
         match Kernel.Ebpf_jit.selected jit with
         | Some s when code = 1 -> 31 * Kernel.Socket.id s
@@ -176,7 +172,7 @@ let ebpf_scenarios ~ops =
     for i = 0 to ops - 1 do
       let out, _ =
         Oracles.Ebpf_vm_ref.run_checked code
-          { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
+          { Kernel.Ebpf.flow_hash = Harness.mix i; dst_port = 80 }
       in
       sum := !sum + outcome_code out
     done;
@@ -186,7 +182,7 @@ let ebpf_scenarios ~ops =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
       let out, _ =
-        Kernel.Ebpf.run ast { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
+        Kernel.Ebpf.run ast { Kernel.Ebpf.flow_hash = Harness.mix i; dst_port = 80 }
       in
       sum := !sum + outcome_code out
     done;
@@ -194,7 +190,7 @@ let ebpf_scenarios ~ops =
   in
   let words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(mix i) ~dst_port:80)
+      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
   (jit_thunk, vm_thunk, ast_thunk, words)

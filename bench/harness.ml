@@ -57,6 +57,10 @@ end
 (* ------------------------------------------------------------------ *)
 (* Paired timing                                                        *)
 
+(* The key a timed loop derives from its op index: a multiplicative
+   hash, so consecutive ops probe scattered slots. *)
+let mix i = (i * 0x61C88647) lxor (i lsr 7)
+
 let time_best ~name ~reps f =
   let best = ref infinity in
   let first = ref 0 in

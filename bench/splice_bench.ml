@@ -20,10 +20,6 @@
 
 module ST = Engine.Sim_time
 
-(* Local to each family on purpose: the timed loops call it per op, and
-   only a same-module definition gets inlined there. *)
-let mix i = (i * 0x61C88647) lxor (i lsr 7)
-
 (* ------------------------------------------------------------------ *)
 (* Redirect verdict: JIT vs checked interpreter                         *)
 
@@ -48,7 +44,7 @@ let redirect_scenario ~slots ~ops =
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(mix i) ~dst_port:80 in
+      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
       sum := !sum + code;
       if code = 3 then
         match Kernel.Ebpf_jit.redirected jit with
@@ -65,7 +61,7 @@ let redirect_scenario ~slots ~ops =
     for i = 0 to ops - 1 do
       let outcome, _cycles =
         Oracles.Ebpf_vm_ref.run_checked code
-          { Kernel.Ebpf.flow_hash = mix i; dst_port = 80 }
+          { Kernel.Ebpf.flow_hash = Harness.mix i; dst_port = 80 }
       in
       match outcome with
       | Kernel.Ebpf.Redirected { conn; target; copy = _ } ->
@@ -78,7 +74,7 @@ let redirect_scenario ~slots ~ops =
   in
   let words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(mix i) ~dst_port:80)
+      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
   (jit_thunk, vm_thunk, words)

@@ -3,9 +3,9 @@
    sampler kept in test/sampling_ref.ml, in the same order, so every
    stream is bit-identical; construction precomputes only pure constants
    ([hi -. lo], [1. /. shape], [lo ** shape]).  Uniforms come from
-   [Rng.bits53] as an [int]: dev builds compile [lib/] with [-opaque], so
-   nothing is inlined across modules and a float returned from [Rng]
-   would be boxed. *)
+   [Rng.bits53] as an [int]: closure-mode [ocamlopt] boxes a float
+   returned by any call it does not inline, so a float returned from
+   [Rng] would be boxed wherever the inliner declined the call. *)
 type t =
   | Constant of float
   | Uniform of { lo : float; width : float }

@@ -22,8 +22,8 @@ val split : t -> t
 val bits53 : t -> int
 (** [bits53 t] is the 53 high bits of the next raw output, in
     [\[0, 2^53)].  Other modules build their floats from this draw:
-    dev builds compile with [-opaque], so nothing is inlined across
-    modules and a float returned from here would be boxed.
+    closure-mode [ocamlopt] boxes a float returned by any call it does
+    not inline, and an [int] result needs no box.
     [float_of_int (bits53 t) *. 0x1p-53] is a uniform double in
     [\[0, 1)]. *)
 
