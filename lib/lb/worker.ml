@@ -135,10 +135,15 @@ let conn_count t =
 
 (* Sorted by fd (monotonic, so effectively accept order): iteration
    sites — degradation shedding, restart resets — behave independently
-   of the table's internal hash order. *)
+   of the table's internal hash order.  The carrier is left out, as in
+   [conn_count]. *)
 let conns t =
+  let is_carrier c =
+    match t.fault_conn with Some f -> f == c | None -> false
+  in
   Conn_table.fold t.conn_table ~init:[] ~f:(fun acc ~key:_ ~slot ->
-      Conn_table.payload t.conn_table slot :: acc)
+      let c = Conn_table.payload t.conn_table slot in
+      if is_carrier c then acc else c :: acc)
   |> List.sort (fun (a : Conn.t) b -> compare a.Conn.fd b.Conn.fd)
 let is_crashed t = t.state = Crashed
 
@@ -598,8 +603,18 @@ let restart t =
     List.iter
       (fun conn -> Kernel.Epoll.remove_conn t.ep ~fd:conn.Conn.fd)
       owned;
+    (* The carrier goes with its pending stall and without a trace: no
+       client held it.  The next stall makes a fresh one. *)
+    let carrier =
+      match t.fault_conn with
+      | Some c when Conn_table.remove t.conn_table c.Conn.fd ->
+        Kernel.Epoll.remove_conn t.ep ~fd:c.Conn.fd;
+        1
+      | Some _ | None -> 0
+    in
+    t.fault_conn <- None;
     Kernel.Epoll.rearm t.ep;
-    conn_add t (-List.length owned);
+    conn_add t (-(List.length owned + carrier));
     busy_add t (-t.busy_outstanding);
     t.state <- Init;
     start t

@@ -97,6 +97,8 @@ val inject_stall : t -> req_id:int -> cost:Engine.Sim_time.t -> bool
     Returns false (and injects nothing) if the worker is crashed. *)
 
 val conns : t -> Conn.t list
+(** Connections held for clients, in fd order: the {!inject_stall}
+    carrier is not one. *)
 
 val conn_count : t -> int
 (** Connections held for clients: the {!inject_stall} carrier is not

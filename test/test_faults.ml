@@ -342,6 +342,43 @@ let test_stall_leaves_no_live_conn () =
   check Alcotest.(array int) "no live connection" [| 0; 0 |]
     (Lb.Device.conns_per_worker device)
 
+(* A restart drops the carrier with its pending stall: no client held
+   it, so no close is traced and no reset counted.  The next stall
+   makes a fresh carrier and still stalls the worker. *)
+let test_restart_drops_carrier_silently () =
+  let sim = Engine.Sim.create () in
+  let device =
+    Lb.Device.create ~sim ~rng:(Engine.Rng.create 5)
+      ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:2
+      ~tenants:(Netsim.Tenant.population ~n:1 ~base_dport:20000) ()
+  in
+  Lb.Device.start device;
+  Faults.Inject.arm ~device
+    ~plan:
+      [
+        { Plan.at = ST.ms 1; action = Plan.Hang { worker = 0; duration = ST.ms 2 } };
+        { Plan.at = ST.ms 10; action = Plan.Crash { worker = 0 } };
+        { Plan.at = ST.ms 12; action = Plan.Recover { worker = 0 } };
+        { Plan.at = ST.ms 20; action = Plan.Hang { worker = 0; duration = ST.ms 5 } };
+      ];
+  let w0 = Lb.Device.worker device 0 in
+  let busy_before = ref 0 in
+  ignore
+    (Engine.Sim.schedule sim ~at:(ST.ms 19) (fun () ->
+         busy_before := Lb.Worker.cpu_busy w0));
+  let records =
+    Capture.records (fun () -> Engine.Sim.run_until sim ~limit:(ST.ms 30))
+  in
+  let closes =
+    List.filter
+      (fun r -> match r.Trace.event with Trace.Close _ -> true | _ -> false)
+      records
+  in
+  check Alcotest.int "no close traced" 0 (List.length closes);
+  check Alcotest.int "no reset counted" 0 (Lb.Worker.stats w0).Lb.Worker.resets;
+  check Alcotest.bool "the later stall still stalls" true
+    (Lb.Worker.cpu_busy w0 - !busy_before >= ST.ms 5)
+
 let () =
   Alcotest.run "faults"
     [
@@ -354,6 +391,8 @@ let () =
             test_builtin_plan_lints_clean;
           Alcotest.test_case "stall leaves no live connection" `Quick
             test_stall_leaves_no_live_conn;
+          Alcotest.test_case "restart drops the carrier silently" `Quick
+            test_restart_drops_carrier_silently;
           QCheck_alcotest.to_alcotest test_plan_roundtrip_property;
           QCheck_alcotest.to_alcotest test_plan_fuzz;
         ] );

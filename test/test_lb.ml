@@ -563,6 +563,40 @@ let test_device_degradation_sheds () =
   Engine.Sim.run_until sim ~limit:(Engine.Sim_time.sec 1);
   check Alcotest.bool "some connections shed" true (Lb.Device.conns_reset device > 0)
 
+(* The stall carrier is no client's connection: shedding passes over it
+   even where it holds the worker's lowest fd. *)
+let test_device_degradation_spares_carrier () =
+  let device, sim = make_device (Lb.Device.Hermes Hermes.Config.default) in
+  Lb.Device.enable_degradation device
+    ~policy:{ Hermes.Degrade.util_threshold = 0.9; shed_fraction = 0.5; min_shed = 1 }
+    ~check_every:(ms 100);
+  Lb.Device.inject_hang device ~worker:0 ~duration:(us 10);
+  let w0 = Lb.Device.worker device 0 in
+  let conns = List.init 10 (fun _ -> Lb.Worker.adopt_conn w0 ~tenant_id:0) in
+  List.iter
+    (fun conn ->
+      ignore
+        (Lb.Worker.deliver w0 conn
+           (Lb.Request.make ~id:(Lb.Device.fresh_id device)
+              ~op:Lb.Request.Compress ~size:0 ~cost:(ms 300) ~tenant_id:0)))
+    conns;
+  let records =
+    Capture.records (fun () ->
+        Engine.Sim.run_until sim ~limit:(Engine.Sim_time.sec 1))
+  in
+  let shed =
+    List.filter_map
+      (fun r ->
+        match r.Trace.event with
+        | Trace.Close { conn; reset = true; _ } -> Some conn
+        | _ -> None)
+      records
+  in
+  let clients = List.map (fun (c : Lb.Conn.t) -> c.Lb.Conn.id) conns in
+  check Alcotest.bool "some connections shed" true (shed <> []);
+  check Alcotest.(list int) "only client connections shed" []
+    (List.filter (fun id -> not (List.mem id clients)) shed)
+
 let test_device_sampling () =
   let device, sim = make_device Lb.Device.Reuseport in
   Lb.Device.enable_sampling device ~every:(ms 10) ();
@@ -792,6 +826,8 @@ let () =
           Alcotest.test_case "hermes avoids hung worker" `Quick
             test_device_hermes_avoids_hung_worker;
           Alcotest.test_case "degradation sheds" `Quick test_device_degradation_sheds;
+          Alcotest.test_case "degradation spares the stall carrier" `Quick
+            test_device_degradation_spares_carrier;
           Alcotest.test_case "sampling" `Quick test_device_sampling;
           Alcotest.test_case "probe timeout" `Quick test_device_probe_once_timeout;
           Alcotest.test_case "probe timeout traced" `Quick
