@@ -123,15 +123,11 @@ let cpu_busy_at t time =
   t.cpu_committed + in_progress
 
 let cpu_busy t = cpu_busy_at t (Sim.now t.sim)
-(* The fault carrier, once created, sits in the table for good; it is
-   no connection a client holds, so it is not counted. *)
+(* The fault carrier sits in the table from the first stall until a
+   restart drops it; it is no connection a client holds, so it is not
+   counted. *)
 let conn_count t =
-  let carrier =
-    match t.fault_conn with
-    | Some c when Conn_table.mem t.conn_table c.Conn.fd -> 1
-    | Some _ | None -> 0
-  in
-  Conn_table.length t.conn_table - carrier
+  Conn_table.length t.conn_table - if Option.is_some t.fault_conn then 1 else 0
 
 (* Sorted by fd (monotonic, so effectively accept order): iteration
    sites — degradation shedding, restart resets — behave independently
@@ -548,10 +544,9 @@ let deliver t conn req =
    created fault connection that bypasses the accept path and the
    accept/conn-count stats — injections must not look like traffic. *)
 let fault_conn t =
-  let usable c = Conn.is_open c && Conn_table.mem t.conn_table c.Conn.fd in
   match t.fault_conn with
-  | Some c when usable c -> c
-  | Some _ | None ->
+  | Some c -> c
+  | None ->
     let id = fresh_synthetic_id t in
     let tuple =
       {
@@ -607,10 +602,11 @@ let restart t =
        client held it.  The next stall makes a fresh one. *)
     let carrier =
       match t.fault_conn with
-      | Some c when Conn_table.remove t.conn_table c.Conn.fd ->
+      | Some c ->
+        ignore (Conn_table.remove t.conn_table c.Conn.fd);
         Kernel.Epoll.remove_conn t.ep ~fd:c.Conn.fd;
         1
-      | Some _ | None -> 0
+      | None -> 0
     in
     t.fault_conn <- None;
     Kernel.Epoll.rearm t.ep;
