@@ -6,9 +6,6 @@
      [Conn_table] vs the retired Hashtbl implementation
      ([Oracles.Conn_table_ref]).  The gate requires exactly zero minor words
      per op on the SoA path — connection churn must not touch the GC.
-   - [sock_owner]: dedicated-socket ownership lookups through the
-     dense int side table ([Conn_table.Dense]) vs a Hashtbl mapping to
-     boxed pairs.  Same zero-allocation requirement.
    - [trace_binary]: encoding one fixed event stream through the
      binary trace sink vs the JSONL sink (the formats differ, so the
      shared checksum is only the record count).
@@ -102,62 +99,6 @@ let churn_scenario ~window ~ops =
         if i land 7 = 0 then ignore (T.find_slot t (i + 2))
       done;
       off := base + ops
-  in
-  (fast, base, words)
-
-(* Dedicated-socket ownership: socket id -> (worker, fd).  The dense
-   side table stores the two ints unboxed; the retired Hashtbl boxed a
-   pair per bind. *)
-let sock_owner_scenario ~window ~ops =
-  let module D = Engine.Conn_table.Dense in
-  let fast () =
-    let d = D.create ~capacity:window () in
-    for k = 1 to window do
-      D.set d ~key:k ~a:(k land 7) ~b:(k * 3)
-    done;
-    let sum = ref 0 in
-    for i = 0 to ops - 1 do
-      let k = 1 + (Harness.mix i land (window - 1)) in
-      sum := !sum + D.get_a d k + D.get_b d k;
-      if i land 15 = 0 then begin
-        D.remove d k;
-        D.set d ~key:k ~a:(k land 7) ~b:(k * 3)
-      end
-    done;
-    !sum
-  in
-  let base () =
-    let h = Hashtbl.create window in
-    for k = 1 to window do
-      Hashtbl.replace h k (k land 7, k * 3)
-    done;
-    let sum = ref 0 in
-    for i = 0 to ops - 1 do
-      let k = 1 + (Harness.mix i land (window - 1)) in
-      (match Hashtbl.find_opt h k with
-      | Some (a, b) -> sum := !sum + a + b
-      | None -> ());
-      if i land 15 = 0 then begin
-        Hashtbl.remove h k;
-        Hashtbl.replace h k (k land 7, k * 3)
-      end
-    done;
-    !sum
-  in
-  let words =
-    let d = D.create ~capacity:window () in
-    for k = 1 to window do
-      D.set d ~key:k ~a:(k land 7) ~b:(k * 3)
-    done;
-    fun () ->
-      for i = 0 to ops - 1 do
-        let k = 1 + (Harness.mix i land (window - 1)) in
-        ignore (D.get_a d k + D.get_b d k);
-        if i land 15 = 0 then begin
-          D.remove d k;
-          D.set d ~key:k ~a:(k land 7) ~b:(k * 3)
-        end
-      done
   in
   (fast, base, words)
 
@@ -276,13 +217,8 @@ let run ~quick =
     let fast, base, words = churn_scenario ~window ~ops:churn_ops in
     pair ~name:"conn_open_close" ~ops:churn_ops ~words fast base
   in
-  let owner =
-    let fast, base, words = sock_owner_scenario ~window ~ops:churn_ops in
-    pair ~name:"sock_owner" ~ops:churn_ops ~words fast base
-  in
   [
     churn;
-    owner;
     (let fast, base = trace_scenario ~ops:trace_ops in
      pair ~name:"trace_binary" ~ops:trace_ops fast base);
     soak_scenario ~conns_total:soak_conns ~size;
@@ -293,10 +229,10 @@ let run ~quick =
      speedup (these ops run in tens of ns, so the ratio is noisier
      than the coarser bench families; the floors below do the
      load-bearing work) and holds its absolute floor: SoA churn beats
-     the Hashtbl path outright, the dense side table and the binary
-     sink beat their boxed/textual baselines by a wide margin;
-   - [conn_open_close] / [sock_owner] allocate exactly zero minor
-     words per op (when the runtime supports the measurement);
+     the Hashtbl path outright, the binary sink beats the JSONL sink
+     by a wide margin;
+   - [conn_open_close] allocates exactly zero minor words per op (when
+     the runtime supports the measurement);
    - [device_soak]'s max-RSS stays <= 1.5x the committed baseline —
      the multi-million-connection memory ceiling. *)
 let gates (r : Harness.Row.t) =
@@ -305,7 +241,6 @@ let gates (r : Harness.Row.t) =
   ::
   (match r.name with
   | "conn_open_close" -> [ v "speedup" (Floor 1.3); v "fast_words" Zero ]
-  | "sock_owner" -> [ v "speedup" (Floor 3.0); v "fast_words" Zero ]
   | "trace_binary" -> [ v "speedup" (Floor 4.0) ]
   | "device_soak" -> [ v "rss_kb" (Ceiling (1.5, 0.0)) ]
   | _ -> [])

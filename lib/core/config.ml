@@ -29,8 +29,6 @@ type t = {
   avail_threshold : Engine.Sim_time.t;
   theta_ratio : float;
   min_selected : int;
-  epoll_timeout : Engine.Sim_time.t;
-  max_events : int;
   filter_order : filter list;
   schedule_at_loop_end : bool;
   kernel_jit : bool;
@@ -41,8 +39,6 @@ let default =
     avail_threshold = Engine.Sim_time.ms 100;
     theta_ratio = 0.5;
     min_selected = 2;
-    epoll_timeout = Engine.Sim_time.ms 5;
-    max_events = 64;
     filter_order = [ By_time; By_conn; By_event ];
     schedule_at_loop_end = true;
     kernel_jit = false;

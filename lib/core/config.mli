@@ -1,10 +1,11 @@
 (** Hermes tunables.
 
-    Defaults follow the paper: a 5 ms [epoll_wait] timeout so every
-    worker runs the scheduler at least every 5 ms (§5.3.2), a θ/Avg
-    ratio of 0.5 (Fig. 15's sweet spot), and a kernel-side fallback to
-    plain reuseport when fewer than two workers pass the coarse filter
-    (Algo 2's [n > 1] test). *)
+    Defaults follow the paper: a θ/Avg ratio of 0.5 (Fig. 15's sweet
+    spot), and a kernel-side fallback to plain reuseport when fewer
+    than two workers pass the coarse filter (Algo 2's [n > 1] test).
+    The 5 ms [epoll_wait] timeout that makes every worker run the
+    scheduler at least every 5 ms (§5.3.2) is a worker setting
+    ([Lb.Worker.default_config]), shared by every mode. *)
 
 (** The one source of truth for the simulator's dispatch-mode names:
     command-line parsing ([hermes_sim]), bench matrices and experiment
@@ -48,8 +49,6 @@ type t = {
   min_selected : int;
       (** kernel falls back to hash selection when fewer workers pass
           the coarse filter *)
-  epoll_timeout : Engine.Sim_time.t;
-  max_events : int;  (** epoll_wait batch bound *)
   filter_order : filter list;
       (** cascade order; the paper's choice is time, then connection
           count, then pending events (§5.2.2) — permutations are an

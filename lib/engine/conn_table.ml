@@ -183,59 +183,3 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun ~key ~slot -> acc := f !acc ~key ~slot);
   !acc
-
-module Dense = struct
-  type t = {
-    mutable a : ints;
-    mutable b : ints;
-    mutable count : int;
-  }
-
-  let create ?(capacity = 256) () =
-    let cap = max 8 capacity in
-    let a = make_ints cap and b = make_ints cap in
-    Bigarray.Array1.fill a (-1);
-    Bigarray.Array1.fill b (-1);
-    { a; b; count = 0 }
-
-  let ensure t key =
-    let cap = Bigarray.Array1.dim t.a in
-    if key >= cap then begin
-      let cap' = pow2 (key + 1) cap in
-      let grow (old : ints) =
-        let n = make_ints cap' in
-        Bigarray.Array1.fill n (-1);
-        Bigarray.Array1.blit old (Bigarray.Array1.sub n 0 cap);
-        n
-      in
-      t.a <- grow t.a;
-      t.b <- grow t.b
-    end
-
-  let set t ~key ~a ~b =
-    if key < 0 then invalid_arg "Conn_table.Dense.set: negative key";
-    ensure t key;
-    if Bigarray.Array1.get t.a key = -1 then t.count <- t.count + 1;
-    Bigarray.Array1.set t.a key a;
-    Bigarray.Array1.set t.b key b
-
-  let in_range t key = key >= 0 && key < Bigarray.Array1.dim t.a
-  let mem t key = in_range t key && Bigarray.Array1.get t.a key <> -1
-  let get_a t key = if in_range t key then Bigarray.Array1.get t.a key else -1
-  let get_b t key = if in_range t key then Bigarray.Array1.get t.b key else -1
-
-  let remove t key =
-    if mem t key then begin
-      Bigarray.Array1.set t.a key (-1);
-      Bigarray.Array1.set t.b key (-1);
-      t.count <- t.count - 1
-    end
-
-  let length t = t.count
-
-  let iter t f =
-    for key = 0 to Bigarray.Array1.dim t.a - 1 do
-      let a = Bigarray.Array1.unsafe_get t.a key in
-      if a <> -1 then f ~key ~a ~b:(Bigarray.Array1.unsafe_get t.b key)
-    done
-end

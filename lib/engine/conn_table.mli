@@ -1,9 +1,10 @@
 (** Struct-of-arrays int-keyed table for per-connection state.
 
-    It lives in the engine so every layer can use it: [Lb.Device] keys
-    connection callbacks by connection id, [Lb.Worker] its connections
-    by fd, and [Kernel.Epoll] its subscriptions and pending readiness
-    by fd.
+    It lives in the engine so every layer can use it, and it is the
+    one int-keyed table they use: [Lb.Device] keys connection
+    callbacks by connection id and tenants by tenant id, [Lb.Splice]
+    its sockmap attachments by connection id, [Lb.Worker] its
+    connections by fd, and [Kernel.Epoll] its subscriptions by fd.
 
     At multi-million-connection scale the per-connection [Hashtbl]s
     that used to back [Device] and [Worker] dominate the heap: every
@@ -22,14 +23,17 @@
     Layout: an open-addressing index (linear probing, power-of-two
     capacity, backward-shift deletion) maps a positive int key to a
     {e slot} — an index into parallel arrays holding the key, one
-    spare int field ([aux], the device stores SYN timestamps there)
-    and the boxed payload.  Slots are recycled LIFO through a free
+    spare int field ([aux]) and the boxed payload.  Each user keeps
+    one fixed-width fact in [aux]: the device a connection's SYN
+    timestamp and a tenant's index, the splice plane an attachment's
+    sockmap key, epoll a subscription's pushed, undelivered units.  Slots are recycled LIFO through a free
     list threaded through a fourth int array; freeing a slot
     overwrites its payload with the [dummy] supplied at creation so
     the table never retains closures or buffers for dead connections.
 
-    Keys must be [> 0] (0 is the empty-bucket sentinel; connection
-    ids, fds and socket ids in this codebase all start at 1). *)
+    Keys must be [> 0] (0 is the empty-bucket sentinel): connection
+    ids and a device's fds start at 1; epoll (whose fds may be 0) and
+    the tenant index key by the id plus one. *)
 
 type 'a t
 
@@ -68,29 +72,3 @@ val iter : 'a t -> (key:int -> slot:int -> unit) -> unit
     callback must not add or remove entries. *)
 
 val fold : 'a t -> init:'b -> f:('b -> key:int -> slot:int -> 'b) -> 'b
-
-(** {1 Dense int-keyed side table}
-
-    For keys allocated densely from 1 (simulated socket ids), a plain
-    pair of int arrays beats any hash table: {!Dense} maps such a key
-    to two ints ([a], [b] — the device stores (worker, fd) ownership
-    there), with [-1] marking absence.  O(1), zero allocation after
-    growth. *)
-
-module Dense : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val set : t -> key:int -> a:int -> b:int -> unit
-  val mem : t -> int -> bool
-  val get_a : t -> int -> int
-  (** [-1] when unset. *)
-
-  val get_b : t -> int -> int
-  val remove : t -> int -> unit
-  val length : t -> int
-
-  val iter : t -> (key:int -> a:int -> b:int -> unit) -> unit
-  (** Visit every set key in increasing key order.  The callback must
-      not add entries (removal of already-visited keys is fine). *)
-end

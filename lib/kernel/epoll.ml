@@ -50,21 +50,6 @@ let subscribe t ~fd sub ~what =
   if find t fd >= 0 then invalid_arg (what ^ ": duplicate fd");
   Conn_table.add t.subs ~key:(fd + 1) ~aux:0 sub
 
-let add_listening t ~fd ~socket ~shared =
-  if shared then begin
-    subscribe t ~fd (Shared_listen socket) ~what:"Epoll.add_listening";
-    let entry = (fd, socket) in
-    let cap = Array.length t.shared in
-    if t.shared_len = cap then begin
-      let grown = Array.make (max 4 (2 * cap)) entry in
-      Array.blit t.shared 0 grown 0 cap;
-      t.shared <- grown
-    end;
-    t.shared.(t.shared_len) <- entry;
-    t.shared_len <- t.shared_len + 1
-  end
-  else subscribe t ~fd (Dedicated_listen socket) ~what:"Epoll.add_listening"
-
 let remove_conn t ~fd = if fd >= 0 then ignore (Conn_table.remove t.subs (fd + 1))
 
 let add_conn t ~fd = subscribe t ~fd Conn ~what:"Epoll.add_conn"
@@ -113,14 +98,31 @@ let notify_readable t ~fd ~units =
       t.wakeup ()
     | Shared_listen _ | Dedicated_listen _ -> ()
 
-let notify_accept_ready t ~fd =
+(* A dedicated socket's readiness hook: one queued connection. *)
+let accept_ready t fd =
   let slot = find t fd in
-  if slot >= 0 then
-    match Conn_table.payload t.subs slot with
-    | Dedicated_listen _ ->
-      push t slot fd 1;
-      t.wakeup ()
-    | Shared_listen _ | Conn -> ()
+  if slot >= 0 then begin
+    push t slot fd 1;
+    t.wakeup ()
+  end
+
+let add_listening t ~fd ~socket ~shared =
+  if shared then begin
+    subscribe t ~fd (Shared_listen socket) ~what:"Epoll.add_listening";
+    let entry = (fd, socket) in
+    let cap = Array.length t.shared in
+    if t.shared_len = cap then begin
+      let grown = Array.make (max 4 (2 * cap)) entry in
+      Array.blit t.shared 0 grown 0 cap;
+      t.shared <- grown
+    end;
+    t.shared.(t.shared_len) <- entry;
+    t.shared_len <- t.shared_len + 1
+  end
+  else begin
+    subscribe t ~fd (Dedicated_listen socket) ~what:"Epoll.add_listening";
+    Socket.set_ready socket (fun () -> accept_ready t fd)
+  end
 
 let record t i fd kind units =
   t.ev_fd.(i) <- fd;

@@ -7,10 +7,11 @@
       readiness is the accept-queue depth, re-checked by scanning every
       shared subscription at each [wait].  This scan is the
       O(#ports) connection-dispatch overhead of §6.2 Case 1.
-    - {b Dedicated} sockets (reuseport/Hermes) are push-mode: the
-      kernel dispatcher calls {!notify_accept_ready} on the owner's
-      instance when it queues a connection, so delivery is O(1) and no
-      scan happens.
+    - {b Dedicated} sockets (reuseport/Hermes) are push-mode:
+      registration installs the socket's readiness hook
+      ({!Socket.set_ready}), so each connection {!Socket.push} queues
+      readies the instance that watches the socket, in O(1) and with
+      no scan.
 
     Connection fds are push-mode with drain semantics: data arrivals
     accumulate via {!notify_readable}; a [wait] hands the fd over
@@ -37,15 +38,17 @@ type t
 val create : worker_id:int -> t
 
 val set_wakeup : t -> (unit -> unit) -> unit
-(** Callback fired on {!notify_readable} and {!notify_accept_ready};
-    the worker uses it to leave the blocked state. *)
+(** Callback fired on {!notify_readable} and on each connection queued
+    on a dedicated listening socket; the worker uses it to leave the
+    blocked state. *)
 
 val add_listening : t -> fd:int -> socket:Socket.t -> shared:bool -> unit
 (** Register a listening socket (EPOLL_CTL_ADD).  [shared = true]
     subscriptions are found by the level-triggered scan, in
-    registration order; dedicated ones rely on {!notify_accept_ready}.
-    Amortized O(1).  @raise Invalid_argument on a duplicate or
-    negative fd. *)
+    registration order; a dedicated one ([shared = false]) becomes the
+    socket's watcher: its readiness hook pushes one accept readiness
+    per queued connection and fires the wakeup callback.  Amortized
+    O(1).  @raise Invalid_argument on a duplicate or negative fd. *)
 
 val add_conn : t -> fd:int -> unit
 (** Register an accepted connection fd.
@@ -68,10 +71,6 @@ val notify_readable : t -> fd:int -> units:int -> unit
 (** Data arrived on a registered connection fd; accumulates [units]
     and fires the wakeup callback.  Unknown fds are ignored (data
     racing a close). *)
-
-val notify_accept_ready : t -> fd:int -> unit
-(** The dispatcher queued one connection on a dedicated listening
-    socket.  Unknown fds are ignored. *)
 
 val wait : t -> max_events:int -> int
 (** Non-blocking poll: pushed events in arrival order (FIFO over fds),

@@ -25,7 +25,6 @@ type t = {
   mutable live_bm : int64;
   dense_socks : Socket.t option array;
   dense_slot : int array;
-  slot_by_sock : (int, int) Hashtbl.t; (* Socket.id -> member slot *)
   mutable prog : engine option;
   mutable prog_name : string;
   mutable prog_fault : bool;
@@ -51,7 +50,6 @@ let create ~port ~slots =
     live_bm = 0L;
     dense_socks = Array.make slots None;
     dense_slot = Array.make slots (-1);
-    slot_by_sock = Hashtbl.create 16;
     prog = None;
     prog_name = "";
     prog_fault = false;
@@ -92,15 +90,11 @@ let bind t ~slot ~socket =
     invalid_arg "Reuseport.bind: socket port differs from group port";
   t.members.(slot) <- Some socket;
   t.live_bm <- Bitops.set_bit t.live_bm slot;
-  Hashtbl.replace t.slot_by_sock (Socket.id socket) slot;
   rebuild_dense t
 
 let unbind t ~slot =
   if slot < 0 || slot >= Array.length t.members then
     invalid_arg "Reuseport.unbind: slot out of range";
-  (match t.members.(slot) with
-  | Some sock -> Hashtbl.remove t.slot_by_sock (Socket.id sock)
-  | None -> ());
   t.members.(slot) <- None;
   t.live_bm <- Bitops.clear_bit t.live_bm slot;
   rebuild_dense t
@@ -132,11 +126,17 @@ let set_prog_fault t faulted = t.prog_fault <- faulted
 
 (* Member slot of a program-selected socket, for the trace (the
    sockarray the program indexed holds the same sockets as the group's
-   member table). *)
+   member table): a scan of at most 64 members, run only when
+   tracing. *)
 let slot_of_socket t sock =
-  match Hashtbl.find_opt t.slot_by_sock (Socket.id sock) with
-  | Some slot -> slot
-  | None -> -1
+  let rec scan i =
+    if i = Array.length t.members then -1
+    else
+      match t.members.(i) with
+      | Some s when s == sock -> i
+      | Some _ | None -> scan (i + 1)
+  in
+  scan 0
 
 (* Default kernel behaviour: index the live members (bind order) by
    reciprocal_scale of the flow hash.  The dense prefix makes this a

@@ -43,7 +43,8 @@ val live_bitmap : t -> int64
 
 val slot_of_socket : t -> Socket.t -> int
 [@@test_only]
-(** Member slot of a bound socket (O(1)); [-1] if not a member. *)
+(** Member slot of a bound socket, by a scan of the members; [-1] if
+    not a member. *)
 
 val attach_ebpf : t -> Ebpf.verified -> unit
 (** Attach / replace the selection program, run by the expression

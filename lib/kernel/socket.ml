@@ -3,7 +3,6 @@ type pending_conn = {
   tuple : Netsim.Addr.four_tuple;
   flow_hash : int;
   tenant_id : int;
-  syn_time : Engine.Sim_time.t;
 }
 
 type t = {
@@ -12,32 +11,26 @@ type t = {
   mutable backlog : int;
   queue : pending_conn Queue.t;
   mutable closed : bool;
+  mutable ready : unit -> unit;
 }
 
-(* Fallback allocator only; callers that care about determinism
-   across devices (Lb.Device) pass their own [?id] so no process-wide
-   counter is involved. *)
 let next_id = ref 0
 
-let create_listen ?id ~port ~backlog () =
+let create_listen ~port ~backlog () =
   if backlog <= 0 then invalid_arg "Socket.create_listen: backlog must be positive";
-  let sock_id =
-    match id with
-    | Some i -> i
-    | None ->
-      incr next_id;
-      !next_id
-  in
+  incr next_id;
   {
-    sock_id;
+    sock_id = !next_id;
     listen_port = port;
     backlog;
     queue = Queue.create ();
     closed = false;
+    ready = ignore;
   }
 
 let id t = t.sock_id
 let port t = t.listen_port
+let set_ready t f = t.ready <- f
 
 let set_backlog t n =
   if n <= 0 then invalid_arg "Socket.set_backlog: backlog must be positive";
@@ -47,6 +40,7 @@ let push t conn =
   if t.closed || Queue.length t.queue >= t.backlog then `Dropped
   else begin
     Queue.push conn t.queue;
+    t.ready ();
     `Queued
   end
 
@@ -59,4 +53,3 @@ let close t =
   let drained = List.of_seq (Queue.to_seq t.queue) in
   Queue.clear t.queue;
   drained
-

@@ -5,33 +5,38 @@
     Shared sockets (one per port, all workers registered on its wait
     queue) model the epoll-exclusive deployment; dedicated sockets (one
     per worker per port, grouped by {!Reuseport}) model the
-    reuseport/Hermes deployments. *)
+    reuseport/Hermes deployments.
+
+    Like Linux's [sk_data_ready], a socket wakes whoever watches it:
+    {!push} runs the socket's readiness hook once for each connection
+    it queues.  A dedicated socket's hook is installed by the one epoll
+    instance it is registered on ({!Epoll.add_listening}); a shared
+    socket's by whoever owns its wait queue. *)
 
 type pending_conn = {
   seq : int;  (* device-wide connection sequence number *)
   tuple : Netsim.Addr.four_tuple;
-  flow_hash : int;
+  flow_hash : int;  (* the hash the SYN was steered by *)
   tenant_id : int;
-  syn_time : Engine.Sim_time.t;
 }
 (** A handshake-complete connection awaiting accept. *)
 
 type t
 
-val create_listen : ?id:int -> port:Netsim.Addr.port -> backlog:int -> unit -> t
+val create_listen : port:Netsim.Addr.port -> backlog:int -> unit -> t
 (** [backlog] bounds the accept queue, like [listen(2)]'s argument;
     overflowing connections are dropped (SYN drop => client timeout).
-    [id] names the socket explicitly; without it a process-wide atomic
-    counter allocates one.  Devices pass their own per-instance ids so
-    socket numbering is a function of one device's creation order
-    alone — independent of how the devices of a cluster interleave. *)
+    The readiness hook starts as a no-op. *)
 
 val id : t -> int
-(** Unique socket id (think inode number); lets callers key tables by
-    socket.  Unique process-wide when self-allocated, per-namespace
-    when the creator passed [?id]. *)
+(** Unique socket id (think inode number), from a process-wide
+    counter. *)
 
 val port : t -> Netsim.Addr.port
+
+val set_ready : t -> (unit -> unit) -> unit
+(** Install the readiness hook, replacing the previous one: a socket
+    has one watcher. *)
 
 val set_backlog : t -> int -> unit
 (** Change the accept-queue bound in place — the accept-queue-overflow
@@ -42,8 +47,9 @@ val set_backlog : t -> int -> unit
     new limit.  @raise Invalid_argument unless positive. *)
 
 val push : t -> pending_conn -> [ `Queued | `Dropped ]
-(** Handshake completion: enqueue the connection (kernel side).  The
-    caller is responsible for then waking the socket's waiters. *)
+(** Handshake completion: enqueue the connection (kernel side) and run
+    the readiness hook, or drop it when the socket is closed or its
+    queue is full. *)
 
 val accept : t -> pending_conn option
 (** Dequeue the oldest pending connection, [None] if the queue is

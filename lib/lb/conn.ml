@@ -4,26 +4,24 @@ type t = {
   id : int;
   fd : int;
   tuple : Netsim.Addr.four_tuple;
+  flow_hash : int;
   tenant_id : int;
   worker_id : int;
-  established : Engine.Sim_time.t;
   mutable state : state;
   inbox : Request.t Queue.t;
-  mutable inflight : int;
   mutable requests_done : int;
 }
 
-let make ~id ~fd ~tuple ~tenant_id ~worker_id ~established =
+let make ~id ~fd ~tuple ~flow_hash ~tenant_id ~worker_id =
   {
     id;
     fd;
     tuple;
+    flow_hash;
     tenant_id;
     worker_id;
-    established;
     state = Established;
     inbox = Queue.create ();
-    inflight = 0;
     requests_done = 0;
   }
 
@@ -32,15 +30,9 @@ let deliver t req ~now =
   else begin
     req.Request.arrival <- now;
     Queue.push req t.inbox;
-    t.inflight <- t.inflight + 1;
     true
   end
 
 let queued t = Queue.length t.inbox
-
-let pop t =
-  let req = Queue.take t.inbox in
-  t.inflight <- t.inflight - 1;
-  req
-
+let pop t = Queue.take t.inbox
 let is_open t = t.state = Established

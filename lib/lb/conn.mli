@@ -3,8 +3,7 @@
     Modern L7 LBs pin a connection to the core that accepted it
     (Appendix C): once established it cannot migrate, so the inbox of
     requests the workload pushes onto it is drained only by its owner's
-    event loop.  [inflight] tracks units already announced to epoll but
-    not yet handled, so a close can account for what is discarded. *)
+    event loop. *)
 
 type state = Established | Closed | Reset
 
@@ -12,12 +11,13 @@ type t = {
   id : int;  (** the pending_conn sequence number *)
   fd : int;
   tuple : Netsim.Addr.four_tuple;
+  flow_hash : int;
+      (** the hash of [tuple] the SYN was steered by; the splice path
+          keys the sockmap with it *)
   tenant_id : int;
   worker_id : int;
-  established : Engine.Sim_time.t;
   mutable state : state;
   inbox : Request.t Queue.t;
-  mutable inflight : int;
   mutable requests_done : int;
 }
 
@@ -25,9 +25,9 @@ val make :
   id:int ->
   fd:int ->
   tuple:Netsim.Addr.four_tuple ->
+  flow_hash:int ->
   tenant_id:int ->
   worker_id:int ->
-  established:Engine.Sim_time.t ->
   t
 
 val deliver : t -> Request.t -> now:Engine.Sim_time.t -> bool

@@ -65,7 +65,6 @@ type t = {
   tenant_arr : Netsim.Tenant.t array;
   mutable workers_arr : Worker.t array;
   ports : (int, port_plumbing) Hashtbl.t; (* dport -> plumbing *)
-  sock_owner : Conn_table.Dense.t; (* socket id -> (worker, fd) *)
   isolated : bool array;
   (* conn seq -> callbacks; the SYN timestamp rides in the table's
      fixed-width [aux] field, so an in-flight connection costs one
@@ -73,18 +72,16 @@ type t = {
   metas : conn_events Conn_table.t;
   hermes_rt : Hermes.Runtime.t option;
   splice_rt : Splice.t option;
-  backlog : int;
   mutable next_seq : int;
   mutable next_fd : int;
   mutable next_id : int;
-  mutable next_sock : int;  (* per-device socket ids: independent of other devices *)
   lat : Stats.Histogram.t;
   estab_lat : Stats.Histogram.t;
   mutable completed_count : int;
   mutable drop_count : int;
   mutable reset_count : int;
-  (* Bounded sample ring (most recent [retain] samples), so unbounded
-     soaks keep O(retain) memory. *)
+  (* Bounded sample ring (the most recent [sample_retain] samples), so
+     unbounded soaks keep bounded memory. *)
   mutable sample_buf : sample array;
   mutable sample_len : int;
   mutable sample_pos : int;
@@ -111,10 +108,6 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   t.next_id
 
-let fresh_sock_id t =
-  t.next_sock <- t.next_sock + 1;
-  t.next_sock
-
 let alloc_fd t () =
   t.next_fd <- t.next_fd + 1;
   t.next_fd
@@ -139,9 +132,8 @@ let splice_attach t conn =
   match t.splice_rt with
   | None -> ()
   | Some sp -> (
-    let flow_hash = Netsim.Flow_hash.of_four_tuple conn.Conn.tuple in
     match
-      Splice.attach sp ~conn:conn.Conn.id ~flow_hash
+      Splice.attach sp ~conn:conn.Conn.id ~flow_hash:conn.Conn.flow_hash
         ~worker:conn.Conn.worker_id
     with
     | None -> ()
@@ -172,16 +164,19 @@ let handle_established t conn =
     (Conn_table.payload t.metas slot).established conn
   end
 
-let handle_request_done t conn req =
-  (* tenant_id < 0 marks a fault-injection carrier: synthetic stall
-     work must not count as served traffic or skew the latency tail. *)
+(* One completed work request, by a worker or by the splice path:
+   its latency, the completion, the [cpu] charged to its tenant, then
+   the client's callback.  tenant_id < 0 marks a fault-injection
+   carrier: synthetic stall work must not count as served traffic or
+   skew the latency tail. *)
+let request_done t conn req ~cpu =
   if conn.Conn.tenant_id >= 0 then begin
     Stats.Histogram.record t.lat
       (float_of_int
          (Sim_time.sub (Sim.now t.sim) req.Request.arrival + Cost.client_rtt));
     t.completed_count <- t.completed_count + 1;
     let i = tenant_index t conn.Conn.tenant_id in
-    if i >= 0 then t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) req.Request.cost;
+    if i >= 0 then t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) cpu;
     let slot = meta_slot t conn in
     if slot >= 0 then (Conn_table.payload t.metas slot).request_done conn req
   end
@@ -218,16 +213,19 @@ let is_shared = function
   | Exclusive | Epoll_rr | Wake_all | Io_uring_fifo -> true
   | Reuseport | Hermes _ | Splice -> false
 
+(* Every listening socket's accept-queue bound ([listen(2)]'s
+   backlog). *)
+let backlog = 4096
+
+(* The worker becomes the socket's watcher: a SYN the group steers
+   here readies its epoll. *)
 let bind_dedicated t ~port ~group ~sockarray ~worker_id =
-  let sock =
-    Kernel.Socket.create_listen ~id:(fresh_sock_id t) ~port ~backlog:t.backlog ()
-  in
+  let sock = Kernel.Socket.create_listen ~port ~backlog () in
   Kernel.Reuseport.bind group ~slot:worker_id ~socket:sock;
   Kernel.Ebpf_maps.Sockarray.set sockarray worker_id sock;
-  let fd = Worker.listen_dedicated t.workers_arr.(worker_id) ~socket:sock in
-  Conn_table.Dense.set t.sock_owner ~key:(Kernel.Socket.id sock) ~a:worker_id ~b:fd
+  Worker.listen_dedicated t.workers_arr.(worker_id) ~socket:sock
 
-let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
+let create ~sim ~rng ~mode ~workers ~tenants ?worker_config
     ?(hermes_group_size = 64) ?(hermes_select_mode = Hermes.Groups.By_flow_hash)
     ?(stagger_registration = false) ?(splice_slots = 4096) ?(splice_copy = 0) ()
     =
@@ -248,17 +246,7 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
     | Exclusive | Epoll_rr | Wake_all | Io_uring_fifo | Reuseport | Hermes _ ->
       None
   in
-  let worker_config =
-    match (worker_config, mode) with
-    | Some c, _ -> c
-    | None, Hermes cfg ->
-      {
-        Worker.default_config with
-        epoll_timeout = cfg.Hermes.Config.epoll_timeout;
-        max_events = cfg.Hermes.Config.max_events;
-      }
-    | None, _ -> Worker.default_config
-  in
+  let worker_config = Option.value worker_config ~default:Worker.default_config in
   let t =
     {
       sim;
@@ -267,16 +255,13 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
       tenant_arr = tenants;
       workers_arr = [||];
       ports = Hashtbl.create 64;
-      sock_owner = Conn_table.Dense.create ~capacity:256 ();
       isolated = Array.make workers false;
       metas = Conn_table.create ~dummy:null_conn_events ~capacity:4096 ();
       hermes_rt;
       splice_rt;
-      backlog;
       next_seq = 0;
       next_fd = 0;
       next_id = 0;
-      next_sock = 0;
       lat = Stats.Histogram.create ();
       estab_lat = Stats.Histogram.create ();
       completed_count = 0;
@@ -306,7 +291,7 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
   let callbacks =
     {
       Worker.on_established = (fun conn -> handle_established t conn);
-      on_request_done = (fun conn req -> handle_request_done t conn req);
+      on_request_done = (fun conn req -> request_done t conn req ~cpu:req.Request.cost);
       on_conn_closed = (fun conn -> handle_closed t conn);
       on_conn_reset = (fun conn -> handle_reset t conn);
     }
@@ -320,13 +305,12 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config ?(backlog = 4096)
     (fun port_idx (tn : Netsim.Tenant.t) ->
       let port = tn.dport in
       if is_shared mode then begin
-        let socket =
-          Kernel.Socket.create_listen ~id:(fresh_sock_id t) ~port ~backlog ()
-        in
+        let socket = Kernel.Socket.create_listen ~port ~backlog () in
         let wq = Kernel.Waitqueue.create (wq_mode mode) in
+        Kernel.Socket.set_ready socket (fun () -> ignore (Kernel.Waitqueue.wake wq));
         for i = 0 to workers - 1 do
           let w = if stagger_registration then (i + port_idx) mod workers else i in
-          ignore (Worker.listen_shared t.workers_arr.(w) ~socket);
+          Worker.listen_shared t.workers_arr.(w) ~socket;
           Kernel.Waitqueue.register wq ~id:w ~try_wake:(fun () ->
               Worker.try_wake t.workers_arr.(w))
         done;
@@ -371,6 +355,13 @@ let dispatch_failed t seq events =
   t.drop_count <- t.drop_count + 1;
   events.dispatch_failed ()
 
+(* The socket's readiness hook wakes its watcher: the worker that owns
+   a dedicated socket, the wait queue of a shared one. *)
+let push_syn t sock (pending : Kernel.Socket.pending_conn) events =
+  match Kernel.Socket.push sock pending with
+  | `Dropped -> dispatch_failed t pending.seq events
+  | `Queued -> ()
+
 let connect t ~tenant ~events =
   let tn = t.tenant_arr.(tenant) in
   if t.quarantined.(tenant) then begin
@@ -389,28 +380,15 @@ let connect t ~tenant ~events =
     }
   in
   let flow_hash = Netsim.Flow_hash.of_four_tuple tuple in
-  let now = Sim.now t.sim in
-  Conn_table.add t.metas ~key:seq ~aux:now events;
-  let pending =
-    { Kernel.Socket.seq; tuple; flow_hash; tenant_id = tn.id; syn_time = now }
-  in
+  Conn_table.add t.metas ~key:seq ~aux:(Sim.now t.sim) events;
+  let pending = { Kernel.Socket.seq; tuple; flow_hash; tenant_id = tn.id } in
   match Hashtbl.find_opt t.ports tn.dport with
   | None -> dispatch_failed t seq events
-  | Some (Shared { socket; wq }) -> (
-    match Kernel.Socket.push socket pending with
-    | `Dropped -> dispatch_failed t seq events
-    | `Queued -> ignore (Kernel.Waitqueue.wake wq))
+  | Some (Shared { socket; _ }) -> push_syn t socket pending events
   | Some (Dedicated { group; _ }) -> (
     match Kernel.Reuseport.select group ~flow_hash with
     | None -> dispatch_failed t seq events
-    | Some sock -> (
-      match Kernel.Socket.push sock pending with
-      | `Dropped -> dispatch_failed t seq events
-      | `Queued ->
-        let sid = Kernel.Socket.id sock in
-        let w = Conn_table.Dense.get_a t.sock_owner sid in
-        let fd = Conn_table.Dense.get_b t.sock_owner sid in
-        Kernel.Epoll.notify_accept_ready (Worker.epoll t.workers_arr.(w)) ~fd))
+    | Some sock -> push_syn t sock pending events)
   end
 
 (* Splice forwards payload; session-level work (handshakes,
@@ -425,31 +403,13 @@ let spliceable_req req =
   | Request.Close ->
     false
 
-(* A redirected chunk completes without the worker: the device itself
-   closes the latency/attribution loop after the in-kernel forwarding
-   delay, charging the tenant the kernel time actually spent instead
-   of the proxy cost it avoided. *)
-let splice_request_done t conn req ~kernel_time =
-  if conn.Conn.tenant_id >= 0 then begin
-    Stats.Histogram.record t.lat
-      (float_of_int
-         (Sim_time.sub (Sim.now t.sim) req.Request.arrival + Cost.client_rtt));
-    t.completed_count <- t.completed_count + 1;
-    let i = tenant_index t conn.Conn.tenant_id in
-    if i >= 0 then t.tenant_cpu.(i) <- Sim_time.add t.tenant_cpu.(i) kernel_time;
-    conn.Conn.requests_done <- conn.Conn.requests_done + 1;
-    let slot = meta_slot t conn in
-    if slot >= 0 then (Conn_table.payload t.metas slot).request_done conn req
-  end
-
 let send t conn req =
   match t.splice_rt with
   | Some sp
     when spliceable_req req && Conn.is_open conn
          && Splice.is_attached sp ~conn:conn.Conn.id -> (
-    let flow_hash = Netsim.Flow_hash.of_four_tuple conn.Conn.tuple in
     match
-      Splice.decide sp ~conn:conn.Conn.id ~flow_hash
+      Splice.decide sp ~conn:conn.Conn.id ~flow_hash:conn.Conn.flow_hash
         ~dst_port:conn.Conn.tuple.Netsim.Addr.dst_port ~bytes:req.Request.size
     with
     | Splice.Fallback ->
@@ -461,11 +421,18 @@ let send t conn req =
           (Trace.Splice_redirect
              { conn = hit; worker; bytes = req.Request.size; copied });
       Worker.note_spliced_redirect t.workers_arr.(worker);
+      (* The chunk completes without the worker: the device itself
+         closes the latency/attribution loop after the in-kernel
+         forwarding delay, charging the tenant the kernel time actually
+         spent instead of the proxy cost it avoided.  Only attached
+         connections get here, and those are client connections. *)
       let kernel_time = Cost.cycles_to_time cycles in
       ignore
         (Sim.schedule_after t.sim ~delay:kernel_time (fun () ->
-             if Conn.is_open conn then
-               splice_request_done t conn req ~kernel_time));
+             if Conn.is_open conn then begin
+               conn.Conn.requests_done <- conn.Conn.requests_done + 1;
+               request_done t conn req ~cpu:kernel_time
+             end));
       true)
   | Some _ | None -> Worker.deliver t.workers_arr.(conn.Conn.worker_id) conn req
 
@@ -574,7 +541,7 @@ let clamp_backlog t ~worker limit =
     t.ports
 
 let overflow_accept_queue t ~worker = clamp_backlog t ~worker 1
-let restore_accept_queue t ~worker = clamp_backlog t ~worker t.backlog
+let restore_accept_queue t ~worker = clamp_backlog t ~worker backlog
 
 (* Sweep the splice plane for a worker leaving service: every sockmap
    entry targeting it must go before its traffic can be redirected
@@ -589,6 +556,22 @@ let splice_sweep t ~worker ~reason =
         if Trace.enabled () then
           Trace.emit (Trace.Splice_teardown { conn; worker; key; reason }))
       (Splice.teardown_worker sp ~worker)
+
+(* Close a listening socket: each connection still in its queue
+   (handshake complete, never accepted) fails its dispatch, counted as
+   a reset ([reset], a worker leaving service) or as a drop. *)
+let close_listener t sock ~reset =
+  List.iter
+    (fun (p : Kernel.Socket.pending_conn) ->
+      let slot = Conn_table.find_slot t.metas p.seq in
+      if slot >= 0 then begin
+        let events = Conn_table.payload t.metas slot in
+        ignore (Conn_table.remove t.metas p.seq);
+        if reset then t.reset_count <- t.reset_count + 1
+        else t.drop_count <- t.drop_count + 1;
+        events.dispatch_failed ()
+      end)
+    (Kernel.Socket.close sock)
 
 let isolate_worker t w =
   if not t.isolated.(w) then begin
@@ -607,20 +590,7 @@ let isolate_worker t w =
           | Some sock ->
             Kernel.Reuseport.unbind group ~slot:w;
             Kernel.Ebpf_maps.Sockarray.clear sockarray w;
-            Conn_table.Dense.remove t.sock_owner (Kernel.Socket.id sock);
-            (* Handshake-complete but never-accepted connections are
-               reset when the socket closes. *)
-            let orphans = Kernel.Socket.close sock in
-            List.iter
-              (fun (p : Kernel.Socket.pending_conn) ->
-                let slot = Conn_table.find_slot t.metas p.seq in
-                if slot >= 0 then begin
-                  let events = Conn_table.payload t.metas slot in
-                  ignore (Conn_table.remove t.metas p.seq);
-                  t.reset_count <- t.reset_count + 1;
-                  events.dispatch_failed ()
-                end)
-              orphans))
+            close_listener t sock ~reset:true))
       t.ports
   end
 
@@ -635,9 +605,7 @@ let recover_worker t w =
     Hashtbl.iter
       (fun port plumbing ->
         match plumbing with
-        | Shared { socket; wq } ->
-          ignore port;
-          ignore socket;
+        | Shared { wq; _ } ->
           Kernel.Waitqueue.register wq ~id:w ~try_wake:(fun () ->
               Worker.try_wake t.workers_arr.(w))
         | Dedicated { group; sockarray } ->
@@ -683,9 +651,10 @@ let push_sample t s =
   t.sample_buf.(t.sample_pos) <- s;
   t.sample_pos <- (t.sample_pos + 1) mod cap
 
-let enable_sampling t ?(retain = 4096) ~every () =
-  if retain <= 0 then invalid_arg "Device.enable_sampling: retain must be positive";
-  t.sample_buf <- Array.make retain null_sample;
+let sample_retain = 4096
+
+let enable_sampling t ~every () =
+  t.sample_buf <- Array.make sample_retain null_sample;
   t.sample_len <- 0;
   t.sample_pos <- 0;
   t.sampling_prev <- cpu_busy_per_worker t;
@@ -772,17 +741,7 @@ let quarantine_tenant t ~tenant =
       for slot = 0 to Kernel.Reuseport.slots group - 1 do
         match Kernel.Reuseport.member group ~slot with
         | Some sock ->
-          let orphans = Kernel.Socket.close sock in
-          List.iter
-            (fun (p : Kernel.Socket.pending_conn) ->
-              let slot = Conn_table.find_slot t.metas p.seq in
-              if slot >= 0 then begin
-                let events = Conn_table.payload t.metas slot in
-                ignore (Conn_table.remove t.metas p.seq);
-                t.drop_count <- t.drop_count + 1;
-                events.dispatch_failed ()
-              end)
-            orphans;
+          close_listener t sock ~reset:false;
           Kernel.Reuseport.unbind group ~slot
         | None -> ()
       done

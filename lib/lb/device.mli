@@ -60,7 +60,6 @@ val create :
   workers:int ->
   tenants:Netsim.Tenant.t array ->
   ?worker_config:Worker.config ->
-  ?backlog:int ->
   ?hermes_group_size:int ->
   ?hermes_select_mode:Hermes.Groups.select_mode ->
   ?stagger_registration:bool ->
@@ -68,7 +67,8 @@ val create :
   ?splice_copy:int ->
   unit ->
   t
-(** [stagger_registration] rotates the wait-queue registration order
+(** Every listening socket's accept queue holds 4096 connections.
+    [stagger_registration] rotates the wait-queue registration order
     per port in the shared modes — the failed mitigation §7 discusses
     (different "last added" worker per port).  [splice_slots] (default
     4096) and [splice_copy] (default 0) configure the sockmap size and
@@ -206,12 +206,12 @@ type sample = {
   conns : int array;
 }
 
-val enable_sampling : t -> ?retain:int -> every:Engine.Sim_time.t -> unit -> unit
+val enable_sampling : t -> every:Engine.Sim_time.t -> unit -> unit
 (** Record per-worker utilization and connection counts periodically
     (the sampling behind Fig. 13).  Sampling runs until the simulation
-    stops being driven.  At most [retain] (default 4096) raw samples
-    are kept — a bounded ring of the most recent ones, so week-long
-    soaks don't grow a per-tick list without bound. *)
+    stops being driven.  At most 4096 raw samples are kept — a bounded
+    ring of the most recent ones, so week-long soaks don't grow a
+    per-tick list without bound. *)
 
 val samples : t -> sample list
 (** The retained (most recent) samples, oldest first. *)

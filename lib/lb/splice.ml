@@ -24,10 +24,10 @@ type decision =
 type t = {
   map : Kernel.Ebpf_maps.Sockmap.t;
   jit : Kernel.Ebpf_jit.t;
-  (* conn id -> (sockmap key, worker): what userspace believes is
-     installed.  The differential against the map itself is the whole
-     point — desync faults make them disagree. *)
-  spliced : Conn_table.Dense.t;
+  (* conn id -> worker, with the sockmap key in [aux]: what userspace
+     believes is installed.  The differential against the map itself
+     is the whole point — desync faults make them disagree. *)
+  spliced : int Conn_table.t;
   desynced : bool array;
   mutable strict : bool;
   stats : stats;
@@ -53,7 +53,9 @@ let create ~workers ?(slots = 4096) ?(copy = 0) () =
     {
       map;
       jit = Kernel.Ebpf_jit.compile verified;
-      spliced = Conn_table.Dense.create ~capacity:1024 ();
+      (* Small at first: the table doubles as attachments go live, so
+         a device's set-up does not pay for slots it may never fill. *)
+      spliced = Conn_table.create ~dummy:(-1) ~capacity:64 ();
       desynced = Array.make workers false;
       strict = true;
       stats =
@@ -71,8 +73,8 @@ let create ~workers ?(slots = 4096) ?(copy = 0) () =
         };
     }
 
-let attached t = Conn_table.Dense.length t.spliced
-let is_attached t ~conn = Conn_table.Dense.mem t.spliced conn
+let attached t = Conn_table.length t.spliced
+let is_attached t ~conn = Conn_table.mem t.spliced conn
 let stats t = t.stats
 let set_strict t v = t.strict <- v
 let set_desynced t ~worker v = t.desynced.(worker) <- v
@@ -82,7 +84,7 @@ let key_of t ~flow_hash =
 
 let attach t ~conn ~flow_hash ~worker =
   if conn <= 0 then invalid_arg "Splice.attach: conn id must be positive";
-  if Conn_table.Dense.mem t.spliced conn then None
+  if Conn_table.mem t.spliced conn then None
   else begin
     let key = key_of t ~flow_hash in
     match Kernel.Ebpf_maps.Sockmap.get t.map key with
@@ -95,23 +97,24 @@ let attach t ~conn ~flow_hash ~worker =
       t.stats.collisions <- t.stats.collisions + 1;
       if t.strict then None
       else begin
-        Conn_table.Dense.set t.spliced ~key:conn ~a:key ~b:worker;
+        Conn_table.add t.spliced ~key:conn ~aux:key worker;
         t.stats.attaches <- t.stats.attaches + 1;
         Some key
       end
     | Some _ | None ->
       Kernel.Ebpf_maps.Sockmap.set t.map key ~conn ~target:worker;
-      Conn_table.Dense.set t.spliced ~key:conn ~a:key ~b:worker;
+      Conn_table.add t.spliced ~key:conn ~aux:key worker;
       t.stats.attaches <- t.stats.attaches + 1;
       Some key
   end
 
 let teardown t ~conn =
-  if not (Conn_table.Dense.mem t.spliced conn) then None
+  let slot = Conn_table.find_slot t.spliced conn in
+  if slot < 0 then None
   else begin
-    let key = Conn_table.Dense.get_a t.spliced conn in
-    let worker = Conn_table.Dense.get_b t.spliced conn in
-    Conn_table.Dense.remove t.spliced conn;
+    let key = Conn_table.aux t.spliced slot in
+    let worker = Conn_table.payload t.spliced slot in
+    ignore (Conn_table.remove t.spliced conn);
     t.stats.teardowns <- t.stats.teardowns + 1;
     (* A desynced worker models the lost sock_delete: userspace
        bookkeeping moves on, the kernel map keeps the entry.  Only
@@ -125,16 +128,14 @@ let teardown t ~conn =
     Some (key, worker)
   end
 
+(* In increasing conn id, whatever the table's hash order: the device
+   traces the sweep in this order. *)
 let teardown_worker t ~worker =
-  let victims = ref [] in
-  Conn_table.Dense.iter t.spliced (fun ~key:conn ~a:_ ~b:w ->
-      if w = worker then victims := conn :: !victims);
-  List.fold_left
-    (fun acc conn ->
-      match teardown t ~conn with
-      | Some (key, _) -> (conn, key) :: acc
-      | None -> acc)
-    [] !victims
+  Conn_table.fold t.spliced ~init:[] ~f:(fun acc ~key:conn ~slot ->
+      if Conn_table.payload t.spliced slot = worker then conn :: acc else acc)
+  |> List.sort Int.compare
+  |> List.filter_map (fun conn ->
+         Option.map (fun (key, _) -> (conn, key)) (teardown t ~conn))
 
 let decide t ~conn ~flow_hash ~dst_port ~bytes =
   if bytes < 0 then invalid_arg "Splice.decide: negative bytes";

@@ -85,7 +85,8 @@ val teardown : t -> conn:int -> (int * int) option
 
 val teardown_worker : t -> worker:int -> (int * int) list
 (** Tear down every attachment recorded against [worker] (isolate /
-    restart sweeps); returns [(conn, key)] per entry removed. *)
+    restart sweeps); returns [(conn, key)] per entry removed, in
+    increasing conn id. *)
 
 val is_attached : t -> conn:int -> bool
 val attached : t -> int

@@ -102,16 +102,14 @@ let null_tuple = { Netsim.Addr.src_ip = 0; src_port = 0; dst_ip = 0; dst_port = 
    collectable immediately; the continuation fields hold the
    placeholders below between uses for the same reason. *)
 let dummy_conn =
-  Conn.make ~id:0 ~fd:0 ~tuple:null_tuple ~tenant_id:(-1) ~worker_id:(-1)
-    ~established:0
+  Conn.make ~id:0 ~fd:0 ~tuple:null_tuple ~flow_hash:0 ~tenant_id:(-1) ~worker_id:(-1)
 
 let dummy_pending =
-  { Kernel.Socket.seq = 0; tuple = null_tuple; flow_hash = 0; tenant_id = -1; syn_time = 0 }
+  { Kernel.Socket.seq = 0; tuple = null_tuple; flow_hash = 0; tenant_id = -1 }
 
 let dummy_req = Request.make ~id:0 ~op:Request.Plain_proxy ~size:0 ~cost:0 ~tenant_id:(-1)
 
 let id t = t.worker_id
-let epoll t = t.ep
 let stats t = t.worker_stats
 
 let cpu_busy_at t time =
@@ -173,9 +171,7 @@ let charge t cost phase =
   ignore (Sim.schedule_after t.sim ~delay:cost t.resume)
 
 let listen t ~socket ~shared =
-  let fd = t.alloc_fd () in
-  Kernel.Epoll.add_listening t.ep ~fd ~socket ~shared;
-  fd
+  Kernel.Epoll.add_listening t.ep ~fd:(t.alloc_fd ()) ~socket ~shared
 
 let listen_shared t ~socket = listen t ~socket ~shared:true
 let listen_dedicated t ~socket = listen t ~socket ~shared:false
@@ -219,8 +215,8 @@ let establish t (pending : Kernel.Socket.pending_conn) =
     t.worker_stats.pool_rejects <- t.worker_stats.pool_rejects + 1;
     let conn =
       Conn.make ~id:pending.seq ~fd:(-1) ~tuple:pending.tuple
-        ~tenant_id:pending.tenant_id ~worker_id:t.worker_id
-        ~established:(Sim.now t.sim)
+        ~flow_hash:pending.flow_hash ~tenant_id:pending.tenant_id
+        ~worker_id:t.worker_id
     in
     conn.Conn.state <- Conn.Reset;
     t.callbacks.on_conn_reset conn
@@ -229,8 +225,8 @@ let establish t (pending : Kernel.Socket.pending_conn) =
     let conn_fd = t.alloc_fd () in
     let conn =
       Conn.make ~id:pending.seq ~fd:conn_fd ~tuple:pending.tuple
-        ~tenant_id:pending.tenant_id ~worker_id:t.worker_id
-        ~established:(Sim.now t.sim)
+        ~flow_hash:pending.flow_hash ~tenant_id:pending.tenant_id
+        ~worker_id:t.worker_id
     in
     Conn_table.add t.conn_table ~key:conn_fd ~aux:0 conn;
     Kernel.Epoll.add_conn t.ep ~fd:conn_fd;
@@ -515,8 +511,9 @@ let adopt_conn t ~tenant_id =
   in
   let conn_fd = t.alloc_fd () in
   let conn =
-    Conn.make ~id ~fd:conn_fd ~tuple ~tenant_id
-      ~worker_id:t.worker_id ~established:(Sim.now t.sim)
+    Conn.make ~id ~fd:conn_fd ~tuple
+      ~flow_hash:(Netsim.Flow_hash.of_four_tuple tuple)
+      ~tenant_id ~worker_id:t.worker_id
   in
   Conn_table.add t.conn_table ~key:conn_fd ~aux:0 conn;
   Kernel.Epoll.add_conn t.ep ~fd:conn_fd;
@@ -558,8 +555,9 @@ let fault_conn t =
     in
     let conn_fd = t.alloc_fd () in
     let conn =
-      Conn.make ~id ~fd:conn_fd ~tuple ~tenant_id:(-1)
-        ~worker_id:t.worker_id ~established:(Sim.now t.sim)
+      Conn.make ~id ~fd:conn_fd ~tuple
+        ~flow_hash:(Netsim.Flow_hash.of_four_tuple tuple)
+        ~tenant_id:(-1) ~worker_id:t.worker_id
     in
     Conn_table.add t.conn_table ~key:conn_fd ~aux:0 conn;
     Kernel.Epoll.add_conn t.ep ~fd:conn_fd;

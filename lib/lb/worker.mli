@@ -48,12 +48,15 @@ val create :
   t
 
 val id : t -> int
-val epoll : t -> Kernel.Epoll.t
 
-val listen_shared : t -> socket:Kernel.Socket.t -> int
-(** Register a shared listening socket; returns the fd used. *)
+val listen_shared : t -> socket:Kernel.Socket.t -> unit
+(** Register a shared listening socket on a fresh fd: the worker's
+    polls scan it. *)
 
-val listen_dedicated : t -> socket:Kernel.Socket.t -> int
+val listen_dedicated : t -> socket:Kernel.Socket.t -> unit
+(** Register a dedicated listening socket on a fresh fd: the worker
+    becomes its watcher, so each connection pushed on it readies the
+    worker's epoll and wakes a blocked worker. *)
 
 val start : t -> unit
 (** Enter the event loop (schedules the first iteration at the current

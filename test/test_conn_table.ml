@@ -188,25 +188,6 @@ let test_iteration_deterministic () =
     (order (build ()))
     (order (build ()))
 
-let test_dense () =
-  let d = T.Dense.create ~capacity:8 () in
-  Alcotest.(check bool) "absent" false (T.Dense.mem d 3);
-  Alcotest.(check int) "absent a" (-1) (T.Dense.get_a d 3);
-  T.Dense.set d ~key:3 ~a:2 ~b:40;
-  Alcotest.(check int) "a" 2 (T.Dense.get_a d 3);
-  Alcotest.(check int) "b" 40 (T.Dense.get_b d 3);
-  Alcotest.(check int) "length" 1 (T.Dense.length d);
-  (* growth across the initial capacity *)
-  T.Dense.set d ~key:1000 ~a:7 ~b:8;
-  Alcotest.(check int) "grown a" 7 (T.Dense.get_a d 1000);
-  Alcotest.(check int) "old survives growth" 2 (T.Dense.get_a d 3);
-  Alcotest.(check int) "out of range reads absent" (-1) (T.Dense.get_a d 100_000);
-  T.Dense.remove d 3;
-  Alcotest.(check bool) "removed" false (T.Dense.mem d 3);
-  Alcotest.(check int) "length after remove" 1 (T.Dense.length d);
-  T.Dense.remove d 3 (* idempotent *);
-  Alcotest.(check int) "idempotent remove" 1 (T.Dense.length d)
-
 let () =
   Alcotest.run "conn_table"
     [
@@ -221,7 +202,6 @@ let () =
             test_payload_released_on_free;
           Alcotest.test_case "deterministic iteration" `Quick
             test_iteration_deterministic;
-          Alcotest.test_case "dense side table" `Quick test_dense;
         ] );
       ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
     ]

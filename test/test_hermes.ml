@@ -429,7 +429,7 @@ let test_degrade_mismatch () =
 let test_config_defaults () =
   let c = Hermes.Config.default in
   check (Alcotest.float 1e-9) "theta" 0.5 c.Hermes.Config.theta_ratio;
-  check Alcotest.int "timeout 5ms" (ms 5) c.Hermes.Config.epoll_timeout;
+  check Alcotest.int "timeout 5ms" (ms 5) Lb.Worker.default_config.Lb.Worker.epoll_timeout;
   check Alcotest.int "min selected" 2 c.Hermes.Config.min_selected;
   check Alcotest.bool "at loop end" true c.Hermes.Config.schedule_at_loop_end
 

@@ -11,7 +11,6 @@ let pending seq =
     tuple = { Netsim.Addr.src_ip = 1; src_port = seq; dst_ip = 2; dst_port = 80 };
     flow_hash = seq * 2654435761;
     tenant_id = 0;
-    syn_time = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -337,8 +336,8 @@ let test_epoll_dedicated_accept () =
   let ep = Kernel.Epoll.create ~worker_id:0 in
   let sock = Kernel.Socket.create_listen ~port:80 ~backlog:8 () in
   Kernel.Epoll.add_listening ep ~fd:3 ~socket:sock ~shared:false;
-  Kernel.Epoll.notify_accept_ready ep ~fd:3;
-  Kernel.Epoll.notify_accept_ready ep ~fd:3;
+  ignore (Kernel.Socket.push sock (pending 1));
+  ignore (Kernel.Socket.push sock (pending 2));
   (match poll ep ~max_events:4 with
   | [ (_, kind, units) ] ->
     check Alcotest.bool "accept kind" true (kind = Kernel.Epoll.Accept_ready);

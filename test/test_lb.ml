@@ -214,18 +214,15 @@ let dummy_tuple = { Netsim.Addr.src_ip = 1; src_port = 2; dst_ip = 3; dst_port =
 
 let test_conn_lifecycle () =
   let conn =
-    Lb.Conn.make ~id:1 ~fd:10 ~tuple:dummy_tuple ~tenant_id:0 ~worker_id:0
-      ~established:0
+    Lb.Conn.make ~id:1 ~fd:10 ~tuple:dummy_tuple ~flow_hash:0 ~tenant_id:0 ~worker_id:0
   in
   check Alcotest.bool "open" true (Lb.Conn.is_open conn);
   let req = Lb.Request.make ~id:1 ~op:Lb.Request.Plain_proxy ~size:1 ~cost:1 ~tenant_id:0 in
   check Alcotest.bool "delivered" true (Lb.Conn.deliver conn req ~now:(ms 7));
   check Alcotest.int "arrival stamped" (ms 7) req.Lb.Request.arrival;
-  check Alcotest.int "inflight" 1 conn.Lb.Conn.inflight;
   check Alcotest.int "one queued" 1 (Lb.Conn.queued conn);
   check Alcotest.int "same request" 1 (Lb.Conn.pop conn).Lb.Request.id;
   check Alcotest.int "inbox drained" 0 (Lb.Conn.queued conn);
-  check Alcotest.int "inflight drained" 0 conn.Lb.Conn.inflight;
   conn.Lb.Conn.state <- Lb.Conn.Closed;
   check Alcotest.bool "closed rejects" false (Lb.Conn.deliver conn req ~now:(ms 8))
 
@@ -757,7 +754,7 @@ let test_worker_crash_mid_charge () =
   in
   (* The request charge is pending once the request left the inbox. *)
   let device, st, done_n =
-    run_to_crash ~until_:(fun conn _ -> conn.Lb.Conn.inflight = 1)
+    run_to_crash ~until_:(fun conn _ -> Lb.Conn.queued conn = 1)
   in
   check Alcotest.int "old request never completes" 0 done_n;
   check Alcotest.int "device completed only the new one" 1 (Lb.Device.completed device);
