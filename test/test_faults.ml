@@ -379,6 +379,46 @@ let test_restart_drops_carrier_silently () =
   check Alcotest.bool "the later stall still stalls" true
     (Lb.Worker.cpu_busy w0 - !busy_before >= ST.ms 5)
 
+(* The canonical plan's faults lose no connection from any worker's
+   books: once the driver and the prober stop and the run drains, every
+   connection a worker accepted is closed, reset or still held. *)
+let test_counters_balance_after_plan () =
+  let cfg = Faults.Chaos.default_config in
+  List.iter
+    (fun mode ->
+      let sim = Engine.Sim.create () in
+      let rng = Engine.Rng.create cfg.Faults.Chaos.seed in
+      let device =
+        Lb.Device.create ~sim ~rng:(Engine.Rng.split rng) ~mode:(Lb.Device.of_mode mode)
+          ~workers:cfg.workers
+          ~tenants:(Netsim.Tenant.population ~n:cfg.tenants ~base_dport:20000)
+          ()
+      in
+      Lb.Device.start device;
+      Faults.Inject.arm ~device ~plan:Faults.Chaos.default_plan;
+      let prober =
+        Lb.Probe.Per_worker.start ~config:Lb.Probe.default_config ~target:device
+      in
+      let driver =
+        Workload.Driver.start ~device
+          ~profile:(Workload.Cases.profile Workload.Cases.Case1 ~workers:cfg.workers)
+          ~rng ()
+      in
+      Engine.Sim.run_until sim ~limit:cfg.horizon;
+      Workload.Driver.stop driver;
+      Lb.Probe.Per_worker.stop prober;
+      Engine.Sim.run_until sim ~limit:(cfg.horizon + cfg.drain);
+      Array.iteri
+        (fun i w ->
+          let s = Lb.Worker.stats w in
+          check Alcotest.int
+            (Printf.sprintf "%s worker %d: accepted = closed + resets + open"
+               (Hermes.Config.Mode.to_string mode) i)
+            s.Lb.Worker.accepted
+            (s.Lb.Worker.closed + s.Lb.Worker.resets + Lb.Worker.conn_count w))
+        (Lb.Device.workers device))
+    Hermes.Config.Mode.all
+
 let () =
   Alcotest.run "faults"
     [
@@ -409,6 +449,8 @@ let () =
             test_hang_excluded_within_window;
           Alcotest.test_case "ebpf fail: fallback then recovery" `Quick
             test_ebpf_fallback_and_recovery;
+          Alcotest.test_case "worker counters balance after plan" `Quick
+            test_counters_balance_after_plan;
         ] );
       ( "replay",
         [

@@ -226,6 +226,42 @@ let prop_splice_matches_reference =
       List.for_all (fun op -> apply_and_compare sp rf op) ops
       && views_agree sp rf)
 
+(* [teardown_worker]'s list is the order [Device.splice_sweep] traces
+   the sweep in, so it must not follow the table's hash order: ids a
+   few orders of magnitude apart, split over two workers, come back as
+   exactly one worker's entries in increasing conn id. *)
+let test_teardown_worker_order () =
+  let sp = Lb.Splice.create ~workers:2 ~slots:16 () in
+  let ids = [ 250_000_000; 7; 900_000; 1; 52; 3_000_000; 12_345; 4 ] in
+  (* flow hash i keys slot i: no two attachments collide *)
+  let attached =
+    List.mapi
+      (fun i conn ->
+        let worker = i mod 2 in
+        match Lb.Splice.attach sp ~conn ~flow_hash:i ~worker with
+        | Some key -> (conn, key, worker)
+        | None -> Alcotest.failf "attach %d refused" conn)
+      ids
+  in
+  let entries_of w =
+    List.sort compare
+      (List.filter_map
+         (fun (conn, key, worker) -> if worker = w then Some (conn, key) else None)
+         attached)
+  in
+  check Alcotest.(list (pair int int)) "worker 0's entries, increasing conn id"
+    (entries_of 0)
+    (Lb.Splice.teardown_worker sp ~worker:0);
+  check Alcotest.int "worker 1's entries stay attached"
+    (List.length (entries_of 1))
+    (Lb.Splice.attached sp);
+  check Alcotest.(list (pair int int)) "a second sweep finds nothing" []
+    (Lb.Splice.teardown_worker sp ~worker:0);
+  check Alcotest.(list (pair int int)) "worker 1's entries, increasing conn id"
+    (entries_of 1)
+    (Lb.Splice.teardown_worker sp ~worker:1);
+  check Alcotest.int "nothing attached" 0 (Lb.Splice.attached sp)
+
 (* ------------------------------------------------------------------ *)
 (* Desync misdelivery, end to end through device + monitors            *)
 
@@ -362,6 +398,11 @@ let () =
       ( "mode",
         [ Alcotest.test_case "Config.Mode round-trip" `Quick test_mode_roundtrip ] );
       ("differential", [ QCheck_alcotest.to_alcotest prop_splice_matches_reference ]);
+      ( "sweep",
+        [
+          Alcotest.test_case "teardown_worker: conn id order" `Quick
+            test_teardown_worker_order;
+        ] );
       ( "desync",
         [
           Alcotest.test_case "sloppy userspace misdelivers, monitor catches"
