@@ -33,6 +33,35 @@ let int_in ?(lo = min_int) ?(hi = max_int) () =
 let workers_arg ~default ~doc =
   Arg.(value & opt (int_in ~lo:1 ~hi:64 ()) default & info [ "workers" ] ~docv:"N" ~doc)
 
+let seed_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
+
+let mode_arg ~default ~doc =
+  Arg.(value & opt string default & info [ "mode" ] ~docv:"MODE" ~doc)
+
+let plan_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
+
+(* A mode name ([Hermes.Config.Mode]) as a device mode. *)
+let device_mode name =
+  match Hermes.Config.Mode.of_string name with
+  | Some m -> Ok (Lb.Device.of_mode m)
+  | None -> Error (Printf.sprintf "unknown mode %S" name)
+
+(* The plan in a [--plan] file, [None] without one. *)
+let read_plan = function
+  | None -> Ok None
+  | Some path -> (
+    match Faults.Plan.load path with
+    | Ok plan -> Ok (Some plan)
+    | Error e -> Error ("bad plan: " ^ e))
+
+(* [plan] if it fits a device of [workers] workers. *)
+let lint_plan ~workers plan =
+  match Faults.Plan.lint ~workers plan with
+  | Ok () -> Ok plan
+  | Error problems -> Error ("plan lint: " ^ String.concat "; " problems)
+
 (* The one trace-file writer: [f] gets the [--trace] file's sink, if
    any, and must close it. *)
 let with_trace_file file f =
@@ -113,11 +142,10 @@ let verify_cmd =
     Arg.(value & flag & info [ "dump" ] ~doc)
   in
   let plan_arg =
-    let doc =
-      "Also lint this fault-plan file (unknown worker ids, bad durations); \
-       the built-in chaos plan is always linted."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
+    plan_arg
+      ~doc:
+        "Also lint this fault-plan file (unknown worker ids, bad durations); \
+         the built-in chaos plan is always linted."
   in
   let plan_workers_arg =
     let doc = "Worker count the fault plans are linted against." in
@@ -293,25 +321,21 @@ let all_cmd =
 
 let chaos_cmd =
   let plan_arg =
-    let doc =
-      "Fault plan file (one injection per line: $(b,at <time> <kind> \
-       key=value...)); the built-in all-classes plan when omitted."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
+    plan_arg
+      ~doc:
+        "Fault plan file (one injection per line: $(b,at <time> <kind> \
+         key=value...)); the built-in all-classes plan when omitted."
   in
   let seed_arg =
-    let doc = "Run seed; same plan + same seed replays byte-identically." in
-    Arg.(
-      value
-      & opt int Faults.Chaos.default_config.Faults.Chaos.seed
-      & info [ "seed" ] ~docv:"N" ~doc)
+    seed_arg ~default:Faults.Chaos.default_config.Faults.Chaos.seed
+      ~doc:"Run seed; same plan + same seed replays byte-identically."
   in
   let mode_arg =
-    let doc =
-      Printf.sprintf "Dispatch mode: $(docv) is one of %s, or $(b,all) for the sweep."
-        (String.concat ", " Hermes.Config.Mode.names)
-    in
-    Arg.(value & opt string "hermes" & info [ "mode" ] ~docv:"MODE" ~doc)
+    mode_arg ~default:"hermes"
+      ~doc:
+        (Printf.sprintf
+           "Dispatch mode: $(docv) is one of %s, or $(b,all) for the sweep."
+           (String.concat ", " Hermes.Config.Mode.names))
   in
   let workers_arg =
     workers_arg ~default:Faults.Chaos.default_config.Faults.Chaos.workers
@@ -321,8 +345,8 @@ let chaos_cmd =
     let doc = "Print the effective plan and exit without running." in
     Arg.(value & flag & info [ "show-plan" ] ~doc)
   in
-  let parse_mode m =
-    if String.equal m "all" then
+  let modes = function
+    | "all" ->
       (* The sweep skips wake-all: its thundering herd makes chaos runs
          pathologically slow without telling us anything new. *)
       Ok
@@ -331,30 +355,21 @@ let chaos_cmd =
              | Hermes.Config.Mode.Wake_all -> None
              | md -> Some (Lb.Device.of_mode md))
            Hermes.Config.Mode.all)
-    else
-      match Hermes.Config.Mode.of_string m with
-      | Some md -> Ok [ Lb.Device.of_mode md ]
-      | None -> Error (Printf.sprintf "unknown mode %S" m)
+    | name -> Result.map (fun m -> [ m ]) (device_mode name)
   in
   let run plan_file seed mode workers show_plan trace =
-    let plan =
-      match plan_file with
-      | None -> Ok Faults.Chaos.default_plan
-      | Some path -> Faults.Plan.load path
-    in
-    match (plan, parse_mode mode) with
-    | Error e, _ -> `Error (false, "bad plan: " ^ e)
-    | _, Error e -> `Error (false, e)
+    match (read_plan plan_file, modes mode) with
+    | Error e, _ | _, Error e -> `Error (false, e)
     | Ok plan, Ok modes -> (
+      let plan = Option.value plan ~default:Faults.Chaos.default_plan in
       if show_plan then begin
         print_string (Faults.Plan.to_string plan);
         `Ok ()
       end
       else
-        match Faults.Plan.lint ~workers plan with
-        | Error problems ->
-          `Error (false, "plan lint: " ^ String.concat "; " problems)
-        | Ok () ->
+        match lint_plan ~workers plan with
+        | Error e -> `Error (false, e)
+        | Ok plan ->
           with_trace_file trace @@ fun sink ->
           (* Each run's own stream, [seq] from 0, exactly as its
              monitors see it. *)
@@ -405,8 +420,7 @@ let cluster_cmd =
   in
   let workers_arg = workers_arg ~default:4 ~doc:"Workers per member device." in
   let seed_arg =
-    let doc = "Run seed; same seed replays byte-identically." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
+    seed_arg ~default:7 ~doc:"Run seed; same seed replays byte-identically."
   in
   let duration_arg =
     let doc = "Virtual run length in milliseconds." in
@@ -424,40 +438,26 @@ let cluster_cmd =
     Arg.(value & opt (int_in ~lo:1 ()) 2 & info [ "reqs" ] ~docv:"N" ~doc)
   in
   let mode_arg =
-    let doc =
-      Printf.sprintf "Dispatch mode for every member: one of %s."
-        (String.concat ", " Hermes.Config.Mode.names)
-    in
-    Arg.(value & opt string "reuseport" & info [ "mode" ] ~docv:"MODE" ~doc)
+    mode_arg ~default:"reuseport"
+      ~doc:
+        (Printf.sprintf "Dispatch mode for every member: one of %s."
+           (String.concat ", " Hermes.Config.Mode.names))
   in
   let plan_arg =
-    let doc =
-      "Fault plan file, armed on every member's own simulator (entries \
-       must sit beyond one network hop, 100 us, so arming never \
-       schedules into a member's past)."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
-  in
-  let parse_single_mode m =
-    match Hermes.Config.Mode.of_string m with
-    | Some md -> Ok (Lb.Device.of_mode md)
-    | None -> Error (Printf.sprintf "unknown mode %S" m)
+    plan_arg
+      ~doc:
+        "Fault plan file, armed on every member's own simulator (entries \
+         must sit beyond one network hop, 100 us, so arming never \
+         schedules into a member's past)."
   in
   let run devices workers seed duration_ms conns reqs mode_name plan_file
       trace =
     let plan =
-      match plan_file with
-      | None -> Ok None
-      | Some path -> (
-        match Faults.Plan.load path with
-        | Error e -> Error ("bad plan: " ^ e)
-        | Ok p -> (
-          match Faults.Plan.lint ~workers p with
-          | Error problems ->
-            Error ("plan lint: " ^ String.concat "; " problems)
-          | Ok () -> Ok (Some p)))
+      match read_plan plan_file with
+      | Ok (Some p) -> Result.map Option.some (lint_plan ~workers p)
+      | (Ok None | Error _) as r -> r
     in
-    match (parse_single_mode mode_name, plan) with
+    match (device_mode mode_name, plan) with
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok mode, Ok plan ->
       let records = ref 0 in
