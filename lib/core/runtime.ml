@@ -2,7 +2,13 @@ type t = {
   cfg : Config.t;
   grouping : Groups.t;
   metric_hooks : Metrics.t array;
-  sched_scratch : Scheduler.scratch array;  (* one per worker, reused *)
+  (* Worker -> its group's index and WST, built once, so a pass does no
+     division or range check. *)
+  group_of : int array;
+  wst_of : Wst.t array;
+  (* One scratch: a pass completes before the next begins, on one
+     domain. *)
+  sched_scratch : Scheduler.scratch;
   mutable sync_defer : ((unit -> unit) -> unit) option;
   mutable scheduler_cycles : int;
   mutable scheduler_calls : int;
@@ -16,16 +22,20 @@ let syscall_cost_cycles = 1500
 let create ?(group_size = 64) ?(select_mode = Groups.By_flow_hash) ~config
     ~workers () =
   let grouping = Groups.create ~workers ~group_size ~mode:select_mode in
+  let group_of = Array.init workers (fun w -> fst (Groups.group_of_worker grouping w)) in
+  let wst_of = Array.map (Groups.wst grouping) group_of in
   let metric_hooks =
     Array.init workers (fun w ->
-        let g, within = Groups.group_of_worker grouping w in
-        Metrics.create ~wst:(Groups.wst grouping g) ~worker:within)
+        let _, within = Groups.group_of_worker grouping w in
+        Metrics.create ~wst:wst_of.(w) ~worker:within)
   in
   {
     cfg = config;
     grouping;
     metric_hooks;
-    sched_scratch = Array.init workers (fun _ -> Scheduler.make_scratch ());
+    group_of;
+    wst_of;
+    sched_scratch = Scheduler.make_scratch ();
     sync_defer = None;
     scheduler_cycles = 0;
     scheduler_calls = 0;
@@ -44,30 +54,31 @@ let make_prog t ~m_socket =
 let set_sync_defer t defer = t.sync_defer <- defer
 
 let schedule_and_sync t ~worker ~now =
-  let g, _ = Groups.group_of_worker t.grouping worker in
-  let scratch = t.sched_scratch.(worker) in
-  Scheduler.run scratch ~config:t.cfg ~wst:(Groups.wst t.grouping g) ~now;
-  let result = Scheduler.result scratch in
+  let g = t.group_of.(worker) in
+  let s = t.sched_scratch in
+  Scheduler.run s ~config:t.cfg ~wst:t.wst_of.(worker) ~now;
   (* The bitmap push is a bpf() syscall; under an injected map-sync
      delay the store lands later, and the kernel keeps dispatching on
      the previous bitmap in the interim. *)
   let m_sel = Groups.m_sel t.grouping in
   (match t.sync_defer with
-  | None -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g result.bitmap
+  | None -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g (Scheduler.bitmap s)
   | Some defer ->
-    defer (fun () -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g result.bitmap));
-  t.scheduler_cycles <- t.scheduler_cycles + result.cycles;
+    let bitmap = Scheduler.bitmap s in
+    defer (fun () -> Kernel.Ebpf_maps.Syscall.update_elem m_sel g bitmap));
+  let cycles = Scheduler.cycles s in
+  t.scheduler_cycles <- t.scheduler_cycles + cycles;
   t.scheduler_calls <- t.scheduler_calls + 1;
   t.sync_calls <- t.sync_calls + 1;
-  t.pass_sum <- t.pass_sum + result.passed;
-  t.considered_sum <- t.considered_sum + result.total;
-  result
+  t.pass_sum <- t.pass_sum + Scheduler.passed s;
+  t.considered_sum <- t.considered_sum + Scheduler.total s;
+  cycles
 
 let mark_dead t ~worker =
-  let g, within = Groups.group_of_worker t.grouping worker in
+  let _, within = Groups.group_of_worker t.grouping worker in
   (* A timestamp of 0 is always older than any positive threshold once
      the clock has advanced past it. *)
-  Wst.set_avail (Groups.wst t.grouping g) within ~now:0
+  Wst.set_avail t.wst_of.(worker) within ~now:0
 
 type accounting = {
   counter_cycles : int;

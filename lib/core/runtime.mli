@@ -31,13 +31,13 @@ val make_prog :
 (** Dispatch program for one port; [m_socket] indexed by global worker
     id. *)
 
-val schedule_and_sync : t -> worker:int -> now:Engine.Sim_time.t -> Scheduler.result
+val schedule_and_sync : t -> worker:int -> now:Engine.Sim_time.t -> int
 (** Run Algo 1 over the calling worker's group and push the bitmap to
-    the kernel through a counted map-update syscall.  The scheduler
-    pass itself runs on the calling worker's reusable
-    {!Scheduler.scratch}, so with tracing disabled it allocates
-    nothing; only the returned summary record and the pushed [int64]
-    are fresh. *)
+    the kernel through a counted map-update syscall; returns the pass's
+    estimated cycle cost (the syscall is {!syscall_cost_cycles} more).
+    The pass runs on the runtime's reusable {!Scheduler.scratch} and
+    the bitmap reaches the map's unboxed cell, so with tracing disabled
+    and no {!set_sync_defer} hook the call allocates nothing. *)
 
 val mark_dead : t -> worker:int -> unit
 (** Force a worker's availability timestamp far into the past so

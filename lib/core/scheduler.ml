@@ -18,25 +18,24 @@ let cycle_cost ~workers ~stages = 60 + (workers * ((3 * 4) + (stages * 4)))
    stage.  This engine keeps the survivor mask as two native-int
    halves of the 64-bit dispatch bitmap (OCaml ints are 63-bit, so bit
    63 does not fit one immediate; an [int64] field would box on every
-   store) inside a caller-owned [scratch], reads the WST through
-   [Wst.read_into] into scratch-owned buffers, and walks the cascade
-   with top-level recursion — no closures, no refs, no floats stored.
-   A trace-disabled [run] therefore allocates zero minor-heap words;
-   the [int64] bitmap is materialised only at observation points
-   (tracing, [bitmap], [result]).
+   store) inside a caller-owned [scratch], reads the WST's columns in
+   place (everything runs on one domain, so nothing writes the table
+   during a pass), and walks the cascade with top-level recursion — no
+   closures, no refs, no floats stored.  Each stage builds its survivor
+   mask without data-dependent branches: the compare's [Bool.to_int],
+   shifted into place.  A trace-disabled [run] therefore allocates zero
+   minor-heap words; the [int64] bitmap is materialised only at
+   observation points (tracing, [bitmap], [result]).
 
    The retired bool-array cascade survives as the test oracle
    [Oracles.Scheduler_ref]: identical integer sums, identical float
    cutoff arithmetic (see the [Float.max] note below), identical
-   per-worker comparisons — so identical bitmaps and identical trace
-   events, which the qcheck differential suite and the golden traces
-   both pin. *)
+   per-worker decisions (see the integer-ceiling note) — so identical
+   bitmaps and identical trace events, which the qcheck differential
+   suite and the golden traces both pin. *)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
-  times : Engine.Sim_time.t array;
-  events : int array;
-  conns : int array;
   mutable lo : int;  (** survivor-mask bits 0..31 *)
   mutable hi : int;  (** survivor-mask bits 32..63 *)
   mutable n : int;
@@ -46,61 +45,44 @@ type scratch = {
   mutable live : int;  (** FilterCount scratch: live count *)
 }
 
-let make_scratch () =
-  {
-    times = Array.make Wst.max_workers 0;
-    events = Array.make Wst.max_workers 0;
-    conns = Array.make Wst.max_workers 0;
-    lo = 0;
-    hi = 0;
-    n = 0;
-    stages = 0;
-    at = 0;
-    sum = 0;
-    live = 0;
-  }
+let make_scratch () = { lo = 0; hi = 0; n = 0; stages = 0; at = 0; sum = 0; live = 0 }
 
 let live_of s = Kernel.Bitops.popcount32 s.lo + Kernel.Bitops.popcount32 s.hi
 
 let bitmap_of s =
   Int64.logor (Int64.of_int s.lo) (Int64.shift_left (Int64.of_int s.hi) 32)
 
-let filter_time_into s ~threshold ~now =
+let filter_time s (times : Engine.Sim_time.t array) ~threshold ~now =
   let nlo = if s.n < 32 then s.n else 32 in
+  let keep = ref 0 in
   for i = 0 to nlo - 1 do
-    if
-      s.lo land (1 lsl i) <> 0
-      && now - Array.unsafe_get s.times i >= threshold
-    then s.lo <- s.lo land lnot (1 lsl i)
+    keep := !keep lor (Bool.to_int (now - Array.unsafe_get times i < threshold) lsl i)
   done;
+  s.lo <- s.lo land !keep;
+  let keep = ref 0 in
   for i = 32 to s.n - 1 do
-    if
-      s.hi land (1 lsl (i - 32)) <> 0
-      && now - Array.unsafe_get s.times i >= threshold
-    then s.hi <- s.hi land lnot (1 lsl (i - 32))
-  done
+    keep :=
+      !keep lor (Bool.to_int (now - Array.unsafe_get times i < threshold) lsl (i - 32))
+  done;
+  s.hi <- s.hi land !keep
 
-let sum_live_into s (values : int array) =
-  s.sum <- 0;
-  s.live <- 0;
+(* Σ value over live workers: each value masked by its survivor bit. *)
+let sum_live s (values : int array) =
   let nlo = if s.n < 32 then s.n else 32 in
+  let sum = ref 0 in
   for i = 0 to nlo - 1 do
-    if s.lo land (1 lsl i) <> 0 then begin
-      s.sum <- s.sum + Array.unsafe_get values i;
-      s.live <- s.live + 1
-    end
+    sum := !sum + (Array.unsafe_get values i land -((s.lo lsr i) land 1))
   done;
   for i = 32 to s.n - 1 do
-    if s.hi land (1 lsl (i - 32)) <> 0 then begin
-      s.sum <- s.sum + Array.unsafe_get values i;
-      s.live <- s.live + 1
-    end
-  done
+    sum := !sum + (Array.unsafe_get values i land -((s.hi lsr (i - 32)) land 1))
+  done;
+  s.sum <- !sum;
+  s.live <- live_of s
 
 (* The cutoff floats live and die in registers: storing one in the
    (mixed-field) scratch would box it, so the trace path recomputes it
-   from [s.sum]/[s.live], which [filter_count_into] leaves intact. *)
-let cutoff_of s ~theta_ratio =
+   from [s.sum]/[s.live], which [filter_count] leaves intact. *)
+let[@inline] cutoff_of s ~theta_ratio =
   let avg = float_of_int s.sum /. float_of_int s.live in
   let p = theta_ratio *. avg in
   (* [if p > 1.0 then p else 1.0] is bit-identical to the oracle's
@@ -109,26 +91,32 @@ let cutoff_of s ~theta_ratio =
   let theta = if p > 1.0 then p else 1.0 in
   avg +. theta
 
-let filter_count_into s ~theta_ratio (values : int array) =
-  sum_live_into s values;
+let filter_count s ~theta_ratio (values : int array) =
+  sum_live s values;
   if s.live > 0 then begin
-    let avg = float_of_int s.sum /. float_of_int s.live in
-    let p = theta_ratio *. avg in
-    let theta = if p > 1.0 then p else 1.0 in
-    let cutoff = avg +. theta in
+    let cutoff = cutoff_of s ~theta_ratio in
+    (* The oracle drops a worker when [float_of_int v >= cutoff]; for an
+       int [v] that holds exactly when [v >= ceil cutoff].  The ceiling
+       is taken once, without [Float.ceil] (a C call): the cutoff is
+       at least 1, so truncation is the floor.  A cutoff past the int
+       range keeps everyone, as the float compare does. *)
+    let ceil =
+      if cutoff < 0x1p62 then
+        let k = int_of_float cutoff in
+        if float_of_int k < cutoff then k + 1 else k
+      else max_int
+    in
     let nlo = if s.n < 32 then s.n else 32 in
+    let keep = ref 0 in
     for i = 0 to nlo - 1 do
-      if
-        s.lo land (1 lsl i) <> 0
-        && float_of_int (Array.unsafe_get values i) >= cutoff
-      then s.lo <- s.lo land lnot (1 lsl i)
+      keep := !keep lor (Bool.to_int (Array.unsafe_get values i < ceil) lsl i)
     done;
+    s.lo <- s.lo land !keep;
+    let keep = ref 0 in
     for i = 32 to s.n - 1 do
-      if
-        s.hi land (1 lsl (i - 32)) <> 0
-        && float_of_int (Array.unsafe_get values i) >= cutoff
-      then s.hi <- s.hi land lnot (1 lsl (i - 32))
-    done
+      keep := !keep lor (Bool.to_int (Array.unsafe_get values i < ceil) lsl (i - 32))
+    done;
+    s.hi <- s.hi land !keep
   end
 
 let trace_count_stage s ~theta_ratio ~stage =
@@ -137,13 +125,13 @@ let trace_count_stage s ~theta_ratio ~stage =
     (Trace.Sched_filter
        { stage; cutoff; survivors = bitmap_of s; live = live_of s })
 
-let rec run_stages s ~(config : Config.t) ~now stages =
+let rec run_stages s ~(config : Config.t) ~wst ~now stages =
   match stages with
   | [] -> ()
   | stage :: rest ->
     (match stage with
     | Config.By_time ->
-      filter_time_into s ~threshold:config.avail_threshold ~now;
+      filter_time s (Wst.times wst) ~threshold:config.avail_threshold ~now;
       s.at <- live_of s;
       if Trace.enabled () then
         Trace.emit
@@ -155,15 +143,15 @@ let rec run_stages s ~(config : Config.t) ~now stages =
                live = s.at;
              })
     | Config.By_conn ->
-      filter_count_into s ~theta_ratio:config.theta_ratio s.conns;
+      filter_count s ~theta_ratio:config.theta_ratio (Wst.conns wst);
       if Trace.enabled () then trace_count_stage s ~theta_ratio:config.theta_ratio ~stage
     | Config.By_event ->
-      filter_count_into s ~theta_ratio:config.theta_ratio s.events;
+      filter_count s ~theta_ratio:config.theta_ratio (Wst.events wst);
       if Trace.enabled () then trace_count_stage s ~theta_ratio:config.theta_ratio ~stage);
-    run_stages s ~config ~now rest
+    run_stages s ~config ~wst ~now rest
 
 let run s ~(config : Config.t) ~wst ~now =
-  let n = Wst.read_into wst ~times:s.times ~events:s.events ~conns:s.conns in
+  let n = Wst.workers wst in
   s.n <- n;
   s.stages <- List.length config.filter_order;
   if n <= 32 then begin
@@ -175,7 +163,7 @@ let run s ~(config : Config.t) ~wst ~now =
     s.hi <- (1 lsl (n - 32)) - 1
   end;
   s.at <- n;
-  run_stages s ~config ~now config.filter_order;
+  run_stages s ~config ~wst ~now config.filter_order;
   if Trace.enabled () then
     Trace.emit
       (Trace.Sched_result
@@ -183,6 +171,9 @@ let run s ~(config : Config.t) ~wst ~now =
 
 let passed s = live_of s
 let after_time s = s.at
+let total s = s.n
+let bitmap s = bitmap_of s
+let cycles s = cycle_cost ~workers:s.n ~stages:s.stages
 
 let result s =
   {
@@ -190,5 +181,5 @@ let result s =
     passed = live_of s;
     total = s.n;
     after_time = s.at;
-    cycles = cycle_cost ~workers:s.n ~stages:s.stages;
+    cycles = cycles s;
   }

@@ -9,8 +9,9 @@
     one atomic eBPF-map store.
 
     The engine ([run] over a reusable {!scratch}) keeps the survivor
-    mask as two native-int bitmap halves and fills caller-owned
-    snapshot buffers via {!Wst.read_into}; with tracing disabled a pass
+    mask as two native-int bitmap halves, reads the WST's columns in
+    place ({!Wst.times} and friends) and builds each stage's mask
+    without data-dependent branches; with tracing disabled a pass
     allocates zero minor-heap words — §5.3.2's requirement of logic
     embedded in every event loop, taken literally.  The original
     bool-array implementation is the test suite's differential oracle:
@@ -34,9 +35,9 @@ type result = {
 (** {1 Zero-allocation engine} *)
 
 type scratch
-(** Reusable per-scheduler state: snapshot buffers sized for
-    {!Wst.max_workers} plus the bitmap mask.  Single-threaded by
-    construction — one per worker event loop. *)
+(** Reusable scheduler state: the bitmap mask and the count-stage sums,
+    a few ints.  Single-threaded by construction: a pass completes
+    before the next begins. *)
 
 val make_scratch : unit -> scratch
 
@@ -50,6 +51,15 @@ val run : scratch -> config:Config.t -> wst:Wst.t -> now:Engine.Sim_time.t -> un
 
 val passed : scratch -> int
 val after_time : scratch -> int
+val total : scratch -> int
+
+val bitmap : scratch -> int64
+(** The survivors as the 64-bit dispatch bitmap; unboxed where the
+    call is inlined. *)
+
+val cycles : scratch -> int
+(** Estimated cycle cost of the last [run]. *)
 
 val result : scratch -> result
+[@@test_only]
 (** The last [run]'s outcome as a fresh {!result} record. *)

@@ -43,6 +43,10 @@ let add_conn t w delta =
   if Trace.enabled () then
     Trace.emit (Trace.Wst_write { worker = w; column = Trace.Conn; value })
 
+let times t = t.avail
+let events t = t.busy_cells
+let conns t = t.conn_cells
+
 let read_into t ~times ~events ~conns =
   let n = Array.length t.avail in
   if Array.length times < n || Array.length events < n || Array.length conns < n

@@ -11,12 +11,9 @@
 
 type t
 
-val max_workers : int
-(** 64 — worker ids index bits of the scheduler's dispatch bitmap. *)
-
 val create : workers:int -> t
 (** All availability timestamps start at 0, counts at 0.
-    @raise Invalid_argument unless [workers] is in 1..{!max_workers}:
+    @raise Invalid_argument unless [workers] is in 1..64:
     a larger table would silently lose workers at dispatch time, since
     the selection bitmap has exactly 64 bits. *)
 
@@ -49,12 +46,21 @@ val set_stall : t -> int -> bool -> unit
     next [set_avail] lands and re-admits the worker.
     @raise Invalid_argument if [w] is out of range. *)
 
-(** {1 Reader} *)
+(** {1 Readers} *)
+
+val times : t -> Engine.Sim_time.t array
+val events : t -> int array
+val conns : t -> int array
+(** The table's own columns, one cell per worker: the scheduler's
+    in-place Read_SHM (Algo 1 line 3).  The pass reads them where they
+    lie, with no copy — everything runs on one domain, so nothing writes
+    the table during a pass.  Read-only: only the writers above change
+    a cell. *)
 
 val read_into : t -> times:Engine.Sim_time.t array -> events:int array -> conns:int array -> int
-(** The scheduler's Read_SHM (Algo 1 line 3): a sweep of all columns
-    into caller-owned buffers — the allocation-free read the
-    per-event-loop scheduler pass makes with its reusable scratch.
-    Fills index [0..workers-1] of each buffer and returns the worker
-    count; slack beyond that is left untouched.
+[@@test_only]
+(** A snapshot of all columns into caller-owned buffers, as the
+    bool-array oracle of the scheduler reads the table.  Fills index
+    [0..workers-1] of each buffer and returns the worker count; slack
+    beyond that is left untouched.
     @raise Invalid_argument if any buffer is shorter than the table. *)

@@ -39,6 +39,27 @@ let find_nth_set bm n =
     go 0 63
   end
 
+(* Position of the lowest set bit of a nonzero value below 2^32:
+   isolate it, and a De Bruijn multiply maps each power of two to a
+   distinct top-5-bit index. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 x =
+  Array.unsafe_get debruijn32 ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* The [n]-th lowest set bit of [x] (1 <= n <= popcount32 x): clear the
+   n-1 below it, then locate the lowest survivor. *)
+let rec nth_set32 x n = if n <= 1 then ctz32 x else nth_set32 (x land (x - 1)) (n - 1)
+
+let find_nth_set_halves ~lo ~hi n =
+  let below = popcount32 lo in
+  if n < 1 then -1
+  else if n <= below then nth_set32 lo n
+  else if n - below <= popcount32 hi then 32 + nth_set32 hi (n - below)
+  else -1
+
 let reciprocal_scale ~hash ~n =
   if n <= 0 then invalid_arg "Bitops.reciprocal_scale: n must be positive";
   let h = hash land 0xFFFFFFFF in

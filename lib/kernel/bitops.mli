@@ -15,12 +15,21 @@ val popcount32 : int -> int
     64-bit bitmap as two native halves.  Bits 32 and up are ignored. *)
 
 val find_nth_set : int64 -> int -> int
+[@@test_only]
 (** [find_nth_set bm n] is the position (0-based, LSB = 0) of the
     [n]-th set bit, counting from 1 at the least significant set bit.
     Returns [-1] if fewer than [n] bits are set or [n < 1].
     Implemented as a branchless rank-select over SWAR partial sums —
     the construction from the bithacks "Select the bit position given a
-    count" entry, which is expressible in eBPF. *)
+    count" entry, which is expressible in eBPF.  The reference the
+    native {!find_nth_set_halves} and the bytecode's inline sequence
+    are tested against. *)
+
+val find_nth_set_halves : lo:int -> hi:int -> int -> int
+(** {!find_nth_set} on a bitmap held as two native halves, [lo] its
+    bits 0..31 and [hi] its bits 32..63 (each below [2^32]): clear the
+    [n-1] lowest set bits of the half holding the answer, then a De
+    Bruijn multiply locates the lowest survivor.  No [int64] is boxed. *)
 
 val reciprocal_scale : hash:int -> n:int -> int
 (** Linux's [reciprocal_scale]: maps a 32-bit hash uniformly onto

@@ -33,70 +33,497 @@ type prog = { name : string; body : ret }
    payload is pulled up to userspace per redirect. *)
 let copy_limit = 65536
 
-type verified = { vname : string; vbody : ret; insns : int }
-
 let max_insns = 4096
 let max_depth = 64
 
+type ctx = { flow_hash : int; dst_port : int }
+
+type outcome =
+  | Selected of Socket.t
+  | Fell_back
+  | Dropped
+  | Redirected of { conn : int; target : int; copy : int }
+
+(* ------------------------------------------------------------------ *)
+(* Compiled form.
+
+   [verify] lowers the checked body, in the same walk that sizes it,
+   into closures over an unboxed 64-bit register file: a [Bytes.t] read
+   and written 8 bytes at a time by the raw primitives below, as
+   [Engine.Rng] holds its state, so no value is ever boxed.  Register 0
+   holds the flow hash and register 1 the destination port; every
+   constant has its own register, loaded once at compile time and never
+   written; every other node writes its result to a register of its
+   own, which only its parent reads.  A constant, a context word or a
+   [Let]-bound name therefore compiles to a register offset and no code:
+   reading it costs no closure call.  A tree runs each node at most once
+   per packet, so the file is never re-zeroed.
+
+   Cycles are charged as the tree-walking oracle charges them
+   ([Oracles.Ebpf_ref]): one per leaf, each node's own cost before its
+   own fault check, in evaluation order, so a faulting run reports the
+   same partial count.  Static charges (leaves, and nodes with no code
+   such as [Let]) merge with the charges beside them that no code
+   separates them from; they never move past code, which may fault. *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+type state = {
+  mutable regs : Bytes.t;  (* sized once the walk has counted the registers *)
+  mutable cycles : int;
+  mutable sel : Socket.t option;  (* the sockarray's own [Some] cell *)
+  mutable redir : Ebpf_maps.Sockmap.entry option;  (* the sockmap's own cell *)
+  mutable copy_len : int;
+}
+
+type verified = {
+  vname : string;
+  insns : int;
+  st : state;
+  pre : int;  (* static cycles charged before [entry] runs *)
+  entry : unit -> int;  (* the exit code: 1 select, 0 fallback, 2 drop, 3 redirect *)
+}
+
 exception Unbound of string
+exception Fault
 
-(* Size and depth of an expression, in one pass; [env] tracks bound
-   register names so unbound Var reads are rejected like uninitialized
-   register reads. *)
-let rec expr_stats env = function
-  | Const _ | Flow_hash | Dst_port -> (1, 1)
-  | Var name -> if List.mem name env then (1, 1) else raise (Unbound name)
+(* Code with its static cycles: [pre] before [run], [post] after. *)
+type piece = { pre : int; run : (unit -> unit) option; post : int }
+
+(* A compiled expression: the register offset its value lands in, its
+   code, and the tree-walker's size and depth of the subtree. *)
+type cexpr = { off : int; code : piece; size : int; depth : int }
+
+(* A compiled return: static cycles, then the code yielding the exit
+   code. *)
+type cret = { rpre : int; rrun : unit -> int; rsize : int; rdepth : int }
+
+type compiler = { st : state; mutable next : int; mutable consts : (int * int64) list }
+
+let imax (a : int) b = if a > b then a else b
+
+let charge st c = st.cycles <- st.cycles + c
+
+let fresh c =
+  let off = c.next lsl 3 in
+  c.next <- c.next + 1;
+  off
+
+let leaf off = { off; code = { pre = 1; run = None; post = 0 }; size = 1; depth = 1 }
+
+let rec reg_of env name =
+  match env with
+  | [] -> raise (Unbound name)
+  | (bound, off) :: rest -> if String.equal bound name then off else reg_of rest name
+
+(* [a] then [b] as one piece: static cycles merge across a side with
+   no code, never across code. *)
+let chain st a b =
+  match (a.run, b.run) with
+  | None, _ -> { pre = a.pre + a.post + b.pre; run = b.run; post = b.post }
+  | Some _, None -> { a with post = a.post + b.pre + b.post }
+  | Some fa, Some fb ->
+    let mid = a.post + b.pre in
+    {
+      pre = a.pre;
+      run =
+        Some
+          (fun () ->
+            fa ();
+            charge st mid;
+            fb ());
+      post = b.post;
+    }
+
+type unop = Lookup_op of Ebpf_maps.Array_map.t | Popcount_op
+
+type binop =
+  | Find_nth_op
+  | Recip_op
+  | Band_op
+  | Bor_op
+  | Bxor_op
+  | Add_op
+  | Sub_op
+  | Shl_op
+  | Shr_op
+  | Mod_op
+
+(* One node's code: its children's code [prep], then the cycles [post]
+   (its own cost plus the children's trailing static cycles), then its
+   own step.  Each step has a variant without [prep], so a node over
+   leaves makes no call but its own. *)
+let unary st op prep post src dst =
+  match (op, prep) with
+  | Lookup_op map, None ->
+    let size = Ebpf_maps.Array_map.size map in
+    fun () ->
+      let r = st.regs in
+      let k = Int64.to_int (get64 r src) in
+      charge st post;
+      if k < 0 || k >= size then raise_notrace Fault;
+      set64 r dst (Ebpf_maps.Array_map.unsafe_lookup map k)
+  | Lookup_op map, Some p ->
+    let size = Ebpf_maps.Array_map.size map in
+    fun () ->
+      p ();
+      let r = st.regs in
+      let k = Int64.to_int (get64 r src) in
+      charge st post;
+      if k < 0 || k >= size then raise_notrace Fault;
+      set64 r dst (Ebpf_maps.Array_map.unsafe_lookup map k)
+  | Popcount_op, None ->
+    fun () ->
+      let r = st.regs in
+      let v = get64 r src in
+      charge st post;
+      set64 r dst
+        (Int64.of_int
+           (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
+           + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
+  | Popcount_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      let v = get64 r src in
+      charge st post;
+      set64 r dst
+        (Int64.of_int
+           (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
+           + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
+
+let[@inline] find_nth r a b dst =
+  let bm = get64 r a in
+  set64 r dst
+    (Int64.of_int
+       (Bitops.find_nth_set_halves
+          ~lo:(Int64.to_int bm land 0xFFFFFFFF)
+          ~hi:(Int64.to_int (Int64.shift_right_logical bm 32))
+          (Int64.to_int (get64 r b))))
+
+let[@inline] recip r n hash dst =
+  if n <= 0 then raise_notrace Fault;
+  set64 r dst (Int64.of_int (Bitops.reciprocal_scale ~hash ~n))
+
+let[@inline] shift_ok s = if s < 0 || s > 63 then raise_notrace Fault
+
+let binary st op prep post a b dst =
+  match (op, prep) with
+  | Find_nth_op, None ->
+    fun () ->
+      charge st post;
+      find_nth st.regs a b dst
+  | Find_nth_op, Some p ->
+    fun () ->
+      p ();
+      charge st post;
+      find_nth st.regs a b dst
+  | Recip_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      recip r (Int64.to_int (get64 r b)) (Int64.to_int (get64 r a)) dst
+  | Recip_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      recip r (Int64.to_int (get64 r b)) (Int64.to_int (get64 r a)) dst
+  | Band_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logand (get64 r a) (get64 r b))
+  | Band_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logand (get64 r a) (get64 r b))
+  | Bor_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logor (get64 r a) (get64 r b))
+  | Bor_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logor (get64 r a) (get64 r b))
+  | Bxor_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logxor (get64 r a) (get64 r b))
+  | Bxor_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.logxor (get64 r a) (get64 r b))
+  | Add_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.add (get64 r a) (get64 r b))
+  | Add_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.add (get64 r a) (get64 r b))
+  | Sub_op, None ->
+    fun () ->
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.sub (get64 r a) (get64 r b))
+  | Sub_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      charge st post;
+      set64 r dst (Int64.sub (get64 r a) (get64 r b))
+  | Shl_op, None ->
+    fun () ->
+      let r = st.regs in
+      let s = Int64.to_int (get64 r b) in
+      charge st post;
+      shift_ok s;
+      set64 r dst (Int64.shift_left (get64 r a) s)
+  | Shl_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      let s = Int64.to_int (get64 r b) in
+      charge st post;
+      shift_ok s;
+      set64 r dst (Int64.shift_left (get64 r a) s)
+  | Shr_op, None ->
+    fun () ->
+      let r = st.regs in
+      let s = Int64.to_int (get64 r b) in
+      charge st post;
+      shift_ok s;
+      set64 r dst (Int64.shift_right_logical (get64 r a) s)
+  | Shr_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      let s = Int64.to_int (get64 r b) in
+      charge st post;
+      shift_ok s;
+      set64 r dst (Int64.shift_right_logical (get64 r a) s)
+  | Mod_op, None ->
+    fun () ->
+      let r = st.regs in
+      let d = get64 r b in
+      charge st post;
+      (* BPF_MOD: a zero divisor faults *)
+      if Int64.equal d 0L then raise_notrace Fault;
+      set64 r dst (Int64.rem (get64 r a) d)
+  | Mod_op, Some p ->
+    fun () ->
+      p ();
+      let r = st.regs in
+      let d = get64 r b in
+      charge st post;
+      if Int64.equal d 0L then raise_notrace Fault;
+      set64 r dst (Int64.rem (get64 r a) d)
+
+let node c prep post step size depth =
+  let off = fresh c in
+  { off; code = { pre = prep.pre; run = Some (step prep.run (prep.post + post) off); post = 0 }; size; depth }
+
+let rec expr c env = function
+  | Const v ->
+    let off = fresh c in
+    c.consts <- (off, v) :: c.consts;
+    leaf off
+  | Flow_hash -> leaf 0
+  | Dst_port -> leaf 8
+  | Var name -> leaf (reg_of env name)
   | Let (name, bound, body) ->
-    let nb, db = expr_stats env bound in
-    let n, d = expr_stats (name :: env) body in
-    (nb + n + 1, 1 + max db d)
-  | Lookup (_, e) | Popcount e ->
-    let n, d = expr_stats env e in
-    (n + 1, d + 1)
-  | Find_nth_set (a, b)
-  | Reciprocal_scale (a, b)
-  | Band (a, b)
-  | Bor (a, b)
-  | Bxor (a, b)
-  | Add (a, b)
-  | Sub (a, b)
-  | Shl (a, b)
-  | Shr (a, b)
-  | Mod (a, b) ->
-    let na, da = expr_stats env a and nb, db = expr_stats env b in
-    (na + nb + 1, 1 + max da db)
+    let b = expr c env bound in
+    let e = expr c ((name, b.off) :: env) body in
+    { off = e.off; code = chain c.st b.code e.code; size = b.size + e.size + 1;
+      depth = 1 + imax b.depth e.depth }
+  | Lookup (map, e) -> un c env (Lookup_op map) 5 e
+  | Popcount e -> un c env Popcount_op 4 e
+  | Find_nth_set (a, b) -> bin c env Find_nth_op 12 a b
+  | Reciprocal_scale (a, b) -> bin c env Recip_op 2 a b
+  | Band (a, b) -> bin c env Band_op 1 a b
+  | Bor (a, b) -> bin c env Bor_op 1 a b
+  | Bxor (a, b) -> bin c env Bxor_op 1 a b
+  | Add (a, b) -> bin c env Add_op 1 a b
+  | Sub (a, b) -> bin c env Sub_op 1 a b
+  | Shl (a, b) -> bin c env Shl_op 1 a b
+  | Shr (a, b) -> bin c env Shr_op 1 a b
+  | Mod (a, b) -> bin c env Mod_op 2 a b
 
-let rec ret_stats env = function
-  | Select (_, e) ->
-    let n, d = expr_stats env e in
-    (n + 1, d + 1)
-  | Fallback | Drop -> (1, 1)
-  | If (_, a, b, t, f) ->
-    let na, da = expr_stats env a and nb, db = expr_stats env b in
-    let nt, dt = ret_stats env t and nf, df = ret_stats env f in
-    (na + nb + nt + nf + 1, 1 + max (max da db) (max dt df))
+and un c env op cost e =
+  let x = expr c env e in
+  node c x.code cost
+    (fun prep post dst -> unary c.st op prep post x.off dst)
+    (x.size + 1) (x.depth + 1)
+
+and bin c env op cost a b =
+  let x = expr c env a in
+  let y = expr c env b in
+  node c (chain c.st x.code y.code) cost
+    (fun prep post dst -> binary c.st op prep post x.off y.off dst)
+    (x.size + y.size + 1)
+    (1 + imax x.depth y.depth)
+
+let ret_fallback () = 0
+let ret_drop () = 2
+
+(* [If]'s compare as a mask over the three orderings: bit 0 less,
+   bit 1 equal, bit 2 greater. *)
+let cmp_mask = function Eq -> 2 | Ne -> 5 | Lt -> 1 | Le -> 3 | Gt -> 4 | Ge -> 6
+
+let[@inline] holds mask (x : int64) (y : int64) =
+  (mask lsr (1 + Bool.to_int (x > y) - Bool.to_int (x < y))) land 1 <> 0
+
+let[@inline] select st sa size i post =
+  let k = Int64.to_int (get64 st.regs i) in
+  charge st post;
+  if k < 0 || k >= size then raise_notrace Fault;
+  match Ebpf_maps.Sockarray.unsafe_get sa k with
+  | None -> raise_notrace Fault
+  | Some _ as cell ->
+    st.sel <- cell;
+    1
+
+let rec ret c env = function
+  | Fallback -> { rpre = 1; rrun = ret_fallback; rsize = 1; rdepth = 1 }
+  | Drop -> { rpre = 1; rrun = ret_drop; rsize = 1; rdepth = 1 }
+  | Select (sa, e) ->
+    let x = expr c env e in
+    let st = c.st and i = x.off and post = x.code.post + 3 in
+    let size = Ebpf_maps.Sockarray.size sa in
+    let rrun =
+      match x.code.run with
+      | None -> fun () -> select st sa size i post
+      | Some p ->
+        fun () ->
+          p ();
+          select st sa size i post
+    in
+    { rpre = x.code.pre; rrun; rsize = x.size + 1; rdepth = x.depth + 1 }
+  | If (cmp, a, b, then_, else_) ->
+    let x = expr c env a in
+    let y = expr c env b in
+    let t = ret c env then_ and f = ret c env else_ in
+    let p = chain c.st x.code y.code in
+    let st = c.st and mask = cmp_mask cmp and ra = x.off and rb = y.off in
+    let post = p.post + 1 and tpre = t.rpre and trun = t.rrun in
+    let fpre = f.rpre and frun = f.rrun in
+    let rrun =
+      match p.run with
+      | None ->
+        fun () ->
+          charge st post;
+          if holds mask (get64 st.regs ra) (get64 st.regs rb) then begin
+            charge st tpre;
+            trun ()
+          end
+          else begin
+            charge st fpre;
+            frun ()
+          end
+      | Some prep ->
+        fun () ->
+          prep ();
+          charge st post;
+          if holds mask (get64 st.regs ra) (get64 st.regs rb) then begin
+            charge st tpre;
+            trun ()
+          end
+          else begin
+            charge st fpre;
+            frun ()
+          end
+    in
+    {
+      rpre = p.pre;
+      rrun;
+      rsize = x.size + y.size + t.rsize + f.rsize + 1;
+      rdepth = 1 + imax (imax x.depth y.depth) (imax t.rdepth f.rdepth);
+    }
   | Let_ret (name, bound, body) ->
-    let nb, db = expr_stats env bound in
-    let n, d = ret_stats (name :: env) body in
-    (nb + n + 1, 1 + max db d)
-  | Redirect (_, key, copy, miss) ->
-    let nk, dk = expr_stats env key and nc, dc = expr_stats env copy in
-    let nm, dm = ret_stats env miss in
-    (nk + nc + nm + 1, 1 + max (max dk dc) dm)
+    let b = expr c env bound in
+    let k = ret c ((name, b.off) :: env) body in
+    let st = c.st and code = b.code in
+    let rpre, rrun =
+      match code.run with
+      | None -> (code.pre + code.post + k.rpre, k.rrun)
+      | Some p ->
+        let mid = code.post + k.rpre and body = k.rrun in
+        ( code.pre,
+          fun () ->
+            p ();
+            charge st mid;
+            body () )
+    in
+    { rpre; rrun; rsize = b.size + k.rsize + 1; rdepth = 1 + imax b.depth k.rdepth }
+  | Redirect (map, key, copy, miss) ->
+    let x = expr c env key in
+    let y = expr c env copy in
+    let m = ret c env miss in
+    let st = c.st and size = Ebpf_maps.Sockmap.size map in
+    let kprep = x.code.run and kpost = x.code.post + 5 and kr = x.off in
+    let cpre = y.code.pre and cprep = y.code.run and cpost = y.code.post + 5 in
+    let cr = y.off and mpre = m.rpre and mrun = m.rrun in
+    let rrun () =
+      (match kprep with Some p -> p () | None -> ());
+      let k = Int64.to_int (get64 st.regs kr) in
+      charge st kpost;
+      if k < 0 || k >= size then raise_notrace Fault;
+      match Ebpf_maps.Sockmap.unsafe_get map k with
+      | None ->
+        charge st mpre;
+        mrun ()
+      | Some _ as cell ->
+        charge st cpre;
+        (match cprep with Some p -> p () | None -> ());
+        let n = Int64.to_int (get64 st.regs cr) in
+        charge st cpost;
+        if n < 0 || n > copy_limit then raise_notrace Fault;
+        st.redir <- cell;
+        st.copy_len <- n;
+        3
+    in
+    {
+      rpre = x.code.pre;
+      rrun;
+      rsize = x.size + y.size + m.rsize + 1;
+      rdepth = 1 + imax (imax x.depth y.depth) m.rdepth;
+    }
+
+let compile body =
+  let st = { regs = Bytes.empty; cycles = 0; sel = None; redir = None; copy_len = 0 } in
+  let c = { st; next = 2; consts = [] } in
+  let r = ret c [] body in
+  st.regs <- Bytes.make (c.next lsl 3) '\000';
+  List.iter (fun (off, v) -> set64 st.regs off v) c.consts;
+  (st, r)
 
 let verify prog =
   let result =
-    if prog.name = "" then Error "verifier: program must be named"
+    if String.equal prog.name "" then Error "verifier: program must be named"
     else
-      match ret_stats [] prog.body with
+      match compile prog.body with
       | exception Unbound name ->
         Error (Printf.sprintf "verifier: read of unbound register %s" name)
-      | insns, depth ->
+      | st, r ->
+        let insns = r.rsize and depth = r.rdepth in
         if insns > max_insns then
           Error (Printf.sprintf "verifier: %d insns exceeds budget %d" insns max_insns)
         else if depth > max_depth then
           Error (Printf.sprintf "verifier: depth %d exceeds limit %d" depth max_depth)
-        else Ok { vname = prog.name; vbody = prog.body; insns }
+        else Ok { vname = prog.name; insns; st; pre = r.rpre; entry = r.rrun }
   in
   (if Trace.enabled () then
      let accepted, insns, reason =
@@ -104,8 +531,8 @@ let verify prog =
        | Ok v -> (true, v.insns, "")
        | Error msg -> (false, 0, msg)
      in
-     (* the AST checker has no fault sites to discharge: the evaluator
-        always keeps its runtime checks *)
+     (* the AST checker has no fault sites to discharge: the compiled
+        program always keeps its runtime checks *)
      Trace.emit
        (Trace.Verifier_verdict
           {
@@ -125,134 +552,30 @@ let verify_exn prog =
   | Ok v -> v
   | Error msg -> invalid_arg ("Ebpf.verify_exn: " ^ msg)
 
-let name v = v.vname
+let name (v : verified) = v.vname
 
-type ctx = { flow_hash : int; dst_port : int }
+let exec (v : verified) ~flow_hash ~dst_port =
+  let st = v.st in
+  set64 st.regs 0 (Int64.of_int flow_hash);
+  set64 st.regs 8 (Int64.of_int dst_port);
+  st.sel <- None;
+  st.redir <- None;
+  st.copy_len <- 0;
+  st.cycles <- v.pre;
+  match v.entry () with code -> code | exception Fault -> 0
 
-type outcome =
-  | Selected of Socket.t
-  | Fell_back
-  | Dropped
-  | Redirected of { conn : int; target : int; copy : int }
+let last_cycles (v : verified) = v.st.cycles
+let selected (v : verified) = v.st.sel
 
-exception Fault
-
-let rec eval_expr ctx env cycles = function
-  | Const v ->
-    cycles := !cycles + 1;
-    v
-  | Flow_hash ->
-    cycles := !cycles + 1;
-    Int64.of_int ctx.flow_hash
-  | Dst_port ->
-    cycles := !cycles + 1;
-    Int64.of_int ctx.dst_port
-  | Var name -> (
-    cycles := !cycles + 1;
-    (* The verifier guarantees the binding exists. *)
-    match List.assoc_opt name env with
-    | Some v -> v
-    | None -> raise Fault)
-  | Let (name, bound, body) ->
-    let v = eval_expr ctx env cycles bound in
-    eval_expr ctx ((name, v) :: env) cycles body
-  | Lookup (map, key) ->
-    let k = Int64.to_int (eval_expr ctx env cycles key) in
-    cycles := !cycles + 5;
-    if k < 0 || k >= Ebpf_maps.Array_map.size map then raise Fault;
-    Ebpf_maps.Array_map.lookup map k
-  | Popcount e ->
-    let v = eval_expr ctx env cycles e in
-    cycles := !cycles + 4;
-    Int64.of_int (Bitops.popcount64 v)
-  | Find_nth_set (bm, n) ->
-    let b = eval_expr ctx env cycles bm in
-    let k = Int64.to_int (eval_expr ctx env cycles n) in
-    cycles := !cycles + 12;
-    Int64.of_int (Bitops.find_nth_set b k)
-  | Reciprocal_scale (h, n) ->
-    let hv = Int64.to_int (eval_expr ctx env cycles h) in
-    let nv = Int64.to_int (eval_expr ctx env cycles n) in
-    cycles := !cycles + 2;
-    if nv <= 0 then raise Fault;
-    Int64.of_int (Bitops.reciprocal_scale ~hash:hv ~n:nv)
-  | Band (a, b) -> binop ctx env cycles Int64.logand a b
-  | Bor (a, b) -> binop ctx env cycles Int64.logor a b
-  | Bxor (a, b) -> binop ctx env cycles Int64.logxor a b
-  | Add (a, b) -> binop ctx env cycles Int64.add a b
-  | Sub (a, b) -> binop ctx env cycles Int64.sub a b
-  | Shl (a, b) -> shift ctx env cycles Int64.shift_left a b
-  | Shr (a, b) -> shift ctx env cycles Int64.shift_right_logical a b
-  | Mod (a, b) ->
-    let va = eval_expr ctx env cycles a in
-    let vb = eval_expr ctx env cycles b in
-    cycles := !cycles + 2;
-    (* BPF_MOD: division by zero would be rejected at runtime. *)
-    if Int64.equal vb 0L then raise Fault;
-    Int64.rem va vb
-
-and binop ctx env cycles op a b =
-  let va = eval_expr ctx env cycles a in
-  let vb = eval_expr ctx env cycles b in
-  cycles := !cycles + 1;
-  op va vb
-
-and shift ctx env cycles op a b =
-  let va = eval_expr ctx env cycles a in
-  let vb = Int64.to_int (eval_expr ctx env cycles b) in
-  cycles := !cycles + 1;
-  if vb < 0 || vb > 63 then raise Fault;
-  op va vb
-
-let compare_values c a b =
-  match c with
-  | Eq -> Int64.equal a b
-  | Ne -> not (Int64.equal a b)
-  | Lt -> Int64.compare a b < 0
-  | Le -> Int64.compare a b <= 0
-  | Gt -> Int64.compare a b > 0
-  | Ge -> Int64.compare a b >= 0
-
-let rec eval_ret ctx env cycles = function
-  | Fallback ->
-    cycles := !cycles + 1;
-    Fell_back
-  | Drop ->
-    cycles := !cycles + 1;
-    Dropped
-  | Select (sockarray, idx) ->
-    let i = Int64.to_int (eval_expr ctx env cycles idx) in
-    cycles := !cycles + 3;
-    if i < 0 || i >= Ebpf_maps.Sockarray.size sockarray then raise Fault;
-    (match Ebpf_maps.Sockarray.get sockarray i with
-    | None -> raise Fault
-    | Some sock -> Selected sock)
-  | If (c, a, b, then_, else_) ->
-    let va = eval_expr ctx env cycles a in
-    let vb = eval_expr ctx env cycles b in
-    cycles := !cycles + 1;
-    if compare_values c va vb then eval_ret ctx env cycles then_
-    else eval_ret ctx env cycles else_
-  | Let_ret (name, bound, body) ->
-    let v = eval_expr ctx env cycles bound in
-    eval_ret ctx ((name, v) :: env) cycles body
-  | Redirect (map, key, copy, miss) ->
-    let k = Int64.to_int (eval_expr ctx env cycles key) in
-    cycles := !cycles + 5;
-    if k < 0 || k >= Ebpf_maps.Sockmap.size map then raise Fault;
-    (match Ebpf_maps.Sockmap.get map k with
-    | None -> eval_ret ctx env cycles miss
-    | Some e ->
-      let c = Int64.to_int (eval_expr ctx env cycles copy) in
-      cycles := !cycles + 5;
-      if c < 0 || c > copy_limit then raise Fault;
-      Redirected { conn = e.conn; target = e.target; copy = c })
-
-let run v ctx =
-  let cycles = ref 0 in
+let run (v : verified) ctx =
   let outcome =
-    match eval_ret ctx [] cycles v.vbody with
-    | outcome -> outcome
-    | exception Fault -> Fell_back
+    match exec v ~flow_hash:ctx.flow_hash ~dst_port:ctx.dst_port with
+    | 1 -> ( match v.st.sel with Some s -> Selected s | None -> Fell_back)
+    | 2 -> Dropped
+    | 3 -> (
+      match v.st.redir with
+      | Some e -> Redirected { conn = e.conn; target = e.target; copy = v.st.copy_len }
+      | None -> Fell_back)
+    | _ -> Fell_back
   in
-  (outcome, !cycles)
+  (outcome, v.st.cycles)

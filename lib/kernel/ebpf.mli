@@ -11,9 +11,13 @@
 
     The verifier bounds program size and depth and returns an opaque
     {!verified} witness; only verified programs can be attached or run,
-    mirroring how the kernel refuses unverified bytecode.  Evaluation
-    returns a cycle estimate so experiments can account the in-kernel
-    dispatcher's overhead (Table 5). *)
+    mirroring how the kernel refuses unverified bytecode.  The same walk
+    that checks the program compiles it, once, into closures over an
+    unboxed 64-bit register file, so a run walks no tree and allocates
+    nothing.  A run reports a cycle estimate so experiments can account
+    the in-kernel dispatcher's overhead (Table 5); the estimate is the
+    tree-walking evaluator's, node for node, which the test suite keeps
+    as the compiled form's differential oracle. *)
 
 type expr =
   | Const of int64
@@ -65,14 +69,16 @@ val copy_limit : int
     buffer); the verifier demands a proof or a runtime guard. *)
 
 type verified
-(** A program that passed verification; the only runnable form. *)
+(** A program that passed verification, compiled; the only runnable
+    form.  It owns its register file, so one [verified] runs one
+    packet at a time (the simulator runs on one domain). *)
 
 val verify_exn : prog -> verified
 (** Static checks: instruction budget, expression depth, non-empty
     name, and that every [Var] is bound by an enclosing [Let] — the
     analogue of the kernel verifier rejecting reads of uninitialized
     registers.  (Loops and helper calls outside the whitelist are
-    unrepresentable.)
+    unrepresentable.)  The walk that checks the body also compiles it.
     @raise Invalid_argument ["Ebpf.verify_exn: " ^ reason] on
     rejection. *)
 
@@ -89,9 +95,25 @@ type outcome =
           owner [target], with [copy] payload bytes copied up to
           userspace for inspection *)
 
+val exec : verified -> flow_hash:int -> dst_port:int -> int
+(** Run the program on one packet without allocating: the exit code
+    (1 select, 0 fallback — including any runtime fault — 2 drop, 3
+    redirect), as {!Ebpf_jit.exec} reports it.  A runtime fault (bad
+    map key, select of an empty or out-of-range sockarray slot, shift
+    out of range, zero divisor, copy length out of range) makes the
+    program fall back, as the kernel ignores a failing program and uses
+    the default selection.  Emits no trace event: {!Reuseport.select}
+    records each attached program's run. *)
+
+val last_cycles : verified -> int
+(** Cycle estimate of the last {!exec}, a faulting run's partial count
+    included. *)
+
+val selected : verified -> Socket.t option
+(** Socket chosen by the last {!exec} ([None] unless it returned 1):
+    the sockarray's own option cell, so reading it allocates nothing. *)
+
 val run : verified -> ctx -> outcome * int
-(** Execute; the second component is the cycle estimate.  A runtime
-    fault (bad map key, select of an empty or out-of-range sockarray
-    slot, shift out of range) yields [Fell_back], as the kernel ignores
-    a failing program and uses the default selection.  Emits no trace
-    event: {!Reuseport.select} records each attached program's run. *)
+[@@test_only]
+(** {!exec} with its verdict read back as an {!outcome}, and the cycle
+    estimate. *)

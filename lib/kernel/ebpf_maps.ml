@@ -1,28 +1,36 @@
+(* A map's 64-bit cells live unboxed in a [Bytes.t], 8 bytes each, read
+   and written by the raw primitives below: a bitmap push stores no
+   fresh box into a major-heap array, and an inlined kernel-side lookup
+   hands its caller an unboxed value. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 module Array_map = struct
-  type t = { map_name : string; cells : int64 array }
+  type t = { map_name : string; size : int; cells : Bytes.t }
 
   let create ~name ~size =
     if size <= 0 then invalid_arg "Array_map.create: size must be positive";
-    { map_name = name; cells = Array.make size 0L }
+    { map_name = name; size; cells = Bytes.make (8 * size) '\000' }
 
   let name t = t.map_name
-  let size t = Array.length t.cells
+  let size t = t.size
 
   let check t key =
-    if key < 0 || key >= Array.length t.cells then
+    if key < 0 || key >= t.size then
       invalid_arg (Printf.sprintf "Array_map %s: key %d out of range" t.map_name key)
 
-  let lookup t key =
+  let[@inline] lookup t key =
     check t key;
-    t.cells.(key)
+    get64 t.cells (key lsl 3)
 
   (* for accesses a verifier certificate already proved in bounds;
-     OCaml's own array bounds check remains as a last-resort backstop *)
-  let unsafe_lookup t key = t.cells.(key)
+     the bytes primitive's own bounds check remains as a last-resort
+     backstop *)
+  let[@inline] unsafe_lookup t key = get64 t.cells (key lsl 3)
 
-  let kernel_update t key v =
+  let[@inline] kernel_update t key v =
     check t key;
-    t.cells.(key) <- v
+    set64u t.cells (key lsl 3) v
 end
 
 module Sockarray = struct
@@ -86,8 +94,11 @@ module Sockmap = struct
 end
 
 module Syscall = struct
-  let update_elem map key v =
+  let emit_update map key value =
+    Trace.emit (Trace.Map_update { map = Array_map.name map; key; value })
+
+  (* Inlined, so a caller's unboxed bitmap reaches the cell unboxed. *)
+  let[@inline] update_elem map key v =
     Array_map.kernel_update map key v;
-    if Trace.enabled () then
-      Trace.emit (Trace.Map_update { map = Array_map.name map; key; value = v })
+    if Trace.enabled () then emit_update map key v
 end

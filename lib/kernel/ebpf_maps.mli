@@ -7,7 +7,7 @@
     listening sockets ({i M_socket}).  On real hardware a userspace
     update and a kernel-side lookup race without a lock and never see
     a torn value, the property §5.4 relies on; the simulator runs on
-    one domain, so the cells are plain array slots.
+    one domain, so the cells are plain unboxed 64-bit slots.
 
     Userspace bitmap pushes go through {!Syscall}, each emitting a
     [Map_update] trace record; Table 5 charges the system calls
@@ -22,13 +22,14 @@ module Array_map : sig
   val size : t -> int
 
   val lookup : t -> int -> int64
+  [@@test_only]
   (** Kernel-side [bpf_map_lookup_elem].  @raise Invalid_argument on an
       out-of-range key (the verifier would have rejected the access). *)
 
   val unsafe_lookup : t -> int -> int64
   (** [lookup] without the explicit range check, for accesses a
-      {!Verifier} certificate proved in bounds.  OCaml's array bounds
-      check still applies as a last-resort backstop. *)
+      {!Verifier} certificate proved in bounds.  The cell read's own
+      bounds check still applies as a last-resort backstop. *)
 
   val kernel_update : t -> int -> int64 -> unit
   (** In-kernel store (not a syscall). *)
@@ -44,6 +45,7 @@ module Sockarray : sig
   val set : t -> int -> Socket.t -> unit
   val clear : t -> int -> unit
   val get : t -> int -> Socket.t option
+  [@@test_only]
 
   val unsafe_get : t -> int -> Socket.t option
   (** [get] without the explicit range check, for accesses a

@@ -124,6 +124,15 @@ let add_listening t ~fd ~socket ~shared =
     Socket.set_ready socket (fun () -> accept_ready t fd)
   end
 
+let remove_dedicated t ~socket =
+  let fd =
+    Conn_table.fold t.subs ~init:(-1) ~f:(fun found ~key ~slot ->
+        match Conn_table.payload t.subs slot with
+        | Dedicated_listen s when s == socket -> key - 1
+        | Dedicated_listen _ | Shared_listen _ | Conn -> found)
+  in
+  if fd >= 0 then ignore (Conn_table.remove t.subs (fd + 1))
+
 let record t i fd kind units =
   t.ev_fd.(i) <- fd;
   t.ev_kind.(i) <- kind;

@@ -60,6 +60,12 @@ val remove_conn : t -> fd:int -> unit
     becomes ready before the next {!wait} reaches that place, its
     readiness is delivered there. *)
 
+val remove_dedicated : t -> socket:Socket.t -> unit
+(** EPOLL_CTL_DEL of a dedicated listening socket, found by a scan of
+    the subscriptions (a cold path: worker isolation).  Discards its
+    pending readiness, as {!remove_conn} does; a no-op if [socket] has
+    no dedicated subscription here. *)
+
 val conn_count : t -> int
 [@@test_only]
 

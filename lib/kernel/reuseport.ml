@@ -8,8 +8,8 @@ type stats = {
   prog_cycles_drop : int;
 }
 
-(* The two engines an attached program runs on: the expression
-   evaluator, and the closure JIT every verified bytecode program is
+(* The two engines an attached program runs on: the compiled expression
+   program, and the closure JIT every verified bytecode program is
    compiled to. *)
 type engine = Ast of Ebpf.verified | Jit of Ebpf_jit.t
 
@@ -85,12 +85,21 @@ let rebuild_dense t =
 let bind t ~slot ~socket =
   if slot < 0 || slot >= Array.length t.members then
     invalid_arg "Reuseport.bind: slot out of range";
-  if t.members.(slot) <> None then invalid_arg "Reuseport.bind: slot taken";
+  (match t.members.(slot) with
+  | Some _ -> invalid_arg "Reuseport.bind: slot taken"
+  | None -> ());
   if Socket.port socket <> t.group_port then
     invalid_arg "Reuseport.bind: socket port differs from group port";
-  t.members.(slot) <- Some socket;
-  t.live_bm <- Bitops.set_bit t.live_bm slot;
-  rebuild_dense t
+  let cell = Some socket in
+  t.members.(slot) <- cell;
+  if Int64.equal (Int64.shift_right_logical t.live_bm slot) 0L then begin
+    (* above every live slot: the dense prefix grows by one *)
+    let n = Bitops.popcount64 t.live_bm in
+    t.dense_socks.(n) <- cell;
+    t.dense_slot.(n) <- slot
+  end
+  else rebuild_dense t;
+  t.live_bm <- Bitops.set_bit t.live_bm slot
 
 let unbind t ~slot =
   if slot < 0 || slot >= Array.length t.members then
@@ -163,8 +172,8 @@ let fallback_select t ~flow_hash =
 
 (* One run of the attached program on a SYN: the raw exit code
    ({!Ebpf_vm.pass_code} and friends), with the run's cycles left in
-   [run_cycles] and, after a pass, the chosen socket in [run_sel].  The
-   JIT side allocates nothing. *)
+   [run_cycles] and, after a pass, the chosen socket in [run_sel].
+   Neither engine allocates. *)
 let run_prog t engine ~flow_hash =
   match engine with
   | Jit j ->
@@ -172,16 +181,11 @@ let run_prog t engine ~flow_hash =
     t.run_cycles <- Ebpf_jit.last_cycles j;
     t.run_sel <- Ebpf_jit.selected j;
     code
-  | Ast p -> (
-    let outcome, cycles = Ebpf.run p { Ebpf.flow_hash; dst_port = t.group_port } in
-    t.run_cycles <- cycles;
-    match outcome with
-    | Ebpf.Selected sock ->
-      t.run_sel <- Some sock;
-      1
-    | Ebpf.Dropped -> 2
-    | Ebpf.Redirected _ -> 3
-    | Ebpf.Fell_back -> 0)
+  | Ast p ->
+    let code = Ebpf.exec p ~flow_hash ~dst_port:t.group_port in
+    t.run_cycles <- Ebpf.last_cycles p;
+    t.run_sel <- Ebpf.selected p;
+    code
 
 let emit_prog_run t ~flow_hash outcome =
   Trace.emit

@@ -47,8 +47,8 @@ val slot_of_socket : t -> Socket.t -> int
     not a member. *)
 
 val attach_ebpf : t -> Ebpf.verified -> unit
-(** Attach / replace the selection program, run by the expression
-    evaluator. *)
+(** Attach / replace the selection program, run in the compiled form
+    {!Ebpf.verify_exn} built. *)
 
 val attach : t -> name:string -> Ebpf_vm.program -> (unit, Verifier.error) result
 (** [SO_ATTACH_REUSEPORT_EBPF] proper: run raw bytecode through

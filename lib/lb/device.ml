@@ -590,6 +590,8 @@ let isolate_worker t w =
           | Some sock ->
             Kernel.Reuseport.unbind group ~slot:w;
             Kernel.Ebpf_maps.Sockarray.clear sockarray w;
+            (* EPOLL_CTL_DEL: recovery registers a fresh socket *)
+            Worker.unlisten_dedicated t.workers_arr.(w) ~socket:sock;
             close_listener t sock ~reset:true))
       t.ports
   end
@@ -736,7 +738,7 @@ let quarantine_tenant t ~tenant =
       t.workers_arr;
     (* drain SYNs already queued on its port *)
     match Hashtbl.find_opt t.ports t.tenant_arr.(tenant).Netsim.Tenant.dport with
-    | Some (Shared { socket; _ }) -> ignore (Kernel.Socket.close socket)
+    | Some (Shared { socket; _ }) -> close_listener t socket ~reset:false
     | Some (Dedicated { group; _ }) ->
       for slot = 0 to Kernel.Reuseport.slots group - 1 do
         match Kernel.Reuseport.member group ~slot with

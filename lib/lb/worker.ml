@@ -175,6 +175,8 @@ let listen t ~socket ~shared =
 
 let listen_shared t ~socket = listen t ~socket ~shared:true
 let listen_dedicated t ~socket = listen t ~socket ~shared:false
+let unlisten_dedicated t ~socket = Kernel.Epoll.remove_dedicated t.ep ~socket
+let listening_count t = Kernel.Epoll.listening_count t.ep
 
 let do_close t conn final_state =
   Kernel.Epoll.remove_conn t.ep ~fd:conn.Conn.fd;
@@ -199,14 +201,10 @@ let do_close t conn final_state =
   | Conn.Established -> assert false
 
 let run_scheduler t rt phase =
-  let result =
+  let cycles =
     Hermes.Runtime.schedule_and_sync rt ~worker:t.worker_id ~now:(Sim.now t.sim)
   in
-  let cost =
-    Cost.cycles_to_time
-      (result.Hermes.Scheduler.cycles + Hermes.Runtime.syscall_cost_cycles)
-  in
-  charge t cost phase
+  charge t (Cost.cycles_to_time (cycles + Hermes.Runtime.syscall_cost_cycles)) phase
 
 (* Handle a connection the accept charge just paid for. *)
 let establish t (pending : Kernel.Socket.pending_conn) =

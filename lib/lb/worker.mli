@@ -58,6 +58,16 @@ val listen_dedicated : t -> socket:Kernel.Socket.t -> unit
     becomes its watcher, so each connection pushed on it readies the
     worker's epoll and wakes a blocked worker. *)
 
+val unlisten_dedicated : t -> socket:Kernel.Socket.t -> unit
+(** Drop the subscription {!listen_dedicated} made for [socket]
+    (EPOLL_CTL_DEL), as a worker isolated from its ports does before
+    recovery registers fresh sockets.  A no-op if [socket] is not
+    registered. *)
+
+val listening_count : t -> int
+[@@test_only]
+(** Listening subscriptions in the worker's epoll instance. *)
+
 val start : t -> unit
 (** Enter the event loop (schedules the first iteration at the current
     virtual time).  Idempotent once running. *)

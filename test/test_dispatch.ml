@@ -7,7 +7,8 @@
    - per-outcome Reuseport cycle accounting, VM vs JIT parity
    - Wst.read_into
    - Gc.minor_words-gated allocation checks on the trace-disabled
-     scheduler pass and JIT select (quarantined: skipped on non-native
+     scheduler pass, the runtime's pass and bitmap push, and the JIT
+     and compiled-AST selects (quarantined: skipped on non-native
      backends or when a known-zero-alloc calibration loop reports
      allocation, as instrumented runtimes make minor_words lie) *)
 
@@ -371,6 +372,40 @@ let test_scheduler_pass_zero_alloc () =
   (* warm *)
   Alloc_gate.check "scheduler pass" (fun _ -> Hermes.Scheduler.run s ~config ~wst ~now)
 
+(* The pass as a worker runs it: two groups of 4, the bitmap pushed
+   through the map-update syscall into the map's unboxed cell. *)
+let test_runtime_pass_zero_alloc () =
+  let rt =
+    Hermes.Runtime.create ~group_size:4 ~config:Hermes.Config.default ~workers:8 ()
+  in
+  for w = 0 to 7 do
+    let hooks = Hermes.Runtime.hooks rt w in
+    Hermes.Metrics.avail_update hooks ~now:(ms (90 + w));
+    Hermes.Metrics.conn_count hooks (w * 3);
+    Hermes.Metrics.busy_count hooks (w land 3)
+  done;
+  ignore (Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 100));
+  (* warm *)
+  Alloc_gate.check "runtime pass" (fun i ->
+      ignore (Hermes.Runtime.schedule_and_sync rt ~worker:(i land 7) ~now:(ms 100 + i)))
+
+(* The default dispatch engine: the compiled expression program,
+   rotating through select, drop and the hash fallback. *)
+let test_ast_select_zero_alloc () =
+  let g, socks = fresh_group 4 in
+  for slot = 0 to 3 do
+    Kernel.Reuseport.bind g ~slot ~socket:socks.(slot)
+  done;
+  let sa = Kernel.Ebpf_maps.Sockarray.create ~name:"td_ast_socks" ~size:4 in
+  for i = 0 to 3 do
+    Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
+  done;
+  Kernel.Reuseport.attach_ebpf g (mixed_ast sa);
+  ignore (Kernel.Reuseport.select g ~flow_hash:1);
+  (* warm *)
+  Alloc_gate.check "AST select" (fun i ->
+      ignore (Kernel.Reuseport.select g ~flow_hash:(i land 3)))
+
 let test_jit_select_zero_alloc () =
   let g, socks = fresh_group 4 in
   for slot = 0 to 3 do
@@ -424,5 +459,7 @@ let () =
           Alcotest.test_case "scheduler pass" `Quick
             test_scheduler_pass_zero_alloc;
           Alcotest.test_case "jit select" `Quick test_jit_select_zero_alloc;
+          Alcotest.test_case "AST select" `Quick test_ast_select_zero_alloc;
+          Alcotest.test_case "runtime pass" `Quick test_runtime_pass_zero_alloc;
         ] );
     ]

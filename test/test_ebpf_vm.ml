@@ -350,6 +350,179 @@ let prop_vm_find_nth =
       in
       run_prog prog ctx = Kernel.Ebpf.Dropped)
 
+(* ------------------------------------------------------------------ *)
+(* Compiled AST programs against the tree-walking oracle                 *)
+
+(* The compiled form must equal [Oracles.Ebpf_ref] on (outcome, cycles)
+   for every program, faults included: a fault's partial count pins the
+   order the compiled code charges cycles in.  Programs come from the
+   generators above, and from a scoped generator that adds what those
+   leave out: [Let]/[Var] names, shifts, [Let_ret] and sockmap
+   redirects, with constants and shift amounts that reach every fault
+   site. *)
+
+let ebpf_outcome_equal a b =
+  match (a, b) with
+  | Kernel.Ebpf.Redirected x, Kernel.Ebpf.Redirected y ->
+    x.conn = y.conn && x.target = y.target && x.copy = y.copy
+  | _ -> outcome_equal a b
+
+let shared_sockmap =
+  let m = Kernel.Ebpf_maps.Sockmap.create ~name:"diff_splice" ~size:8 in
+  List.iter (fun k -> Kernel.Ebpf_maps.Sockmap.set m k ~conn:(100 + k) ~target:(k mod 3)) [ 0; 2; 3; 5 ];
+  m
+
+let gen_scoped_expr names =
+  let open QCheck.Gen in
+  let const =
+    frequency
+      [
+        (6, map (fun v -> Kernel.Ebpf.Const (Int64.of_int v)) (int_range (-3) 70));
+        (1, map (fun v -> Kernel.Ebpf.Const v) ui64);
+      ]
+  in
+  let rec go names n =
+    let leaf =
+      oneof
+        ([ const; return Kernel.Ebpf.Flow_hash; return Kernel.Ebpf.Dst_port ]
+        @ if names = [] then [] else [ map (fun v -> Kernel.Ebpf.Var v) (oneofl names) ])
+    in
+    if n = 0 then leaf
+    else
+      let sub = go names (n - 1) in
+      let bin f = map2 f sub sub in
+      let fresh = Printf.sprintf "x%d" (List.length names) in
+      frequency
+        [
+          (3, leaf);
+          (1, bin (fun a b -> Kernel.Ebpf.Add (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Sub (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Band (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Bor (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Bxor (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Shl (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Shr (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Mod (a, b)));
+          (1, map (fun e -> Kernel.Ebpf.Popcount e) sub);
+          (1, bin (fun a b -> Kernel.Ebpf.Find_nth_set (a, b)));
+          (1, bin (fun a b -> Kernel.Ebpf.Reciprocal_scale (a, b)));
+          (1, map (fun k -> Kernel.Ebpf.Lookup (shared_map, k)) sub);
+          ( 2,
+            map2
+              (fun bound body -> Kernel.Ebpf.Let (fresh, bound, body))
+              sub
+              (go (fresh :: names) (n - 1)) );
+        ]
+  in
+  go names
+
+let gen_scoped_ret =
+  let open QCheck.Gen in
+  let cmp = oneofl Kernel.Ebpf.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let rec go names n =
+    let e = int_range 0 3 >>= gen_scoped_expr names in
+    let leaf =
+      frequency
+        [
+          (1, return Kernel.Ebpf.Fallback);
+          (1, return Kernel.Ebpf.Drop);
+          (3, map (fun e -> Kernel.Ebpf.Select (shared_sockarray, e)) e);
+        ]
+    in
+    if n = 0 then leaf
+    else
+      let sub = go names (n - 1) in
+      let fresh = Printf.sprintf "r%d" (List.length names) in
+      frequency
+        [
+          (2, leaf);
+          ( 2,
+            map2
+              (fun (c, (a, b)) (t, f) -> Kernel.Ebpf.If (c, a, b, t, f))
+              (pair cmp (pair e e))
+              (pair sub sub) );
+          ( 2,
+            map2
+              (fun bound body -> Kernel.Ebpf.Let_ret (fresh, bound, body))
+              e
+              (go (fresh :: names) (n - 1)) );
+          ( 1,
+            map3
+              (fun key copy miss -> Kernel.Ebpf.Redirect (shared_sockmap, key, copy, miss))
+              e
+              (oneof [ e; map (fun c -> Kernel.Ebpf.Const (Int64.of_int c)) (int_range (-1) 65537) ])
+              sub );
+        ]
+  in
+  int_range 0 3 >>= go []
+
+(* Both engines on one verified program over a few packets. *)
+let compiled_matches_oracle prog hashes =
+  let v = Kernel.Ebpf.verify_exn prog in
+  List.for_all
+    (fun (flow_hash, dst_port) ->
+      let ctx = { Kernel.Ebpf.flow_hash; dst_port } in
+      let got, got_cycles = Kernel.Ebpf.run v ctx in
+      let want, want_cycles = Oracles.Ebpf_ref.run prog ctx in
+      ebpf_outcome_equal got want && got_cycles = want_cycles)
+    hashes
+
+let gen_packets =
+  QCheck.Gen.(list_repeat 4 (pair (int_bound 0x3FFFFFFF) (int_range 0 70)))
+
+let refill_shared_map seed =
+  for k = 0 to 3 do
+    Kernel.Ebpf_maps.Array_map.kernel_update shared_map k
+      (if k = 3 then Int64.of_int (seed * 0x9E3779B9) else Int64.of_int ((seed * (k + 3)) land 0xFF))
+  done
+
+let prop_compiled_matches_oracle =
+  QCheck.Test.make ~name:"compiled AST = tree-walker (scoped programs)" ~count:1000
+    (QCheck.make ~print:(fun _ -> "<program>")
+       QCheck.Gen.(triple gen_scoped_ret gen_packets small_nat))
+    (fun (body, packets, seed) ->
+      refill_shared_map seed;
+      compiled_matches_oracle { Kernel.Ebpf.name = "cmp"; body } packets)
+
+let prop_compiled_matches_oracle_plain =
+  QCheck.Test.make ~name:"compiled AST = tree-walker (expression programs)" ~count:1000
+    (QCheck.make ~print:(fun _ -> "<program>")
+       QCheck.Gen.(triple gen_ret gen_packets small_nat))
+    (fun (body, packets, seed) ->
+      refill_shared_map seed;
+      compiled_matches_oracle { Kernel.Ebpf.name = "cmp"; body } packets)
+
+(* The two-level dispatch chain: 2 and 4 groups, both level-1 modes,
+   random group bitmaps and sockarray holes. *)
+let prop_compiled_group_chain =
+  QCheck.Test.make ~name:"compiled AST = tree-walker (2- and 4-group chains)" ~count:300
+    (QCheck.make ~print:(fun _ -> "<chain>")
+       QCheck.Gen.(
+         quad (oneofl [ 2; 4 ]) bool (list_repeat 4 ui64)
+           (pair (list_repeat 8 (int_bound 0xFFFFFFF)) (int_range 1 3))))
+    (fun (groups, by_port, bitmaps, (hashes, min_selected)) ->
+      let group_size = 16 in
+      let workers = groups * group_size in
+      let g =
+        Hermes.Groups.create ~workers ~group_size
+          ~mode:(if by_port then Hermes.Groups.By_dst_port else Hermes.Groups.By_flow_hash)
+      in
+      List.iteri
+        (fun i bm ->
+          if i < groups then
+            Kernel.Ebpf_maps.Array_map.kernel_update (Hermes.Groups.m_sel g) i
+              (Int64.logand bm 0xFFFFL))
+        bitmaps;
+      let m_socket = Kernel.Ebpf_maps.Sockarray.create ~name:"chain_socks" ~size:workers in
+      for w = 0 to workers - 1 do
+        if w mod 5 <> 4 then
+          Kernel.Ebpf_maps.Sockarray.set m_socket w
+            (Kernel.Socket.create_listen ~port:80 ~backlog:1 ())
+      done;
+      let prog = Hermes.Groups.make_prog g ~m_socket ~min_selected in
+      compiled_matches_oracle prog
+        (List.mapi (fun i h -> (h, 80 + i)) hashes))
+
 let () =
   Alcotest.run "ebpf_vm"
     [
@@ -377,5 +550,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_vm_matches_ast;
           QCheck_alcotest.to_alcotest prop_vm_popcount;
           QCheck_alcotest.to_alcotest prop_vm_find_nth;
+        ] );
+      ( "compiled-ast",
+        [
+          QCheck_alcotest.to_alcotest prop_compiled_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_oracle_plain;
+          QCheck_alcotest.to_alcotest prop_compiled_group_chain;
         ] );
     ]

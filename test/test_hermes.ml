@@ -337,7 +337,8 @@ let test_runtime_schedule_and_sync () =
     Capture.records (fun () ->
         result := Some (Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 100)))
   in
-  check Alcotest.int "all pass" 4 (Option.get !result).Hermes.Scheduler.passed;
+  check Alcotest.int "all pass" 4 (Hermes.Runtime.accounting rt).Hermes.Runtime.pass_sum;
+  check Alcotest.int "pass cycles" (60 + (4 * (12 + (3 * 4)))) (Option.get !result);
   (* bitmap landed in the map via one syscall *)
   check Alcotest.int "one syscall" 1
     (List.length
@@ -353,9 +354,10 @@ let test_runtime_mark_dead () =
   Hermes.Metrics.avail_update (Hermes.Runtime.hooks rt 0) ~now:(ms 500);
   Hermes.Metrics.avail_update (Hermes.Runtime.hooks rt 1) ~now:(ms 500);
   Hermes.Runtime.mark_dead rt ~worker:1;
-  let result = Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 501) in
+  ignore (Hermes.Runtime.schedule_and_sync rt ~worker:0 ~now:(ms 501));
+  let m = Hermes.Groups.m_sel (Hermes.Runtime.groups rt) in
   check Alcotest.(list int) "dead excluded" [ 0 ]
-    (Bitmap.to_list result.Hermes.Scheduler.bitmap)
+    (Bitmap.to_list (Kernel.Ebpf_maps.Array_map.lookup m 0))
 
 let test_runtime_accounting () =
   let rt = Hermes.Runtime.create ~config:Hermes.Config.default ~workers:2 () in

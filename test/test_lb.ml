@@ -475,6 +475,28 @@ let test_device_crash_and_recover () =
   Engine.Sim.run_until sim ~limit:(ms 200);
   check Alcotest.bool "post-recovery service" true !served
 
+(* Isolation drops the worker's dedicated subscriptions before recovery
+   registers fresh sockets: 64 ports read 64 listening subscriptions
+   after every crash/isolate/recover cycle. *)
+let test_device_recover_keeps_one_listener_per_port () =
+  let sim = Engine.Sim.create () in
+  let tenants = Netsim.Tenant.population ~n:64 ~base_dport:20000 in
+  let device =
+    Lb.Device.create ~sim ~rng:(Engine.Rng.create 5) ~mode:Lb.Device.Reuseport
+      ~workers:4 ~tenants ()
+  in
+  Lb.Device.start device;
+  let listening () = Lb.Worker.listening_count (Lb.Device.worker device 0) in
+  check Alcotest.int "start" 64 (listening ());
+  for cycle = 1 to 3 do
+    Engine.Sim.run_until sim ~limit:(ms (10 * cycle));
+    Lb.Device.crash_worker device 0;
+    Lb.Device.isolate_worker device 0;
+    check Alcotest.int (Printf.sprintf "isolated %d" cycle) 0 (listening ());
+    Lb.Device.recover_worker device 0;
+    check Alcotest.int (Printf.sprintf "cycle %d" cycle) 64 (listening ())
+  done
+
 let test_device_isolation_stops_hashing_to_dead () =
   (* reuseport: before isolation, ~1/4 of new conns stall on the dead
      worker; after isolation, everything goes to the living. *)
@@ -829,6 +851,8 @@ let () =
           Alcotest.test_case "probe timeout" `Quick test_device_probe_once_timeout;
           Alcotest.test_case "probe timeout traced" `Quick
             test_device_probe_timeout_traced;
+          Alcotest.test_case "recover keeps one listener per port" `Quick
+            test_device_recover_keeps_one_listener_per_port;
           Alcotest.test_case "probe quarantined single fire" `Quick
             test_device_probe_quarantined_single_fire;
           Alcotest.test_case "cpu accounting" `Quick test_worker_cpu_accounting;

@@ -6,13 +6,13 @@ let check = Alcotest.check
 let ms = Engine.Sim_time.ms
 let sec = Engine.Sim_time.sec
 
-let make_device ?(workers = 4) ?(tenants = 4) () =
+let make_device ?(mode = Lb.Device.Hermes Hermes.Config.default) ?(workers = 4)
+    ?(tenants = 4) () =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create 31 in
   let tenant_arr = Netsim.Tenant.population ~n:tenants ~base_dport:20000 in
   let device =
-    Lb.Device.create ~sim ~rng ~mode:(Lb.Device.Hermes Hermes.Config.default)
-      ~workers ~tenants:tenant_arr ()
+    Lb.Device.create ~sim ~rng ~mode ~workers ~tenants:tenant_arr ()
   in
   Lb.Device.start device;
   (device, sim)
@@ -114,6 +114,27 @@ let test_quarantine_blocks_and_resets () =
       { Lb.Device.null_conn_events with established = (fun _ -> ok := true) };
   Engine.Sim.run_until sim ~limit:(ms 150);
   check Alcotest.bool "other tenant fine" true !ok
+
+(* SYNs queued on the tenant's port when it is quarantined fail their
+   dispatch and count as drops, whether the port is one shared socket
+   or a reuseport group of dedicated ones. *)
+let test_quarantine_drains_queued_syns mode () =
+  let device, sim = make_device ~mode ~workers:2 () in
+  Engine.Sim.run_until sim ~limit:(ms 1);
+  Lb.Device.crash_worker device 0;
+  Lb.Device.crash_worker device 1;
+  let failed = ref 0 in
+  let events =
+    { Lb.Device.null_conn_events with dispatch_failed = (fun () -> incr failed) }
+  in
+  for _ = 1 to 5 do
+    Lb.Device.connect device ~tenant:1 ~events
+  done;
+  Engine.Sim.run_until sim ~limit:(ms 5);
+  check Alcotest.int "queued, not failed" 0 !failed;
+  Lb.Device.quarantine_tenant device ~tenant:1;
+  check Alcotest.int "dispatch_failed" 5 !failed;
+  check Alcotest.int "dropped" 5 (Lb.Device.dropped device)
 
 (* ------------------------------------------------------------------ *)
 (* Overload classification                                              *)
@@ -362,6 +383,10 @@ let () =
         [
           Alcotest.test_case "attribution" `Quick test_tenant_report_attribution;
           Alcotest.test_case "quarantine" `Quick test_quarantine_blocks_and_resets;
+          Alcotest.test_case "quarantine drains queued SYNs (exclusive)" `Quick
+            (test_quarantine_drains_queued_syns Lb.Device.Exclusive);
+          Alcotest.test_case "quarantine drains queued SYNs (reuseport)" `Quick
+            (test_quarantine_drains_queued_syns Lb.Device.Reuseport);
         ] );
       ( "overload",
         [
