@@ -150,48 +150,19 @@ type binop =
   | Shr_op
   | Mod_op
 
-(* One node's code: its children's code [prep], then the cycles [post]
-   (its own cost plus the children's trailing static cycles), then its
-   own step.  Each step has a variant without [prep], so a node over
-   leaves makes no call but its own. *)
-let unary st op prep post src dst =
-  match (op, prep) with
-  | Lookup_op map, None ->
-    let size = Ebpf_maps.Array_map.size map in
-    fun () ->
-      let r = st.regs in
-      let k = Int64.to_int (get64 r src) in
-      charge st post;
-      if k < 0 || k >= size then raise_notrace Fault;
-      set64 r dst (Ebpf_maps.Array_map.unsafe_lookup map k)
-  | Lookup_op map, Some p ->
-    let size = Ebpf_maps.Array_map.size map in
-    fun () ->
-      p ();
-      let r = st.regs in
-      let k = Int64.to_int (get64 r src) in
-      charge st post;
-      if k < 0 || k >= size then raise_notrace Fault;
-      set64 r dst (Ebpf_maps.Array_map.unsafe_lookup map k)
-  | Popcount_op, None ->
-    fun () ->
-      let r = st.regs in
-      let v = get64 r src in
-      charge st post;
-      set64 r dst
-        (Int64.of_int
-           (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
-           + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
-  | Popcount_op, Some p ->
-    fun () ->
-      p ();
-      let r = st.regs in
-      let v = get64 r src in
-      charge st post;
-      set64 r dst
-        (Int64.of_int
-           (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
-           + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
+(* Each node's own step, charged for before it runs: it reads its
+   operands' registers, may fault, and writes its own register. *)
+let[@inline] lookup st map size src dst =
+  let k = Int64.to_int (get64 st.regs src) in
+  if k < 0 || k >= size then raise_notrace Fault;
+  set64 st.regs dst (Ebpf_maps.Array_map.unsafe_lookup map k)
+
+let[@inline] popcount r src dst =
+  let v = get64 r src in
+  set64 r dst
+    (Int64.of_int
+       (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
+       + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
 
 let[@inline] find_nth r a b dst =
   let bm = get64 r a in
@@ -202,11 +173,64 @@ let[@inline] find_nth r a b dst =
           ~hi:(Int64.to_int (Int64.shift_right_logical bm 32))
           (Int64.to_int (get64 r b))))
 
-let[@inline] recip r n hash dst =
+let[@inline] recip r a b dst =
+  let n = Int64.to_int (get64 r b) in
   if n <= 0 then raise_notrace Fault;
-  set64 r dst (Int64.of_int (Bitops.reciprocal_scale ~hash ~n))
+  set64 r dst
+    (Int64.of_int (Bitops.reciprocal_scale ~hash:(Int64.to_int (get64 r a)) ~n))
 
-let[@inline] shift_ok s = if s < 0 || s > 63 then raise_notrace Fault
+let[@inline] band r a b dst = set64 r dst (Int64.logand (get64 r a) (get64 r b))
+let[@inline] bor r a b dst = set64 r dst (Int64.logor (get64 r a) (get64 r b))
+let[@inline] bxor r a b dst = set64 r dst (Int64.logxor (get64 r a) (get64 r b))
+let[@inline] add r a b dst = set64 r dst (Int64.add (get64 r a) (get64 r b))
+let[@inline] sub r a b dst = set64 r dst (Int64.sub (get64 r a) (get64 r b))
+
+let[@inline] shift_amount r b =
+  let s = Int64.to_int (get64 r b) in
+  if s < 0 || s > 63 then raise_notrace Fault;
+  s
+
+let[@inline] shl r a b dst =
+  let s = shift_amount r b in
+  set64 r dst (Int64.shift_left (get64 r a) s)
+
+let[@inline] shr r a b dst =
+  let s = shift_amount r b in
+  set64 r dst (Int64.shift_right_logical (get64 r a) s)
+
+let[@inline] modulo r a b dst =
+  let d = get64 r b in
+  (* BPF_MOD: a zero divisor faults *)
+  if Int64.equal d 0L then raise_notrace Fault;
+  set64 r dst (Int64.rem (get64 r a) d)
+
+(* One node's code: its children's code [prep], then the cycles [post]
+   (its own cost plus the children's trailing static cycles), then its
+   own step.  Each step has a variant without [prep], so a node over
+   leaves makes no call but its own. *)
+let unary st op prep post src dst =
+  match (op, prep) with
+  | Lookup_op map, None ->
+    let size = Ebpf_maps.Array_map.size map in
+    fun () ->
+      charge st post;
+      lookup st map size src dst
+  | Lookup_op map, Some p ->
+    let size = Ebpf_maps.Array_map.size map in
+    fun () ->
+      p ();
+      charge st post;
+      lookup st map size src dst
+  | Popcount_op, None ->
+    fun () ->
+      charge st post;
+      popcount st.regs src dst
+  | Popcount_op, Some p ->
+    fun () ->
+      p ();
+      charge st post;
+      popcount st.regs src dst
+
 
 let binary st op prep post a b dst =
   match (op, prep) with
@@ -221,120 +245,92 @@ let binary st op prep post a b dst =
       find_nth st.regs a b dst
   | Recip_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      recip r (Int64.to_int (get64 r b)) (Int64.to_int (get64 r a)) dst
+      recip st.regs a b dst
   | Recip_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      recip r (Int64.to_int (get64 r b)) (Int64.to_int (get64 r a)) dst
+      recip st.regs a b dst
   | Band_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logand (get64 r a) (get64 r b))
+      band st.regs a b dst
   | Band_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logand (get64 r a) (get64 r b))
+      band st.regs a b dst
   | Bor_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logor (get64 r a) (get64 r b))
+      bor st.regs a b dst
   | Bor_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logor (get64 r a) (get64 r b))
+      bor st.regs a b dst
   | Bxor_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logxor (get64 r a) (get64 r b))
+      bxor st.regs a b dst
   | Bxor_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.logxor (get64 r a) (get64 r b))
+      bxor st.regs a b dst
   | Add_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.add (get64 r a) (get64 r b))
+      add st.regs a b dst
   | Add_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.add (get64 r a) (get64 r b))
+      add st.regs a b dst
   | Sub_op, None ->
     fun () ->
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.sub (get64 r a) (get64 r b))
+      sub st.regs a b dst
   | Sub_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
       charge st post;
-      set64 r dst (Int64.sub (get64 r a) (get64 r b))
+      sub st.regs a b dst
   | Shl_op, None ->
     fun () ->
-      let r = st.regs in
-      let s = Int64.to_int (get64 r b) in
       charge st post;
-      shift_ok s;
-      set64 r dst (Int64.shift_left (get64 r a) s)
+      shl st.regs a b dst
   | Shl_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
-      let s = Int64.to_int (get64 r b) in
       charge st post;
-      shift_ok s;
-      set64 r dst (Int64.shift_left (get64 r a) s)
+      shl st.regs a b dst
   | Shr_op, None ->
     fun () ->
-      let r = st.regs in
-      let s = Int64.to_int (get64 r b) in
       charge st post;
-      shift_ok s;
-      set64 r dst (Int64.shift_right_logical (get64 r a) s)
+      shr st.regs a b dst
   | Shr_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
-      let s = Int64.to_int (get64 r b) in
       charge st post;
-      shift_ok s;
-      set64 r dst (Int64.shift_right_logical (get64 r a) s)
+      shr st.regs a b dst
   | Mod_op, None ->
     fun () ->
-      let r = st.regs in
-      let d = get64 r b in
       charge st post;
-      (* BPF_MOD: a zero divisor faults *)
-      if Int64.equal d 0L then raise_notrace Fault;
-      set64 r dst (Int64.rem (get64 r a) d)
+      modulo st.regs a b dst
   | Mod_op, Some p ->
     fun () ->
       p ();
-      let r = st.regs in
-      let d = get64 r b in
       charge st post;
-      if Int64.equal d 0L then raise_notrace Fault;
-      set64 r dst (Int64.rem (get64 r a) d)
+      modulo st.regs a b dst
 
-let node c prep post step size depth =
+(* A node over its children's [prep]: the node's own [cost] joins the
+   children's trailing static cycles. *)
+let node c prep cost step size depth =
   let off = fresh c in
-  { off; code = { pre = prep.pre; run = Some (step prep.run (prep.post + post) off); post = 0 }; size; depth }
+  let run = step prep.run (prep.post + cost) off in
+  { off; code = { pre = prep.pre; run = Some run; post = 0 }; size; depth }
 
 let rec expr c env = function
   | Const v ->
@@ -347,8 +343,12 @@ let rec expr c env = function
   | Let (name, bound, body) ->
     let b = expr c env bound in
     let e = expr c ((name, b.off) :: env) body in
-    { off = e.off; code = chain c.st b.code e.code; size = b.size + e.size + 1;
-      depth = 1 + imax b.depth e.depth }
+    {
+      off = e.off;
+      code = chain c.st b.code e.code;
+      size = b.size + e.size + 1;
+      depth = 1 + imax b.depth e.depth;
+    }
   | Lookup (map, e) -> un c env (Lookup_op map) 5 e
   | Popcount e -> un c env Popcount_op 4 e
   | Find_nth_set (a, b) -> bin c env Find_nth_op 12 a b

@@ -390,7 +390,34 @@ let test_runtime_pass_zero_alloc () =
       ignore (Hermes.Runtime.schedule_and_sync rt ~worker:(i land 7) ~now:(ms 100 + i)))
 
 (* The default dispatch engine: the compiled expression program,
-   rotating through select, drop and the hash fallback. *)
+   rotating through select, drop and the hash fallback, with every
+   operator of the language on the select path. *)
+let every_op_ast sa =
+  let open Kernel.Ebpf in
+  let m = Kernel.Ebpf_maps.Array_map.create ~name:"td_ast_map" ~size:1 in
+  Kernel.Ebpf_maps.Array_map.kernel_update m 0 0xF0F0L;
+  let low2 = Band (Flow_hash, Const 3L) in
+  let v =
+    Bxor
+      ( Bor (Band (Flow_hash, Const 0xFFL), Shl (Const 1L, Const 3L)),
+        Shr (Sub (Dst_port, Const 1L), Const 1L) )
+  in
+  let w =
+    Add
+      ( Popcount (Lookup (m, Const 0L)),
+        Find_nth_set (Const 0b1010L, Add (Reciprocal_scale (Flow_hash, Const 2L), Const 1L)) )
+  in
+  verify_exn
+    {
+      name = "every_op";
+      body =
+        If
+          ( Eq, low2, Const 2L, Drop,
+            If
+              ( Eq, low2, Const 3L, Fallback,
+                Let_ret ("v", Add (v, w), Select (sa, Mod (Var "v", Const 4L))) ) );
+    }
+
 let test_ast_select_zero_alloc () =
   let g, socks = fresh_group 4 in
   for slot = 0 to 3 do
@@ -400,7 +427,13 @@ let test_ast_select_zero_alloc () =
   for i = 0 to 3 do
     Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
   done;
-  Kernel.Reuseport.attach_ebpf g (mixed_ast sa);
+  Kernel.Reuseport.attach_ebpf g (every_op_ast sa);
+  List.iter
+    (fun flow_hash -> ignore (Kernel.Reuseport.select g ~flow_hash))
+    [ 0; 1; 2; 3 ];
+  let st = Kernel.Reuseport.stats g in
+  check Alcotest.(list int) "select, drop, fallback" [ 2; 1; 1 ]
+    [ st.selected_by_prog; st.dropped; st.selected_by_hash ];
   ignore (Kernel.Reuseport.select g ~flow_hash:1);
   (* warm *)
   Alloc_gate.check "AST select" (fun i ->
