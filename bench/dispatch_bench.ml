@@ -12,8 +12,10 @@
      with its snapshot allocation ([Oracles.Scheduler_ref]);
    - [ebpf_jit_vm]/[ebpf_jit_ast]: the Algo 2 dispatch program under
      the closure JIT vs the checked bytecode interpreter
-     ([Oracles.Ebpf_vm_ref], the JIT's oracle) / the expression
-     interpreter.
+     ([Oracles.Ebpf_vm_ref], the JIT's oracle) / the compiled
+     expression program (the default dispatch engine);
+   - [ebpf_ast]: the compiled expression program vs the tree-walker it
+     replaced ([Oracles.Ebpf_ref], its oracle).
 
    Every scenario also reports minor-heap words per operation on the
    fast path; the gate requires exactly zero (the probes themselves box
@@ -143,16 +145,15 @@ let ebpf_setup () =
       (Kernel.Socket.create_listen ~port:80 ~backlog:4 ())
   done;
   let prog = Hermes.Dispatch.single_group ~m_sel ~m_socket ~min_selected:2 in
-  let ast = Kernel.Ebpf.verify_exn prog in
   let vm =
     match Kernel.Verifier.compile_and_verify prog with
     | Ok v -> v
     | Error e -> failwith (Kernel.Verifier.error_to_string e)
   in
-  (ast, vm, Kernel.Ebpf_jit.compile vm)
+  (prog, Kernel.Ebpf.verify_exn prog, vm, Kernel.Ebpf_jit.compile vm)
 
 let ebpf_scenarios ~ops =
-  let ast, vm, jit = ebpf_setup () in
+  let prog, ast, vm, jit = ebpf_setup () in
   let code = Kernel.Ebpf_vm.program_of vm in
   let jit_thunk () =
     let sum = ref 0 in
@@ -181,19 +182,37 @@ let ebpf_scenarios ~ops =
   let ast_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
+      let code = Kernel.Ebpf.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80 in
+      let sel =
+        match Kernel.Ebpf.selected ast with
+        | Some s when code = 1 -> 31 * Kernel.Socket.id s
+        | _ -> 0
+      in
+      sum := !sum + code + sel
+    done;
+    !sum
+  in
+  let walker_thunk () =
+    let sum = ref 0 in
+    for i = 0 to ops - 1 do
       let out, _ =
-        Kernel.Ebpf.run ast { Kernel.Ebpf.flow_hash = Harness.mix i; dst_port = 80 }
+        Oracles.Ebpf_ref.run prog { Kernel.Ebpf.flow_hash = Harness.mix i; dst_port = 80 }
       in
       sum := !sum + outcome_code out
     done;
     !sum
   in
-  let words () =
+  let jit_words () =
     for i = 0 to ops - 1 do
       ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
-  (jit_thunk, vm_thunk, ast_thunk, words)
+  let ast_words () =
+    for i = 0 to ops - 1 do
+      ignore (Kernel.Ebpf.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80)
+    done
+  in
+  (jit_thunk, vm_thunk, ast_thunk, walker_thunk, jit_words, ast_words)
 
 (* ------------------------------------------------------------------ *)
 
@@ -213,7 +232,9 @@ let run ~quick =
     let fast, base, words = sched_scenario ~workers:n ~ops in
     pair ~name:(Printf.sprintf "sched_%d" n) ~ops ~words fast base
   in
-  let jit_thunk, vm_thunk, ast_thunk, jwords = ebpf_scenarios ~ops:ebpf_ops in
+  let jit_thunk, vm_thunk, ast_thunk, walker_thunk, jwords, awords =
+    ebpf_scenarios ~ops:ebpf_ops
+  in
   [
     select 8 select_ops;
     select 64 select_ops;
@@ -221,22 +242,29 @@ let run ~quick =
     sched 64 sched_ops_64;
     pair ~name:"ebpf_jit_vm" ~ops:ebpf_ops ~words:jwords jit_thunk vm_thunk;
     pair ~name:"ebpf_jit_ast" ~ops:ebpf_ops ~words:jwords jit_thunk ast_thunk;
+    pair ~name:"ebpf_ast" ~ops:ebpf_ops ~words:awords ast_thunk walker_thunk;
   ]
 
 (* The gate:
    - each scenario keeps >= 90% of the committed same-size baseline's
-     speedup ratio (except [ebpf_jit_ast], an informational row whose
-     AST-walker baseline is too warmup-sensitive to gate on);
+     speedup ratio, except two rows.  [ebpf_jit_ast] times the JIT
+     against the compiled AST program (about 0.11x), the gap ROADMAP
+     item 5 step 2 is to close: it is recorded, not gated.
+     [ebpf_ast] is gated by its floor alone: on a shared 2-vCPU host
+     its ratio swings 3.4-4.6x run to run, wider than a 0.9 bound;
    - the headline floors hold outright: JIT >= 1.3x over the checked
-     bytecode interpreter, bitmap scheduler >= 1.5x over the
-     bool-array oracle;
+     bytecode interpreter, the compiled AST program >= 2.5x over the
+     tree-walker, bitmap scheduler >= 1.5x over the bool-array oracle;
    - the fast paths allocate exactly zero minor words per op (when the
      runtime supports the measurement). *)
 let gates (r : Harness.Row.t) =
   let open Harness.Gate in
-  (if r.name = "ebpf_jit_ast" then [] else [ v "speedup" (Rel_floor 0.9) ])
+  (match r.name with
+  | "ebpf_jit_ast" | "ebpf_ast" -> []
+  | _ -> [ v "speedup" (Rel_floor 0.9) ])
   @ (match r.name with
     | "ebpf_jit_vm" -> [ v "speedup" (Floor 1.3) ]
+    | "ebpf_ast" -> [ v "speedup" (Floor 2.5) ]
     | "sched_8" | "sched_64" -> [ v "speedup" (Floor 1.5) ]
     | _ -> [])
   @ [ v "fast_words" Zero ]

@@ -59,9 +59,9 @@ type t = {
   kernel_jit : bool;
       (** compile the dispatch program to register bytecode
           ({!Kernel.Ebpf_vm}), verify it ({!Kernel.Verifier}) and run
-          it closure-compiled ({!Kernel.Ebpf_jit}) instead of on the
-          expression evaluator — same semantics, zero per-packet
-          allocation *)
+          it closure-compiled ({!Kernel.Ebpf_jit}) instead of as the
+          compiled expression program — same decisions, zero
+          per-packet allocation either way *)
 }
 
 val default : t

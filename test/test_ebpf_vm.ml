@@ -1,7 +1,8 @@
-(* Tests for the eBPF bytecode pipeline: compiler correctness,
-   verifier rules, and a differential property test of the closure JIT
-   (verified bytecode's one executor) and the checked reference
-   interpreter against the expression-level interpreter. *)
+(* Tests for the eBPF pipelines: compiler correctness, verifier rules,
+   a differential property test of the closure JIT (verified bytecode's
+   one executor) and the checked reference interpreter against the
+   compiled expression program, and of the compiled expression program
+   against the tree-walking oracle. *)
 
 let ast_verify = Drive.ast_verify
 
@@ -214,7 +215,7 @@ let test_verifier_accepts_branchy () =
   | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* Differential test against the expression interpreter                 *)
+(* Differential test against the (compiled) expression program          *)
 
 let shared_map = Kernel.Ebpf_maps.Array_map.create ~name:"diff_map" ~size:4
 
