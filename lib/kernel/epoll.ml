@@ -200,12 +200,13 @@ let event_fd t i = t.ev_fd.(i)
 let event_kind t i = t.ev_kind.(i)
 let event_units t i = t.ev_units.(i)
 
-let listen_socket t ~fd =
+let accept t ~fd =
   let slot = find t fd in
-  if slot < 0 then raise Not_found;
-  match Conn_table.payload t.subs slot with
-  | Shared_listen s | Dedicated_listen s -> s
-  | Conn -> raise Not_found
+  if slot < 0 then None
+  else
+    match Conn_table.payload t.subs slot with
+    | Shared_listen s | Dedicated_listen s -> Socket.accept s
+    | Conn -> None
 
 let last_scan_cost t = t.scan_cost
 

@@ -95,9 +95,12 @@ val event_units : t -> int -> int
     the accept queue (the handler drains up to that many — nginx's
     multi_accept behaviour). *)
 
-val listen_socket : t -> fd:int -> Socket.t
-(** The socket behind a listening subscription.
-    @raise Not_found if [fd] is not a registered listening fd. *)
+val accept : t -> fd:int -> Socket.pending_conn option
+(** accept(2) on a listening fd: the next connection queued on its
+    socket, or [None] if the queue is empty or [fd] is no longer a
+    listening subscription (EBADF: {!remove_dedicated} ran after the
+    {!wait} that reported it, as when a worker is isolated part-way
+    through a batch). *)
 
 val last_scan_cost : t -> int
 (** Shared subscriptions examined by the most recent [wait] — the

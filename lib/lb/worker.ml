@@ -300,12 +300,13 @@ and next_event t =
   end
 
 (* Drain up to [units] pending connections (multi-accept).  A shared
-   queue may have been emptied by another worker in the meantime. *)
+   queue may have been emptied by another worker in the meantime, and
+   isolation may have closed and unsubscribed a dedicated listener
+   since the poll that reported it. *)
 and accept_next t units =
   if units <= 0 then next_event t
   else
-    let sock = Kernel.Epoll.listen_socket t.ep ~fd:t.accept_fd in
-    match Kernel.Socket.accept sock with
+    match Kernel.Epoll.accept t.ep ~fd:t.accept_fd with
     | None ->
       t.worker_stats.spurious_wakeups <- t.worker_stats.spurious_wakeups + 1;
       busy_add t (-units);

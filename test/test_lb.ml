@@ -497,6 +497,55 @@ let test_device_recover_keeps_one_listener_per_port () =
     check Alcotest.int (Printf.sprintf "cycle %d" cycle) 64 (listening ())
   done
 
+(* Isolation closes a dedicated listener and drops its subscription
+   while its worker may still hold a polled readiness for it: after
+   the poll, before any accept, or part-way through a multi-accept.
+   The worker's next accept on that fd then fails as on a closed fd,
+   counted as a spurious wakeup, and the units the event announced
+   leave the WST busy count. *)
+let test_device_isolate_mid_accept () =
+  List.iter
+    (fun (label, stop) ->
+      let sim = Engine.Sim.create () in
+      let tenants = Netsim.Tenant.population ~n:1 ~base_dport:20000 in
+      let device =
+        Lb.Device.create ~sim ~rng:(Engine.Rng.create 5)
+          ~mode:(Lb.Device.Hermes Hermes.Config.default) ~workers:1 ~tenants ()
+      in
+      Lb.Device.start device;
+      Engine.Sim.run_until sim ~limit:(ms 1);
+      let rt = Option.get (Lb.Device.hermes_runtime device) in
+      let busy () = (Hermes.Wst.events (Hermes.Groups.wst (Hermes.Runtime.groups rt) 0)).(0) in
+      let established = ref 0 and failed = ref 0 in
+      let events =
+        {
+          (simple_events ~on_established:(fun _ -> incr established) ()) with
+          Lb.Device.dispatch_failed = (fun () -> incr failed);
+        }
+      in
+      for _ = 1 to 3 do
+        Lb.Device.connect device ~tenant:0 ~events
+      done;
+      while not (stop ~busy:(busy ()) ~established:!established) do
+        if not (Engine.Sim.step sim) then Alcotest.failf "%s: never reached" label
+      done;
+      let w = Lb.Device.worker device 0 in
+      let spurious = (Lb.Worker.stats w).spurious_wakeups in
+      Lb.Device.isolate_worker device 0;
+      Engine.Sim.run_until sim ~limit:(ms 20);
+      check Alcotest.int (label ^ ": busy count") 0 (busy ());
+      check Alcotest.int (label ^ ": every SYN resolved") 3 (!established + !failed);
+      check Alcotest.int (label ^ ": failed accept") (spurious + 1)
+        (Lb.Worker.stats w).spurious_wakeups;
+      Lb.Device.recover_worker device 0;
+      Lb.Device.connect device ~tenant:0 ~events;
+      Engine.Sim.run_until sim ~limit:(ms 40);
+      check Alcotest.int (label ^ ": accepts after recovery") 4 (!established + !failed))
+    [
+      ("polled", fun ~busy ~established -> busy = 3 && established = 0);
+      ("mid multi-accept", fun ~busy:_ ~established -> established = 1);
+    ]
+
 let test_device_isolation_stops_hashing_to_dead () =
   (* reuseport: before isolation, ~1/4 of new conns stall on the dead
      worker; after isolation, everything goes to the living. *)
@@ -853,6 +902,7 @@ let () =
             test_device_probe_timeout_traced;
           Alcotest.test_case "recover keeps one listener per port" `Quick
             test_device_recover_keeps_one_listener_per_port;
+          Alcotest.test_case "isolate mid-accept" `Quick test_device_isolate_mid_accept;
           Alcotest.test_case "probe quarantined single fire" `Quick
             test_device_probe_quarantined_single_fire;
           Alcotest.test_case "cpu accounting" `Quick test_worker_cpu_accounting;
