@@ -48,23 +48,27 @@ type outcome =
 (* Compiled form.
 
    [verify] lowers the checked body, in the same walk that sizes it,
-   into closures over an unboxed 64-bit register file: a [Bytes.t] read
-   and written 8 bytes at a time by the raw primitives below, as
+   into threaded code over an unboxed 64-bit register file: a [Bytes.t]
+   read and written 8 bytes at a time by the raw primitives below, as
    [Engine.Rng] holds its state, so no value is ever boxed.  Register 0
    holds the flow hash and register 1 the destination port; every
    constant has its own register, loaded once at compile time and never
    written; every other node writes its result to a register of its
    own, which only its parent reads.  A constant, a context word or a
-   [Let]-bound name therefore compiles to a register offset and no code:
-   reading it costs no closure call.  A tree runs each node at most once
-   per packet, so the file is never re-zeroed.
+   [Let]-bound name therefore compiles to a register offset and no code.
+   A tree runs each node at most once per packet, so the file is never
+   re-zeroed.
+
+   The nodes with code become steps in evaluation order, one closure
+   each, that do the node's work and tail-call the next step.  A chain
+   ends in its return's verdict: the exit code, or, for [If] and a
+   [Redirect] hit, the entry of the branch's own chain.
 
    Cycles are charged as the tree-walking oracle charges them
    ([Oracles.Ebpf_ref]): one per leaf, each node's own cost before its
    own fault check, in evaluation order, so a faulting run reports the
-   same partial count.  Static charges (leaves, and nodes with no code
-   such as [Let]) merge with the charges beside them that no code
-   separates them from; they never move past code, which may fault. *)
+   same partial count.  Cycles of what has no code (leaves, [Let]) are
+   charged by the next step, before that step's own fault check. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -81,64 +85,15 @@ type verified = {
   vname : string;
   insns : int;
   st : state;
-  pre : int;  (* static cycles charged before [entry] runs *)
   entry : unit -> int;  (* the exit code: 1 select, 0 fallback, 2 drop, 3 redirect *)
 }
 
 exception Unbound of string
 exception Fault
 
-(* Code with its static cycles: [pre] before [run], [post] after. *)
-type piece = { pre : int; run : (unit -> unit) option; post : int }
-
-(* A compiled expression: the register offset its value lands in, its
-   code, and the tree-walker's size and depth of the subtree. *)
-type cexpr = { off : int; code : piece; size : int; depth : int }
-
-(* A compiled return: static cycles, then the code yielding the exit
-   code. *)
-type cret = { rpre : int; rrun : unit -> int; rsize : int; rdepth : int }
-
-type compiler = { st : state; mutable next : int; mutable consts : (int * int64) list }
-
-let imax (a : int) b = if a > b then a else b
-
-let charge st c = st.cycles <- st.cycles + c
-
-let fresh c =
-  let off = c.next lsl 3 in
-  c.next <- c.next + 1;
-  off
-
-let leaf off = { off; code = { pre = 1; run = None; post = 0 }; size = 1; depth = 1 }
-
-let rec reg_of env name =
-  match env with
-  | [] -> raise (Unbound name)
-  | (bound, off) :: rest -> if String.equal bound name then off else reg_of rest name
-
-(* [a] then [b] as one piece: static cycles merge across a side with
-   no code, never across code. *)
-let chain st a b =
-  match (a.run, b.run) with
-  | None, _ -> { pre = a.pre + a.post + b.pre; run = b.run; post = b.post }
-  | Some _, None -> { a with post = a.post + b.pre + b.post }
-  | Some fa, Some fb ->
-    let mid = a.post + b.pre in
-    {
-      pre = a.pre;
-      run =
-        Some
-          (fun () ->
-            fa ();
-            charge st mid;
-            fb ());
-      post = b.post;
-    }
-
-type unop = Lookup_op of Ebpf_maps.Array_map.t | Popcount_op
-
-type binop =
+type op =
+  | Lookup_op of Ebpf_maps.Array_map.t * int  (* the map and its size *)
+  | Popcount_op
   | Find_nth_op
   | Recip_op
   | Band_op
@@ -150,206 +105,64 @@ type binop =
   | Shr_op
   | Mod_op
 
-(* Each node's own step, charged for before it runs: it reads its
-   operands' registers, may fault, and writes its own register. *)
-let[@inline] lookup st map size src dst =
-  let k = Int64.to_int (get64 st.regs src) in
-  if k < 0 || k >= size then raise_notrace Fault;
-  set64 st.regs dst (Ebpf_maps.Array_map.unsafe_lookup map k)
+(* A node's step before it is threaded: its operator, operand registers
+   [a] and [b] (a unary operator ignores [b]), result register, and the
+   cycles it charges before its own fault check. *)
+type step = { op : op; a : int; b : int; dst : int; cost : int }
 
-let[@inline] popcount r src dst =
-  let v = get64 r src in
-  set64 r dst
-    (Int64.of_int
-       (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
-       + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))))
+type compiler = {
+  st : state;
+  mutable next : int;  (* registers allocated *)
+  mutable consts : (int * int64) list;
+  mutable steps : step list;  (* the chain being built, newest first *)
+  mutable pending : int;  (* cycles its next step or verdict charges *)
+}
 
-let[@inline] find_nth r a b dst =
-  let bm = get64 r a in
-  set64 r dst
-    (Int64.of_int
-       (Bitops.find_nth_set_halves
-          ~lo:(Int64.to_int bm land 0xFFFFFFFF)
-          ~hi:(Int64.to_int (Int64.shift_right_logical bm 32))
-          (Int64.to_int (get64 r b))))
+(* A compiled expression: the register its value lands in, and the
+   tree-walker's size and depth of the subtree.  Its steps joined the
+   chain being built. *)
+type cexpr = { off : int; size : int; depth : int }
 
-let[@inline] recip r a b dst =
-  let n = Int64.to_int (get64 r b) in
-  if n <= 0 then raise_notrace Fault;
-  set64 r dst
-    (Int64.of_int (Bitops.reciprocal_scale ~hash:(Int64.to_int (get64 r a)) ~n))
+(* A compiled return: the entry of its chain, size and depth. *)
+type cret = { entry : unit -> int; rsize : int; rdepth : int }
 
-let[@inline] band r a b dst = set64 r dst (Int64.logand (get64 r a) (get64 r b))
-let[@inline] bor r a b dst = set64 r dst (Int64.logor (get64 r a) (get64 r b))
-let[@inline] bxor r a b dst = set64 r dst (Int64.logxor (get64 r a) (get64 r b))
-let[@inline] add r a b dst = set64 r dst (Int64.add (get64 r a) (get64 r b))
-let[@inline] sub r a b dst = set64 r dst (Int64.sub (get64 r a) (get64 r b))
+let imax (a : int) b = if a > b then a else b
 
-let[@inline] shift_amount r b =
-  let s = Int64.to_int (get64 r b) in
-  if s < 0 || s > 63 then raise_notrace Fault;
-  s
+let charge st c = st.cycles <- st.cycles + c
 
-let[@inline] shl r a b dst =
-  let s = shift_amount r b in
-  set64 r dst (Int64.shift_left (get64 r a) s)
+let fresh c =
+  let off = c.next lsl 3 in
+  c.next <- c.next + 1;
+  off
 
-let[@inline] shr r a b dst =
-  let s = shift_amount r b in
-  set64 r dst (Int64.shift_right_logical (get64 r a) s)
+let leaf c off =
+  c.pending <- c.pending + 1;
+  { off; size = 1; depth = 1 }
 
-let[@inline] modulo r a b dst =
-  let d = get64 r b in
-  (* BPF_MOD: a zero divisor faults *)
-  if Int64.equal d 0L then raise_notrace Fault;
-  set64 r dst (Int64.rem (get64 r a) d)
+let emit c op cost a b size depth =
+  let dst = fresh c in
+  c.steps <- { op; a; b; dst; cost = c.pending + cost } :: c.steps;
+  c.pending <- 0;
+  { off = dst; size; depth }
 
-(* One node's code: its children's code [prep], then the cycles [post]
-   (its own cost plus the children's trailing static cycles), then its
-   own step.  Each step has a variant without [prep], so a node over
-   leaves makes no call but its own. *)
-let unary st op prep post src dst =
-  match (op, prep) with
-  | Lookup_op map, None ->
-    let size = Ebpf_maps.Array_map.size map in
-    fun () ->
-      charge st post;
-      lookup st map size src dst
-  | Lookup_op map, Some p ->
-    let size = Ebpf_maps.Array_map.size map in
-    fun () ->
-      p ();
-      charge st post;
-      lookup st map size src dst
-  | Popcount_op, None ->
-    fun () ->
-      charge st post;
-      popcount st.regs src dst
-  | Popcount_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      popcount st.regs src dst
-
-
-let binary st op prep post a b dst =
-  match (op, prep) with
-  | Find_nth_op, None ->
-    fun () ->
-      charge st post;
-      find_nth st.regs a b dst
-  | Find_nth_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      find_nth st.regs a b dst
-  | Recip_op, None ->
-    fun () ->
-      charge st post;
-      recip st.regs a b dst
-  | Recip_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      recip st.regs a b dst
-  | Band_op, None ->
-    fun () ->
-      charge st post;
-      band st.regs a b dst
-  | Band_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      band st.regs a b dst
-  | Bor_op, None ->
-    fun () ->
-      charge st post;
-      bor st.regs a b dst
-  | Bor_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      bor st.regs a b dst
-  | Bxor_op, None ->
-    fun () ->
-      charge st post;
-      bxor st.regs a b dst
-  | Bxor_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      bxor st.regs a b dst
-  | Add_op, None ->
-    fun () ->
-      charge st post;
-      add st.regs a b dst
-  | Add_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      add st.regs a b dst
-  | Sub_op, None ->
-    fun () ->
-      charge st post;
-      sub st.regs a b dst
-  | Sub_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      sub st.regs a b dst
-  | Shl_op, None ->
-    fun () ->
-      charge st post;
-      shl st.regs a b dst
-  | Shl_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      shl st.regs a b dst
-  | Shr_op, None ->
-    fun () ->
-      charge st post;
-      shr st.regs a b dst
-  | Shr_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      shr st.regs a b dst
-  | Mod_op, None ->
-    fun () ->
-      charge st post;
-      modulo st.regs a b dst
-  | Mod_op, Some p ->
-    fun () ->
-      p ();
-      charge st post;
-      modulo st.regs a b dst
-
-(* A node over its children's [prep]: the node's own [cost] joins the
-   children's trailing static cycles. *)
-let node c prep cost step size depth =
-  let off = fresh c in
-  let run = step prep.run (prep.post + cost) off in
-  { off; code = { pre = prep.pre; run = Some run; post = 0 }; size; depth }
+let rec reg_of env name =
+  match env with
+  | [] -> raise (Unbound name)
+  | (bound, off) :: rest -> if String.equal bound name then off else reg_of rest name
 
 let rec expr c env = function
   | Const v ->
     let off = fresh c in
     c.consts <- (off, v) :: c.consts;
-    leaf off
-  | Flow_hash -> leaf 0
-  | Dst_port -> leaf 8
-  | Var name -> leaf (reg_of env name)
+    leaf c off
+  | Flow_hash -> leaf c 0
+  | Dst_port -> leaf c 8
+  | Var name -> leaf c (reg_of env name)
   | Let (name, bound, body) ->
     let b = expr c env bound in
     let e = expr c ((name, b.off) :: env) body in
-    {
-      off = e.off;
-      code = chain c.st b.code e.code;
-      size = b.size + e.size + 1;
-      depth = 1 + imax b.depth e.depth;
-    }
-  | Lookup (map, e) -> un c env (Lookup_op map) 5 e
+    { off = e.off; size = b.size + e.size + 1; depth = 1 + imax b.depth e.depth }
+  | Lookup (map, e) -> un c env (Lookup_op (map, Ebpf_maps.Array_map.size map)) 5 e
   | Popcount e -> un c env Popcount_op 4 e
   | Find_nth_set (a, b) -> bin c env Find_nth_op 12 a b
   | Reciprocal_scale (a, b) -> bin c env Recip_op 2 a b
@@ -364,20 +177,112 @@ let rec expr c env = function
 
 and un c env op cost e =
   let x = expr c env e in
-  node c x.code cost
-    (fun prep post dst -> unary c.st op prep post x.off dst)
-    (x.size + 1) (x.depth + 1)
+  emit c op cost x.off x.off (x.size + 1) (x.depth + 1)
 
 and bin c env op cost a b =
   let x = expr c env a in
   let y = expr c env b in
-  node c (chain c.st x.code y.code) cost
-    (fun prep post dst -> binary c.st op prep post x.off y.off dst)
-    (x.size + y.size + 1)
-    (1 + imax x.depth y.depth)
+  emit c op cost x.off y.off (x.size + y.size + 1) (1 + imax x.depth y.depth)
 
-let ret_fallback () = 0
-let ret_drop () = 2
+let[@inline] shift_amount r b =
+  let s = Int64.to_int (get64 r b) in
+  if s < 0 || s > 63 then raise_notrace Fault;
+  s
+
+(* One step: charge, the node's work, then the rest of the chain. *)
+let thread_step st { op; a; b; dst; cost } next =
+  match op with
+  | Lookup_op (map, size) ->
+    fun () ->
+      charge st cost;
+      let k = Int64.to_int (get64 st.regs a) in
+      if k < 0 || k >= size then raise_notrace Fault;
+      set64 st.regs dst (Ebpf_maps.Array_map.unsafe_lookup map k);
+      next ()
+  | Popcount_op ->
+    fun () ->
+      charge st cost;
+      let v = get64 st.regs a in
+      set64 st.regs dst
+        (Int64.of_int
+           (Bitops.popcount32 (Int64.to_int v land 0xFFFFFFFF)
+           + Bitops.popcount32 (Int64.to_int (Int64.shift_right_logical v 32))));
+      next ()
+  | Find_nth_op ->
+    fun () ->
+      charge st cost;
+      let bm = get64 st.regs a in
+      set64 st.regs dst
+        (Int64.of_int
+           (Bitops.find_nth_set_halves
+              ~lo:(Int64.to_int bm land 0xFFFFFFFF)
+              ~hi:(Int64.to_int (Int64.shift_right_logical bm 32))
+              (Int64.to_int (get64 st.regs b))));
+      next ()
+  | Recip_op ->
+    fun () ->
+      charge st cost;
+      let n = Int64.to_int (get64 st.regs b) in
+      if n <= 0 then raise_notrace Fault;
+      set64 st.regs dst
+        (Int64.of_int
+           (Bitops.reciprocal_scale ~hash:(Int64.to_int (get64 st.regs a)) ~n));
+      next ()
+  | Band_op ->
+    fun () ->
+      charge st cost;
+      set64 st.regs dst (Int64.logand (get64 st.regs a) (get64 st.regs b));
+      next ()
+  | Bor_op ->
+    fun () ->
+      charge st cost;
+      set64 st.regs dst (Int64.logor (get64 st.regs a) (get64 st.regs b));
+      next ()
+  | Bxor_op ->
+    fun () ->
+      charge st cost;
+      set64 st.regs dst (Int64.logxor (get64 st.regs a) (get64 st.regs b));
+      next ()
+  | Add_op ->
+    fun () ->
+      charge st cost;
+      set64 st.regs dst (Int64.add (get64 st.regs a) (get64 st.regs b));
+      next ()
+  | Sub_op ->
+    fun () ->
+      charge st cost;
+      set64 st.regs dst (Int64.sub (get64 st.regs a) (get64 st.regs b));
+      next ()
+  | Shl_op ->
+    fun () ->
+      charge st cost;
+      let s = shift_amount st.regs b in
+      set64 st.regs dst (Int64.shift_left (get64 st.regs a) s);
+      next ()
+  | Shr_op ->
+    fun () ->
+      charge st cost;
+      let s = shift_amount st.regs b in
+      set64 st.regs dst (Int64.shift_right_logical (get64 st.regs a) s);
+      next ()
+  | Mod_op ->
+    fun () ->
+      charge st cost;
+      let d = get64 st.regs b in
+      (* BPF_MOD: a zero divisor faults *)
+      if Int64.equal d 0L then raise_notrace Fault;
+      set64 st.regs dst (Int64.rem (get64 st.regs a) d);
+      next ()
+
+(* Close the chain being built: its verdict, charging the pending
+   cycles with its own [cost], and its steps threaded onto it back to
+   front.  The next chain starts empty. *)
+let close c cost verdict =
+  let last = verdict (c.pending + cost) in
+  let entry = List.fold_left (fun next s -> thread_step c.st s next) last c.steps in
+  c.steps <- [];
+  c.pending <- 0;
+  entry
 
 (* [If]'s compare as a mask over the three orderings: bit 0 less,
    bit 1 equal, bit 2 greater. *)
@@ -386,125 +291,111 @@ let cmp_mask = function Eq -> 2 | Ne -> 5 | Lt -> 1 | Le -> 3 | Gt -> 4 | Ge -> 
 let[@inline] holds mask (x : int64) (y : int64) =
   (mask lsr (1 + Bool.to_int (x > y) - Bool.to_int (x < y))) land 1 <> 0
 
-let[@inline] select st sa size i post =
-  let k = Int64.to_int (get64 st.regs i) in
-  charge st post;
-  if k < 0 || k >= size then raise_notrace Fault;
-  match Ebpf_maps.Sockarray.unsafe_get sa k with
-  | None -> raise_notrace Fault
-  | Some _ as cell ->
-    st.sel <- cell;
-    1
+(* Compile a branch as a chain of its own: the chain in progress is
+   set aside and put back after. *)
+let aside c f =
+  let steps = c.steps and pending = c.pending in
+  c.steps <- [];
+  c.pending <- 0;
+  let r = f () in
+  c.steps <- steps;
+  c.pending <- pending;
+  r
 
+(* A return closes the chain in progress, which its enclosing [Let_ret]s
+   and its own operands began. *)
 let rec ret c env = function
-  | Fallback -> { rpre = 1; rrun = ret_fallback; rsize = 1; rdepth = 1 }
-  | Drop -> { rpre = 1; rrun = ret_drop; rsize = 1; rdepth = 1 }
+  | Fallback ->
+    let st = c.st in
+    let entry =
+      close c 1 (fun cost () ->
+          charge st cost;
+          0)
+    in
+    { entry; rsize = 1; rdepth = 1 }
+  | Drop ->
+    let st = c.st in
+    let entry =
+      close c 1 (fun cost () ->
+          charge st cost;
+          2)
+    in
+    { entry; rsize = 1; rdepth = 1 }
   | Select (sa, e) ->
     let x = expr c env e in
-    let st = c.st and i = x.off and post = x.code.post + 3 in
-    let size = Ebpf_maps.Sockarray.size sa in
-    let rrun =
-      match x.code.run with
-      | None -> fun () -> select st sa size i post
-      | Some p ->
-        fun () ->
-          p ();
-          select st sa size i post
+    let st = c.st and i = x.off and size = Ebpf_maps.Sockarray.size sa in
+    let entry =
+      close c 3 (fun cost () ->
+          let k = Int64.to_int (get64 st.regs i) in
+          charge st cost;
+          if k < 0 || k >= size then raise_notrace Fault;
+          match Ebpf_maps.Sockarray.unsafe_get sa k with
+          | None -> raise_notrace Fault
+          | Some _ as cell ->
+            st.sel <- cell;
+            1)
     in
-    { rpre = x.code.pre; rrun; rsize = x.size + 1; rdepth = x.depth + 1 }
+    { entry; rsize = x.size + 1; rdepth = x.depth + 1 }
   | If (cmp, a, b, then_, else_) ->
     let x = expr c env a in
     let y = expr c env b in
-    let t = ret c env then_ and f = ret c env else_ in
-    let p = chain c.st x.code y.code in
+    let t = aside c (fun () -> ret c env then_) in
+    let f = aside c (fun () -> ret c env else_) in
     let st = c.st and mask = cmp_mask cmp and ra = x.off and rb = y.off in
-    let post = p.post + 1 and tpre = t.rpre and trun = t.rrun in
-    let fpre = f.rpre and frun = f.rrun in
-    let rrun =
-      match p.run with
-      | None ->
-        fun () ->
-          charge st post;
-          if holds mask (get64 st.regs ra) (get64 st.regs rb) then begin
-            charge st tpre;
-            trun ()
-          end
-          else begin
-            charge st fpre;
-            frun ()
-          end
-      | Some prep ->
-        fun () ->
-          prep ();
-          charge st post;
-          if holds mask (get64 st.regs ra) (get64 st.regs rb) then begin
-            charge st tpre;
-            trun ()
-          end
-          else begin
-            charge st fpre;
-            frun ()
-          end
+    let tentry = t.entry and fentry = f.entry in
+    let entry =
+      close c 1 (fun cost () ->
+          charge st cost;
+          if holds mask (get64 st.regs ra) (get64 st.regs rb) then tentry ()
+          else fentry ())
     in
     {
-      rpre = p.pre;
-      rrun;
+      entry;
       rsize = x.size + y.size + t.rsize + f.rsize + 1;
       rdepth = 1 + imax (imax x.depth y.depth) (imax t.rdepth f.rdepth);
     }
   | Let_ret (name, bound, body) ->
     let b = expr c env bound in
     let k = ret c ((name, b.off) :: env) body in
-    let st = c.st and code = b.code in
-    let rpre, rrun =
-      match code.run with
-      | None -> (code.pre + code.post + k.rpre, k.rrun)
-      | Some p ->
-        let mid = code.post + k.rpre and body = k.rrun in
-        ( code.pre,
-          fun () ->
-            p ();
-            charge st mid;
-            body () )
-    in
-    { rpre; rrun; rsize = b.size + k.rsize + 1; rdepth = 1 + imax b.depth k.rdepth }
+    { entry = k.entry; rsize = b.size + k.rsize + 1; rdepth = 1 + imax b.depth k.rdepth }
   | Redirect (map, key, copy, miss) ->
     let x = expr c env key in
-    let y = expr c env copy in
-    let m = ret c env miss in
-    let st = c.st and size = Ebpf_maps.Sockmap.size map in
-    let kprep = x.code.run and kpost = x.code.post + 5 and kr = x.off in
-    let cpre = y.code.pre and cprep = y.code.run and cpost = y.code.post + 5 in
-    let cr = y.off and mpre = m.rpre and mrun = m.rrun in
-    let rrun () =
-      (match kprep with Some p -> p () | None -> ());
-      let k = Int64.to_int (get64 st.regs kr) in
-      charge st kpost;
-      if k < 0 || k >= size then raise_notrace Fault;
-      match Ebpf_maps.Sockmap.unsafe_get map k with
-      | None ->
-        charge st mpre;
-        mrun ()
-      | Some _ as cell ->
-        charge st cpre;
-        (match cprep with Some p -> p () | None -> ());
-        let n = Int64.to_int (get64 st.regs cr) in
-        charge st cpost;
-        if n < 0 || n > copy_limit then raise_notrace Fault;
-        st.redir <- cell;
-        st.copy_len <- n;
-        3
+    let st = c.st and kr = x.off and size = Ebpf_maps.Sockmap.size map in
+    (* a hit runs the copy length's chain, then the redirect verdict *)
+    let y, hit =
+      aside c (fun () ->
+          let y = expr c env copy in
+          let cr = y.off in
+          ( y,
+            close c 5 (fun cost () ->
+                let n = Int64.to_int (get64 st.regs cr) in
+                charge st cost;
+                if n < 0 || n > copy_limit then raise_notrace Fault;
+                st.copy_len <- n;
+                3) ))
+    in
+    let m = aside c (fun () -> ret c env miss) in
+    let mentry = m.entry in
+    let entry =
+      close c 5 (fun cost () ->
+          let k = Int64.to_int (get64 st.regs kr) in
+          charge st cost;
+          if k < 0 || k >= size then raise_notrace Fault;
+          match Ebpf_maps.Sockmap.unsafe_get map k with
+          | None -> mentry ()
+          | Some _ as cell ->
+            st.redir <- cell;
+            hit ())
     in
     {
-      rpre = x.code.pre;
-      rrun;
+      entry;
       rsize = x.size + y.size + m.rsize + 1;
       rdepth = 1 + imax (imax x.depth y.depth) m.rdepth;
     }
 
 let compile body =
   let st = { regs = Bytes.empty; cycles = 0; sel = None; redir = None; copy_len = 0 } in
-  let c = { st; next = 2; consts = [] } in
+  let c = { st; next = 2; consts = []; steps = []; pending = 0 } in
   let r = ret c [] body in
   st.regs <- Bytes.make (c.next lsl 3) '\000';
   List.iter (fun (off, v) -> set64 st.regs off v) c.consts;
@@ -523,7 +414,7 @@ let verify prog =
           Error (Printf.sprintf "verifier: %d insns exceeds budget %d" insns max_insns)
         else if depth > max_depth then
           Error (Printf.sprintf "verifier: depth %d exceeds limit %d" depth max_depth)
-        else Ok { vname = prog.name; insns; st; pre = r.rpre; entry = r.rrun }
+        else Ok { vname = prog.name; insns; st; entry = r.entry }
   in
   (if Trace.enabled () then
      let accepted, insns, reason =
@@ -561,7 +452,7 @@ let exec (v : verified) ~flow_hash ~dst_port =
   st.sel <- None;
   st.redir <- None;
   st.copy_len <- 0;
-  st.cycles <- v.pre;
+  st.cycles <- 0;
   match v.entry () with code -> code | exception Fault -> 0
 
 let last_cycles (v : verified) = v.st.cycles

@@ -12,9 +12,9 @@
     The verifier bounds program size and depth and returns an opaque
     {!verified} witness; only verified programs can be attached or run,
     mirroring how the kernel refuses unverified bytecode.  The same walk
-    that checks the program compiles it, once, into closures over an
-    unboxed 64-bit register file, so a run walks no tree and allocates
-    nothing.  A run reports a cycle estimate so experiments can account
+    that checks the program compiles it, once, into threaded closures
+    over an unboxed 64-bit register file, so a run walks no tree and
+    allocates nothing.  A run reports a cycle estimate so experiments can account
     the in-kernel dispatcher's overhead (Table 5); the estimate is the
     tree-walking evaluator's, node for node, which the test suite keeps
     as the compiled form's differential oracle. *)

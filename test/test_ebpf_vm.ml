@@ -477,6 +477,20 @@ let refill_shared_map seed =
       (if k = 3 then Int64.of_int (seed * 0x9E3779B9) else Int64.of_int ((seed * (k + 3)) land 0xFF))
   done
 
+(* A redirect hit at the bounds of the copy check, which random
+   programs almost never reach. *)
+let test_compiled_redirect_copy_bounds () =
+  List.iter
+    (fun copy ->
+      let body =
+        Kernel.Ebpf.Redirect
+          (shared_sockmap, Kernel.Ebpf.Const 2L, Kernel.Ebpf.Const (Int64.of_int copy),
+           Kernel.Ebpf.Fallback)
+      in
+      check Alcotest.bool (Printf.sprintf "copy %d" copy) true
+        (compiled_matches_oracle { Kernel.Ebpf.name = "redir"; body } [ (7, 80) ]))
+    [ -1; 0; 1; Kernel.Ebpf.copy_limit; Kernel.Ebpf.copy_limit + 1 ]
+
 let prop_compiled_matches_oracle =
   QCheck.Test.make ~name:"compiled AST = tree-walker (scoped programs)" ~count:1000
     (QCheck.make ~print:(fun _ -> "<program>")
@@ -557,5 +571,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_compiled_matches_oracle;
           QCheck_alcotest.to_alcotest prop_compiled_matches_oracle_plain;
           QCheck_alcotest.to_alcotest prop_compiled_group_chain;
+          Alcotest.test_case "redirect copy bounds" `Quick
+            test_compiled_redirect_copy_bounds;
         ] );
     ]
