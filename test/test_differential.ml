@@ -1,6 +1,7 @@
 (* Differential tests for the eBPF rank-select socket pick: the
-   bit-twiddling path (Kernel.Bitops SWAR popcount + binary-search
-   select, and the Algo 2 program built on them) against a naive
+   bit-twiddling path (Kernel.Bitops SWAR popcount, binary-search
+   select and its native-halves form, and the Algo 2 program built on
+   them) against a naive
    loop-over-the-bits reference, exhaustively for every 8-bit bitmap
    and randomized over 64-bit ones. *)
 
@@ -35,6 +36,14 @@ let naive_pick ~bitmap ~flow_hash ~min_selected =
   else
     Some (naive_nth_set bitmap (Kernel.Bitops.reciprocal_scale ~hash:flow_hash ~n + 1))
 
+(* The compiled program's rank-select, on the bitmap split into its
+   native halves. *)
+let nth_set_halves bm n =
+  Kernel.Bitops.find_nth_set_halves
+    ~lo:(Int64.to_int bm land 0xFFFFFFFF)
+    ~hi:(Int64.to_int (Int64.shift_right_logical bm 32))
+    n
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive 8-bit sweep of the primitives                             *)
 
@@ -50,7 +59,18 @@ let test_rank_select_exhaustive_8bit () =
         (Printf.sprintf "nth_set 0x%x %d" bits n)
         (naive_nth_set bm n)
         (Kernel.Bitops.find_nth_set bm n)
-    done
+    done;
+    (* the halves form also in the upper half, across the split and at
+       the top bit, and for n out of range on either side *)
+    List.iter
+      (fun shift ->
+        let bm = Int64.shift_left bm shift in
+        for n = 0 to 9 do
+          check Alcotest.int
+            (Printf.sprintf "nth_set_halves 0x%Lx %d" bm n)
+            (naive_nth_set bm n) (nth_set_halves bm n)
+        done)
+      [ 0; 28; 32; 56 ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -113,7 +133,9 @@ let prop_rank_select_random_64bit =
   QCheck.Test.make ~name:"find_nth_set = naive loop (random 64-bit bitmaps)"
     ~count:2000
     QCheck.(pair int64 (int_range 1 64))
-    (fun (bm, n) -> Kernel.Bitops.find_nth_set bm n = naive_nth_set bm n)
+    (fun (bm, n) ->
+      let expected = naive_nth_set bm n in
+      Kernel.Bitops.find_nth_set bm n = expected && nth_set_halves bm n = expected)
 
 (* ------------------------------------------------------------------ *)
 
