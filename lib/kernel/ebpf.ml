@@ -116,41 +116,43 @@ type compiler = {
   mutable consts : (int * int64) list;
   mutable steps : step list;  (* the chain being built, newest first *)
   mutable pending : int;  (* cycles its next step or verdict charges *)
+  mutable insns : int;  (* nodes walked: the program's size *)
+  mutable depth : int;  (* the deepest node walked, the root at 1 *)
 }
 
-(* A compiled expression: the register its value lands in, and the
-   tree-walker's size and depth of the subtree.  Its steps joined the
-   chain being built. *)
-type cexpr = { off : int; size : int; depth : int }
-
-(* A compiled return: the entry of its chain, size and depth. *)
-type cret = { entry : unit -> int; rsize : int; rdepth : int }
-
-let imax (a : int) b = if a > b then a else b
-
 let charge st c = st.cycles <- st.cycles + c
+
+(* Count a node [d] deep. *)
+let visit c d =
+  c.insns <- c.insns + 1;
+  if d > c.depth then c.depth <- d
 
 let fresh c =
   let off = c.next lsl 3 in
   c.next <- c.next + 1;
   off
 
+(* A leaf is its register [off]; its cycle waits for the next step. *)
 let leaf c off =
   c.pending <- c.pending + 1;
-  { off; size = 1; depth = 1 }
+  off
 
-let emit c op cost a b size depth =
+let emit c op cost a b =
   let dst = fresh c in
   c.steps <- { op; a; b; dst; cost = c.pending + cost } :: c.steps;
   c.pending <- 0;
-  { off = dst; size; depth }
+  dst
 
 let rec reg_of env name =
   match env with
   | [] -> raise (Unbound name)
   | (bound, off) :: rest -> if String.equal bound name then off else reg_of rest name
 
-let rec expr c env = function
+(* An expression [d] deep: its steps join the chain being built, and
+   the result is the register its value lands in. *)
+let rec expr c env d e =
+  visit c d;
+  match e with
   | Const v ->
     let off = fresh c in
     c.consts <- (off, v) :: c.consts;
@@ -159,30 +161,29 @@ let rec expr c env = function
   | Dst_port -> leaf c 8
   | Var name -> leaf c (reg_of env name)
   | Let (name, bound, body) ->
-    let b = expr c env bound in
-    let e = expr c ((name, b.off) :: env) body in
-    { off = e.off; size = b.size + e.size + 1; depth = 1 + imax b.depth e.depth }
-  | Lookup (map, e) -> un c env (Lookup_op (map, Ebpf_maps.Array_map.size map)) 5 e
-  | Popcount e -> un c env Popcount_op 4 e
-  | Find_nth_set (a, b) -> bin c env Find_nth_op 12 a b
-  | Reciprocal_scale (a, b) -> bin c env Recip_op 2 a b
-  | Band (a, b) -> bin c env Band_op 1 a b
-  | Bor (a, b) -> bin c env Bor_op 1 a b
-  | Bxor (a, b) -> bin c env Bxor_op 1 a b
-  | Add (a, b) -> bin c env Add_op 1 a b
-  | Sub (a, b) -> bin c env Sub_op 1 a b
-  | Shl (a, b) -> bin c env Shl_op 1 a b
-  | Shr (a, b) -> bin c env Shr_op 1 a b
-  | Mod (a, b) -> bin c env Mod_op 2 a b
+    let b = expr c env (d + 1) bound in
+    expr c ((name, b) :: env) (d + 1) body
+  | Lookup (map, e) -> un c env d (Lookup_op (map, Ebpf_maps.Array_map.size map)) 5 e
+  | Popcount e -> un c env d Popcount_op 4 e
+  | Find_nth_set (a, b) -> bin c env d Find_nth_op 12 a b
+  | Reciprocal_scale (a, b) -> bin c env d Recip_op 2 a b
+  | Band (a, b) -> bin c env d Band_op 1 a b
+  | Bor (a, b) -> bin c env d Bor_op 1 a b
+  | Bxor (a, b) -> bin c env d Bxor_op 1 a b
+  | Add (a, b) -> bin c env d Add_op 1 a b
+  | Sub (a, b) -> bin c env d Sub_op 1 a b
+  | Shl (a, b) -> bin c env d Shl_op 1 a b
+  | Shr (a, b) -> bin c env d Shr_op 1 a b
+  | Mod (a, b) -> bin c env d Mod_op 2 a b
 
-and un c env op cost e =
-  let x = expr c env e in
-  emit c op cost x.off x.off (x.size + 1) (x.depth + 1)
+and un c env d op cost e =
+  let x = expr c env (d + 1) e in
+  emit c op cost x x
 
-and bin c env op cost a b =
-  let x = expr c env a in
-  let y = expr c env b in
-  emit c op cost x.off y.off (x.size + y.size + 1) (1 + imax x.depth y.depth)
+and bin c env d op cost a b =
+  let x = expr c env (d + 1) a in
+  let y = expr c env (d + 1) b in
+  emit c op cost x y
 
 let[@inline] shift_amount r b =
   let s = Int64.to_int (get64 r b) in
@@ -302,104 +303,80 @@ let aside c f =
   c.pending <- pending;
   r
 
-(* A return closes the chain in progress, which its enclosing [Let_ret]s
-   and its own operands began. *)
-let rec ret c env = function
+(* A return [d] deep closes the chain in progress, which its enclosing
+   [Let_ret]s and its own operands began, and yields the chain's
+   entry. *)
+let rec ret c env d r =
+  visit c d;
+  match r with
   | Fallback ->
     let st = c.st in
-    let entry =
-      close c 1 (fun cost () ->
-          charge st cost;
-          0)
-    in
-    { entry; rsize = 1; rdepth = 1 }
+    close c 1 (fun cost () ->
+        charge st cost;
+        0)
   | Drop ->
     let st = c.st in
-    let entry =
-      close c 1 (fun cost () ->
-          charge st cost;
-          2)
-    in
-    { entry; rsize = 1; rdepth = 1 }
+    close c 1 (fun cost () ->
+        charge st cost;
+        2)
   | Select (sa, e) ->
-    let x = expr c env e in
-    let st = c.st and i = x.off and size = Ebpf_maps.Sockarray.size sa in
-    let entry =
-      close c 3 (fun cost () ->
-          let k = Int64.to_int (get64 st.regs i) in
-          charge st cost;
-          if k < 0 || k >= size then raise_notrace Fault;
-          match Ebpf_maps.Sockarray.unsafe_get sa k with
-          | None -> raise_notrace Fault
-          | Some _ as cell ->
-            st.sel <- cell;
-            1)
-    in
-    { entry; rsize = x.size + 1; rdepth = x.depth + 1 }
+    let i = expr c env (d + 1) e in
+    let st = c.st and size = Ebpf_maps.Sockarray.size sa in
+    close c 3 (fun cost () ->
+        let k = Int64.to_int (get64 st.regs i) in
+        charge st cost;
+        if k < 0 || k >= size then raise_notrace Fault;
+        match Ebpf_maps.Sockarray.unsafe_get sa k with
+        | None -> raise_notrace Fault
+        | Some _ as cell ->
+          st.sel <- cell;
+          1)
   | If (cmp, a, b, then_, else_) ->
-    let x = expr c env a in
-    let y = expr c env b in
-    let t = aside c (fun () -> ret c env then_) in
-    let f = aside c (fun () -> ret c env else_) in
-    let st = c.st and mask = cmp_mask cmp and ra = x.off and rb = y.off in
-    let tentry = t.entry and fentry = f.entry in
-    let entry =
-      close c 1 (fun cost () ->
-          charge st cost;
-          if holds mask (get64 st.regs ra) (get64 st.regs rb) then tentry ()
-          else fentry ())
-    in
-    {
-      entry;
-      rsize = x.size + y.size + t.rsize + f.rsize + 1;
-      rdepth = 1 + imax (imax x.depth y.depth) (imax t.rdepth f.rdepth);
-    }
+    let ra = expr c env (d + 1) a in
+    let rb = expr c env (d + 1) b in
+    let t = aside c (fun () -> ret c env (d + 1) then_) in
+    let f = aside c (fun () -> ret c env (d + 1) else_) in
+    let st = c.st and mask = cmp_mask cmp in
+    close c 1 (fun cost () ->
+        charge st cost;
+        if holds mask (get64 st.regs ra) (get64 st.regs rb) then t () else f ())
   | Let_ret (name, bound, body) ->
-    let b = expr c env bound in
-    let k = ret c ((name, b.off) :: env) body in
-    { entry = k.entry; rsize = b.size + k.rsize + 1; rdepth = 1 + imax b.depth k.rdepth }
+    let b = expr c env (d + 1) bound in
+    ret c ((name, b) :: env) (d + 1) body
   | Redirect (map, key, copy, miss) ->
-    let x = expr c env key in
-    let st = c.st and kr = x.off and size = Ebpf_maps.Sockmap.size map in
+    let kr = expr c env (d + 1) key in
+    let st = c.st and size = Ebpf_maps.Sockmap.size map in
     (* a hit runs the copy length's chain, then the redirect verdict *)
-    let y, hit =
+    let hit =
       aside c (fun () ->
-          let y = expr c env copy in
-          let cr = y.off in
-          ( y,
-            close c 5 (fun cost () ->
-                let n = Int64.to_int (get64 st.regs cr) in
-                charge st cost;
-                if n < 0 || n > copy_limit then raise_notrace Fault;
-                st.copy_len <- n;
-                3) ))
+          let cr = expr c env (d + 1) copy in
+          close c 5 (fun cost () ->
+              let n = Int64.to_int (get64 st.regs cr) in
+              charge st cost;
+              if n < 0 || n > copy_limit then raise_notrace Fault;
+              st.copy_len <- n;
+              3))
     in
-    let m = aside c (fun () -> ret c env miss) in
-    let mentry = m.entry in
-    let entry =
-      close c 5 (fun cost () ->
-          let k = Int64.to_int (get64 st.regs kr) in
-          charge st cost;
-          if k < 0 || k >= size then raise_notrace Fault;
-          match Ebpf_maps.Sockmap.unsafe_get map k with
-          | None -> mentry ()
-          | Some _ as cell ->
-            st.redir <- cell;
-            hit ())
-    in
-    {
-      entry;
-      rsize = x.size + y.size + m.rsize + 1;
-      rdepth = 1 + imax (imax x.depth y.depth) m.rdepth;
-    }
+    let miss = aside c (fun () -> ret c env (d + 1) miss) in
+    close c 5 (fun cost () ->
+        let k = Int64.to_int (get64 st.regs kr) in
+        charge st cost;
+        if k < 0 || k >= size then raise_notrace Fault;
+        match Ebpf_maps.Sockmap.unsafe_get map k with
+        | None -> miss ()
+        | Some _ as cell ->
+          st.redir <- cell;
+          hit ())
 
 let compile body =
   let st = { regs = Bytes.empty; cycles = 0; sel = None; redir = None; copy_len = 0 } in
-  let c = { st; next = 2; consts = []; steps = []; pending = 0 } in
-  let r = ret c [] body in
+  let c =
+    { st; next = 2; consts = []; steps = []; pending = 0; insns = 0; depth = 0 }
+  in
+  let entry = ret c [] 1 body in
   st.regs <- Bytes.make (c.next lsl 3) '\000';
   List.iter (fun (off, v) -> set64 st.regs off v) c.consts;
-  (st, r)
+  (c, entry)
 
 let verify prog =
   let result =
@@ -408,13 +385,13 @@ let verify prog =
       match compile prog.body with
       | exception Unbound name ->
         Error (Printf.sprintf "verifier: read of unbound register %s" name)
-      | st, r ->
-        let insns = r.rsize and depth = r.rdepth in
+      | c, entry ->
+        let insns = c.insns and depth = c.depth in
         if insns > max_insns then
           Error (Printf.sprintf "verifier: %d insns exceeds budget %d" insns max_insns)
         else if depth > max_depth then
           Error (Printf.sprintf "verifier: depth %d exceeds limit %d" depth max_depth)
-        else Ok { vname = prog.name; insns; st; entry = r.entry }
+        else Ok { vname = prog.name; insns; st = c.st; entry }
   in
   (if Trace.enabled () then
      let accepted, insns, reason =

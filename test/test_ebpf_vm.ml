@@ -491,6 +491,40 @@ let test_compiled_redirect_copy_bounds () =
         (compiled_matches_oracle { Kernel.Ebpf.name = "redir"; body } [ (7, 80) ]))
     [ -1; 0; 1; Kernel.Ebpf.copy_limit; Kernel.Ebpf.copy_limit + 1 ]
 
+(* The program's size as the verifier's budget counts it: every node. *)
+let rec expr_size = function
+  | Kernel.Ebpf.Const _ | Flow_hash | Dst_port | Var _ -> 1
+  | Lookup (_, e) | Popcount e -> 1 + expr_size e
+  | Let (_, a, b)
+  | Find_nth_set (a, b)
+  | Reciprocal_scale (a, b)
+  | Band (a, b)
+  | Bor (a, b)
+  | Bxor (a, b)
+  | Add (a, b)
+  | Sub (a, b)
+  | Shl (a, b)
+  | Shr (a, b)
+  | Mod (a, b) ->
+    1 + expr_size a + expr_size b
+
+let rec ret_size = function
+  | Kernel.Ebpf.Fallback | Drop -> 1
+  | Select (_, e) -> 1 + expr_size e
+  | If (_, a, b, t, f) -> 1 + expr_size a + expr_size b + ret_size t + ret_size f
+  | Let_ret (_, e, r) -> 1 + expr_size e + ret_size r
+  | Redirect (_, k, c, m) -> 1 + expr_size k + expr_size c + ret_size m
+
+let prop_verdict_counts_nodes =
+  QCheck.Test.make ~name:"verifier verdict counts every node" ~count:500
+    (QCheck.make ~print:(fun _ -> "<program>") gen_scoped_ret)
+    (fun body ->
+      let prog = { Kernel.Ebpf.name = "size"; body } in
+      match Capture.records (fun () -> ignore (Kernel.Ebpf.verify_exn prog)) with
+      | [ { Trace.event = Trace.Verifier_verdict { accepted = true; insns; _ }; _ } ] ->
+        insns = ret_size body
+      | _ -> false)
+
 let prop_compiled_matches_oracle =
   QCheck.Test.make ~name:"compiled AST = tree-walker (scoped programs)" ~count:1000
     (QCheck.make ~print:(fun _ -> "<program>")
@@ -573,5 +607,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_compiled_group_chain;
           Alcotest.test_case "redirect copy bounds" `Quick
             test_compiled_redirect_copy_bounds;
+          QCheck_alcotest.to_alcotest prop_verdict_counts_nodes;
         ] );
     ]

@@ -368,6 +368,45 @@ let test_ast_rejects_depth_limit () =
     check Alcotest.bool "depth error" true (contains msg "depth")
   | Ok _ -> Alcotest.fail "over-deep program accepted"
 
+(* The limits themselves: depth 64 passes and 65 fails, as do 4,096
+   and 4,097 nodes. *)
+let test_ast_limits_exact () =
+  let rec chain n =
+    if n = 0 then Kernel.Ebpf.Const 0L
+    else Kernel.Ebpf.Add (chain (n - 1), Kernel.Ebpf.Const 1L)
+  in
+  let rec tree d =
+    if d = 0 then Kernel.Ebpf.Const 1L
+    else Kernel.Ebpf.Add (tree (d - 1), tree (d - 1))
+  in
+  let accepted body =
+    Result.is_ok (ast_verify { Kernel.Ebpf.name = "limit"; body })
+  in
+  let cmp e = Kernel.Ebpf.If (Kernel.Ebpf.Eq, e, Kernel.Ebpf.Const 0L, Drop, Fallback) in
+  (* [cmp] adds 4 nodes and 1 level; [chain n] is n + 1 deep *)
+  check Alcotest.bool "depth 64" true (accepted (cmp (chain 62)));
+  check Alcotest.bool "depth 65" false (accepted (cmp (chain 63)));
+  (* a [Let]'s body and a [Let_ret]'s return sit one level down *)
+  let rec lets n =
+    if n = 0 then Kernel.Ebpf.Var "x"
+    else Kernel.Ebpf.Let ("x", Kernel.Ebpf.Const 0L, lets (n - 1))
+  in
+  let rec let_rets n =
+    if n = 0 then Kernel.Ebpf.Fallback
+    else Kernel.Ebpf.Let_ret ("x", Kernel.Ebpf.Const 0L, let_rets (n - 1))
+  in
+  check Alcotest.bool "Let depth 64" true (accepted (cmp (lets 62)));
+  check Alcotest.bool "Let depth 65" false (accepted (cmp (lets 63)));
+  check Alcotest.bool "Let_ret depth 64" true (accepted (let_rets 63));
+  check Alcotest.bool "Let_ret depth 65" false (accepted (let_rets 64));
+  (* two 2,047-node trees under Add, selected with or without a
+     popcount *)
+  let wide = Kernel.Ebpf.Add (tree 10, tree 10) in
+  let sa = Kernel.Ebpf_maps.Sockarray.create ~name:"limit" ~size:1 in
+  check Alcotest.bool "4,096 nodes" true (accepted (Kernel.Ebpf.Select (sa, wide)));
+  check Alcotest.bool "4,097 nodes" false
+    (accepted (Kernel.Ebpf.Select (sa, Kernel.Ebpf.Popcount wide)))
+
 (* ------------------------------------------------------------------ *)
 (* Differential property: JIT vs fully-checked interpreter              *)
 
@@ -664,6 +703,7 @@ let () =
           Alcotest.test_case "unbound var" `Quick test_ast_rejects_unbound_var;
           Alcotest.test_case "insn budget" `Quick test_ast_rejects_insn_budget;
           Alcotest.test_case "depth limit" `Quick test_ast_rejects_depth_limit;
+          Alcotest.test_case "exact limits" `Quick test_ast_limits_exact;
         ] );
       ( "differential",
         [
