@@ -67,8 +67,8 @@ type outcome =
    Cycles are charged as the tree-walking oracle charges them
    ([Oracles.Ebpf_ref]): one per leaf, each node's own cost before its
    own fault check, in evaluation order, so a faulting run reports the
-   same partial count.  Cycles of what has no code (leaves, [Let]) are
-   charged by the next step, before that step's own fault check. *)
+   same partial count.  A leaf has no code: its cycle is charged by the
+   next step, before that step's own fault check. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
