@@ -1,9 +1,8 @@
 (* Differential tests for the eBPF rank-select socket pick: the
    bit-twiddling path (Kernel.Bitops SWAR popcount, binary-search
    select and its native-halves form, and the Algo 2 program built on
-   them) against a naive
-   loop-over-the-bits reference, exhaustively for every 8-bit bitmap
-   and randomized over 64-bit ones. *)
+   them) against a naive loop-over-the-bits reference, exhaustively
+   for every 8-bit bitmap and randomized over 64-bit ones. *)
 
 let check = Alcotest.check
 
