@@ -158,9 +158,9 @@ let ebpf_scenarios ~ops =
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
+      let code = Kernel.Ebpf_code.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
       let sel =
-        match Kernel.Ebpf_jit.selected jit with
+        match Kernel.Ebpf_code.selected jit with
         | Some s when code = 1 -> 31 * Kernel.Socket.id s
         | _ -> 0
       in
@@ -182,9 +182,9 @@ let ebpf_scenarios ~ops =
   let ast_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let code = Kernel.Ebpf.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80 in
+      let code = Kernel.Ebpf_code.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80 in
       let sel =
-        match Kernel.Ebpf.selected ast with
+        match Kernel.Ebpf_code.selected ast with
         | Some s when code = 1 -> 31 * Kernel.Socket.id s
         | _ -> 0
       in
@@ -204,12 +204,12 @@ let ebpf_scenarios ~ops =
   in
   let jit_words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
+      ignore (Kernel.Ebpf_code.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
   let ast_words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Ebpf.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80)
+      ignore (Kernel.Ebpf_code.exec ast ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
   (jit_thunk, vm_thunk, ast_thunk, walker_thunk, jit_words, ast_words)

@@ -44,10 +44,10 @@ let redirect_scenario ~slots ~ops =
   let jit_thunk () =
     let sum = ref 0 in
     for i = 0 to ops - 1 do
-      let code = Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
+      let code = Kernel.Ebpf_code.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80 in
       sum := !sum + code;
       if code = 3 then
-        match Kernel.Ebpf_jit.redirected jit with
+        match Kernel.Ebpf_code.redirected jit with
         | Some e ->
           sum :=
             !sum + e.Kernel.Ebpf_maps.Sockmap.conn
@@ -74,7 +74,7 @@ let redirect_scenario ~slots ~ops =
   in
   let words () =
     for i = 0 to ops - 1 do
-      ignore (Kernel.Ebpf_jit.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
+      ignore (Kernel.Ebpf_code.exec jit ~flow_hash:(Harness.mix i) ~dst_port:80)
     done
   in
   (jit_thunk, vm_thunk, words)

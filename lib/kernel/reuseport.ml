@@ -8,11 +8,6 @@ type stats = {
   prog_cycles_drop : int;
 }
 
-(* The two engines an attached program runs on: the compiled expression
-   program, and the closure JIT every verified bytecode program is
-   compiled to. *)
-type engine = Ast of Ebpf.verified | Jit of Ebpf_jit.t
-
 type t = {
   group_port : Netsim.Addr.port;
   members : Socket.t option array;
@@ -25,13 +20,9 @@ type t = {
   mutable live_bm : int64;
   dense_socks : Socket.t option array;
   dense_slot : int array;
-  mutable prog : engine option;
+  mutable prog : Ebpf_code.t option;
   mutable prog_name : string;
   mutable prog_fault : bool;
-  (* The last program run: its cycles, and after a pass the chosen
-     socket (the sockarray's own option cell). *)
-  mutable run_cycles : int;
-  mutable run_sel : Socket.t option;
   mutable by_prog : int;
   mutable by_hash : int;
   mutable drop_count : int;
@@ -53,8 +44,6 @@ let create ~port ~slots =
     prog = None;
     prog_name = "";
     prog_fault = false;
-    run_cycles = 0;
-    run_sel = None;
     by_prog = 0;
     by_hash = 0;
     drop_count = 0;
@@ -111,9 +100,9 @@ let unbind t ~slot =
 let member t ~slot = t.members.(slot)
 let live_bitmap t = t.live_bm
 
-let attach_ebpf t prog =
-  t.prog <- Some (Ast prog);
-  t.prog_name <- Ebpf.name prog
+let attach_ebpf t ~name prog =
+  t.prog <- Some prog;
+  t.prog_name <- name
 
 (* SO_ATTACH_REUSEPORT_EBPF proper: raw bytecode goes through the
    abstract-interpretation verifier at attach time, and only a
@@ -121,8 +110,7 @@ let attach_ebpf t prog =
 let attach t ~name code =
   match Verifier.verify ~name code with
   | Ok (vm, _report) ->
-    t.prog <- Some (Jit (Ebpf_jit.compile vm));
-    t.prog_name <- name;
+    attach_ebpf t ~name (Ebpf_jit.compile vm);
     Ok ()
   | Error e -> Error e
 
@@ -170,41 +158,22 @@ let fallback_select t ~flow_hash =
     Array.unsafe_get t.dense_socks idx
   end
 
-(* One run of the attached program on a SYN: the raw exit code
-   ({!Ebpf_vm.pass_code} and friends), with the run's cycles left in
-   [run_cycles] and, after a pass, the chosen socket in [run_sel].
-   Neither engine allocates. *)
-let run_prog t engine ~flow_hash =
-  match engine with
-  | Jit j ->
-    let code = Ebpf_jit.exec j ~flow_hash ~dst_port:t.group_port in
-    t.run_cycles <- Ebpf_jit.last_cycles j;
-    t.run_sel <- Ebpf_jit.selected j;
-    code
-  | Ast p ->
-    let code = Ebpf.exec p ~flow_hash ~dst_port:t.group_port in
-    t.run_cycles <- Ebpf.last_cycles p;
-    t.run_sel <- Ebpf.selected p;
-    code
-
-let emit_prog_run t ~flow_hash outcome =
-  Trace.emit
-    (Trace.Prog_run
-       { prog = t.prog_name; flow_hash; outcome; cycles = t.run_cycles })
+let emit_prog_run t ~flow_hash ~cycles outcome =
+  Trace.emit (Trace.Prog_run { prog = t.prog_name; flow_hash; outcome; cycles })
 
 let select t ~flow_hash =
   match t.prog with
-  | Some engine when not t.prog_fault ->
-    let code = run_prog t engine ~flow_hash in
-    let cycles = t.run_cycles in
+  | Some p when not t.prog_fault ->
+    let code = Ebpf_code.exec p ~flow_hash ~dst_port:t.group_port in
+    let cycles = Ebpf_code.last_cycles p in
     t.cycles <- t.cycles + cycles;
     if code = 1 then begin
       t.by_prog <- t.by_prog + 1;
       t.cyc_select <- t.cyc_select + cycles;
       (if Trace.enabled () then
-         match t.run_sel with
+         match Ebpf_code.selected p with
          | Some sock ->
-           emit_prog_run t ~flow_hash Trace.Select;
+           emit_prog_run t ~flow_hash ~cycles Trace.Select;
            Trace.emit
              (Trace.Rp_select
                 {
@@ -214,13 +183,13 @@ let select t ~flow_hash =
                   slot = slot_of_socket t sock;
                 })
          | None -> (* a pass always carries its selection *) assert false);
-      t.run_sel
+      Ebpf_code.selected p
     end
     else if code = 2 then begin
       t.drop_count <- t.drop_count + 1;
       t.cyc_drop <- t.cyc_drop + cycles;
       if Trace.enabled () then begin
-        emit_prog_run t ~flow_hash Trace.Drop;
+        emit_prog_run t ~flow_hash ~cycles Trace.Drop;
         Trace.emit (Trace.Rp_drop { port = t.group_port; flow_hash })
       end;
       None
@@ -230,7 +199,7 @@ let select t ~flow_hash =
          kernel treats an unexpected return code as a fallback *)
       t.cyc_fallback <- t.cyc_fallback + cycles;
       if Trace.enabled () then
-        emit_prog_run t ~flow_hash
+        emit_prog_run t ~flow_hash ~cycles
           (if code = 3 then Trace.Redirect else Trace.Fallback);
       fallback_select t ~flow_hash
     end

@@ -46,16 +46,16 @@ val slot_of_socket : t -> Socket.t -> int
 (** Member slot of a bound socket, by a scan of the members; [-1] if
     not a member. *)
 
-val attach_ebpf : t -> Ebpf.verified -> unit
-(** Attach / replace the selection program, run in the compiled form
-    {!Ebpf.verify_exn} built. *)
+val attach_ebpf : t -> name:string -> Ebpf_code.t -> unit
+(** Attach / replace the selection program, a compiled form
+    {!Ebpf.verify_exn} or {!Ebpf_jit.compile} built; [name] stamps its
+    trace records. *)
 
 val attach : t -> name:string -> Ebpf_vm.program -> (unit, Verifier.error) result
 (** [SO_ATTACH_REUSEPORT_EBPF] proper: run raw bytecode through
     {!Verifier.verify} (emitting the attach-time
     {!Trace.Verifier_verdict}) and install the certified program,
-    closure-compiled by {!Ebpf_jit}; on rejection nothing is
-    attached. *)
+    compiled by {!Ebpf_jit}; on rejection nothing is attached. *)
 
 (** {1 Fault injection} *)
 
@@ -70,7 +70,7 @@ val set_prog_fault : t -> bool -> unit
 
 val select : t -> flow_hash:int -> Socket.t option
 (** Socket selection for one SYN.  [None] when the group is empty or
-    the program dropped the packet.  Whichever engine runs the
+    the program dropped the packet.  Whichever front end compiled the
     attached program, its verdict takes one path: the stats below, and
     under tracing one {!Trace.Prog_run} stamped with the program's
     name, then the [Rp_select] / [Rp_drop] record. *)

@@ -341,7 +341,9 @@ let create ~sim ~rng ~mode ~workers ~tenants ?worker_config
               | Error e ->
                 invalid_arg
                   ("Device.create: " ^ Kernel.Verifier.error_to_string e))
-          else Kernel.Reuseport.attach_ebpf group (Kernel.Ebpf.verify_exn prog)
+          else
+            Kernel.Reuseport.attach_ebpf group ~name:prog.Kernel.Ebpf.name
+              (Kernel.Ebpf.verify_exn prog)
         | None -> ());
         Hashtbl.replace t.ports port (Dedicated { group; sockarray })
       end)

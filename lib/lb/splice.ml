@@ -23,7 +23,7 @@ type decision =
 
 type t = {
   map : Kernel.Ebpf_maps.Sockmap.t;
-  jit : Kernel.Ebpf_jit.t;
+  prog : Kernel.Ebpf_code.t;
   (* conn id -> worker, with the sockmap key in [aux]: what userspace
      believes is installed.  The differential against the map itself
      is the whole point — desync faults make them disagree. *)
@@ -52,7 +52,7 @@ let create ~workers ?(slots = 4096) ?(copy = 0) () =
       invalid_arg "Splice.create: splice program left residual checks";
     {
       map;
-      jit = Kernel.Ebpf_jit.compile verified;
+      prog = Kernel.Ebpf_jit.compile verified;
       (* Small at first: the table doubles as attachments go live, so
          a device's set-up does not pay for slots it may never fill. *)
       spliced = Conn_table.create ~dummy:(-1) ~capacity:64 ();
@@ -139,15 +139,15 @@ let teardown_worker t ~worker =
 
 let decide t ~conn ~flow_hash ~dst_port ~bytes =
   if bytes < 0 then invalid_arg "Splice.decide: negative bytes";
-  let code = Kernel.Ebpf_jit.exec t.jit ~flow_hash ~dst_port in
-  let prog_cycles = Kernel.Ebpf_jit.last_cycles t.jit in
+  let code = Kernel.Ebpf_code.exec t.prog ~flow_hash ~dst_port in
+  let prog_cycles = Kernel.Ebpf_code.last_cycles t.prog in
   t.stats.prog_cycles <- t.stats.prog_cycles + prog_cycles;
   if code <> 3 then begin
     t.stats.fallbacks <- t.stats.fallbacks + 1;
     Fallback
   end
   else
-    match Kernel.Ebpf_jit.redirected t.jit with
+    match Kernel.Ebpf_code.redirected t.prog with
     | None ->
       t.stats.fallbacks <- t.stats.fallbacks + 1;
       Fallback
@@ -164,7 +164,7 @@ let decide t ~conn ~flow_hash ~dst_port ~bytes =
         Fallback
       end
       else begin
-        let copied = min bytes (Kernel.Ebpf_jit.copy_len t.jit) in
+        let copied = min bytes (Kernel.Ebpf_code.copy_len t.prog) in
         t.stats.redirects <- t.stats.redirects + 1;
         t.stats.redirected_bytes <- t.stats.redirected_bytes + bytes;
         t.stats.copied_bytes <- t.stats.copied_bytes + copied;

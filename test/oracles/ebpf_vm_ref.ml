@@ -135,23 +135,3 @@ let run_checked (code : program) (ctx : Ebpf.ctx) =
     match step 0 with outcome -> outcome | exception Fault -> Ebpf.Fell_back
   in
   (outcome, !cycles)
-
-(* The JIT's last [exec] read back as an interpreter outcome and cycle
-   count, for comparison with [run_checked]. *)
-let run_jit jit (ctx : Ebpf.ctx) =
-  let code = Ebpf_jit.exec jit ~flow_hash:ctx.flow_hash ~dst_port:ctx.dst_port in
-  let outcome =
-    match code with
-    | 1 -> (
-      match Ebpf_jit.selected jit with
-      | Some s -> Ebpf.Selected s
-      | None -> Ebpf.Fell_back)
-    | 2 -> Ebpf.Dropped
-    | 3 -> (
-      match Ebpf_jit.redirected jit with
-      | Some { Ebpf_maps.Sockmap.conn; target } ->
-        Ebpf.Redirected { conn; target; copy = Ebpf_jit.copy_len jit }
-      | None -> Ebpf.Fell_back)
-    | _ -> Ebpf.Fell_back
-  in
-  (outcome, Ebpf_jit.last_cycles jit)

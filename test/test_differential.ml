@@ -100,7 +100,7 @@ let agree ~bitmap ~flow_hash ~min_selected =
     | Error e ->
       Alcotest.failf "vm compile: %s" (Kernel.Verifier.error_to_string e)
   in
-  let jit_outcome = fst (Oracles.Ebpf_vm_ref.run_jit (Kernel.Ebpf_jit.compile vm) ctx) in
+  let jit_outcome = fst (Kernel.Ebpf.run (Kernel.Ebpf_jit.compile vm) ctx) in
   let expected = naive_pick ~bitmap ~flow_hash ~min_selected in
   let matches outcome =
     match (outcome, expected) with

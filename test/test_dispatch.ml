@@ -278,7 +278,7 @@ let check_mixed_stats label ~select ~drop ~fallback
 
 let test_per_outcome_cycles_ast () =
   check_mixed_stats "ast" ~select:7 ~drop:7 ~fallback:7
-    (run_mixed (fun g sa -> Kernel.Reuseport.attach_ebpf g (mixed_ast sa)))
+    (run_mixed (fun g sa -> Kernel.Reuseport.attach_ebpf g ~name:"mixed" (mixed_ast sa)))
 
 let test_per_outcome_cycles_jit () =
   check_mixed_stats "jit" ~select:10 ~drop:5 ~fallback:5 (run_mixed attach_jit)
@@ -427,7 +427,7 @@ let test_ast_select_zero_alloc () =
   for i = 0 to 3 do
     Kernel.Ebpf_maps.Sockarray.set sa i socks.(i)
   done;
-  Kernel.Reuseport.attach_ebpf g (every_op_ast sa);
+  Kernel.Reuseport.attach_ebpf g ~name:"every_op" (every_op_ast sa);
   List.iter
     (fun flow_hash -> ignore (Kernel.Reuseport.select g ~flow_hash))
     [ 0; 1; 2; 3 ];

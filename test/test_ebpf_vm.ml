@@ -15,7 +15,7 @@ let compile_exn prog =
   | Ok code -> code
   | Error e -> Alcotest.fail e
 
-let run_jit v ctx = fst (Oracles.Ebpf_vm_ref.run_jit (Kernel.Ebpf_jit.compile v) ctx)
+let run_jit v ctx = fst (Kernel.Ebpf.run (Kernel.Ebpf_jit.compile v) ctx)
 
 let run_prog prog ctx =
   match Kernel.Verifier.compile_and_verify prog with
@@ -79,7 +79,7 @@ let test_vm_dispatch_program () =
     let ctx =
       { Kernel.Ebpf.flow_hash = Engine.Rng.int rng 0xFFFFFFFF; dst_port = 80 }
     in
-    match fst (Oracles.Ebpf_vm_ref.run_jit jit ctx) with
+    match fst (Kernel.Ebpf.run jit ctx) with
     | Kernel.Ebpf.Selected sock ->
       let slot = ref (-1) in
       Array.iteri

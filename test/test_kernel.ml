@@ -676,7 +676,7 @@ let test_reuseport_prog_overrides () =
     Kernel.Ebpf.verify_exn
       { Kernel.Ebpf.name = "pin2"; body = Kernel.Ebpf.Select (sa, Kernel.Ebpf.Const 2L) }
   in
-  Kernel.Reuseport.attach_ebpf g prog;
+  Kernel.Reuseport.attach_ebpf g ~name:"pin2" prog;
   for h = 1 to 50 do
     match Kernel.Reuseport.select g ~flow_hash:(h * 104729) with
     | Some s -> check Alcotest.int "pinned" (Kernel.Socket.id socks.(2)) (Kernel.Socket.id s)
@@ -691,7 +691,7 @@ let test_reuseport_prog_fallback () =
   let prog =
     Kernel.Ebpf.verify_exn { Kernel.Ebpf.name = "fb"; body = Kernel.Ebpf.Fallback }
   in
-  Kernel.Reuseport.attach_ebpf g prog;
+  Kernel.Reuseport.attach_ebpf g ~name:"fb" prog;
   (match Kernel.Reuseport.select g ~flow_hash:7 with
   | Some _ -> ()
   | None -> Alcotest.fail "fallback should hash");
@@ -703,7 +703,7 @@ let test_reuseport_prog_drop () =
   let prog =
     Kernel.Ebpf.verify_exn { Kernel.Ebpf.name = "drop"; body = Kernel.Ebpf.Drop }
   in
-  Kernel.Reuseport.attach_ebpf g prog;
+  Kernel.Reuseport.attach_ebpf g ~name:"drop" prog;
   check Alcotest.bool "dropped" true (Kernel.Reuseport.select g ~flow_hash:7 = None);
   check Alcotest.int "counted" 1 (Kernel.Reuseport.stats g).Kernel.Reuseport.dropped
 

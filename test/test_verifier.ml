@@ -26,7 +26,7 @@ let contains s sub =
   go 0
 
 (* Verified bytecode runs on the closure JIT, its one executor. *)
-let run_jit v ctx = fst (Oracles.Ebpf_vm_ref.run_jit (Kernel.Ebpf_jit.compile v) ctx)
+let run_jit v ctx = fst (Kernel.Ebpf.run (Kernel.Ebpf_jit.compile v) ctx)
 
 let verify_ok code =
   match Kernel.Verifier.verify code with
@@ -258,13 +258,13 @@ let test_redirect_guard_catches_oob_key () =
     check Alcotest.int "copy" 64 copy
   | _ -> Alcotest.fail "in-range occupied key should redirect");
   check Alcotest.int "jit redirects" 3
-    (Kernel.Ebpf_jit.exec jit ~flow_hash:5 ~dst_port:80);
+    (Kernel.Ebpf_code.exec jit ~flow_hash:5 ~dst_port:80);
   (* out of range: the guard rejects the key before the helper runs *)
   (match run_jit v ctx with
   | Kernel.Ebpf.Fell_back -> ()
   | _ -> Alcotest.fail "OOB key should take the guard exit");
   check Alcotest.int "jit falls back" 0
-    (Kernel.Ebpf_jit.exec jit ~flow_hash:ctx.Kernel.Ebpf.flow_hash ~dst_port:80)
+    (Kernel.Ebpf_code.exec jit ~flow_hash:ctx.Kernel.Ebpf.flow_hash ~dst_port:80)
 
 (* ------------------------------------------------------------------ *)
 (* The shipped dispatch programs carry complete certificates            *)
@@ -566,7 +566,7 @@ let prop_fast_matches_checked =
               dst_port = Engine.Rng.int rng 0xFFFF;
             }
           in
-          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
+          let jit_out, jit_cycles = Kernel.Ebpf.run jit ctx in
           let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
           ok :=
             !ok && outcome_equal jit_out chk_out && jit_cycles = chk_cycles
@@ -604,8 +604,8 @@ let prop_jit_matches_interpreters =
               dst_port = Engine.Rng.int rng 0xFFFF;
             }
           in
-          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
-          let arm_out, arm_cycles = Oracles.Ebpf_vm_ref.run_jit armed ctx in
+          let jit_out, jit_cycles = Kernel.Ebpf.run jit ctx in
+          let arm_out, arm_cycles = Kernel.Ebpf.run armed ctx in
           let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
           ok :=
             !ok
@@ -649,7 +649,7 @@ let prop_redirect_engines_agree =
           in
           let ast_out = fst (Kernel.Ebpf.run ast ctx) in
           let chk_out, chk_cycles = Oracles.Ebpf_vm_ref.run_checked (Kernel.Ebpf_vm.program_of v) ctx in
-          let jit_out, jit_cycles = Oracles.Ebpf_vm_ref.run_jit jit ctx in
+          let jit_out, jit_cycles = Kernel.Ebpf.run jit ctx in
           ok :=
             !ok
             && outcome_equal ast_out chk_out
