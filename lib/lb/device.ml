@@ -225,6 +225,34 @@ let bind_dedicated t ~port ~group ~sockarray ~worker_id =
   Kernel.Ebpf_maps.Sockarray.set sockarray worker_id sock;
   Worker.listen_dedicated t.workers_arr.(worker_id) ~socket:sock
 
+(* Close a listening socket: each connection still in its queue
+   (handshake complete, never accepted) fails its dispatch, counted as
+   a reset ([reset], a worker leaving service) or as a drop. *)
+let close_listener t sock ~reset =
+  List.iter
+    (fun (p : Kernel.Socket.pending_conn) ->
+      let slot = Conn_table.find_slot t.metas p.seq in
+      if slot >= 0 then begin
+        let events = Conn_table.payload t.metas slot in
+        ignore (Conn_table.remove t.metas p.seq);
+        if reset then t.reset_count <- t.reset_count + 1
+        else t.drop_count <- t.drop_count + 1;
+        events.dispatch_failed ()
+      end)
+    (Kernel.Socket.close sock)
+
+(* Undo [bind_dedicated]: the worker's socket leaves the group and the
+   sockarray, its epoll subscription goes (EPOLL_CTL_DEL: a recovery
+   registers a fresh socket), and the socket closes. *)
+let unbind_dedicated t ~group ~sockarray ~worker_id ~reset =
+  match Kernel.Reuseport.member group ~slot:worker_id with
+  | None -> ()
+  | Some sock ->
+    Kernel.Reuseport.unbind group ~slot:worker_id;
+    Kernel.Ebpf_maps.Sockarray.clear sockarray worker_id;
+    Worker.unlisten_dedicated t.workers_arr.(worker_id) ~socket:sock;
+    close_listener t sock ~reset
+
 let create ~sim ~rng ~mode ~workers ~tenants ?worker_config
     ?(hermes_group_size = 64) ?(hermes_select_mode = Hermes.Groups.By_flow_hash)
     ?(stagger_registration = false) ?(splice_slots = 4096) ?(splice_copy = 0) ()
@@ -559,22 +587,6 @@ let splice_sweep t ~worker ~reason =
           Trace.emit (Trace.Splice_teardown { conn; worker; key; reason }))
       (Splice.teardown_worker sp ~worker)
 
-(* Close a listening socket: each connection still in its queue
-   (handshake complete, never accepted) fails its dispatch, counted as
-   a reset ([reset], a worker leaving service) or as a drop. *)
-let close_listener t sock ~reset =
-  List.iter
-    (fun (p : Kernel.Socket.pending_conn) ->
-      let slot = Conn_table.find_slot t.metas p.seq in
-      if slot >= 0 then begin
-        let events = Conn_table.payload t.metas slot in
-        ignore (Conn_table.remove t.metas p.seq);
-        if reset then t.reset_count <- t.reset_count + 1
-        else t.drop_count <- t.drop_count + 1;
-        events.dispatch_failed ()
-      end)
-    (Kernel.Socket.close sock)
-
 let isolate_worker t w =
   if not t.isolated.(w) then begin
     t.isolated.(w) <- true;
@@ -586,17 +598,15 @@ let isolate_worker t w =
       (fun _port plumbing ->
         match plumbing with
         | Shared { wq; _ } -> Kernel.Waitqueue.unregister wq ~id:w
-        | Dedicated { group; sockarray } -> (
-          match Kernel.Reuseport.member group ~slot:w with
-          | None -> ()
-          | Some sock ->
-            Kernel.Reuseport.unbind group ~slot:w;
-            Kernel.Ebpf_maps.Sockarray.clear sockarray w;
-            (* EPOLL_CTL_DEL: recovery registers a fresh socket *)
-            Worker.unlisten_dedicated t.workers_arr.(w) ~socket:sock;
-            close_listener t sock ~reset:true))
+        | Dedicated { group; sockarray } ->
+          unbind_dedicated t ~group ~sockarray ~worker_id:w ~reset:true)
       t.ports
   end
+
+let quarantined_port t port =
+  Array.exists2
+    (fun (tn : Netsim.Tenant.t) quarantined -> quarantined && tn.dport = port)
+    t.tenant_arr t.quarantined
 
 let recover_worker t w =
   (* Before the restart resets its connections: a restarted process
@@ -613,7 +623,9 @@ let recover_worker t w =
           Kernel.Waitqueue.register wq ~id:w ~try_wake:(fun () ->
               Worker.try_wake t.workers_arr.(w))
         | Dedicated { group; sockarray } ->
-          bind_dedicated t ~port ~group ~sockarray ~worker_id:w)
+          (* a quarantined tenant's port stays closed *)
+          if not (quarantined_port t port) then
+            bind_dedicated t ~port ~group ~sockarray ~worker_id:w)
       t.ports
   end
 
@@ -741,13 +753,9 @@ let quarantine_tenant t ~tenant =
     (* drain SYNs already queued on its port *)
     match Hashtbl.find_opt t.ports t.tenant_arr.(tenant).Netsim.Tenant.dport with
     | Some (Shared { socket; _ }) -> close_listener t socket ~reset:false
-    | Some (Dedicated { group; _ }) ->
-      for slot = 0 to Kernel.Reuseport.slots group - 1 do
-        match Kernel.Reuseport.member group ~slot with
-        | Some sock ->
-          close_listener t sock ~reset:false;
-          Kernel.Reuseport.unbind group ~slot
-        | None -> ()
+    | Some (Dedicated { group; sockarray }) ->
+      for worker_id = 0 to Kernel.Reuseport.slots group - 1 do
+        unbind_dedicated t ~group ~sockarray ~worker_id ~reset:false
       done
     | None -> ()
   end

@@ -497,6 +497,27 @@ let test_device_recover_keeps_one_listener_per_port () =
     check Alcotest.int (Printf.sprintf "cycle %d" cycle) 64 (listening ())
   done
 
+(* Quarantine closes the tenant's dedicated listeners as isolation
+   does, epoll subscriptions included, and a recovered worker does not
+   listen on the quarantined port again. *)
+let test_device_quarantine_unsubscribes () =
+  let sim = Engine.Sim.create () in
+  let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
+  let device =
+    Lb.Device.create ~sim ~rng:(Engine.Rng.create 5) ~mode:Lb.Device.Reuseport
+      ~workers:4 ~tenants ()
+  in
+  Lb.Device.start device;
+  let listening w = Lb.Worker.listening_count (Lb.Device.worker device w) in
+  let all () = List.init 4 listening in
+  check Alcotest.(list int) "start" [ 4; 4; 4; 4 ] (all ());
+  Lb.Device.quarantine_tenant device ~tenant:1;
+  check Alcotest.(list int) "quarantined" [ 3; 3; 3; 3 ] (all ());
+  Lb.Device.isolate_worker device 0;
+  check Alcotest.int "isolated" 0 (listening 0);
+  Lb.Device.recover_worker device 0;
+  check Alcotest.(list int) "recovered" [ 3; 3; 3; 3 ] (all ())
+
 (* Isolation closes a dedicated listener and drops its subscription
    while its worker may still hold a polled readiness for it: after
    the poll, before any accept, or part-way through a multi-accept.
@@ -904,6 +925,8 @@ let () =
             test_device_probe_timeout_traced;
           Alcotest.test_case "recover keeps one listener per port" `Quick
             test_device_recover_keeps_one_listener_per_port;
+          Alcotest.test_case "quarantine unsubscribes listeners" `Quick
+            test_device_quarantine_unsubscribes;
           Alcotest.test_case "isolate mid-accept" `Quick test_device_isolate_mid_accept;
           Alcotest.test_case "probe quarantined single fire" `Quick
             test_device_probe_quarantined_single_fire;
