@@ -523,6 +523,7 @@ let crash_worker t w = Worker.crash t.workers_arr.(w)
 (* Fault-injection hooks (driven by Faults.Inject through the plan)     *)
 
 let set_probe_loss t lost = t.probe_loss <- lost
+let probe_lost t = t.probe_loss
 
 let iter_groups t f =
   Hashtbl.iter

@@ -132,9 +132,13 @@ val inject_hang : t -> worker:int -> duration:Engine.Sim_time.t -> unit
     traffic nor as a live connection.  No-op on a crashed worker. *)
 
 val set_probe_loss : t -> bool -> unit
-(** While set, [probe_once] drops the probe SYN on the wire: the
-    timeout path is the only outcome.  Models a probe-loss burst
-    (monitoring network brown-out) without touching tenant traffic. *)
+(** While set, a health probe sent is lost on the wire — the per-worker
+    prober's request and [probe_once]'s SYN alike — so its timeout is
+    the only outcome.  Models a probe-loss burst (monitoring network
+    brown-out) without touching tenant traffic. *)
+
+val probe_lost : t -> bool
+(** A probe-loss burst is in progress: a probe sent now is lost. *)
 
 val fail_ebpf_prog : t -> unit
 (** Make every port group's attached dispatch program fault at run

@@ -31,6 +31,10 @@ module Per_worker = struct
 
   type t = pw
 
+  let count_delayed t w =
+    t.delayed_count <- t.delayed_count + 1;
+    t.per_worker.(w) <- t.per_worker.(w) + 1
+
   (* One probe on worker [w]'s monitoring connection; a probe that
      cannot complete within the timeout counts as delayed. *)
   let probe_worker t w =
@@ -39,30 +43,32 @@ module Per_worker = struct
     let started = Sim.now t.sim in
     let answered = ref false in
     let conn = t.conns.(w) in
-    let req =
-      Request.make ~id:(Device.fresh_id t.target) ~op:Request.Plain_proxy
-        ~size:64 ~cost:(Sim_time.us 10) ~tenant_id:conn.Conn.tenant_id
-    in
     (* Completion is observed by polling the connection's
        requests_done counter (the probe is the only traffic on it). *)
     let before_done = conn.Conn.requests_done in
-    if Worker.deliver (Device.worker t.target w) conn req then begin
+    if Device.probe_lost t.target then
+      (* lost on the wire: the timeout is the only outcome *)
+      ignore
+        (Sim.schedule_after t.sim ~delay:t.cfg.timeout (fun () ->
+             t.outstanding.(w) <- false;
+             count_delayed t w))
+    else if
+      Worker.deliver (Device.worker t.target w) conn
+        (Request.make ~id:(Device.fresh_id t.target) ~op:Request.Plain_proxy ~size:64
+           ~cost:(Sim_time.us 10) ~tenant_id:conn.Conn.tenant_id)
+    then begin
       let rec check () =
         if not !answered then begin
           if conn.Conn.requests_done > before_done then begin
             answered := true;
             t.outstanding.(w) <- false;
             let delay = Sim_time.sub (Sim.now t.sim) started in
-            if delay > t.cfg.delayed_threshold then begin
-              t.delayed_count <- t.delayed_count + 1;
-              t.per_worker.(w) <- t.per_worker.(w) + 1
-            end
+            if delay > t.cfg.delayed_threshold then count_delayed t w
           end
           else if Sim_time.sub (Sim.now t.sim) started >= t.cfg.timeout then begin
             answered := true;
             t.outstanding.(w) <- false;
-            t.delayed_count <- t.delayed_count + 1;
-            t.per_worker.(w) <- t.per_worker.(w) + 1
+            count_delayed t w
           end
           else ignore (Sim.schedule_after t.sim ~delay:(Sim_time.ms 10) check)
         end
@@ -72,8 +78,7 @@ module Per_worker = struct
     else begin
       (* Connection died (worker crash): immediate loss. *)
       t.outstanding.(w) <- false;
-      t.delayed_count <- t.delayed_count + 1;
-      t.per_worker.(w) <- t.per_worker.(w) + 1
+      count_delayed t w
     end
 
   let rec tick t () =
@@ -87,8 +92,7 @@ module Per_worker = struct
           probe_worker t w
         else begin
           t.sent_count <- t.sent_count + 1;
-          t.delayed_count <- t.delayed_count + 1;
-          t.per_worker.(w) <- t.per_worker.(w) + 1
+          count_delayed t w
         end
       done;
       ignore (Sim.schedule_after t.sim ~delay:t.cfg.interval (tick t))

@@ -607,6 +607,38 @@ let test_device_hang_injection_and_probe () =
   check Alcotest.bool "hung worker delayed" true (per.(1) >= 2);
   check Alcotest.int "healthy worker clean" 0 per.(0)
 
+(* A probe-loss burst loses every probe the per-worker prober sends
+   inside it, each counted delayed when its timeout expires; no probe
+   sent outside the burst is. *)
+let test_device_probe_loss () =
+  let sim = Engine.Sim.create () in
+  let tenants = Netsim.Tenant.population ~n:4 ~base_dport:20000 in
+  let device =
+    Lb.Device.create ~sim ~rng:(Engine.Rng.create 5) ~mode:Lb.Device.Reuseport
+      ~workers:4 ~tenants ()
+  in
+  Lb.Device.start device;
+  let prober =
+    Lb.Probe.Per_worker.start ~config:Lb.Probe.default_config ~target:device
+  in
+  let sent_until t =
+    Engine.Sim.run_until sim ~limit:(ms t);
+    Lb.Probe.Per_worker.sent prober
+  in
+  let before = sent_until 1050 in
+  Lb.Device.set_probe_loss device true;
+  let inside = sent_until 1450 - before in
+  Lb.Device.set_probe_loss device false;
+  (* one probe per worker, each outstanding until its 2 s timeout *)
+  check Alcotest.int "sent inside the burst" 4 inside;
+  check Alcotest.int "none timed out yet" 0 (Lb.Probe.Per_worker.delayed prober);
+  let total = sent_until 4000 in
+  Lb.Probe.Per_worker.stop prober;
+  Engine.Sim.run_until sim ~limit:(ms 4500);
+  check Alcotest.bool "probing resumed" true (total > before + inside);
+  check Alcotest.(array int) "each lost probe delayed, no other" [| 1; 1; 1; 1 |]
+    (Lb.Probe.Per_worker.delayed_by_worker prober)
+
 (* A hang is a stall, not a request: it shows in no accept, completion,
    latency or live-connection figure. *)
 let test_device_hang_is_not_traffic () =
@@ -925,6 +957,7 @@ let () =
             test_device_probe_timeout_traced;
           Alcotest.test_case "recover keeps one listener per port" `Quick
             test_device_recover_keeps_one_listener_per_port;
+          Alcotest.test_case "probe loss delays the prober" `Quick test_device_probe_loss;
           Alcotest.test_case "quarantine unsubscribes listeners" `Quick
             test_device_quarantine_unsubscribes;
           Alcotest.test_case "isolate mid-accept" `Quick test_device_isolate_mid_accept;
