@@ -286,11 +286,30 @@ let test_per_outcome_cycles_jit () =
 (* ------------------------------------------------------------------ *)
 (* The kernel_jit device path                                           *)
 
-(* One seeded Hermes device under an open-loop Case 1 workload, with
-   its trace captured.  Returns the rendered records (the attach-time
-   verifier verdicts dropped, each program run's cycles zeroed: the
-   AST evaluator and the bytecode JIT charge different cycle models),
-   the device, and how many program runs selected and fell back. *)
+(* A compact fault plan inside the run's 200 ms: the program faults,
+   then the bitmap pushes lag while a worker crashes, is isolated and
+   recovers, another stalls its WST writes, a third hangs and a
+   fourth's backlog overflows. *)
+let compact_plan =
+  let ms = Engine.Sim_time.ms in
+  Faults.Plan.
+    [
+      { at = ms 20; action = Ebpf_fail { duration = ms 15 } };
+      { at = ms 40; action = Map_sync_delay { delay = ms 5; duration = ms 30 } };
+      { at = ms 50; action = Crash { worker = 3 } };
+      { at = ms 55; action = Isolate { worker = 3 } };
+      { at = ms 95; action = Recover { worker = 3 } };
+      { at = ms 60; action = Wst_stall { worker = 2; duration = ms 40 } };
+      { at = ms 60; action = Hang { worker = 1; duration = ms 40 } };
+      { at = ms 70; action = Accept_overflow { worker = 0; duration = ms 30 } };
+    ]
+
+(* One seeded Hermes device under an open-loop Case 1 workload and the
+   compact fault plan, with its trace captured.  Returns the rendered
+   records (the attach-time verifier verdicts dropped, each program
+   run's cycles zeroed: the AST evaluator and the bytecode JIT charge
+   different cycle models), the device, and how many program runs
+   selected and fell back. *)
 let hermes_device_run config =
   let records = ref [] in
   let sink = { Trace.write = (fun r -> records := r :: !records); close = ignore } in
@@ -304,6 +323,7 @@ let hermes_device_run config =
             ~mode:(Lb.Device.Hermes config) ~workers:8 ~tenants ()
         in
         Lb.Device.start device;
+        Faults.Inject.arm ~device ~plan:compact_plan;
         let profile =
           Workload.Profile.scale_rate
             (Workload.Cases.profile Workload.Cases.Case1 ~workers:8)
@@ -315,12 +335,15 @@ let hermes_device_run config =
         Engine.Sim.run_until sim ~limit:(ms 200);
         device)
   in
-  let selects = ref 0 and fallbacks = ref 0 in
+  let selects = ref 0 and fallbacks = ref 0 and injected = ref 0 in
   let rendered =
     List.rev !records
     |> List.filter_map (fun (r : Trace.record) ->
            match r.event with
            | Trace.Verifier_verdict _ -> None
+           | Trace.Fault_inject _ ->
+             incr injected;
+             Some (Trace.render r)
            | Trace.Prog_run p ->
              (match p.outcome with
              | Trace.Select -> incr selects
@@ -329,15 +352,16 @@ let hermes_device_run config =
              Some (Trace.render { r with event = Trace.Prog_run { p with cycles = 0 } })
            | _ -> Some (Trace.render r))
   in
-  (rendered, device, !selects, !fallbacks)
+  (rendered, device, !selects, !fallbacks, !injected)
 
 let test_kernel_jit_device_matches_ast () =
-  let ast, ast_dev, selects, fallbacks =
+  let ast, ast_dev, selects, fallbacks, injected =
     hermes_device_run Hermes.Config.default
   in
-  let jit, jit_dev, _, _ =
+  let jit, jit_dev, _, _, _ =
     hermes_device_run { Hermes.Config.default with kernel_jit = true }
   in
+  check Alcotest.int "every fault fired" (List.length compact_plan) injected;
   check Alcotest.bool "programs selected" true (selects > 100);
   check Alcotest.bool "programs fell back" true (fallbacks > 0);
   let rec first_diff i a b =
