@@ -7,10 +7,11 @@
    - per-outcome Reuseport cycle accounting, VM vs JIT parity
    - Wst.read_into
    - Gc.minor_words-gated allocation checks on the trace-disabled
-     scheduler pass, the runtime's pass and bitmap push, and the JIT
-     and compiled-AST selects (quarantined: skipped on non-native
-     backends or when a known-zero-alloc calibration loop reports
-     allocation, as instrumented runtimes make minor_words lie) *)
+     scheduler pass, the runtime's pass and bitmap push, the JIT and
+     compiled-AST selects and the JIT's splice redirect (quarantined:
+     skipped on non-native backends or when a known-zero-alloc
+     calibration loop reports allocation, as instrumented runtimes
+     make minor_words lie) *)
 
 let schedule = Drive.schedule
 
@@ -480,6 +481,29 @@ let test_jit_select_zero_alloc () =
   Alloc_gate.check "JIT select" (fun i ->
       ignore (Kernel.Reuseport.select g ~flow_hash:(i land 3)))
 
+(* The splice redirect program as Splice compiles it, over live and
+   empty sockmap slots with a 256-byte copy: a hit runs the redirect
+   and copy helpers, a miss the fallback exit. *)
+let test_jit_redirect_zero_alloc () =
+  let m = Kernel.Ebpf_maps.Sockmap.create ~name:"td_splice" ~size:8 in
+  for k = 0 to 7 do
+    if k land 1 = 0 then Kernel.Ebpf_maps.Sockmap.set m k ~conn:(100 + k) ~target:(k land 3)
+  done;
+  let prog =
+    match
+      Kernel.Verifier.compile_and_verify
+        (Hermes.Dispatch.splice_prog ~m_splice:m ~copy:256 ())
+    with
+    | Ok v -> Kernel.Ebpf_jit.compile v
+    | Error e -> Alcotest.fail (Kernel.Verifier.error_to_string e)
+  in
+  check Alcotest.int "live slot redirects" 3 (Kernel.Ebpf_code.exec prog ~flow_hash:2 ~dst_port:80);
+  check Alcotest.int "copy" 256 (Kernel.Ebpf_code.copy_len prog);
+  check Alcotest.int "empty slot falls back" 0
+    (Kernel.Ebpf_code.exec prog ~flow_hash:3 ~dst_port:80);
+  Alloc_gate.check "JIT redirect" (fun i ->
+      ignore (Kernel.Ebpf_code.exec prog ~flow_hash:(i land 7) ~dst_port:80))
+
 let () =
   Alcotest.run "dispatch"
     [
@@ -516,6 +540,7 @@ let () =
           Alcotest.test_case "scheduler pass" `Quick
             test_scheduler_pass_zero_alloc;
           Alcotest.test_case "jit select" `Quick test_jit_select_zero_alloc;
+          Alcotest.test_case "JIT redirect" `Quick test_jit_redirect_zero_alloc;
           Alcotest.test_case "AST select" `Quick test_ast_select_zero_alloc;
           Alcotest.test_case "runtime pass" `Quick test_runtime_pass_zero_alloc;
         ] );
