@@ -33,11 +33,11 @@ type t = { st : state; entry : k }
 
 exception Fault
 
-type file = { fst : state; mutable next : int; mutable consts : (int * int64) list }
+type file = { state : state; mutable next : int; mutable consts : (int * int64) list }
 
 let file () =
   {
-    fst = { regs = Bytes.empty; cycles = 0; sel = None; redir = None; copy_len = 0 };
+    state = { regs = Bytes.empty; cycles = 0; sel = None; redir = None; copy_len = 0 };
     next = 2;
     consts = [];
   }
@@ -56,7 +56,7 @@ let const f v =
   r
 
 let finish f entry =
-  let st = f.fst in
+  let st = f.state in
   st.regs <- Bytes.make (f.next lsl 3) '\000';
   List.iter (fun (r, v) -> set64 st.regs (r lsl 3) v) f.consts;
   { st; entry }
@@ -93,7 +93,7 @@ let[@inline] key r a size =
   k
 
 let step f ?(proved = false) op ~cost ~a ?(b = a) ~dst next =
-  let st = f.fst and a = a lsl 3 and b = b lsl 3 and dst = dst lsl 3 in
+  let st = f.state and a = a lsl 3 and b = b lsl 3 and dst = dst lsl 3 in
   match op with
   | Mov ->
     fun () ->
@@ -271,25 +271,25 @@ let[@inline] holds mask (x : int64) (y : int64) =
   (mask lsr (1 + Bool.to_int (x > y) - Bool.to_int (x < y))) land 1 <> 0
 
 let branch f cmp ~cost ~a ~b yes no =
-  let st = f.fst and a = a lsl 3 and b = b lsl 3 and mask = cmp_mask cmp in
+  let st = f.state and a = a lsl 3 and b = b lsl 3 and mask = cmp_mask cmp in
   fun () ->
     charge st cost;
     if holds mask (get64 st.regs a) (get64 st.regs b) then yes () else no ()
 
 let jump f ~cost next =
-  let st = f.fst in
+  let st = f.state in
   fun () ->
     charge st cost;
     next ()
 
 let exit f ~cost code =
-  let st = f.fst in
+  let st = f.state in
   fun () ->
     charge st cost;
     code
 
 let exit_reg f ~cost ~pass ~drop ~redirect r =
-  let st = f.fst and r = r lsl 3 in
+  let st = f.state and r = r lsl 3 in
   fun () ->
     charge st cost;
     let v = get64 st.regs r in

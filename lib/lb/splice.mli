@@ -7,9 +7,9 @@
     installs the connection into a {!Kernel.Ebpf_maps.Sockmap} and
     attaches a verified redirect program
     ({!Hermes.Dispatch.splice_prog}); subsequent payload runs the
-    program in-kernel (through the closure JIT) and splices straight
-    to the owning worker's socket, optionally copying a bounded prefix
-    up for L7 inspection ([bpf_sk_copy]).
+    program in-kernel (its bytecode compiled by {!Kernel.Ebpf_jit})
+    and splices straight to the owning worker's socket, optionally
+    copying a bounded prefix up for L7 inspection ([bpf_sk_copy]).
 
     Userspace keeps {e directing} the fast path — attach on
     establishment, teardown on close/reset/isolate/restart — and keeps
@@ -38,7 +38,7 @@ type stats = {
       (** redirects refused by the strict conn-id check — each one is
           a stale sockmap entry caught before it misdelivered bytes *)
   mutable teardowns : int;
-  mutable prog_cycles : int;  (** redirect-program cycles (JIT) *)
+  mutable prog_cycles : int;  (** redirect-program cycles *)
   mutable splice_cycles : int;
       (** in-kernel forwarding cycles ({!Netsim.Copy.splice_cycles}
           plus the selective-copy cost) *)
